@@ -107,4 +107,3 @@ def test_pruning_counters_consistent(pruning_doc):
             == stats["candidates_total"]
         )
         assert stats["queries"] > 0
-        assert stats["block_hints_wasted"] <= stats["block_hints"]

@@ -184,36 +184,6 @@ class BubblePolicy(BirchStarPolicy):
             return None
         return cache
 
-    def begin_insert_block(self, node: NonLeafNode, objs: Any) -> np.ndarray | None:
-        """Batched pivot gather for a block of objects about to descend
-        through ``node``: one counted ``one_to_many`` computes every
-        object's ``d(obj, pivot)`` hint up front, reusing the row the
-        per-object pruned path would otherwise measure one at a time."""
-        cache = self._node_cache(node)
-        if self._prunable_cache(node, cache) is None:
-            return None
-        push_site("nonleaf-d2")
-        try:
-            hints = self.metric.one_to_many(cache.flat[0], objs)
-        finally:
-            pop_site()
-        self.pruning_stats.block_gathers += 1
-        self.pruning_stats.block_hints += len(objs)
-        return hints
-
-    def nonleaf_distances_hinted(
-        self, node: NonLeafNode, obj: Any, hint: float | None
-    ) -> np.ndarray:
-        if hint is None:
-            return self.nonleaf_distances(node, obj)
-        cache = self._node_cache(node)
-        return pruned_segment_distances(
-            self.metric, cache, len(node.entries), obj, self.pruning_stats, d_pivot=hint
-        )
-
-    def end_insert_block(self, n_unused: int) -> None:
-        self.pruning_stats.block_hints_wasted += n_unused
-
     def nonleaf_entry_distances(self, node: NonLeafNode) -> np.ndarray:
         entries = node.entries
         n = len(entries)

@@ -33,14 +33,7 @@ from repro.observability import NULL_TRACER, NullTracer
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_integer, check_positive
 
-__all__ = ["CFTree", "DEFAULT_HINT_CHUNK"]
-
-#: Default block-insert hint-gather chunk: root hints are gathered this
-#: many objects at a time. A gather is NCD-neutral per consumed hint (it
-#: replaces the per-object root pivot call), but hints left over when the
-#: root changes structurally are pure waste, so the chunk bounds the waste
-#: per change. Override per tree with ``CFTree(hint_chunk=...)``.
-DEFAULT_HINT_CHUNK = 32
+__all__ = ["CFTree"]
 
 logger = logging.getLogger("repro.cftree")
 
@@ -73,12 +66,6 @@ class CFTree:
         raising :class:`~repro.exceptions.TreeInvariantError` at the first
         violation. Expensive — meant for tests and bug hunts, not
         production scans.
-    hint_chunk:
-        How many objects each block-insert root-hint gather covers (see
-        :meth:`insert_batch`). Larger chunks amortize more root pivot
-        calls per gather but waste more hints when the root changes
-        structurally mid-block. The configured value is surfaced as
-        ``PruningStats.hint_chunk``.
     """
 
     def __init__(
@@ -91,7 +78,6 @@ class CFTree:
         seed: int | np.random.Generator | None = None,
         tracer: NullTracer = NULL_TRACER,
         validate: str | None = None,
-        hint_chunk: int = DEFAULT_HINT_CHUNK,
     ):
         if not isinstance(policy, BirchStarPolicy):
             raise ParameterError("policy must be a BirchStarPolicy")
@@ -119,10 +105,6 @@ class CFTree:
         if validate not in (None, "debug"):
             raise ParameterError(f'validate must be None or "debug", got {validate!r}')
         self.validate = validate
-        self.hint_chunk = check_integer(hint_chunk, "hint_chunk", minimum=1)
-        stats = getattr(policy, "pruning_stats", None)
-        if stats is not None:
-            stats.hint_chunk = self.hint_chunk
         self.tracer = tracer
         self._rng = ensure_rng(seed)
         self.root: LeafNode | NonLeafNode = LeafNode()
@@ -139,9 +121,7 @@ class CFTree:
         with self.tracer.span("insert"):
             self._insert_top(None, obj)
             self.n_objects += 1
-            if self.max_nodes is not None:
-                while self.n_nodes > self.max_nodes:
-                    self.rebuild(suggest_next_threshold(self, self._rng))
+            self._enforce_budget()
         if self.validate is not None and self._split_since_audit:
             self._audit()
 
@@ -149,143 +129,39 @@ class CFTree:
         """Type II insertion of a whole cluster (used by :meth:`rebuild`)."""
         self._insert_top(feature, self.policy.routing_object(feature))
 
-    def insert_batch(self, objs: Any) -> None:
-        """Type I insertion of a block of objects.
-
-        The resulting tree is identical to inserting the objects one at a
-        time with :meth:`insert` — the block only changes *when* root-level
-        pivot distances are measured. While the root is structurally stable
-        the policy's :meth:`~repro.core.policy.BirchStarPolicy.begin_insert_block`
-        gather pays the per-object root pivot call once for the whole
-        remaining block; any structural change at the root (a direct child
-        split, root growth, a rebuild) invalidates the remaining hints,
-        which are discarded (``end_insert_block``) and re-gathered. Hints
-        are gathered in chunks of :attr:`hint_chunk`, so wasted distance
-        calls are bounded by one chunk per root-level structural change.
-
-        Equivalence with sequential insertion additionally assumes the
-        metric's batched rows are symmetric bit-for-bit (``d(p, q) ==
-        d(q, p)``), which holds for every metric shipped in this repo.
-        """
-        if not objs:
-            return
-        with self.tracer.span("insert-batch"):
-            self._insert_block([(None, obj) for obj in objs], rebuild=True)
-
     def insert_feature_batch(self, features: list[ClusterFeature]) -> None:
         """Type II insertion of a block of whole clusters.
 
         This is the merge primitive of the parallel build
         (:mod:`repro.parallel`): leaf CF*s harvested from shard trees are
-        re-inserted here in a deterministic order, through the same hinted
-        block path :meth:`rebuild` uses, so the merged tree is reproducible
-        run-to-run. Unlike :meth:`insert_feature` (which :meth:`rebuild`
-        calls with the object count already on the books), this method
-        *adds* the features' populations to :attr:`n_objects` and then
-        enforces the node budget, so invariants and audits hold on the
-        merged tree.
+        re-inserted here one at a time in a deterministic order, so the
+        merged tree is reproducible run-to-run. Unlike
+        :meth:`insert_feature` (which :meth:`rebuild` calls with the object
+        count already on the books), this method *adds* the features'
+        populations to :attr:`n_objects` and then enforces the node budget,
+        so invariants and audits hold on the merged tree.
         """
-        if not features:
-            return
-        # Sum populations before inserting: a feature absorbed into an
-        # earlier one from this same batch mutates that entry's n in place,
-        # so summing afterwards would double-count the absorbed objects.
-        total = sum(feature.n for feature in features)
         # Foreign features (worker shards, checkpoints) move their slab
         # storage into this tree's arena before routing — bit-for-bit, no
         # distance calls, NCD-neutral.
         for feature in features:
             self.policy.adopt_feature(feature)
-        self._insert_block(
-            [(feature, self.policy.routing_object(feature)) for feature in features],
-            rebuild=False,
-        )
+        # Sum populations before inserting: a feature absorbed into an
+        # earlier one from this same batch mutates that entry's n in place,
+        # so summing afterwards would double-count the absorbed objects.
+        total = sum(feature.n for feature in features)
+        for feature in features:
+            self.insert_feature(feature)
         self.n_objects += total
+        self._enforce_budget()
+        if self.validate is not None and self._split_since_audit:
+            self._audit()
+
+    def _enforce_budget(self) -> None:
+        """Rebuild with a larger threshold until the node budget ``M`` holds."""
         if self.max_nodes is not None:
             while self.n_nodes > self.max_nodes:
                 self.rebuild(suggest_next_threshold(self, self._rng))
-        if self.validate is not None and self._split_since_audit:
-            self._audit()
-
-    def _insert_block(
-        self, items: list[tuple[Any, Any]], rebuild: bool
-    ) -> None:
-        """Insert ``(feature, routing_obj)`` items in order, re-gathering
-        root hints whenever the root changes structurally."""
-        pos = 0
-        n = len(items)
-        while pos < n:
-            root = self.root
-            if root.is_leaf:
-                # No shared upper level to amortize yet: insert directly
-                # until the root grows.
-                feature, routing_obj = items[pos]
-                self._insert_item(feature, routing_obj, rebuild, hint=None)
-                pos += 1
-                continue
-            block = items[pos : pos + self.hint_chunk]
-            hints = self.policy.begin_insert_block(
-                root, [routing_obj for _, routing_obj in block]
-            )
-            consumed = 0
-            for j, (feature, routing_obj) in enumerate(block):
-                hint = float(hints[j]) if hints is not None else None
-                changed = self._insert_item(feature, routing_obj, rebuild, hint=hint)
-                consumed += 1
-                if changed:
-                    break
-            pos += consumed
-            if hints is not None and consumed < len(block):
-                self.policy.end_insert_block(len(block) - consumed)
-
-    def _insert_item(
-        self, feature: Any, routing_obj: Any, rebuild: bool, hint: float | None
-    ) -> bool:
-        """One block item, with :meth:`insert`'s exact per-object semantics
-        (span, rebuild loop, audit). Returns True if the root changed
-        structurally — the signal that remaining block hints are stale."""
-        if feature is not None:
-            return self._insert_top_hinted(feature, routing_obj, hint)
-        with self.tracer.span("insert"):
-            changed = self._insert_top_hinted(None, routing_obj, hint)
-            self.n_objects += 1
-            if rebuild and self.max_nodes is not None:
-                while self.n_nodes > self.max_nodes:
-                    self.rebuild(suggest_next_threshold(self, self._rng))
-                    changed = True
-        if self.validate is not None and self._split_since_audit:
-            self._audit()
-        return changed
-
-    def _insert_top_hinted(
-        self, feature: Any, routing_obj: Any, hint: float | None
-    ) -> bool:
-        """:meth:`_insert_top`, but the *root-level* routing may consume a
-        precomputed pivot-distance hint. Mirrors :meth:`_insert_into`'s
-        non-leaf branch exactly apart from the hinted distance call."""
-        root = self.root
-        aux_before = getattr(root, "aux", None)
-        if hint is None or root.is_leaf:
-            self._insert_top(feature, routing_obj)
-        else:
-            dists = self.policy.nonleaf_distances_hinted(root, routing_obj, hint)
-            idx = int(np.argmin(dists))
-            self.policy.on_descend(root, idx, routing_obj, feature)
-            split = self._insert_into(root.entries[idx].child, feature, routing_obj)
-            if split is not None:
-                left, right = split
-                root.entries[idx] = NonLeafEntry(left)
-                root.entries.insert(idx + 1, NonLeafEntry(right))
-                self.policy.refresh_node(root)
-                if len(root.entries) > self.branching_factor:
-                    upper = self._split_nonleaf(root)
-                    new_root = NonLeafNode(
-                        [NonLeafEntry(upper[0]), NonLeafEntry(upper[1])]
-                    )
-                    self.root = new_root
-                    self.n_nodes += 1
-                    self.policy.refresh_node(new_root)
-        return self.root is not root or getattr(self.root, "aux", None) is not aux_before
 
     def _insert_top(self, feature: Any, routing_obj: Any) -> None:
         split = self._insert_into(self.root, feature, routing_obj)
@@ -436,12 +312,8 @@ class CFTree:
         self.root = LeafNode()
         self.n_nodes = 1
         self.n_rebuilds += 1
-        # Re-insert as one block: identical tree to one-at-a-time Type II
-        # insertion, but root pivot distances are gathered batched.
-        self._insert_block(
-            [(feature, self.policy.routing_object(feature)) for feature in features],
-            rebuild=False,
-        )
+        for feature in features:
+            self.insert_feature(feature)
         logger.debug(
             "rebuild #%d done: %d nodes, %d clusters",
             self.n_rebuilds,
@@ -460,9 +332,7 @@ class CFTree:
         parked, self._outliers = self._outliers, []
         for feature in parked:
             self.insert_feature(feature)
-            if self.max_nodes is not None:
-                while self.n_nodes > self.max_nodes:
-                    self.rebuild(suggest_next_threshold(self, self._rng))
+            self._enforce_budget()
         return len(parked)
 
     @property

@@ -123,29 +123,6 @@ class BirchStarPolicy(ABC):
     # ------------------------------------------------------------------
     # Optional hooks
     # ------------------------------------------------------------------
-    def begin_insert_block(self, node: NonLeafNode, objs: Any) -> np.ndarray | None:
-        """Precompute per-object routing hints for a block of insertions
-        about to descend through non-leaf ``node``.
-
-        Returns an array aligned with ``objs`` (BUBBLE returns batched
-        pivot distances) or ``None`` when the policy has no batched
-        shortcut; the framework then routes each object individually. Any
-        hint becomes stale — and the framework discards the rest of the
-        block via :meth:`end_insert_block` — as soon as ``node`` changes
-        structurally."""
-        return None
-
-    def nonleaf_distances_hinted(
-        self, node: NonLeafNode, obj: Any, hint: float | None
-    ) -> np.ndarray:
-        """:meth:`nonleaf_distances` with an optional
-        :meth:`begin_insert_block` hint. The default ignores the hint."""
-        return self.nonleaf_distances(node, obj)
-
-    def end_insert_block(self, n_unused: int) -> None:
-        """Called when a block gather is abandoned mid-block (a structural
-        change invalidated ``n_unused`` remaining hints)."""
-
     def on_node_split(
         self, old: NonLeafNode, left: NonLeafNode, right: NonLeafNode
     ) -> None:

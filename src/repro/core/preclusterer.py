@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.bubble import BubblePolicy
 from repro.core.bubble_fm import BubbleFMPolicy
-from repro.core.cftree import DEFAULT_HINT_CHUNK, CFTree
+from repro.core.cftree import CFTree
 from repro.core.features import SubCluster
 from repro.exceptions import (
     CheckpointError,
@@ -97,18 +97,6 @@ class PreClusterer:
         Route through the exact triangle-inequality pruned engine
         (:mod:`repro.core.routing`). The clustering is bit-identical
         either way; pruning only reduces NCD. On by default.
-    batch_size:
-        When set, :meth:`partial_fit` feeds the tree bounded blocks of
-        this many objects via :meth:`CFTree.insert_batch`, amortizing
-        root-level pivot distances across the block. The resulting tree is
-        identical to sequential insertion. Only applies under
-        ``on_error="raise"`` — per-object quarantine needs the sequential
-        path — and requires ``prune`` (the hints feed the pruned engine).
-        ``None`` (default) keeps the one-object-at-a-time scan.
-    hint_chunk:
-        Block-insert hint-gather chunk size forwarded to the CF*-tree
-        (see :class:`repro.core.cftree.CFTree`); surfaced in the pruned
-        engine's ``PruningStats.hint_chunk``.
     n_jobs:
         Worker processes for a sharded build. The default 1 keeps the
         paper's sequential single scan. Any other value (or an explicit
@@ -149,8 +137,6 @@ class PreClusterer:
         tracer: NullTracer = NULL_TRACER,
         validate: str | None = None,
         prune: bool = True,
-        batch_size: int | None = None,
-        hint_chunk: int = DEFAULT_HINT_CHUNK,
         n_jobs: int = 1,
         n_shards: int | None = None,
         max_shard_retries: int = 2,
@@ -167,12 +153,6 @@ class PreClusterer:
         self.outlier_fraction = outlier_fraction
         self.validate = validate
         self.prune = bool(prune)
-        if batch_size is not None:
-            batch_size = check_integer(batch_size, "batch_size", minimum=2)
-            if not self.prune:
-                raise ParameterError("batch_size requires prune=True")
-        self.batch_size = batch_size
-        self.hint_chunk = check_integer(hint_chunk, "hint_chunk", minimum=1)
         self.n_jobs = check_integer(n_jobs, "n_jobs", minimum=1)
         if n_shards is not None:
             n_shards = check_integer(n_shards, "n_shards", minimum=1)
@@ -226,8 +206,6 @@ class PreClusterer:
             outlier_fraction=self.outlier_fraction,
             validate=self.validate,
             prune=self.prune,
-            batch_size=self.batch_size,
-            hint_chunk=self.hint_chunk,
         )
 
     # ------------------------------------------------------------------
@@ -364,7 +342,6 @@ class PreClusterer:
                 seed=self._rng,
                 tracer=self.tracer,
                 validate=self.validate,
-                hint_chunk=self.hint_chunk,
             )
         elif self.tree_.tracer is not self.tracer:
             # A tree restored from a checkpoint carries the no-op tracer;
@@ -377,60 +354,21 @@ class PreClusterer:
         report = self.ingest_report_
         try:
             with self.tracer.activation():
-                if self.batch_size is not None and on_error == "raise":
-                    self._scan_batched(
-                        objects, checkpoint_path, checkpoint_every
-                    )
-                else:
-                    # Per-object quarantine needs the sequential path, so
-                    # batch_size is ignored under on_error="quarantine".
-                    for obj in objects:
-                        index = self._cursor
-                        self._cursor += 1
-                        report.n_seen += 1
-                        if on_error == "raise":
-                            tree.insert(obj)
-                            report.n_inserted += 1
-                        else:
-                            self._insert_or_quarantine(obj, index)
-                        if checkpoint_path is not None and self._cursor % checkpoint_every == 0:
-                            self._write_checkpoint(checkpoint_path)
+                for obj in objects:
+                    index = self._cursor
+                    self._cursor += 1
+                    report.n_seen += 1
+                    if on_error == "raise":
+                        tree.insert(obj)
+                        report.n_inserted += 1
+                    else:
+                        self._insert_or_quarantine(obj, index)
+                    if checkpoint_path is not None and self._cursor % checkpoint_every == 0:
+                        self._write_checkpoint(checkpoint_path)
         finally:
             report.elapsed_seconds += time.perf_counter() - start
             self._sync_report()
         return self
-
-    def _scan_batched(
-        self, objects: Iterable, checkpoint_path: Any, checkpoint_every: int
-    ) -> None:
-        """Feed the stream to the tree in bounded ``batch_size`` blocks.
-
-        Checkpoints land on block boundaries: one is written whenever a
-        block crosses a ``checkpoint_every`` multiple of the cursor, so a
-        resumed scan sees the same cadence within one block width.
-        """
-        tree = self.tree_
-        report = self.ingest_report_
-        block: list = []
-
-        def flush() -> None:
-            before = self._cursor
-            tree.insert_batch(block)
-            self._cursor += len(block)
-            report.n_seen += len(block)
-            report.n_inserted += len(block)
-            if checkpoint_path is not None and (
-                self._cursor // checkpoint_every > before // checkpoint_every
-            ):
-                self._write_checkpoint(checkpoint_path)
-
-        for obj in objects:
-            block.append(obj)
-            if len(block) >= self.batch_size:
-                flush()
-                block = []
-        if block:
-            flush()
 
     # ------------------------------------------------------------------
     # Fault-tolerant insertion
@@ -780,8 +718,6 @@ class BUBBLEFM(PreClusterer):
         tracer: NullTracer = NULL_TRACER,
         validate: str | None = None,
         prune: bool = True,
-        batch_size: int | None = None,
-        hint_chunk: int = DEFAULT_HINT_CHUNK,
         n_jobs: int = 1,
         n_shards: int | None = None,
         max_shard_retries: int = 2,
@@ -800,8 +736,6 @@ class BUBBLEFM(PreClusterer):
             tracer=tracer,
             validate=validate,
             prune=prune,
-            batch_size=batch_size,
-            hint_chunk=hint_chunk,
             n_jobs=n_jobs,
             n_shards=n_shards,
             max_shard_retries=max_shard_retries,

@@ -105,29 +105,15 @@ class PruningStats:
     maintenance_evals: int = 0
     #: Pivot geometries built or rebuilt.
     geometry_builds: int = 0
-    #: Batched pivot gathers issued for insert blocks.
-    block_gathers: int = 0
-    #: Pivot distances precomputed by block gathers.
-    block_hints: int = 0
-    #: Precomputed hints discarded because the tree changed mid-block.
-    block_hints_wasted: int = 0
-    #: Configured block-hint gather chunk size — configuration, not a
-    #: counter; 0 until a tree adopts these stats (see
-    #: ``CFTree(hint_chunk=...)``).
-    hint_chunk: int = 0
-
-    #: Fields that describe configuration rather than accumulated work.
-    _CONFIG_FIELDS = ("hint_chunk",)
 
     def as_dict(self) -> dict[str, int]:
         """JSON-compatible copy of every counter."""
         return asdict(self)
 
     def reset(self) -> None:
-        """Zero every counter (configuration fields keep their value)."""
+        """Zero every counter."""
         for name in self.__dataclass_fields__:
-            if name not in self._CONFIG_FIELDS:
-                setattr(self, name, 0)
+            setattr(self, name, 0)
 
     def absorb(self, counters: dict[str, int]) -> None:
         """Add another engine's counters into this one.
@@ -135,11 +121,9 @@ class PruningStats:
         Used when merging shard results: each worker process routed with
         its own :class:`PruningStats`, and the parent folds the per-shard
         counters in so one object still summarizes the whole build.
-        Unknown keys and configuration fields are ignored.
+        Unknown keys are ignored.
         """
         for name in self.__dataclass_fields__:
-            if name in self._CONFIG_FIELDS:
-                continue
             value = counters.get(name)
             if value:
                 setattr(self, name, getattr(self, name) + int(value))
@@ -177,13 +161,12 @@ class SampleGeometry:
     """Anchor geometry of one non-leaf sample cache.
 
     ``positions`` holds the flat indices of the initial pivots — the first
-    sample of up to ``_MAX_SEGMENT_PIVOTS`` evenly spread segments.
-    ``positions[0]`` is always ``0`` (``cache.flat[0]``) so block-gathered
-    pivot hints stay valid. ``pair[i, j] == d(flat[i], flat[j])`` is the
-    full sample-to-sample matrix feeding the anchor bounds. Sample sets
-    are immutable between refreshes and a refresh installs a brand-new
-    cache object, so this is built once per cache lifetime and never
-    invalidated in place.
+    sample of up to ``_MAX_SEGMENT_PIVOTS`` evenly spread segments, always
+    including the first and the last segment. ``pair[i, j] == d(flat[i],
+    flat[j])`` is the full sample-to-sample matrix feeding the anchor
+    bounds. Sample sets are immutable between refreshes and a refresh
+    installs a brand-new cache object, so this is built once per cache
+    lifetime and never invalidated in place.
     """
 
     __slots__ = ("positions", "pair")
@@ -254,9 +237,7 @@ def ensure_sample_geometry(
     n_segments = len(offsets) - 1
     n_pivots = min(n_segments, _MAX_SEGMENT_PIVOTS)
     seg_ids = np.linspace(0, n_segments - 1, num=max(n_pivots, 1)).astype(int)
-    positions = np.array(
-        sorted({0} | {int(offsets[i]) for i in seg_ids}), dtype=np.intp
-    )
+    positions = np.array(sorted({int(offsets[i]) for i in seg_ids}), dtype=np.intp)
     # Raw hook: geometry maintenance is NCD-neutral by design (see module
     # docstring); tracked via stats.maintenance_evals.
     pair = np.asarray(metric._pairwise(flat), dtype=np.float64)
@@ -322,14 +303,11 @@ def pruned_segment_distances(
     n_entries: int,
     obj: Any,
     stats: PruningStats,
-    d_pivot: float | None = None,
 ) -> np.ndarray:
     """D2 distances from ``obj`` to every entry of a non-leaf node, with
     per-segment triangle-inequality pruning over the node's sample cache.
 
-    ``d_pivot`` may carry a precomputed (already counted) ``d(obj, flat[0])``
-    from a block gather; it must have been measured against *this* cache's
-    pivot. Pruned entries hold ``+inf``; measured entries are bit-identical
+    Pruned entries hold ``+inf``; measured entries are bit-identical
     to the exhaustive computation. Never issues more counted calls than the
     exhaustive gather (``len(flat)``) would.
     """
@@ -357,20 +335,10 @@ def pruned_segment_distances(
                 lb, np.abs(pair[positions] - values[:, None]).max(axis=0), out=lb
             )
 
-        if d_pivot is None:
-            dq = np.asarray(
-                metric.one_to_many(obj, [flat[int(p)] for p in pivot_positions]),
-                dtype=np.float64,
-            )
-        else:
-            # The hint carries d(obj, flat[0]) == d(obj, flat[positions[0]]);
-            # gather the remaining pivots in one batch.
-            dq = np.empty(len(pivot_positions), dtype=np.float64)
-            dq[0] = d_pivot
-            if len(pivot_positions) > 1:
-                dq[1:] = metric.one_to_many(
-                    obj, [flat[int(p)] for p in pivot_positions[1:]]
-                )
+        dq = np.asarray(
+            metric.one_to_many(obj, [flat[int(p)] for p in pivot_positions]),
+            dtype=np.float64,
+        )
         admit([int(p) for p in pivot_positions], dq)
 
         out = np.full(n_entries, np.inf, dtype=np.float64)

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.exceptions import EmptyDatasetError, NotFittedError, ParameterError
 from repro.metrics.base import DistanceFunction
-from repro.metrics.tagged import TaggedMetric
 from repro.mtree import MTree
 from repro.utils.validation import check_integer, check_positive
 
@@ -90,9 +89,10 @@ class MetricDBSCAN:
         if n == 0:
             raise EmptyDatasetError("MetricDBSCAN.fit requires at least one object")
 
-        index = MTree(TaggedMetric(self.metric), node_capacity=self.node_capacity)
-        for i, obj in enumerate(objects):
-            index.insert((i, obj))
+        # Neighbour indices are positions in ``objects``. Labels do not
+        # depend on hit order: each cluster's reachable set is a closure,
+        # and clusters expand in ``start`` order.
+        index = MTree(self.metric, node_capacity=self.node_capacity).build(objects)
 
         labels = np.full(n, NOISE, dtype=np.intp)
         core = np.zeros(n, dtype=bool)
@@ -101,8 +101,8 @@ class MetricDBSCAN:
 
         def region(i: int) -> list[int]:
             if i not in neighbour_cache:
-                hits = index.range_query((i, objects[i]), self.eps)
-                neighbour_cache[i] = [tag for tag, _ in hits]
+                hits = index.within(objects[i], self.eps)
+                neighbour_cache[i] = [hit.index for hit in hits]
             return neighbour_cache[i]
 
         cluster_id = 0

@@ -12,7 +12,6 @@ from repro.metrics.base import DistanceFunction, FunctionDistance
 from repro.metrics.cache import CachedDistance
 from repro.metrics.curves import DiscreteFrechetDistance, discrete_frechet
 from repro.metrics.discrete import DiscreteMetric, HammingDistance, JaccardDistance
-from repro.metrics.tagged import TaggedMetric
 from repro.metrics.string import (
     DamerauLevenshteinDistance,
     EditDistance,
@@ -47,7 +46,6 @@ __all__ = [
     "HammingDistance",
     "JaccardDistance",
     "DiscreteMetric",
-    "TaggedMetric",
     "DiscreteFrechetDistance",
     "discrete_frechet",
 ]

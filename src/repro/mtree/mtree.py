@@ -108,7 +108,7 @@ class MTree(MetricIndex):
     >>> tree = MTree(EditDistance(), node_capacity=4)
     >>> for w in ["cat", "cart", "dog", "dig", "cog"]:
     ...     tree.insert(w)
-    >>> sorted(obj for _, obj in tree.knn("cot", 2))
+    >>> sorted(tree.nearest("cot", 2).objects)
     ['cat', 'cog']
     >>> [n.index for n in tree.nearest("cot", 1)]
     [0]
@@ -318,17 +318,6 @@ class MTree(MetricIndex):
                         hits[e.index] = d
                     stack.append((e.child, d))
         return [(d, i) for i, d in hits.items()]
-
-    # ------------------------------------------------------------------
-    # Legacy query surface (kept for existing call sites)
-    # ------------------------------------------------------------------
-    def range_query(self, query: Any, radius: float) -> list:
-        """All indexed objects within ``radius`` of ``query`` (inclusive)."""
-        return [n.obj for n in self.within(query, radius)]
-
-    def knn(self, query: Any, k: int) -> list[tuple[float, object]]:
-        """The ``k`` nearest objects as ``(distance, object)``, ascending."""
-        return [(n.distance, n.obj) for n in self.nearest(query, k)]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -7,8 +7,8 @@ into ``n_shards`` shards, runs the existing fault-tolerant ``fit`` path on
 each shard (supervised worker processes, or inline when ``n_jobs=1``),
 then performs a **deterministic merge**: every shard tree's leaf CF*s are
 re-inserted — ordered by shard id, then leaf position — into the parent
-model's final tree through the hinted Type II block path that rebuilds
-already use.
+model's final tree one at a time, the Type II insertion that rebuilds
+use (Section 3.2).
 
 Determinism: the partition depends only on ``n_shards``; each shard's seed
 is derived from the model seed with ``SeedSequence.spawn``; the merge order
@@ -402,7 +402,6 @@ def parallel_fit(
             seed=model._rng,
             tracer=tracer,
             validate=model.validate,
-            hint_chunk=model.hint_chunk,
         )
         # Start the merge at the most mature shard threshold: every shard
         # cluster already satisfies its own shard's T, so a tighter start

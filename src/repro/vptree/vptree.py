@@ -193,14 +193,3 @@ class VPTree(MetricIndex):
 
         search(self._root)
         return out
-
-    # ------------------------------------------------------------------
-    # Legacy query surface (kept for existing call sites)
-    # ------------------------------------------------------------------
-    def knn(self, query: Any, k: int) -> list[tuple[float, object]]:
-        """The ``k`` nearest objects as ``(distance, object)``, ascending."""
-        return [(n.distance, n.obj) for n in self.nearest(query, k)]
-
-    def range_query(self, query: Any, radius: float) -> list:
-        """All indexed objects within ``radius`` of ``query`` (inclusive)."""
-        return [n.obj for n in self.within(query, radius)]

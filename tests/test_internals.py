@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.cftree import CFTree
-from repro.exceptions import ParameterError
-from repro.metrics import EuclideanDistance, TaggedMetric
+from repro.metrics import EuclideanDistance
 from repro.metrics.vector import as_matrix
 
 
@@ -64,27 +63,6 @@ class TestAsMatrix:
 
         with pytest.raises(MetricError):
             as_matrix(np.zeros((2, 2, 2)))
-
-
-class TestTaggedMetric:
-    def test_measures_second_component(self):
-        inner = EuclideanDistance()
-        m = TaggedMetric(inner)
-        d = m.distance((0, np.zeros(2)), (1, np.array([3.0, 4.0])))
-        assert d == pytest.approx(5.0)
-
-    def test_counting_delegates(self):
-        inner = EuclideanDistance()
-        m = TaggedMetric(inner)
-        m.distance((0, np.zeros(2)), (1, np.ones(2)))
-        m.one_to_many((0, np.zeros(2)), [(1, np.ones(2)), (2, np.zeros(2))])
-        assert m.n_calls == inner.n_calls == 3
-        m.reset_counter()
-        assert inner.n_calls == 0
-
-    def test_rejects_non_metric(self):
-        with pytest.raises(ParameterError):
-            TaggedMetric("x")
 
 
 class TestAsciiHeightGrowth:

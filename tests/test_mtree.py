@@ -12,7 +12,7 @@ from repro.mtree import MTree
 
 def brute_knn(metric, objects, query, k):
     dists = sorted((metric._distance(query, o), i) for i, o in enumerate(objects))
-    return [(d, objects[i]) for d, i in dists[:k]]
+    return [d for d, _ in dists[:k]]
 
 
 class TestConstruction:
@@ -26,7 +26,7 @@ class TestConstruction:
         tree = MTree(EuclideanDistance())
         assert len(tree) == 0
         with pytest.raises(EmptyDatasetError):
-            tree.knn(np.zeros(2), 1)
+            tree.nearest(np.zeros(2), 1)
 
     def test_build_and_len(self, rng):
         pts = list(rng.normal(size=(50, 2)))
@@ -45,7 +45,7 @@ class TestConstruction:
         for _ in range(10):
             tree.insert("same")
         tree.check_invariants()
-        assert len(tree.range_query("same", 0)) == 10
+        assert len(tree.within("same", 0)) == 10
 
 
 class TestRangeQuery:
@@ -53,25 +53,24 @@ class TestRangeQuery:
         pts = list(rng.uniform(0, 10, size=(80, 2)))
         tree = MTree(EuclideanDistance(), node_capacity=5).build(pts)
         q = np.array([5.0, 5.0])
-        got = tree.range_query(q, 2.0)
-        expected = [p for p in pts if np.linalg.norm(p - q) <= 2.0]
-        assert len(got) == len(expected)
-        got_set = {tuple(g) for g in got}
-        assert got_set == {tuple(e) for e in expected}
+        got = tree.within(q, 2.0)
+        expected = [i for i, p in enumerate(pts) if np.linalg.norm(p - q) <= 2.0]
+        assert sorted(got.indices) == expected
+        assert {tuple(g) for g in got.objects} == {tuple(pts[i]) for i in expected}
 
     def test_zero_radius_exact_match(self):
         tree = MTree(EditDistance(), node_capacity=3).build(["a", "b", "ab"])
-        assert tree.range_query("ab", 0) == ["ab"]
+        assert tree.within("ab", 0).objects == ["ab"]
 
     def test_negative_radius_rejected(self):
         tree = MTree(EuclideanDistance()).build([np.zeros(2)])
         with pytest.raises(ParameterError):
-            tree.range_query(np.zeros(2), -1.0)
+            tree.within(np.zeros(2), -1.0)
 
     def test_radius_covers_all(self, rng):
         pts = list(rng.normal(size=(40, 2)))
         tree = MTree(EuclideanDistance(), node_capacity=4).build(pts)
-        assert len(tree.range_query(np.zeros(2), 1e6)) == 40
+        assert len(tree.within(np.zeros(2), 1e6)) == 40
 
 
 class TestKnn:
@@ -80,21 +79,22 @@ class TestKnn:
         metric = EuclideanDistance()
         tree = MTree(metric, node_capacity=4).build(pts)
         q = rng.uniform(0, 10, size=3)
-        got = tree.knn(q, 5)
-        expected = brute_knn(EuclideanDistance(), pts, q, 5)
-        np.testing.assert_allclose([d for d, _ in got], [d for d, _ in expected])
+        got = tree.nearest(q, 5)
+        np.testing.assert_allclose(
+            got.distances, brute_knn(EuclideanDistance(), pts, q, 5)
+        )
 
     def test_knn_on_strings(self):
         words = ["cat", "cart", "carts", "dog", "dig", "cog", "cot"]
         tree = MTree(EditDistance(), node_capacity=3).build(words)
-        result = tree.knn("cat", 2)
-        assert result[0] == (0.0, "cat")
-        assert result[1][0] == 1.0
+        result = tree.nearest("cat", 2)
+        assert result.neighbors[0].obj == "cat"
+        assert result.distances == [0.0, 1.0]
 
     def test_k_larger_than_size(self, rng):
         pts = list(rng.normal(size=(5, 2)))
         tree = MTree(EuclideanDistance()).build(pts)
-        assert len(tree.knn(np.zeros(2), 10)) == 5
+        assert len(tree.nearest(np.zeros(2), 10)) == 5
 
     def test_nearest(self, rng):
         pts = list(rng.normal(size=(20, 2)))
@@ -114,7 +114,7 @@ class TestKnn:
         build_calls = metric.n_calls
         for _ in range(10):
             q = centers[int(rng.integers(0, 4))] + rng.normal(size=2)
-            tree.knn(q, 3)
+            tree.nearest(q, 3)
         per_query = (metric.n_calls - build_calls) / 10
         assert per_query < len(pts) * 0.6
 
@@ -129,9 +129,8 @@ class TestProperties:
         metric = EditDistance()
         tree = MTree(metric, node_capacity=3).build(words)
         tree.check_invariants()
-        got = tree.knn(query, 3)
-        expected = brute_knn(EditDistance(), words, query, 3)
-        assert [d for d, _ in got] == [d for d, _ in expected]
+        got = tree.nearest(query, 3)
+        assert got.distances == brute_knn(EditDistance(), words, query, 3)
 
     @given(
         pts=st.lists(
@@ -150,6 +149,6 @@ class TestProperties:
         metric = EuclideanDistance()
         tree = MTree(metric, node_capacity=4).build(pts)
         q = np.zeros(2)
-        got = tree.range_query(q, radius)
+        got = tree.within(q, radius)
         expected = [p for p in pts if float(np.linalg.norm(p)) <= radius]
         assert len(got) == len(expected)

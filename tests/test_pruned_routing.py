@@ -4,12 +4,11 @@ The engine's contract (:mod:`repro.core.routing`) is *exactness*: with
 pruning on, every routing decision — and therefore the whole tree — is
 bit-identical to the exhaustive scan, only NCD changes. These tests pin
 that contract across random workloads (hypothesis), both policies, vector
-and string metrics, plus the batch-insert path and the PruningStats
-counter invariants.
+and string metrics, with and without a node budget (so Type II rebuild
+re-insertion is covered too), plus the PruningStats counter invariants.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,20 +32,23 @@ word_lists = st.lists(
 )
 
 
+#: Node budgets every equivalence case runs under: unbounded, and small
+#: enough that the scan rebuilds (Type II re-insertion) repeatedly.
+BUDGETS = (None, 6)
+
+
 def build(objs, policy_cls=BubblePolicy, metric_factory=EuclideanDistance,
-          prune=True, batch=None, **policy_kw):
+          prune=True, max_nodes=None, **policy_kw):
     metric = metric_factory()
     policy = policy_cls(
         metric, representation_number=4, sample_size=8, seed=0, prune=prune,
         **policy_kw,
     )
-    tree = CFTree(policy, branching_factor=4, threshold=0.5, seed=0)
-    if batch is None:
-        for obj in objs:
-            tree.insert(obj)
-    else:
-        for start in range(0, len(objs), batch):
-            tree.insert_batch(objs[start : start + batch])
+    tree = CFTree(
+        policy, branching_factor=4, max_nodes=max_nodes, threshold=0.5, seed=0
+    )
+    for obj in objs:
+        tree.insert(obj)
     return tree, policy, metric
 
 
@@ -73,26 +75,29 @@ class TestPrunedEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_bubble_tree_identical_to_exhaustive(self, points):
         objs = [np.asarray(p, dtype=float) for p in points]
-        exhaustive, _, m_off = build(objs, prune=False)
-        pruned, _, m_on = build(objs, prune=True)
-        assert tree_signature(exhaustive) == tree_signature(pruned)
-        assert m_on.n_calls <= m_off.n_calls
+        for max_nodes in BUDGETS:
+            exhaustive, _, m_off = build(objs, prune=False, max_nodes=max_nodes)
+            pruned, _, m_on = build(objs, prune=True, max_nodes=max_nodes)
+            assert tree_signature(exhaustive) == tree_signature(pruned)
+            assert m_on.n_calls <= m_off.n_calls
 
     @given(points=point_lists)
     @settings(max_examples=25, deadline=None)
     def test_bubble_fm_tree_identical_to_exhaustive(self, points):
         objs = [np.asarray(p, dtype=float) for p in points]
-        exhaustive, _, m_off = build(objs, BubbleFMPolicy, prune=False, image_dim=2)
-        pruned, _, m_on = build(objs, BubbleFMPolicy, prune=True, image_dim=2)
-        assert tree_signature(exhaustive) == tree_signature(pruned)
-        assert m_on.n_calls <= m_off.n_calls
+        for max_nodes in BUDGETS:
+            exhaustive, _, m_off = build(
+                objs, BubbleFMPolicy, prune=False, max_nodes=max_nodes, image_dim=2
+            )
+            pruned, _, m_on = build(
+                objs, BubbleFMPolicy, prune=True, max_nodes=max_nodes, image_dim=2
+            )
+            assert tree_signature(exhaustive) == tree_signature(pruned)
+            assert m_on.n_calls <= m_off.n_calls
 
     @given(words=word_lists)
     @settings(max_examples=25, deadline=None)
     def test_string_metric_tree_identical(self, words):
-        exhaustive, _, m_off = build(words, metric_factory=EditDistance, prune=False)
-        pruned, _, m_on = build(words, metric_factory=EditDistance, prune=True)
-
         def sig(tree):
             out = []
 
@@ -107,8 +112,15 @@ class TestPrunedEquivalence:
             walk(tree.root)
             return out
 
-        assert sig(exhaustive) == sig(pruned)
-        assert m_on.n_calls <= m_off.n_calls
+        for max_nodes in BUDGETS:
+            exhaustive, _, m_off = build(
+                words, metric_factory=EditDistance, prune=False, max_nodes=max_nodes
+            )
+            pruned, _, m_on = build(
+                words, metric_factory=EditDistance, prune=True, max_nodes=max_nodes
+            )
+            assert sig(exhaustive) == sig(pruned)
+            assert m_on.n_calls <= m_off.n_calls
 
     def test_assignments_identical_on_clustered_data(self):
         rng = np.random.default_rng(3)
@@ -116,44 +128,22 @@ class TestPrunedEquivalence:
         objs = [
             centers[i % 8] + rng.normal(0, 0.5, size=5) for i in range(400)
         ]
-        exhaustive, p_off, m_off = build(objs, prune=False)
-        pruned, p_on, m_on = build(objs, prune=True)
-        assert tree_signature(exhaustive) == tree_signature(pruned)
-        # The pruned scan must show a real saving on clustered data.
-        assert m_on.n_calls < m_off.n_calls
-        assert p_on.pruning_stats.candidates_pruned > 0
+        for max_nodes in BUDGETS:
+            exhaustive, p_off, m_off = build(objs, prune=False, max_nodes=max_nodes)
+            pruned, p_on, m_on = build(objs, prune=True, max_nodes=max_nodes)
+            assert tree_signature(exhaustive) == tree_signature(pruned)
+            assert pruned.n_rebuilds == exhaustive.n_rebuilds
+            assert (pruned.n_rebuilds > 0) == (max_nodes is not None)
+            # The pruned scan must show a real saving on clustered data.
+            assert m_on.n_calls < m_off.n_calls
+            assert p_on.pruning_stats.candidates_pruned > 0
 
 
-class TestBatchInsert:
-    @given(points=point_lists)
-    @settings(max_examples=25, deadline=None)
-    def test_batch_insert_matches_sequential(self, points):
-        objs = [np.asarray(p, dtype=float) for p in points]
-        sequential, _, _ = build(objs, prune=True)
-        batched, _, _ = build(objs, prune=True, batch=16)
-        assert tree_signature(sequential) == tree_signature(batched)
-
-    def test_batch_insert_matches_sequential_fm(self):
-        rng = np.random.default_rng(11)
-        objs = [rng.uniform(0, 100, size=3) for _ in range(300)]
-        sequential, _, _ = build(objs, BubbleFMPolicy, image_dim=2)
-        batched, _, _ = build(objs, BubbleFMPolicy, image_dim=2, batch=32)
-        assert tree_signature(sequential) == tree_signature(batched)
-
-    def test_wasted_hints_are_bounded_and_tracked(self):
-        rng = np.random.default_rng(4)
-        objs = [rng.uniform(0, 100, size=2) for _ in range(250)]
-        _, policy, _ = build(objs, prune=True, batch=64)
-        stats = policy.pruning_stats
-        assert stats.block_hints_wasted <= stats.block_hints
-        # Consumed hints = gathered - wasted; every consumed hint replaced
-        # exactly one per-query root pivot call.
-        assert stats.block_gathers > 0
-
-    def test_empty_batch_is_noop(self):
+class TestFeatureBatch:
+    def test_empty_feature_batch_is_noop(self):
         tree, _, metric = build([np.zeros(2)], prune=True)
         before = metric.n_calls
-        tree.insert_batch([])
+        tree.insert_feature_batch([])
         assert metric.n_calls == before
         assert tree.n_objects == 1
 

@@ -31,9 +31,9 @@ class TestVPTreeBasics:
     def test_not_built(self):
         tree = VPTree(EuclideanDistance(), seed=0)
         with pytest.raises(NotFittedError):
-            tree.knn(np.zeros(2), 1)
+            tree.nearest(np.zeros(2), 1)
         with pytest.raises(NotFittedError):
-            tree.range_query(np.zeros(2), 1.0)
+            tree.within(np.zeros(2), 1.0)
 
     def test_len(self, rng):
         tree = VPTree(EuclideanDistance(), seed=0).build(list(rng.normal(size=(30, 2))))
@@ -41,7 +41,7 @@ class TestVPTreeBasics:
 
     def test_duplicates(self):
         tree = VPTree(EditDistance(), leaf_size=2, seed=0).build(["x"] * 12)
-        assert len(tree.range_query("x", 0)) == 12
+        assert len(tree.within("x", 0)) == 12
 
 
 class TestVPTreeQueries:
@@ -49,16 +49,16 @@ class TestVPTreeQueries:
         pts = list(rng.uniform(0, 10, size=(80, 3)))
         tree = VPTree(EuclideanDistance(), leaf_size=4, seed=0).build(pts)
         q = rng.uniform(0, 10, size=3)
-        got = [d for d, _ in tree.knn(q, 6)]
+        got = tree.nearest(q, 6).distances
         np.testing.assert_allclose(got, brute_knn(EuclideanDistance(), pts, q, 6))
 
     def test_range_matches_brute_force(self, rng):
         pts = list(rng.uniform(0, 10, size=(70, 2)))
         tree = VPTree(EuclideanDistance(), leaf_size=4, seed=1).build(pts)
         q = np.array([5.0, 5.0])
-        got = tree.range_query(q, 2.5)
-        expected = [p for p in pts if np.linalg.norm(p - q) <= 2.5]
-        assert len(got) == len(expected)
+        got = tree.within(q, 2.5)
+        expected = [i for i, p in enumerate(pts) if np.linalg.norm(p - q) <= 2.5]
+        assert sorted(got.indices) == expected
 
     def test_knn_prunes_vs_linear(self, rng):
         centers = np.array([[0, 0], [100, 0], [0, 100], [100, 100]], dtype=float)
@@ -70,7 +70,7 @@ class TestVPTreeQueries:
         built = metric.n_calls
         for _ in range(10):
             q = centers[int(rng.integers(0, 4))] + rng.normal(size=2)
-            tree.knn(q, 3)
+            tree.nearest(q, 3)
         per_query = (metric.n_calls - built) / 10
         assert per_query < len(pts) * 0.6
 
@@ -80,9 +80,7 @@ class TestVPTreeQueries:
         mt = MTree(EuclideanDistance(), node_capacity=4).build(pts)
         for _ in range(5):
             q = rng.uniform(0, 50, size=2)
-            d_vp = [d for d, _ in vp.knn(q, 4)]
-            d_mt = [d for d, _ in mt.knn(q, 4)]
-            np.testing.assert_allclose(d_vp, d_mt)
+            assert vp.nearest(q, 4).indices == mt.nearest(q, 4).indices
 
     @given(
         words=st.lists(st.text(alphabet="abc", max_size=5), min_size=1, max_size=30),
@@ -91,7 +89,7 @@ class TestVPTreeQueries:
     @settings(max_examples=40, deadline=None)
     def test_knn_property_strings(self, words, query):
         tree = VPTree(EditDistance(), leaf_size=3, seed=0).build(words)
-        got = [d for d, _ in tree.knn(query, 3)]
+        got = tree.nearest(query, 3).distances
         assert got == brute_knn(EditDistance(), words, query, 3)
 
 
