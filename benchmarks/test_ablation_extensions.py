@@ -3,7 +3,7 @@
 * A5: FastMap vs Landmark MDS as BUBBLE-FM's image-space mapper (the paper
   notes the mapping algorithm is pluggable, Section 5.2.2);
 * A6: the three second-phase labeling strategies (exact linear scan — the
-  paper's method; CF*-tree routing; M-tree nearest-neighbour);
+  paper's method; CF*-tree routing; VP-tree nearest-neighbour);
 * A7: BUBBLE vs CLARANS, the related-work medoid method of Section 2.
 """
 
@@ -33,11 +33,11 @@ def test_a6_labeling_strategies(benchmark, report, scale):
     report.record(result)
     by = result.row_map()
     ncd, agreement = 1, 3
-    # M-tree is exact and cheaper than the linear scan at this cluster count.
-    assert by["mtree"][agreement] == 1.0
-    assert by["mtree"][ncd] < by["linear"][ncd]
+    # VP-tree is exact and cheaper than the linear scan at this cluster count.
+    assert by["vptree"][agreement] == 1.0
+    assert by["vptree"][ncd] < by["linear"][ncd]
     # CF*-tree routing is cheaper than the linear scan but approximate —
-    # with hundreds of fine-grained sub-clusters the exact M-tree is the
+    # with hundreds of fine-grained sub-clusters the exact VP-tree is the
     # better second-phase index.
     assert by["tree"][ncd] < by["linear"][ncd]
     assert by["tree"][agreement] > 0.5
@@ -64,7 +64,6 @@ def test_a8_metric_indexes(benchmark, report, scale):
     report.record(result)
     by = result.row_map()
     per_query, agreement = 3, 5
-    # Both indexes are exact and beat the linear scan per query.
-    for index in ("m-tree", "vp-tree"):
-        assert by[index][agreement] == 1.0
-        assert by[index][per_query] < by["linear scan"][per_query]
+    # The VP-tree is exact and beats the linear scan per query.
+    assert by["vp-tree"][agreement] == 1.0
+    assert by["vp-tree"][per_query] < by["linear scan"][per_query]

@@ -4,7 +4,7 @@ Re-runs the per-backend query benchmark (same workloads, seeds, and tree
 parameters as the committed ``BENCH_query.json``) and asserts the layer's
 contract:
 
-* **exactness** — every backend (m-tree, vp-tree, cf-tree) answers each
+* **exactness** — every backend (vp-tree, cf-tree) answers each
   k-NN and range query bit-identically to the brute scan, indices and
   distances both;
 * **the headline perf claim** — the cf-tree backend serves k-NN queries
@@ -106,7 +106,7 @@ def test_ledger_conservation_with_query_traffic(query_doc):
             )
             assert "query-knn" in backend["ncd_by_site"]
         # Index construction is charged to its own site on the tree backends.
-        assert "query-build" in record["backends"]["mtree"]["ncd_by_site"]
+        assert "query-build" in record["backends"]["vptree"]["ncd_by_site"]
         assert "query-build" in record["backends"]["cftree"]["ncd_by_site"]
 
 
@@ -115,10 +115,10 @@ def test_cftree_build_rides_on_cached_geometry(query_doc):
     # than building a dedicated index: only the non-leaf anchor gathers.
     for record in query_doc["records"]:
         cf = record["backends"]["cftree"]["build_calls"]
-        mt = record["backends"]["mtree"]["build_calls"]
-        assert cf < mt / 10, (
+        vp = record["backends"]["vptree"]["build_calls"]
+        assert cf < vp / 10, (
             f"{record['workload']['name']}: cf-tree adoption cost {cf} vs "
-            f"m-tree build {mt}"
+            f"vp-tree build {vp}"
         )
 
 
@@ -129,7 +129,7 @@ def test_within_tolerance_of_committed_baseline(query_doc, baseline_doc):
     for record in query_doc["records"]:
         want = by_name[record["workload"]["name"]]
         assert want["workload"] == record["workload"]
-        for name in ("brute", "cftree"):
+        for name in ("brute", "vptree", "cftree"):
             got = record["backends"][name]["knn_mean_ncd"]
             ref = want["backends"][name]["knn_mean_ncd"]
             assert got == pytest.approx(ref, rel=TOLERANCE), (

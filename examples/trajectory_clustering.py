@@ -7,7 +7,7 @@ O(mn) dynamic program — expensive, exactly BUBBLE-FM's target regime), and
 we compare three of this library's clusterers on the same space:
 
 * BUBBLE-FM (single-scan pre-clustering),
-* metric DBSCAN over the M-tree (density view of the same data),
+* metric DBSCAN over the VP-tree (density view of the same data),
 * plus silhouette scoring, which needs only distances.
 
 Run:  python examples/trajectory_clustering.py

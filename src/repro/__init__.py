@@ -40,7 +40,6 @@ from repro.core import BUBBLE, BUBBLEFM, CFTree, PreClusterer, SubCluster
 from repro.fastmap import FastMap
 from repro.hac import AgglomerativeClusterer
 from repro.index import MetricIndex, QueryResult, available_backends, make_index
-from repro.mtree import MTree
 from repro.metrics import (
     DistanceFunction,
     EditDistance,
@@ -65,7 +64,6 @@ __all__ = [
     "PreClusterer",
     "SubCluster",
     "FastMap",
-    "MTree",
     "MetricIndex",
     "QueryResult",
     "make_index",

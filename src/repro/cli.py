@@ -49,6 +49,7 @@ from repro.datasets import (
     write_string_file,
     write_vector_file,
 )
+from repro.index import available_backends
 from repro.metrics import (
     DamerauLevenshteinDistance,
     EditDistance,
@@ -224,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qr.add_argument("--metric", default=None,
                     help="euclidean|manhattan (vectors), edit|damerau (strings)")
     qr.add_argument(
-        "--backend", choices=["cftree", "mtree", "vptree", "brute"],
+        "--backend", choices=available_backends(),
         default="cftree",
         help="index engine (default cftree: reuses the checkpointed tree's "
              "cached geometry)",

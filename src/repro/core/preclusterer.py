@@ -598,10 +598,10 @@ class PreClusterer:
 
         ``backend="cftree"`` (default) is the cheap path: it reuses the
         fitted tree's cached leaf geometry, so the only counted calls are
-        the non-leaf anchor distances. Other backends (``"mtree"``,
-        ``"vptree"``, ``"brute"``) build from scratch over the clustroid
-        list. Extra keyword arguments go to the backend constructor
-        (e.g. ``bound_cache=`` to share one cross-query cache).
+        the non-leaf anchor distances. The other backends (``"vptree"``,
+        ``"brute"``) build from scratch over the clustroid list. Extra
+        keyword arguments go to the backend constructor (e.g.
+        ``bound_cache=`` to share one cross-query cache).
         """
         tree = self._require_tree()
         if backend == "cftree":
@@ -630,7 +630,7 @@ class PreClusterer:
             approximate) — the option that makes the second phase viable
             when there are thousands of sub-clusters and the metric is
             expensive, as in the data-cleaning application of Section 7.
-            ``"mtree"`` builds an M-tree over the clustroids once and
+            ``"vptree"`` builds a VP-tree over the clustroids once and
             answers each lookup with an exact nearest-neighbour query —
             exact like ``"linear"``, sublinear per object like ``"tree"``.
         """
@@ -645,21 +645,18 @@ class PreClusterer:
             elif via == "tree":
                 index = {id(f): i for i, f in enumerate(tree.leaf_features())}
                 labels = [index[id(tree.nearest_leaf_feature(obj))] for obj in objects]
-            elif via == "mtree":
-                from repro.mtree import MTree
-
+            elif via == "vptree":
                 # Neighbour indices are clustroid positions, so repeated
                 # clustroids (equal-valued objects in different clusters)
                 # stay unambiguous, and the (distance, index) tie-break
                 # matches the linear scan's argmin-first-index exactly.
-                index = MTree(self.metric, node_capacity=8)
-                index.build(self.clustroids_)
+                index = self.index("vptree", seed=0)
                 labels = [
                     index.nearest(obj).neighbors[0].index for obj in objects
                 ]
             else:
                 raise ParameterError(
-                    f'via must be "linear", "tree" or "mtree", got {via!r}'
+                    f'via must be "linear", "tree" or "vptree", got {via!r}'
                 )
         return np.asarray(labels, dtype=np.intp)
 

@@ -1,4 +1,4 @@
-"""DBSCAN (Ester, Kriegel, Sander & Xu, KDD 1996) over an M-tree.
+"""DBSCAN (Ester, Kriegel, Sander & Xu, KDD 1996) over a VP-tree.
 
 Standard definitions: an object is a *core* object if at least ``min_pts``
 objects (itself included) lie within ``eps`` of it; clusters are the
@@ -6,7 +6,7 @@ transitive closure of core objects over the eps-neighbourhood relation;
 non-core objects within eps of a core object join its cluster (border
 objects); everything else is noise.
 
-Region queries go through :class:`repro.mtree.MTree`, so the only
+Region queries go through :class:`repro.index.VPTree`, so the only
 requirement on the data is a distance function with the triangle
 inequality — exactly the paper's distance-space contract.
 """
@@ -19,8 +19,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import EmptyDatasetError, NotFittedError, ParameterError
+from repro.index import VPTree
 from repro.metrics.base import DistanceFunction
-from repro.mtree import MTree
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = ["MetricDBSCAN", "NOISE"]
@@ -30,7 +30,7 @@ NOISE = -1
 
 
 class MetricDBSCAN:
-    """Density-based clustering of any metric space via M-tree region queries.
+    """Density-based clustering of any metric space via VP-tree region queries.
 
     Parameters
     ----------
@@ -41,8 +41,6 @@ class MetricDBSCAN:
         object.
     metric:
         The distance function; NCD accumulates on it.
-    node_capacity:
-        M-tree node capacity.
 
     Attributes
     ----------
@@ -71,14 +69,12 @@ class MetricDBSCAN:
         eps: float,
         min_pts: int,
         metric: DistanceFunction,
-        node_capacity: int = 8,
     ):
         if not isinstance(metric, DistanceFunction):
             raise ParameterError("metric must be a DistanceFunction")
         self.eps = check_positive(eps, "eps")
         self.min_pts = check_integer(min_pts, "min_pts", minimum=1)
         self.metric = metric
-        self.node_capacity = check_integer(node_capacity, "node_capacity", minimum=2)
         self.labels_: np.ndarray | None = None
         self.core_mask_: np.ndarray | None = None
 
@@ -91,8 +87,9 @@ class MetricDBSCAN:
 
         # Neighbour indices are positions in ``objects``. Labels do not
         # depend on hit order: each cluster's reachable set is a closure,
-        # and clusters expand in ``start`` order.
-        index = MTree(self.metric, node_capacity=self.node_capacity).build(objects)
+        # and clusters expand in ``start`` order. The fixed seed makes the
+        # vantage points, hence the NCD, repeat from run to run.
+        index = VPTree(self.metric, seed=0).build(objects)
 
         labels = np.full(n, NOISE, dtype=np.intp)
         core = np.zeros(n, dtype=bool)

@@ -154,7 +154,7 @@ def run_ablation_labeling(scale: str | Scale = "laptop", seed: int = 11) -> Tabl
     """A6: the three second-phase labeling strategies on cost vs accuracy.
 
     ``linear`` is the paper's exact scan; ``tree`` routes through the
-    CF*-tree; ``mtree`` is an exact nearest-neighbour index over the
+    CF*-tree; ``vptree`` is an exact nearest-neighbour index over the
     clustroids. Agreement is measured against the exact scan.
     """
     scale = resolve_scale(scale)
@@ -167,7 +167,7 @@ def run_ablation_labeling(scale: str | Scale = "laptop", seed: int = 11) -> Tabl
     ).fit(ds.as_objects())
     reference = model.assign(ds.as_objects(), via="linear")
     rows = []
-    for via in ("linear", "mtree", "tree"):
+    for via in ("linear", "vptree", "tree"):
         before = metric.n_calls
         start = time.perf_counter()
         labels = model.assign(ds.as_objects(), via=via)
@@ -246,7 +246,7 @@ def run_ablation_indexes(scale: str | Scale = "laptop", seed: int = 13) -> Table
 
     rows = []
     reference: list[int] | None = None
-    for name in ("linear scan", "m-tree", "vp-tree", "cf-tree"):
+    for name in ("linear scan", "vp-tree", "cf-tree"):
         metric = EuclideanDistance()
         start = time.perf_counter()
         if name == "linear scan":
@@ -258,12 +258,7 @@ def run_ablation_indexes(scale: str | Scale = "laptop", seed: int = 13) -> Table
                 # non-leaf anchor distances are counted at build time.
                 index = CFTreeIndex.from_tree(model.tree_, metric=metric)
             else:
-                backend = {"m-tree": "mtree", "vp-tree": "vptree"}[name]
-                kwargs = (
-                    {"node_capacity": 8} if backend == "mtree" else
-                    {"leaf_size": 8, "seed": seed}
-                )
-                index = make_index(backend, metric, **kwargs)
+                index = make_index("vptree", metric, leaf_size=8, seed=seed)
                 index.build(clustroids)
             build_calls = metric.n_calls
             answers = [index.nearest(q).neighbors[0].index for q in queries]

@@ -7,8 +7,9 @@ engine in the repository:
 backend   engine
 ========  ==============================================================
 brute     linear scan (the control group every backend is pinned to)
-mtree     :class:`repro.mtree.MTree` (dynamic, insert-friendly)
-vptree    :class:`repro.vptree.VPTree` (static median partitioning)
+vptree    :class:`VPTree` — the one general-purpose exact index, for
+          object sets that have no fitted CF*-tree (static median
+          partitioning)
 cftree    :class:`CFTreeIndex` — the clustroid hierarchy of a fitted
           BUBBLE/BUBBLE-FM tree, reusing the build's cached pairwise
           geometry as query-time bounds
@@ -22,6 +23,9 @@ distances across successive queries through a bounded
 :class:`QueryBoundCache`.
 """
 
+from typing import Any
+
+from repro.exceptions import ParameterError
 from repro.index.base import (
     QUERY_BUILD_SITE,
     QUERY_KNN_SITE,
@@ -33,14 +37,12 @@ from repro.index.base import (
     QueryBoundCache,
     QueryResult,
     QuerySession,
-    available_backends,
     brute_force_reference,
-    make_index,
-    register_backend,
-    register_lazy_backend,
 )
 from repro.index.brute import BruteForceIndex
 from repro.index.cftree import CFTreeIndex
+from repro.index.vptree import VPTree
+from repro.metrics.base import DistanceFunction
 
 __all__ = [
     "QUERY_KNN_SITE",
@@ -55,16 +57,29 @@ __all__ = [
     "MetricIndex",
     "BruteForceIndex",
     "CFTreeIndex",
-    "register_backend",
-    "register_lazy_backend",
+    "VPTree",
     "available_backends",
     "make_index",
     "brute_force_reference",
 ]
 
-register_backend("brute", BruteForceIndex)
-register_backend("cftree", CFTreeIndex)
-# The tree backends subclass MetricIndex and import repro.index.base
-# themselves; resolve them lazily to keep the import graph acyclic.
-register_lazy_backend("mtree", "repro.mtree.mtree", "MTree")
-register_lazy_backend("vptree", "repro.vptree.vptree", "VPTree")
+_BACKENDS: dict[str, type[MetricIndex]] = {
+    "brute": BruteForceIndex,
+    "cftree": CFTreeIndex,
+    "vptree": VPTree,
+}
+
+
+def available_backends() -> tuple[str, ...]:
+    """Backend names accepted by :func:`make_index`, sorted."""
+    return tuple(sorted(_BACKENDS))
+
+
+def make_index(backend: str, metric: DistanceFunction, **kwargs: Any) -> MetricIndex:
+    """Construct a backend by name (``build`` it yourself afterwards)."""
+    cls = _BACKENDS.get(backend)
+    if cls is None:
+        raise ParameterError(
+            f"unknown index backend {backend!r}; have {available_backends()}"
+        )
+    return cls(metric, **kwargs)

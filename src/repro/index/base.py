@@ -1,9 +1,10 @@
 """The unified metric-index protocol: one query surface over every engine.
 
-The repository grew three overlapping triangle-inequality engines — the
-M-tree (:mod:`repro.mtree`), the VP-tree (:mod:`repro.vptree`), and the
-AESA-style geometry caches routing the CF*-tree (:mod:`repro.core.routing`).
-This module consolidates them behind one :class:`MetricIndex` protocol:
+The repository has two triangle-inequality engines for exact queries: the
+VP-tree (:mod:`repro.index.vptree`) over any object set, and the AESA-style
+geometry caches routing a fitted CF*-tree (:mod:`repro.core.routing`, served
+by :mod:`repro.index.cftree`). This module puts them, and the brute-force
+control, behind one :class:`MetricIndex` protocol:
 
 * ``build(objects)`` indexes a sequence of objects (position = index);
 * ``nearest(obj, k)`` and ``within(obj, r)`` answer exact queries with a
@@ -61,10 +62,6 @@ __all__ = [
     "NeighborHeap",
     "IndexQueryStats",
     "MetricIndex",
-    "register_backend",
-    "register_lazy_backend",
-    "available_backends",
-    "make_index",
 ]
 
 #: Ledger site charged by :meth:`MetricIndex.nearest`.
@@ -406,7 +403,7 @@ class MetricIndex(ABC):
     into :attr:`stats`.
     """
 
-    #: Registry name of the backend (``"mtree"``, ``"vptree"``, ...).
+    #: Registry name of the backend (``"brute"``, ``"vptree"``, ...).
     backend: str = "?"
 
     def __init__(
@@ -518,56 +515,6 @@ class MetricIndex(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(backend={self.backend!r}, size={len(self)})"
-
-
-# ----------------------------------------------------------------------
-# Backend registry
-# ----------------------------------------------------------------------
-_BACKENDS: dict[str, type[MetricIndex]] = {}
-#: Backends registered by dotted path, imported on first use. Keeps
-#: ``repro.index`` importable from inside ``repro.mtree``/``repro.vptree``
-#: (which subclass :class:`MetricIndex`) without a circular import.
-_LAZY_BACKENDS: dict[str, tuple[str, str]] = {}
-
-
-def register_backend(name: str, cls: type[MetricIndex]) -> None:
-    """Register a :class:`MetricIndex` implementation under ``name``."""
-    if not issubclass(cls, MetricIndex):
-        raise ParameterError(f"{cls!r} does not implement MetricIndex")
-    _BACKENDS[name] = cls
-    _LAZY_BACKENDS.pop(name, None)
-
-
-def register_lazy_backend(name: str, module: str, attr: str) -> None:
-    """Register a backend by dotted path, resolved on first use."""
-    _LAZY_BACKENDS[name] = (module, attr)
-
-
-def _resolve_backend(name: str) -> type[MetricIndex]:
-    cls = _BACKENDS.get(name)
-    if cls is not None:
-        return cls
-    lazy = _LAZY_BACKENDS.get(name)
-    if lazy is not None:
-        import importlib
-
-        module, attr = lazy
-        cls = getattr(importlib.import_module(module), attr)
-        register_backend(name, cls)
-        return cls
-    raise ParameterError(
-        f"unknown index backend {name!r}; have {available_backends()}"
-    )
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names (eager and lazy), sorted."""
-    return tuple(sorted(set(_BACKENDS) | set(_LAZY_BACKENDS)))
-
-
-def make_index(backend: str, metric: DistanceFunction, **kwargs: Any) -> MetricIndex:
-    """Construct a registered backend (``build`` it yourself afterwards)."""
-    return _resolve_backend(backend)(metric, **kwargs)
 
 
 def brute_force_reference(

@@ -1,5 +1,11 @@
 """Vantage-point tree for exact similarity search in metric spaces.
 
+The VP-tree (Yianilos, SODA 1993) is the repository's one general-purpose
+exact index: it serves object sets that have no fitted CF*-tree to adopt
+(region queries in :class:`~repro.dbscan.MetricDBSCAN`, exact second-phase
+labeling via ``assign(via="vptree")``). A fitted tree is served by the
+``cftree`` backend instead.
+
 Construction: pick a vantage point, measure every remaining object against
 it, split at the median distance into an *inside* and an *outside* subtree,
 recurse. Search prunes a subtree whenever the triangle inequality proves it
@@ -66,6 +72,16 @@ class VPTree(MetricIndex):
     bound_cache:
         Optional shared :class:`~repro.index.QueryBoundCache`; defaults to
         a private one.
+
+    Examples
+    --------
+    >>> from repro.metrics import EditDistance
+    >>> tree = VPTree(EditDistance(), leaf_size=2, seed=0)
+    >>> tree = tree.build(["cat", "cart", "dog", "dig", "cog"])
+    >>> sorted(tree.nearest("cot", 2).objects)
+    ['cat', 'cog']
+    >>> [n.index for n in tree.nearest("cot", 1)]
+    [0]
     """
 
     backend = "vptree"

@@ -71,7 +71,7 @@ class DiscreteFrechetDistance(DistanceFunction):
     Objects are point sequences (``(m, dim)`` arrays or nested lists). A
     true metric on curves — symmetric, zero only between identical
     sequences' geometries, and triangle-inequality-respecting — so the whole
-    BUBBLE/BUBBLE-FM machinery (and the M-tree/VP-tree indexes) applies to
+    BUBBLE/BUBBLE-FM machinery (and the VP-tree index) applies to
     trajectory data unchanged.
 
     Examples

@@ -1,8 +1,9 @@
-"""Unit tests for metric-space DBSCAN over the M-tree."""
+"""Unit tests for metric-space DBSCAN over the VP-tree."""
 
 import numpy as np
 import pytest
 
+from repro.datasets import make_authority_dataset
 from repro.dbscan import NOISE, MetricDBSCAN
 from repro.exceptions import EmptyDatasetError, NotFittedError, ParameterError
 from repro.metrics import EditDistance, EuclideanDistance
@@ -99,36 +100,53 @@ class TestDistanceSpace:
 
 class TestAgainstBruteForce:
     def test_matches_naive_dbscan(self, rng):
-        """Cross-check labels against a brute-force O(n^2) implementation."""
+        """Cross-check labels against a brute-force O(n^2) implementation,
+        on vectors and on strings under the expensive edit distance."""
         pts = list(rng.uniform(0, 10, size=(120, 2)))
-        eps, min_pts = 1.2, 4
-        model = MetricDBSCAN(eps, min_pts, EuclideanDistance()).fit(pts)
-
-        # Brute force.
         arr = np.asarray(pts)
-        d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
-        neighbours = [set(np.flatnonzero(d2[i] <= eps**2)) for i in range(len(pts))]
-        core = {i for i, nb in enumerate(neighbours) if len(nb) >= min_pts}
-        # Connected components of core objects.
-        seen, comps = set(), []
-        for i in core:
-            if i in seen:
+        dist = np.sqrt(((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2))
+        _assert_matches_naive(pts, EuclideanDistance(), dist, eps=1.2, min_pts=4)
+
+        words = make_authority_dataset(n_classes=12, n_strings=90, seed=80).strings
+        dist = np.array([EditDistance().one_to_many(w, words) for w in words])
+        _assert_matches_naive(words, EditDistance(), dist, eps=3.0, min_pts=4)
+
+
+def _assert_matches_naive(objects, metric, dist, eps, min_pts):
+    """``MetricDBSCAN`` agrees with DBSCAN over the full distance matrix."""
+    model = MetricDBSCAN(eps, min_pts, metric).fit(objects)
+    neighbours = [set(np.flatnonzero(dist[i] <= eps)) for i in range(len(objects))]
+    core = {i for i, nb in enumerate(neighbours) if len(nb) >= min_pts}
+    assert core, "the input must exercise cluster expansion"
+    # Connected components of core objects.
+    seen, comps = set(), []
+    for i in core:
+        if i in seen:
+            continue
+        comp, stack = set(), [i]
+        while stack:
+            j = stack.pop()
+            if j in comp:
                 continue
-            comp, stack = set(), [i]
-            while stack:
-                j = stack.pop()
-                if j in comp:
-                    continue
-                comp.add(j)
-                stack.extend(k for k in neighbours[j] if k in core and k not in comp)
-            seen |= comp
-            comps.append(comp)
-        # The partition of CORE objects is implementation-independent.
-        got = {}
-        for comp in comps:
-            labels = {int(model.labels_[i]) for i in comp}
-            assert len(labels) == 1, "core component split across clusters"
-            label = labels.pop()
-            assert label not in got, "two core components share a label"
-            got[label] = comp
-        assert set(np.flatnonzero(model.core_mask_)) == core
+            comp.add(j)
+            stack.extend(k for k in neighbours[j] if k in core and k not in comp)
+        seen |= comp
+        comps.append(comp)
+    # The partition of CORE objects is implementation-independent.
+    got = {}
+    for comp in comps:
+        labels = {int(model.labels_[i]) for i in comp}
+        assert len(labels) == 1, "core component split across clusters"
+        label = labels.pop()
+        assert label not in got, "two core components share a label"
+        got[label] = comp
+    assert set(np.flatnonzero(model.core_mask_)) == core
+    # Border objects join a cluster of some core neighbour; the rest is noise.
+    for i in range(len(objects)):
+        if i in core:
+            continue
+        owners = {int(model.labels_[j]) for j in neighbours[i] if j in core}
+        if owners:
+            assert int(model.labels_[i]) in owners
+        else:
+            assert model.labels_[i] == NOISE

@@ -12,15 +12,15 @@ import repro
 import repro.core.preclusterer
 import repro.dbscan.dbscan
 import repro.fastmap.fastmap
+import repro.index.vptree
 import repro.metrics.base
-import repro.mtree.mtree
 
 MODULES = [
     repro,
     repro.metrics.base,
     repro.fastmap.fastmap,
     repro.core.preclusterer,
-    repro.mtree.mtree,
+    repro.index.vptree,
     repro.dbscan.dbscan,
 ]
 

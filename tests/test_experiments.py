@@ -120,7 +120,7 @@ class TestSmokeRuns:
         r = run_ablation_labeling(scale=TINY)
         by = r.row_map()
         assert by["linear"][3] == 1.0  # self-agreement
-        assert set(by) == {"linear", "tree", "mtree"}
+        assert set(by) == {"linear", "tree", "vptree"}
 
     def test_ablation_clarans(self):
         r = run_ablation_clarans(scale=TINY)
@@ -178,7 +178,6 @@ class TestFigureSmokeRuns:
         r = run_ablation_indexes(scale=TINY)
         assert {row[0] for row in r.rows} == {
             "linear scan",
-            "m-tree",
             "vp-tree",
             "cf-tree",
         }

@@ -103,14 +103,25 @@ class TestNeighborHeap:
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(available_backends()) >= {"brute", "cftree", "mtree", "vptree"}
+        assert set(available_backends()) == {"brute", "cftree", "vptree"}
 
     def test_make_index_builds_queryable_backend(self):
-        for backend in ("brute", "mtree", "vptree"):
+        objects = _points(12)
+        for backend in ("brute", "vptree"):
             index = make_index(backend, EuclideanDistance())
-            index.build(_points(12))
+            index.build(objects)
             assert len(index) == 12
+            assert all(a is b for a, b in zip(index.objects, objects))
             assert index.nearest(np.zeros(3)).neighbors
+            # An indexed object is its own nearest neighbour at distance 0.
+            self_hit = index.nearest(objects[7]).neighbors[0]
+            assert (self_hit.index, self_hit.distance) == (7, 0.0)
+            # k beyond the index size and a radius covering everything
+            # both return every object.
+            assert len(index.nearest(np.zeros(3), k=50)) == 12
+            assert len(index.within(np.zeros(3), 1e6)) == 12
+            with pytest.raises(ParameterError):
+                index.within(np.zeros(3), -1.0)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ParameterError, match="unknown index backend"):
@@ -207,9 +218,9 @@ class TestCFTreeIndex:
         index = model.index()
         assert index.backend == "cftree"
         assert len(index) == len(model.clustroids_)
-        mt = model.index(backend="mtree")
-        assert mt.backend == "mtree"
-        assert len(mt) == len(model.clustroids_)
+        vp = model.index(backend="vptree")
+        assert vp.backend == "vptree"
+        assert len(vp) == len(model.clustroids_)
 
 
 class TestCheckpointRoundTrip:
@@ -268,7 +279,7 @@ class TestStringBackends:
         metric = EditDistance()
         expected_row = metric.one_to_many("cat", words)
         expected = sorted((float(v), i) for i, v in enumerate(expected_row))
-        for backend in ("brute", "mtree", "vptree"):
+        for backend in ("brute", "vptree"):
             index = make_index(backend, EditDistance())
             index.build(words)
             got = [(n.distance, n.index) for n in index.nearest("cat", k=3)]
@@ -277,3 +288,5 @@ class TestStringBackends:
             assert [(n.distance, n.index) for n in within] == [
                 (v, i) for v, i in expected if v <= 1.0
             ], backend
+            # A zero radius returns exactly the equal objects.
+            assert index.within("cart", 0.0).objects == ["cart"], backend

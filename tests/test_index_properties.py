@@ -3,7 +3,7 @@
 The :class:`~repro.index.MetricIndex` exactness contract (ordering by
 ``(distance, index)``, strict-inequality pruning, per-query memoization)
 must make ``nearest``/``within`` answers indistinguishable across the
-brute, m-tree, vp-tree, and cf-tree backends — indices *and* distances,
+brute, vp-tree, and cf-tree backends — indices *and* distances,
 including tie resolution — while never spending more counted calls per
 query than the linear scan, and while keeping the per-site call ledger
 an exact partition of the total even with query traffic in the mix.
@@ -38,7 +38,7 @@ word_lists = st.lists(
     max_size=25,
 )
 
-BACKENDS = ("brute", "mtree", "vptree")
+BACKENDS = ("brute", "vptree")
 
 
 def _vectors(points):
@@ -96,8 +96,6 @@ def _all_indexes(metric_factory, indexed, cf):
 
 
 def _backend_kwargs(backend):
-    if backend == "mtree":
-        return {"node_capacity": 4}
     if backend == "vptree":
         return {"leaf_size": 4, "seed": 0}
     return {}
@@ -189,7 +187,7 @@ class TestLedgerConservationWithQueryTraffic:
     def test_sites_partition_total_under_cache(self, words):
         metric = CachedDistance(EditDistance())
         with _ledger() as ledger:
-            index = make_index("mtree", metric, node_capacity=4)
+            index = make_index("vptree", metric, leaf_size=4, seed=0)
             index.build(words)
             index.nearest("ab", k=2)
             index.within("ab", 2.0)

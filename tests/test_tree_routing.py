@@ -64,6 +64,10 @@ class TestAssignVia:
         model.assign(points, via="tree")
         tree_cost = metric.n_calls - before
         assert tree_cost < linear_cost
+        # The VP-tree answers exact nearest-clustroid queries.
+        np.testing.assert_array_equal(
+            model.assign(points, via="vptree"), model.assign(points, via="linear")
+        )
 
     def test_unknown_via_rejected(self, euclidean, blob_data):
         points, _, _ = blob_data

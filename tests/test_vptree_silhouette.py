@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repro.evaluation import silhouette_score
 from repro.exceptions import EmptyDatasetError, NotFittedError, ParameterError
 from repro.metrics import EditDistance, EuclideanDistance
-from repro.mtree import MTree
-from repro.vptree import VPTree
+from repro.index import VPTree
 
 
 def brute_knn(metric, objects, query, k):
@@ -73,14 +72,6 @@ class TestVPTreeQueries:
             tree.nearest(q, 3)
         per_query = (metric.n_calls - built) / 10
         assert per_query < len(pts) * 0.6
-
-    def test_agrees_with_mtree(self, rng):
-        pts = list(rng.uniform(0, 50, size=(60, 2)))
-        vp = VPTree(EuclideanDistance(), seed=3).build(pts)
-        mt = MTree(EuclideanDistance(), node_capacity=4).build(pts)
-        for _ in range(5):
-            q = rng.uniform(0, 50, size=2)
-            assert vp.nearest(q, 4).indices == mt.nearest(q, 4).indices
 
     @given(
         words=st.lists(st.text(alphabet="abc", max_size=5), min_size=1, max_size=30),
