@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -454,8 +455,8 @@ def _clara_run(
     """One traced scan + global phase + labeling; returns the leg record.
 
     The scan always runs sequentially so every leg owns a byte-identical
-    tree; only the sampled searches fan out (``model.n_jobs`` is set after
-    the fit, before the global phase).
+    tree; only the sampled searches fan out (``model.config`` is rebound
+    with the leg's ``n_jobs`` after the fit, before the global phase).
     """
     from repro.evaluation.metrics import clustroid_quality, distortion
     from repro.pipelines.labeling import nearest_assignment
@@ -471,7 +472,7 @@ def _clara_run(
         )
         model.fit(objects)
         scan_seconds = time.perf_counter() - start
-        model.n_jobs = n_jobs
+        model.config = replace(model.config, n_jobs=n_jobs)
         global_start = time.perf_counter()
         search = model.global_phase(
             k, method=method, global_samples=CLARA_SAMPLES, seed=0

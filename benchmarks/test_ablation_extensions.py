@@ -1,10 +1,9 @@
-"""Ablations A5-A7 — design choices beyond the paper's reported experiments.
+"""Ablations A6-A8 — design choices beyond the paper's reported experiments.
 
-* A5: FastMap vs Landmark MDS as BUBBLE-FM's image-space mapper (the paper
-  notes the mapping algorithm is pluggable, Section 5.2.2);
 * A6: the three second-phase labeling strategies (exact linear scan — the
   paper's method; CF*-tree routing; VP-tree nearest-neighbour);
-* A7: BUBBLE vs CLARANS, the related-work medoid method of Section 2.
+* A7: BUBBLE vs CLARANS, the related-work medoid method of Section 2;
+* A8: exact metric indexes against the linear scan.
 """
 
 from __future__ import annotations
@@ -12,18 +11,7 @@ from __future__ import annotations
 from repro.experiments import (
     run_ablation_clarans,
     run_ablation_labeling,
-    run_ablation_mappers,
 )
-
-
-def test_a5_mapper_choice(benchmark, report, scale):
-    result = benchmark.pedantic(
-        run_ablation_mappers, kwargs={"scale": scale}, rounds=1, iterations=1
-    )
-    report.record(result)
-    values = result.column("distortion")
-    # Both mappers must deliver comparable clustering quality.
-    assert max(values) <= 1.5 * min(values)
 
 
 def test_a6_labeling_strategies(benchmark, report, scale):

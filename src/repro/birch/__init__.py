@@ -2,7 +2,8 @@
 
 The paper abstracts BIRCH into the BIRCH* framework; this package closes the
 loop by *re-instantiating* BIRCH from that same framework: the classic
-additive cluster feature ``CF = (N, LS, SS)`` becomes the leaf feature, and
+additive cluster feature, kept in BETULA's stable ``(N, mean, SSE)`` form,
+becomes the leaf feature, and
 non-leaf summaries are exact sums of their subtrees' CFs (kept exact through
 the framework's ``on_descend`` hook).
 

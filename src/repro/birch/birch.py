@@ -20,9 +20,6 @@ class BIRCH(PreClusterer):
     * the threshold requirement bounds the cluster *radius after insertion*
       rather than the center distance.
 
-    ``sample_size`` and ``representation_number`` are accepted for API
-    symmetry but ignored — vector CFs need neither.
-
     Examples
     --------
     >>> import numpy as np

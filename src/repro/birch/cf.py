@@ -11,9 +11,8 @@ from the mean* — updated with Welford's recurrence per point and Chan's
 parallel rule per merge, so ``radius² = SSE/N`` needs no subtraction at
 all.
 
-This module stores the BETULA form internally while keeping the paper
-triple available as derived ``ls``/``ss`` properties for reporting and
-tests. The SSE itself accumulates through a Neumaier compensated
+This module stores only the BETULA form; there is no ``(N, LS, SS)``
+entry point. The SSE itself accumulates through a Neumaier compensated
 accumulator (:mod:`repro.utils.numerics`), so drift stays ``O(eps)``
 relative over arbitrarily long insertion streams.
 """
@@ -23,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.features import ClusterFeature
-from repro.exceptions import ParameterError
 from repro.utils.numerics import CompensatedAccumulator
 
 __all__ = ["VectorClusterFeature"]
@@ -40,24 +38,10 @@ class VectorClusterFeature(ClusterFeature):
 
     __slots__ = ("n", "mean", "_sse")
 
-    def __init__(self, obj=None, n: int = 0, ls: np.ndarray | None = None, ss: float = 0.0):
-        if obj is not None:
-            vec = np.asarray(obj, dtype=np.float64)
-            self.n = 1
-            self.mean = vec.copy()
-            self._sse = CompensatedAccumulator()
-        else:
-            if ls is None or n <= 0:
-                raise ParameterError("either obj or (n, ls, ss) must be provided")
-            self.n = int(n)
-            self.mean = np.asarray(ls, dtype=np.float64) / self.n
-            # One-time conversion at the legacy (N, LS, SS) API boundary:
-            # SSE = SS − N·|mean|² is the only way to recover the deviation
-            # sum from the paper triple. Everything downstream stays in the
-            # stable form, so the cancellation risk is confined to callers
-            # that insist on constructing from (n, ls, ss).
-            sse = float(ss) - self.n * float(np.dot(self.mean, self.mean))
-            self._sse = CompensatedAccumulator(max(sse, 0.0))
+    def __init__(self, obj) -> None:
+        self.n = 1
+        self.mean = np.asarray(obj, dtype=np.float64).copy()
+        self._sse = CompensatedAccumulator()
 
     # ------------------------------------------------------------------
     @property
@@ -82,16 +66,6 @@ class VectorClusterFeature(ClusterFeature):
     def sse(self) -> float:
         """Sum of squared deviations from the mean (BETULA's stable state)."""
         return max(self._sse.value, 0.0)
-
-    @property
-    def ls(self) -> np.ndarray:
-        """The paper triple's ``LS`` (vector sum), derived for reporting."""
-        return self.mean * self.n
-
-    @property
-    def ss(self) -> float:
-        """The paper triple's ``SS`` (sum of squared norms), derived."""
-        return self.sse + self.n * float(np.dot(self.mean, self.mean))
 
     @property
     def representatives(self) -> list:

@@ -34,11 +34,13 @@ API parameter documented there.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from repro import __version__
+from repro.core.config import BUBBLEFMConfig, BuildConfig
 from repro.datasets import (
     make_authority_dataset,
     make_cell_dataset,
@@ -109,13 +111,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--global-sample-size", type=int, default=None, metavar="N",
         help="clustroids per clara subsample (default 40 + 2K)",
     )
-    clu.add_argument("--max-nodes", type=int, default=None)
-    clu.add_argument("--threshold", type=float, default=0.0)
-    clu.add_argument("--image-dim", type=int, default=3)
+    clu.add_argument("--max-nodes", type=int, default=BuildConfig.max_nodes)
+    clu.add_argument("--threshold", type=float, default=BuildConfig.threshold)
+    clu.add_argument("--image-dim", type=int, default=3, help="bubble-fm only")
     clu.add_argument("--output", help="write one label per input line here")
     clu.add_argument("--seed", type=int, default=0)
     clu.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", dest="n_jobs", type=int, default=BuildConfig.n_jobs, metavar="N",
         help="parallel sharded build: scan in N worker processes and merge "
              "the shard trees deterministically (see docs/performance.md)",
     )
@@ -160,18 +162,22 @@ def _build_parser() -> argparse.ArgumentParser:
              "with the same shard count)",
     )
     fault.add_argument(
-        "--shard-retries", type=int, default=2, metavar="N",
+        "--shard-retries", dest="max_shard_retries", type=int,
+        default=BuildConfig.max_shard_retries, metavar="N",
         help="retry a crashed/hung/aborted shard up to N times before "
-             "falling back to an in-process run (default 2; sharded builds)",
+             "falling back to an in-process run (default %(default)s; "
+             "sharded builds)",
     )
     fault.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="S",
+        "--shard-timeout", dest="shard_timeout_seconds", type=float,
+        default=BuildConfig.shard_timeout_seconds, metavar="S",
         help="kill and retry any shard worker running longer than S seconds",
     )
     fault.add_argument(
-        "--shard-backoff", type=float, default=0.25, metavar="S",
+        "--shard-backoff", dest="shard_retry_backoff", type=float,
+        default=BuildConfig.shard_retry_backoff, metavar="S",
         help="base delay between shard retries, doubled per attempt "
-             "(default 0.25)",
+             "(default %(default)s)",
     )
 
     auth = sub.add_parser("authority", help="build an authority file from records")
@@ -370,6 +376,14 @@ def _cmd_cluster(args) -> int:
     )
 
     n_clusters = args.n_clusters if args.n_clusters is not None else 0
+    # Every flag whose dest names a build knob of the chosen algorithm's
+    # config is forwarded as that knob (image_dim only for bubble-fm).
+    config_type = BUBBLEFMConfig if args.algorithm == "bubble-fm" else BuildConfig
+    options = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(config_type)
+        if hasattr(args, f.name)
+    }
     tracer = _make_tracer(args.trace)
     try:
         result = cluster_dataset(
@@ -377,9 +391,7 @@ def _cmd_cluster(args) -> int:
             metric,
             n_clusters=n_clusters if n_clusters > 0 else max(1, len(objects)),
             algorithm=args.algorithm,
-            max_nodes=args.max_nodes,
-            image_dim=args.image_dim,
-            global_phase=args.global_phase,
+            global_method=args.global_phase,
             global_samples=args.global_samples,
             global_sample_size=args.global_sample_size,
             assign=True,
@@ -390,10 +402,7 @@ def _cmd_cluster(args) -> int:
             checkpoint_every=args.checkpoint_every,
             resume_from=args.resume_from,
             tracer=tracer,
-            n_jobs=args.jobs,
-            max_shard_retries=args.shard_retries,
-            shard_timeout_seconds=args.shard_timeout,
-            shard_retry_backoff=args.shard_backoff,
+            **options,
         )
     except (MetricBudgetExceededError, DeadlineExceededError, QuarantineOverflowError) as exc:
         tracer.close()

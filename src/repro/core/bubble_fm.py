@@ -29,9 +29,7 @@ import numpy as np
 
 from repro.core.bubble import BubblePolicy, _SampleCache
 from repro.core.nodes import NonLeafNode
-from repro.exceptions import ParameterError
 from repro.fastmap import FastMap
-from repro.fastmap.landmark import LandmarkMDS
 from repro.metrics.base import DistanceFunction, pop_site, push_site
 from repro.utils.validation import check_integer
 
@@ -39,10 +37,9 @@ __all__ = ["BubbleFMPolicy"]
 
 
 class _FMSampleCache(_SampleCache):
-    """Sample cache extended with the node's image space: the fitted mapper
-    (FastMap by default, Landmark MDS optionally), the image vector of every
-    sample, and one image centroid per entry. ``mapper is None`` marks the
-    distance-space fallback."""
+    """Sample cache extended with the node's image space: the fitted
+    FastMap, the image vector of every sample, and one image centroid per
+    entry. ``mapper is None`` marks the distance-space fallback."""
 
     __slots__ = ("mapper", "centroids", "images")
 
@@ -73,19 +70,12 @@ class BubbleFMPolicy(BubblePolicy):
         dimensionality.
     fm_iterations:
         FastMap's choose-distant-objects passes (the parameter ``c``).
-    mapper:
-        Which distance-preserving transformation builds the image spaces:
-        ``"fastmap"`` (the paper's choice; 2k calls per routed object) or
-        ``"landmark"`` (Landmark MDS; ~2k+2 calls per routed object, one
-        joint eigendecomposition instead of sequential residual axes).
     prune:
         As in :class:`~repro.core.bubble.BubblePolicy`; applies to the leaf
         level and to non-leaf nodes in distance-space fallback (too few
         samples for an image space). Image-space routing already costs only
         ``2k`` calls and is left untouched.
     """
-
-    _MAPPERS = ("fastmap", "landmark")
 
     def __init__(
         self,
@@ -94,43 +84,27 @@ class BubbleFMPolicy(BubblePolicy):
         sample_size: int = 75,
         image_dim: int = 2,
         fm_iterations: int = 1,
-        mapper: str = "fastmap",
         seed: Any=None,
         prune: bool = True,
     ):
         super().__init__(metric, representation_number, sample_size, seed, prune=prune)
         self.image_dim = check_integer(image_dim, "image_dim", minimum=1)
         self.fm_iterations = check_integer(fm_iterations, "fm_iterations", minimum=1)
-        if mapper not in self._MAPPERS:
-            raise ParameterError(f"mapper must be one of {self._MAPPERS}, got {mapper!r}")
-        self.mapper = mapper
         #: Number of image-space rebuilds performed (diagnostic).
         self.n_fastmap_fits = 0
-
-    def _min_samples_for_mapping(self) -> int:
-        """Below this many samples the image space cannot beat direct D2."""
-        if self.mapper == "fastmap":
-            return 2 * self.image_dim
-        return 2 * self.image_dim + 2  # landmark count
-
-    def _make_mapper(self) -> FastMap | LandmarkMDS:
-        if self.mapper == "fastmap":
-            return FastMap(
-                self.metric, self.image_dim,
-                iterations=self.fm_iterations, seed=self._rng,
-            )
-        return LandmarkMDS(self.metric, self.image_dim, seed=self._rng)
 
     def refresh_node(self, node: NonLeafNode) -> None:
         super().refresh_node(node)
         cache = node.aux
         flat, offsets = cache.flat, cache.offsets
-        if len(flat) <= self._min_samples_for_mapping():
+        if len(flat) <= 2 * self.image_dim:
             # Too few samples for a k-dimensional image space: BUBBLE-FM
             # "measures distances at NL in the distance space, as in BUBBLE".
             node.aux = _FMSampleCache(flat, offsets, None, None, None)
             return
-        mapper = self._make_mapper()
+        mapper = FastMap(
+            self.metric, self.image_dim, iterations=self.fm_iterations, seed=self._rng
+        )
         with self.tracer.span("fastmap-refit"):
             push_site("fastmap-refit")
             try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections.abc import Iterable
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
@@ -26,6 +27,7 @@ import numpy as np
 from repro.core.bubble import BubblePolicy
 from repro.core.bubble_fm import BubbleFMPolicy
 from repro.core.cftree import CFTree
+from repro.core.config import BUBBLEFMConfig, BuildConfig
 from repro.core.features import SubCluster
 from repro.exceptions import (
     CheckpointError,
@@ -65,23 +67,6 @@ class PreClusterer:
     ----------
     metric:
         The distance function defining the space.
-    branching_factor:
-        Max entries per tree node (``B``; paper experiments use 15).
-    sample_size:
-        Sample objects per non-leaf node (``SS``; paper experiments use 75,
-        i.e. ``5 * B``).
-    representation_number:
-        Representatives per leaf cluster (``2p``; paper experiments use 10).
-    max_nodes:
-        Node budget ``M``; the tree rebuilds with a larger threshold when it
-        exceeds this. ``None`` disables rebuilds.
-    threshold:
-        Initial threshold ``T`` (default 0, as in BIRCH).
-    outlier_fraction:
-        Optional BIRCH-style outlier handling: during rebuilds, clusters
-        smaller than this fraction of the average size are parked rather
-        than re-inserted, then re-absorbed after the scan. ``None`` (the
-        paper's setting) disables it.
     seed:
         Seed or generator for all stochastic choices (sampling, pivots).
     tracer:
@@ -89,87 +74,28 @@ class PreClusterer:
         per-site NCD attribution for every scan this model runs. The
         default no-op :data:`~repro.observability.NULL_TRACER` adds no
         overhead (and no extra distance calls).
-    validate:
-        ``"debug"`` audits every split/rebuild with the invariant
-        sanitizer (:func:`repro.analysis.audit.audit_tree`); ``None``
-        (default) skips runtime checking.
-    prune:
-        Route through the exact triangle-inequality pruned engine
-        (:mod:`repro.core.routing`). The clustering is bit-identical
-        either way; pruning only reduces NCD. On by default.
-    n_jobs:
-        Worker processes for a sharded build. The default 1 keeps the
-        paper's sequential single scan. Any other value (or an explicit
-        ``n_shards``) routes :meth:`fit` through :mod:`repro.parallel`:
-        the stream is split into shards, each worker runs this driver's
-        ``fit`` on its shard with its own metric copy, and the shard
-        trees' leaf CF*s are merged deterministically into this model's
-        final tree. Requires a picklable metric.
-    n_shards:
-        Logical shard count of the parallel build — the determinism-
-        bearing knob: for a fixed ``(seed, n_shards)`` the merged tree is
-        identical whatever ``n_jobs`` executes it. Defaults to ``n_jobs``.
-    max_shard_retries:
-        Recoverable shard failures (worker crash, timeout, budget abort,
-        metric exception) are retried up to this many times with
-        exponential backoff before the shard is re-run inline in the
-        parent as a last resort. 0 disables retries (the inline fallback
-        still runs).
-    shard_timeout_seconds:
-        Per-shard wall-clock limit in a parallel build: a worker
-        exceeding it is killed and its shard retried. ``None`` (default)
-        never times a worker out.
-    shard_retry_backoff:
-        Base delay of the exponential backoff between shard retries
-        (doubles per attempt).
+    **options:
+        The build knobs, one keyword per field of :attr:`config_type`
+        (:class:`~repro.core.config.BuildConfig` here); they become the
+        frozen :attr:`config`.
     """
+
+    #: The configuration record this driver's keyword options build.
+    config_type: type[BuildConfig] = BuildConfig
+    #: The frozen build configuration (rebind with ``dataclasses.replace``).
+    config: BuildConfig
 
     def __init__(
         self,
         metric: DistanceFunction,
-        branching_factor: int = 15,
-        sample_size: int = 75,
-        representation_number: int = 10,
-        max_nodes: int | None = None,
-        threshold: float = 0.0,
-        outlier_fraction: float | None = None,
+        *,
         seed: int | np.random.Generator | None = None,
         tracer: NullTracer = NULL_TRACER,
-        validate: str | None = None,
-        prune: bool = True,
-        n_jobs: int = 1,
-        n_shards: int | None = None,
-        max_shard_retries: int = 2,
-        shard_timeout_seconds: float | None = None,
-        shard_retry_backoff: float = 0.25,
+        **options: Any,
     ):
         self.metric = metric
         self.tracer = tracer
-        self.branching_factor = branching_factor
-        self.sample_size = sample_size
-        self.representation_number = representation_number
-        self.max_nodes = max_nodes
-        self.initial_threshold = threshold
-        self.outlier_fraction = outlier_fraction
-        self.validate = validate
-        self.prune = bool(prune)
-        self.n_jobs = check_integer(n_jobs, "n_jobs", minimum=1)
-        if n_shards is not None:
-            n_shards = check_integer(n_shards, "n_shards", minimum=1)
-        self.n_shards = n_shards
-        self.max_shard_retries = check_integer(
-            max_shard_retries, "max_shard_retries", minimum=0
-        )
-        if shard_timeout_seconds is not None and shard_timeout_seconds <= 0:
-            raise ParameterError(
-                f"shard_timeout_seconds must be > 0, got {shard_timeout_seconds}"
-            )
-        self.shard_timeout_seconds = shard_timeout_seconds
-        if shard_retry_backoff < 0:
-            raise ParameterError(
-                f"shard_retry_backoff must be >= 0, got {shard_retry_backoff}"
-            )
-        self.shard_retry_backoff = float(shard_retry_backoff)
+        self.config = self.config_type(**options)
         #: The raw seed argument, kept so a sharded build can derive
         #: independent, reproducible per-shard seeds from it.
         self._seed = seed
@@ -190,22 +116,20 @@ class PreClusterer:
     def _make_policy(self) -> BubblePolicy:
         raise NotImplementedError
 
-    def _shard_params(self) -> dict:
-        """Constructor kwargs a shard worker needs to rebuild this driver.
-
-        Everything except ``metric``, ``seed``, ``tracer``, and the
-        parallel knobs themselves (shard drivers are always sequential).
-        Subclasses with extra constructor parameters must extend this.
-        """
-        return dict(
-            branching_factor=self.branching_factor,
-            sample_size=self.sample_size,
-            representation_number=self.representation_number,
-            max_nodes=self.max_nodes,
-            threshold=self.initial_threshold,
-            outlier_fraction=self.outlier_fraction,
-            validate=self.validate,
-            prune=self.prune,
+    def _new_tree(self) -> CFTree:
+        """An empty CF*-tree over a fresh policy, built from :attr:`config`."""
+        policy = self._make_policy()
+        policy.tracer = self.tracer
+        config = self.config
+        return CFTree(
+            policy,
+            branching_factor=config.branching_factor,
+            max_nodes=config.max_nodes,
+            threshold=config.threshold,
+            outlier_fraction=config.outlier_fraction,
+            seed=self._rng,
+            tracer=self.tracer,
+            validate=config.validate,
         )
 
     # ------------------------------------------------------------------
@@ -251,7 +175,7 @@ class PreClusterer:
             seed; mixing sequential and sharded checkpoints raises
             :class:`~repro.exceptions.CheckpointError`.
         """
-        if self.n_jobs > 1 or self.n_shards is not None:
+        if self.config.n_jobs > 1 or self.config.n_shards is not None:
             from repro.parallel import parallel_fit
 
             parallel_fit(
@@ -288,7 +212,7 @@ class PreClusterer:
                     "quarantined; nothing to cluster"
                 )
             raise EmptyDatasetError("fit requires at least one object")
-        if self.outlier_fraction is not None:
+        if self.config.outlier_fraction is not None:
             finish = time.perf_counter()
             with self.tracer.activation():
                 self.tree_.reabsorb_outliers()
@@ -331,18 +255,7 @@ class PreClusterer:
             )
         start = time.perf_counter()
         if self.tree_ is None:
-            policy = self._make_policy()
-            policy.tracer = self.tracer
-            self.tree_ = CFTree(
-                policy,
-                branching_factor=self.branching_factor,
-                max_nodes=self.max_nodes,
-                threshold=self.initial_threshold,
-                outlier_fraction=self.outlier_fraction,
-                seed=self._rng,
-                tracer=self.tracer,
-                validate=self.validate,
-            )
+            self.tree_ = self._new_tree()
         elif self.tree_.tracer is not self.tracer:
             # A tree restored from a checkpoint carries the no-op tracer;
             # re-attach this model's so the resumed scan is traced too.
@@ -423,11 +336,7 @@ class PreClusterer:
                 "quarantine": self.quarantine_.get_state(),
                 "report": self.ingest_report_.to_dict(),
             },
-            metadata={
-                "algorithm": type(self).__name__,
-                "branching_factor": self.branching_factor,
-                "max_nodes": self.max_nodes,
-            },
+            metadata={"algorithm": type(self).__name__, "config": asdict(self.config)},
         )
         self.ingest_report_.n_checkpoints += 1
 
@@ -441,6 +350,7 @@ class PreClusterer:
                 f"checkpoint was written by {algorithm}, "
                 f"cannot resume with {type(self).__name__}"
             )
+        self.config.check_resume(ck.metadata.get("config"), "checkpoint")
         if not isinstance(ck.tree, CFTree):
             raise CheckpointError("checkpoint does not hold a CF*-tree")
         self.tree_ = ck.tree
@@ -456,7 +366,7 @@ class PreClusterer:
     def finalize(self) -> "PreClusterer":
         """End a :meth:`partial_fit` stream: re-absorb parked outliers."""
         tree = self._require_tree()
-        if self.outlier_fraction is not None:
+        if self.config.outlier_fraction is not None:
             with self.tracer.activation():
                 tree.reabsorb_outliers()
         return self
@@ -545,11 +455,11 @@ class PreClusterer:
                 sample_size=global_sample_size,
                 num_local=num_local,
                 max_neighbors=max_neighbors,
-                n_jobs=self.n_jobs,
+                n_jobs=self.config.n_jobs,
                 seed=seed,
                 tracer=self.tracer,
-                max_retries=self.max_shard_retries,
-                retry_backoff=self.shard_retry_backoff,
+                max_retries=self.config.max_shard_retries,
+                retry_backoff=self.config.shard_retry_backoff,
                 chaos=chaos,
             )
             search.fit(clustroids, weights=weights)
@@ -676,90 +586,34 @@ class BUBBLE(PreClusterer):
     """
 
     def _make_policy(self) -> BubblePolicy:
+        config = self.config
         return BubblePolicy(
             self.metric,
-            representation_number=self.representation_number,
-            sample_size=self.sample_size,
+            representation_number=config.representation_number,
+            sample_size=config.sample_size,
             seed=self._rng,
-            prune=self.prune,
+            prune=config.prune,
         )
 
 
 class BUBBLEFM(PreClusterer):
     """BUBBLE-FM: BUBBLE with FastMap routing to cut calls to expensive metrics.
 
-    Additional parameters
-    ---------------------
-    image_dim:
-        Image dimensionality ``k`` of the per-node image spaces.
-    fm_iterations:
-        FastMap pivot-search passes (``c``).
-    mapper:
-        Image-space construction: ``"fastmap"`` (the paper's) or
-        ``"landmark"`` (Landmark MDS).
+    Takes BUBBLE's options plus ``image_dim`` and ``fm_iterations`` (see
+    :class:`~repro.core.config.BUBBLEFMConfig`).
     """
 
-    def __init__(
-        self,
-        metric: DistanceFunction,
-        branching_factor: int = 15,
-        sample_size: int = 75,
-        representation_number: int = 10,
-        max_nodes: int | None = None,
-        threshold: float = 0.0,
-        outlier_fraction: float | None = None,
-        image_dim: int = 2,
-        fm_iterations: int = 1,
-        mapper: str = "fastmap",
-        seed: int | np.random.Generator | None = None,
-        tracer: NullTracer = NULL_TRACER,
-        validate: str | None = None,
-        prune: bool = True,
-        n_jobs: int = 1,
-        n_shards: int | None = None,
-        max_shard_retries: int = 2,
-        shard_timeout_seconds: float | None = None,
-        shard_retry_backoff: float = 0.25,
-    ):
-        super().__init__(
-            metric,
-            branching_factor=branching_factor,
-            sample_size=sample_size,
-            representation_number=representation_number,
-            max_nodes=max_nodes,
-            threshold=threshold,
-            outlier_fraction=outlier_fraction,
-            seed=seed,
-            tracer=tracer,
-            validate=validate,
-            prune=prune,
-            n_jobs=n_jobs,
-            n_shards=n_shards,
-            max_shard_retries=max_shard_retries,
-            shard_timeout_seconds=shard_timeout_seconds,
-            shard_retry_backoff=shard_retry_backoff,
-        )
-        self.image_dim = image_dim
-        self.fm_iterations = fm_iterations
-        self.mapper = mapper
-
-    def _shard_params(self) -> dict:
-        params = super()._shard_params()
-        params.update(
-            image_dim=self.image_dim,
-            fm_iterations=self.fm_iterations,
-            mapper=self.mapper,
-        )
-        return params
+    config_type = BUBBLEFMConfig
+    config: BUBBLEFMConfig
 
     def _make_policy(self) -> BubbleFMPolicy:
+        config = self.config
         return BubbleFMPolicy(
             self.metric,
-            representation_number=self.representation_number,
-            sample_size=self.sample_size,
-            image_dim=self.image_dim,
-            fm_iterations=self.fm_iterations,
-            mapper=self.mapper,
+            representation_number=config.representation_number,
+            sample_size=config.sample_size,
+            image_dim=config.image_dim,
+            fm_iterations=config.fm_iterations,
             seed=self._rng,
-            prune=self.prune,
+            prune=config.prune,
         )

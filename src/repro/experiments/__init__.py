@@ -18,7 +18,6 @@ from repro.experiments.ablations import (
     run_ablation_image_dim,
     run_ablation_indexes,
     run_ablation_labeling,
-    run_ablation_mappers,
     run_ablation_order,
     run_ablation_representation,
     run_ablation_sample_size,
@@ -51,7 +50,6 @@ __all__ = [
     "run_ablation_sample_size",
     "run_ablation_image_dim",
     "run_ablation_order",
-    "run_ablation_mappers",
     "run_ablation_labeling",
     "run_ablation_clarans",
     "run_ablation_indexes",

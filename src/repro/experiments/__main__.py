@@ -11,7 +11,6 @@ from repro.experiments import (
     run_ablation_image_dim,
     run_ablation_indexes,
     run_ablation_labeling,
-    run_ablation_mappers,
     run_ablation_order,
     run_ablation_representation,
     run_ablation_sample_size,
@@ -39,7 +38,6 @@ _EXPERIMENTS = {
     "a2": run_ablation_sample_size,
     "a3": run_ablation_image_dim,
     "a4": run_ablation_order,
-    "a5": run_ablation_mappers,
     "a6": run_ablation_labeling,
     "a7": run_ablation_clarans,
     "a8": run_ablation_indexes,

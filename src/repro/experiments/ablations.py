@@ -1,5 +1,5 @@
-"""Ablations: parameter sensitivity, order independence, mapper choice,
-labeling strategies, and the CLARANS related-work comparison."""
+"""Ablations: parameter sensitivity, order independence, labeling
+strategies, and the CLARANS related-work comparison."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from repro.clarans import CLARANS
-from repro.core.preclusterer import BUBBLE, BUBBLEFM
+from repro.core.preclusterer import BUBBLE
 from repro.datasets import make_cell_dataset, make_ds1
 from repro.evaluation import adjusted_rand_index, distortion
 from repro.experiments.config import Scale, paper_max_nodes, resolve_scale
@@ -21,7 +21,6 @@ __all__ = [
     "run_ablation_sample_size",
     "run_ablation_image_dim",
     "run_ablation_order",
-    "run_ablation_mappers",
     "run_ablation_labeling",
     "run_ablation_clarans",
     "run_ablation_indexes",
@@ -121,32 +120,6 @@ def run_ablation_order(
         + ["max/min"],
         rows=rows,
         context={"scale": scale.name, "order_seeds": list(order_seeds)},
-    )
-
-
-def run_ablation_mappers(scale: str | Scale = "laptop", seed: int = 10) -> TableResult:
-    """A5: FastMap vs Landmark MDS as BUBBLE-FM's image-space mapper."""
-    scale = resolve_scale(scale)
-    ds = make_cell_dataset(
-        dim=10, n_clusters=20, n_points=max(scale.ablation_points // 2, 1_000), seed=100
-    )
-    rows = []
-    for mapper in ("fastmap", "landmark"):
-        metric = EuclideanDistance()
-        model = BUBBLEFM(
-            metric, image_dim=10, max_nodes=paper_max_nodes(20),
-            mapper=mapper, seed=seed,
-        ).fit(ds.as_objects())
-        labels = model.assign(ds.as_objects())
-        rows.append(
-            [mapper, metric.n_calls, distortion(ds.points, labels), model.n_subclusters_]
-        )
-    return TableResult(
-        experiment="Ablation A5",
-        description="BUBBLE-FM image-space mapper: FastMap (paper) vs Landmark MDS",
-        columns=["mapper", "NCD", "distortion", "#subclusters"],
-        rows=rows,
-        context={"scale": scale.name, "seed": seed},
     )
 
 

@@ -11,7 +11,6 @@ for FastMap's approximation on small inputs.
 """
 
 from repro.fastmap.fastmap import FastMap
-from repro.fastmap.landmark import LandmarkMDS
 from repro.fastmap.mds import classical_mds, stress
 
-__all__ = ["FastMap", "LandmarkMDS", "classical_mds", "stress"]
+__all__ = ["FastMap", "classical_mds", "stress"]

@@ -55,11 +55,11 @@ import pickle
 import time
 from collections import Counter
 from collections.abc import Iterable
+from dataclasses import asdict, replace
 from typing import Any
 
 import numpy as np
 
-from repro.core.cftree import CFTree
 from repro.exceptions import (
     CheckpointError,
     EmptyDatasetError,
@@ -108,7 +108,8 @@ def rebook_worker_calls(metric: Any, by_site: dict[str, int], n_calls: int) -> N
 def resolve_n_shards(model: Any) -> int:
     """The logical shard count of a model's parallel build (defaults to
     ``n_jobs`` when ``n_shards`` was not pinned explicitly)."""
-    return int(model.n_shards if model.n_shards is not None else model.n_jobs)
+    config = model.config
+    return int(config.n_shards if config.n_shards is not None else config.n_jobs)
 
 
 def _shard_seeds(seed: Any, n_shards: int) -> list[int | None]:
@@ -185,6 +186,7 @@ def _prepare_checkpoint_dir(
             "algorithm": type(model).__name__,
             "seed": None if model._seed is None else int(model._seed),
             "checkpoint_every": int(checkpoint_every),
+            "config": asdict(model.config),
         },
     )
     return directory
@@ -217,6 +219,9 @@ def _validate_resume_dir(model: Any, resume_from: Any, n_shards: int) -> str | N
             f"cannot resume with seed={current_seed!r} (per-shard seeds "
             "would diverge and break resume equivalence)"
         )
+    model.config.check_resume(
+        manifest.get("config"), f"sharded checkpoint {directory!r}"
+    )
     return directory
 
 
@@ -251,7 +256,7 @@ def parallel_fit(
     seeds = _shard_seeds(model._seed, n_shards)
     blob = _metric_blob(model.metric)
     shard_budget = _shard_budgets(model.metric, n_shards)
-    params = model._shard_params()
+    shard_config = replace(model.config, n_jobs=1, n_shards=None)
 
     checkpoint_dir = _prepare_checkpoint_dir(
         model, checkpoint_path, n_shards, checkpoint_every
@@ -268,7 +273,7 @@ def parallel_fit(
             n_shards=n_shards,
             objects=shard,
             driver=type(model),
-            params=params,
+            config=shard_config,
             metric=pickle.loads(blob),
             seed=seeds[shard_id],
             on_error=on_error,
@@ -321,12 +326,13 @@ def parallel_fit(
                     task.shard_id, failure.attempt + 1, task.checkpoint_path
                 )
 
+    config = model.config
     supervisor = ShardSupervisor(
         tasks,
-        n_jobs=model.n_jobs,
-        max_retries=model.max_shard_retries,
-        backoff=model.shard_retry_backoff,
-        shard_timeout=model.shard_timeout_seconds,
+        n_jobs=config.n_jobs,
+        max_retries=config.max_shard_retries,
+        backoff=config.shard_retry_backoff,
+        shard_timeout=config.shard_timeout_seconds,
         deadline_seconds=getattr(metric, "remaining_seconds", None),
         prepare_attempt=prepare_attempt,
         on_result=absorb,
@@ -370,7 +376,7 @@ def parallel_fit(
 
         # Deterministic merge: shard order, then leaf order, fixed seed.
         features: list[Any] = []
-        start_threshold = float(model.initial_threshold)
+        start_threshold = float(config.threshold)
         for result in results:
             payload = _MetricRestoringUnpickler(
                 io.BytesIO(result.payload), metric
@@ -391,18 +397,7 @@ def parallel_fit(
                 )
             raise EmptyDatasetError("fit requires at least one object")
 
-        policy = model._make_policy()
-        policy.tracer = tracer
-        tree = CFTree(
-            policy,
-            branching_factor=model.branching_factor,
-            max_nodes=model.max_nodes,
-            threshold=model.initial_threshold,
-            outlier_fraction=model.outlier_fraction,
-            seed=model._rng,
-            tracer=tracer,
-            validate=model.validate,
-        )
+        tree = model._new_tree()
         # Start the merge at the most mature shard threshold: every shard
         # cluster already satisfies its own shard's T, so a tighter start
         # would only shatter them and rebuild straight back here.
@@ -410,10 +405,10 @@ def parallel_fit(
         model.tree_ = tree
         with tracer.span("merge"):
             tree.insert_feature_batch(features)
-            if model.outlier_fraction is not None:
+            if config.outlier_fraction is not None:
                 tree.reabsorb_outliers()
 
-        stats = getattr(policy, "pruning_stats", None)
+        stats = getattr(tree.policy, "pruning_stats", None)
         if stats is not None:
             for result in results:
                 stats.absorb(result.pruning)

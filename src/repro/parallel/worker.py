@@ -1,8 +1,8 @@
 """The shard worker: one fault-tolerant sequential scan per process.
 
 A :class:`ShardTask` carries everything a worker needs to run the existing
-``PreClusterer.fit`` path on its shard: the driver class, its constructor
-parameters, a private metric copy, a shard-derived seed, and (optionally) a
+``PreClusterer.fit`` path on its shard: the driver class, its sequential
+build configuration, a private metric copy, a shard-derived seed, and (optionally) a
 slice of the NCD budget. :func:`run_shard` is a module-level function so the
 ``spawn`` start method can pickle it, and it works identically in-process —
 the ``n_jobs=1`` backend calls it directly, which is what makes the merged
@@ -19,9 +19,10 @@ from __future__ import annotations
 import io
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
+from repro.core.config import BuildConfig
 from repro.exceptions import CheckpointError, EmptyDatasetError
 from repro.metrics.base import (
     CallLedger,
@@ -48,8 +49,9 @@ class ShardTask:
     objects: list[Any]
     #: Driver class (``BUBBLE``/``BUBBLEFM``/a ``PreClusterer`` subclass).
     driver: type
-    #: Constructor kwargs from ``PreClusterer._shard_params()``.
-    params: dict[str, Any]
+    #: The shard's build configuration: the parent's, run sequentially
+    #: (``n_jobs=1``, ``n_shards=None``).
+    config: BuildConfig
     #: This worker's private metric copy (counter reset on arrival).
     metric: DistanceFunction
     #: Shard-derived seed for all of the worker's stochastic choices.
@@ -135,7 +137,7 @@ def run_shard(task: ShardTask) -> ShardResult:
         # The shard died before its first checkpoint: nothing to resume.
         resume_from = None
 
-    model = task.driver(metric, seed=task.seed, **task.params)
+    model = task.driver(metric, seed=task.seed, **asdict(task.config))
     checkpoint_discarded = False
     ledger = CallLedger()
     previous = activate_ledger(ledger)
@@ -158,7 +160,7 @@ def run_shard(task: ShardTask) -> ShardResult:
                 # before any object is consumed, so a fresh driver replays
                 # the shard exactly.
                 checkpoint_discarded = True
-                model = task.driver(metric, seed=task.seed, **task.params)
+                model = task.driver(metric, seed=task.seed, **asdict(task.config))
                 model.fit(
                     stream(),
                     on_error=task.on_error,
@@ -173,7 +175,7 @@ def run_shard(task: ShardTask) -> ShardResult:
             # An empty shard, or one whose every object was quarantined:
             # contribute no clusters, but do report what happened.
             features = []
-            threshold = model.initial_threshold
+            threshold = model.config.threshold
     finally:
         deactivate_ledger(previous)
     buf = io.BytesIO()

@@ -142,7 +142,7 @@ def load_subclusters(
 # Scan checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 _METRIC_PID = "repro.metric"
 _TRACER_PID = "repro.tracer"
 
@@ -324,7 +324,7 @@ def load_checkpoint(path: str | os.PathLike, metric: DistanceFunction) -> Checkp
 # worker through save_checkpoint. Any shard file may be missing (that shard
 # never reached its first checkpoint) — a resume simply rescans it.
 
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 _MANIFEST_NAME = "manifest.json"
 
 
@@ -344,8 +344,9 @@ def save_shard_manifest(directory: str | os.PathLike, manifest: dict) -> None:
     """Atomically write a sharded build's manifest, creating the directory.
 
     The manifest pins everything that determines the partition — shard
-    count, algorithm, seed — so :func:`load_shard_manifest` callers can
-    refuse a resume that would silently redistribute objects.
+    count, algorithm, seed — plus the build configuration, so
+    :func:`load_shard_manifest` callers can refuse a resume that would
+    silently redistribute objects or continue under different knobs.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)

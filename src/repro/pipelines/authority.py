@@ -77,13 +77,11 @@ def build_authority_file(
     metric: DistanceFunction | None = None,
     threshold: float = 2.0,
     image_dim: int = 3,
-    branching_factor: int = 15,
-    sample_size: int = 75,
-    max_nodes: int | None = None,
     assignment: str = "tree",
     cache: bool = True,
     seed=None,
     tracer: NullTracer = NULL_TRACER,
+    **options,
 ) -> AuthorityFile:
     """Cluster variant strings into an authority file with BUBBLE-FM.
 
@@ -97,6 +95,8 @@ def build_authority_file(
         Initial threshold ``T``: records within this distance of a cluster's
         clustroid join it. Lower = more, purer classes (the paper's
         tolerance knob from Table 3).
+    image_dim:
+        BUBBLE-FM's image dimensionality ``k``.
     assignment:
         ``"tree"`` (fast, approximate) or ``"linear"`` (exact) second scan.
     cache:
@@ -104,6 +104,9 @@ def build_authority_file(
     tracer:
         Optional :class:`repro.observability.Tracer`; spans and per-site
         NCD then cover the scan, the assignment pass, and canonicalization.
+    **options:
+        Further BUBBLE-FM build knobs (``max_nodes``, ``branching_factor``,
+        ...; see :class:`~repro.core.config.BUBBLEFMConfig`).
 
     Returns
     -------
@@ -122,13 +125,11 @@ def build_authority_file(
     calls_before = effective.n_calls
     model = BUBBLEFM(
         effective,
-        branching_factor=branching_factor,
-        sample_size=sample_size,
-        image_dim=image_dim,
-        threshold=threshold,
-        max_nodes=max_nodes,
         seed=seed,
         tracer=tracer,
+        threshold=threshold,
+        image_dim=image_dim,
+        **options,
     ).fit(records)
     labels = model.assign(records, via=assignment)
 

@@ -88,15 +88,9 @@ def cluster_dataset(
     metric: DistanceFunction,
     n_clusters: int,
     algorithm: str = "bubble",
-    max_nodes: int | None = None,
-    branching_factor: int = 15,
-    sample_size: int = 75,
-    representation_number: int = 10,
-    image_dim: int = 2,
     linkage: str = "average",
     center_method: str = "auto",
     global_method: str = "hac",
-    global_phase: str | None = None,
     global_samples: int = 5,
     global_sample_size: int | None = None,
     assign: bool = True,
@@ -107,16 +101,18 @@ def cluster_dataset(
     checkpoint_every: int = 1000,
     resume_from=None,
     tracer: NullTracer = NULL_TRACER,
-    n_jobs: int = 1,
-    n_shards: int | None = None,
-    max_shard_retries: int = 2,
-    shard_timeout_seconds: float | None = None,
-    shard_retry_backoff: float = 0.25,
+    **options,
 ) -> ClusteringResult:
     """Run the complete pre-cluster → global-phase → label pipeline.
 
-    Parameters mirror the paper's experimental knobs; defaults are the
-    Section 6.1 settings (``SS=75, B=15, 2p=10``).
+    ``options`` are the pre-clusterer's build knobs (``max_nodes``,
+    ``threshold``, ``n_jobs``, ...), forwarded unchanged: the fields of
+    :class:`~repro.core.config.BuildConfig`, plus
+    :class:`~repro.core.config.BUBBLEFMConfig`'s ``image_dim`` and
+    ``fm_iterations`` for ``algorithm="bubble-fm"``. Their defaults are the
+    Section 6.1 settings (``SS=75, B=15, 2p=10``). ``image_dim`` is
+    accepted, and ignored, for ``algorithm="bubble"`` too, so one sweep can
+    drive both algorithms.
 
     ``center_method="auto"`` takes centroids when the sub-cluster clustroids
     are numeric vectors and weighted medoids otherwise.
@@ -130,8 +126,7 @@ def cluster_dataset(
     parallel variant of that search — ``global_samples``
     population-weighted subsamples of the clustroids searched across the
     worker pool, best candidate by full-clustroid-set cost (see
-    ``docs/performance.md``, "Sampled global phase"). ``global_phase`` is
-    an explicit alias that overrides ``global_method`` when given;
+    ``docs/performance.md``, "Sampled global phase").
     ``global_sample_size`` pins the per-subsample size (default
     ``40 + 2k``).
 
@@ -150,8 +145,7 @@ def cluster_dataset(
     ``redistribute`` — so per-site NCD covers the whole pipeline.
 
     ``n_jobs`` parallelizes the expensive phases: the pre-clustering scan
-    becomes a sharded build (see :mod:`repro.parallel`; ``n_shards`` pins
-    the logical partition independently of the worker count), and under
+    becomes a sharded build (see :mod:`repro.parallel`), and under
     ``global_method="hac"`` the clustroid distance matrix is gathered with
     chunked ``cross()`` blocks across the pool before being handed to the
     hierarchical clusterer. CLARANS keeps its sequential adaptive search —
@@ -159,11 +153,6 @@ def cluster_dataset(
     matrix would *increase* NCD. Requires a picklable metric. With
     ``checkpoint_path``/``resume_from`` the sharded build keeps per-shard
     checkpoints in a directory (see :meth:`PreClusterer.fit`).
-
-    ``max_shard_retries``, ``shard_timeout_seconds`` and
-    ``shard_retry_backoff`` tune the sharded build's worker-crash recovery
-    (see ``docs/robustness.md``, "Fault-tolerant parallel builds"); they
-    are inert when ``n_jobs == 1`` and ``n_shards`` is unset.
     """
     if algorithm not in _ALGORITHMS:
         raise ParameterError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")
@@ -171,8 +160,6 @@ def cluster_dataset(
         raise ParameterError(
             f"center_method must be one of {_CENTER_METHODS}, got {center_method!r}"
         )
-    if global_phase is not None:
-        global_method = global_phase
     if global_method not in _GLOBAL_METHODS:
         raise ParameterError(
             f"global_method must be one of {_GLOBAL_METHODS}, got {global_method!r}"
@@ -180,23 +167,12 @@ def cluster_dataset(
     start = time.perf_counter()
     calls_before = metric.n_calls
 
-    common = dict(
-        branching_factor=branching_factor,
-        sample_size=sample_size,
-        representation_number=representation_number,
-        max_nodes=max_nodes,
-        seed=seed,
-        tracer=tracer,
-        n_jobs=n_jobs,
-        n_shards=n_shards,
-        max_shard_retries=max_shard_retries,
-        shard_timeout_seconds=shard_timeout_seconds,
-        shard_retry_backoff=shard_retry_backoff,
-    )
     if algorithm == "bubble":
-        model: PreClusterer = BUBBLE(metric, **common)
+        options.pop("image_dim", None)
+        model: PreClusterer = BUBBLE(metric, seed=seed, tracer=tracer, **options)
     else:
-        model = BUBBLEFM(metric, image_dim=image_dim, **common)
+        model = BUBBLEFM(metric, seed=seed, tracer=tracer, **options)
+    n_jobs = model.config.n_jobs
     model.fit(
         objects,
         on_error=on_error,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.birch import BIRCH, BirchVectorPolicy, VectorClusterFeature
 from repro.core.cftree import CFTree
-from repro.exceptions import ParameterError
 
 
 class TestVectorCF:
@@ -51,7 +50,7 @@ class TestVectorCF:
         assert fa.admits_feature(fb, dist=1.0, threshold=0.5)
 
     def test_constructor_validation(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             VectorClusterFeature()
 
     def test_clustroid_alias(self):
@@ -79,8 +78,8 @@ class TestBirchPolicy:
         for entry in tree.root.entries:
             exact = BirchVectorPolicy._subtree_cf(entry.child)
             assert entry.summary.n == exact.n
-            np.testing.assert_allclose(entry.summary.ls, exact.ls, atol=1e-6)
-            assert entry.summary.ss == pytest.approx(exact.ss)
+            np.testing.assert_allclose(entry.summary.mean, exact.mean, atol=1e-9)
+            assert entry.summary.sse == pytest.approx(exact.sse)
 
     def test_total_population_at_root(self):
         policy = BirchVectorPolicy()

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import BuildConfig
 from repro.core.preclusterer import BUBBLE
 from repro.exceptions import WorkerCrashError
 from repro.metrics import EuclideanDistance
@@ -211,7 +212,7 @@ class TestSupervisorEdges:
             n_shards=1,
             objects=[np.zeros(2), np.ones(2), np.full(2, 2.0), np.full(2, 3.0)],
             driver=BUBBLE,
-            params={},
+            config=BuildConfig(),
             metric=FlakyMetric(EuclideanDistance(), failure_rate=1.0, seed=0),
             seed=0,
         )

@@ -187,6 +187,33 @@ class TestResumeState:
         with pytest.raises(CheckpointError, match="BUBBLE"):
             other.fit(points, resume_from=path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_nodes", 500), ("sample_size", 75), ("threshold", 1.0), ("prune", False)],
+    )
+    def test_config_mismatch_rejected(self, points, tmp_path, field, value):
+        path = tmp_path / "scan.ckpt"
+        written = dict(max_nodes=20, sample_size=30, seed=0)
+        BUBBLE(EuclideanDistance(), **written).fit(
+            points[:100], checkpoint_path=path, checkpoint_every=50
+        )
+        other = BUBBLE(EuclideanDistance(), **{**written, field: value})
+        with pytest.raises(CheckpointError, match=field):
+            other.fit(points, resume_from=path)
+
+    def test_execution_knobs_may_change_on_resume(self, points, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        ref = BUBBLE(EuclideanDistance(), max_nodes=20, seed=5).fit(points)
+        BUBBLE(EuclideanDistance(), max_nodes=20, seed=5).fit(
+            points[:300], checkpoint_path=path, checkpoint_every=100
+        )
+        resumed = BUBBLE(
+            EuclideanDistance(), max_nodes=20, seed=5,
+            max_shard_retries=0, shard_retry_backoff=1.0,
+        )
+        resumed.fit(points, resume_from=path)
+        assert signatures(resumed) == signatures(ref)
+
     def test_missing_checkpoint_raises(self, points, tmp_path):
         model = BUBBLE(EuclideanDistance(), seed=0)
         with pytest.raises((CheckpointError, FileNotFoundError)):

@@ -134,7 +134,7 @@ class TestQuality:
                 EuclideanDistance(),
                 n_clusters=5,
                 max_nodes=60,
-                global_phase=phase,
+                global_method=phase,
                 global_samples=4,
                 seed=50,
             )

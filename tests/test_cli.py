@@ -329,3 +329,97 @@ class TestTraceOption:
         assert events[-1]["ev"] == "summary"
         assert sum(events[-1]["ncd_by_site"].values()) == events[-1]["ncd_total"] > 0
         assert any(e["ev"] == "enter" and e["span"] == "global-phase" for e in events)
+
+
+def _cluster_config_actions():
+    """The ``cluster`` flags whose dest names a build-config field."""
+    import argparse
+    import dataclasses
+
+    from repro.cli import _build_parser
+    from repro.core.config import BUBBLEFMConfig
+
+    parser = _build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    names = {f.name for f in dataclasses.fields(BUBBLEFMConfig)}
+    return [a for a in subparsers.choices["cluster"]._actions if a.dest in names]
+
+
+#: A valid, non-default command-line value per config-backed flag.
+_NON_DEFAULT = {
+    "max_nodes": "12",
+    "threshold": "0.5",
+    "image_dim": "4",
+    "n_jobs": "2",
+    "max_shard_retries": "1",
+    "shard_timeout_seconds": "60",
+    "shard_retry_backoff": "0.5",
+}
+
+
+class TestClusterOptions:
+    @staticmethod
+    def _subclusters(out: str) -> int:
+        line = next(x for x in out.splitlines() if "sub-clusters" in x)
+        return int(line.split("->")[1].split()[0])
+
+    def test_threshold_reaches_the_build(self, tmp_path, capsys):
+        data = tmp_path / "cells.csv"
+        main(["generate", "cell", str(data), "--n-points", "600",
+              "--n-clusters", "10", "--dim", "5", "--seed", "1"])
+        base = ["cluster", str(data), "--type", "vectors", "--n-clusters", "10"]
+        capsys.readouterr()
+        assert main(base) == 0
+        default = self._subclusters(capsys.readouterr().out)
+        assert main(base + ["--threshold", "50"]) == 0
+        coarse = self._subclusters(capsys.readouterr().out)
+        assert coarse < default
+
+    @pytest.mark.parametrize(
+        "action", _cluster_config_actions(), ids=lambda a: a.option_strings[0]
+    )
+    def test_config_flag_lands_on_model_config(self, action, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        raw = _NON_DEFAULT[action.dest]
+        value = action.type(raw)
+        assert value != action.default
+        results = []
+        real = cli.cluster_dataset
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "cluster_dataset", spy)
+        data = tmp_path / "cells.csv"
+        main(["generate", "cell", str(data), "--n-points", "120",
+              "--n-clusters", "3", "--dim", "5"])
+        code = main([
+            "cluster", str(data), "--type", "vectors", "--algorithm", "bubble-fm",
+            "--n-clusters", "3", action.option_strings[0], raw,
+        ])
+        assert code == 0
+        assert getattr(results[0].model.config, action.dest) == value
+
+    def test_image_dim_only_reaches_bubble_fm(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        results = []
+        real = cli.cluster_dataset
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "cluster_dataset", spy)
+        data = tmp_path / "cells.csv"
+        main(["generate", "cell", str(data), "--n-points", "100",
+              "--n-clusters", "3", "--dim", "2"])
+        assert main([
+            "cluster", str(data), "--type", "vectors", "--image-dim", "4",
+            "--n-clusters", "3",
+        ]) == 0
+        assert not hasattr(results[0].model.config, "image_dim")

@@ -11,7 +11,6 @@ from repro.experiments import (
     TableResult,
     run_ablation_clarans,
     run_ablation_labeling,
-    run_ablation_mappers,
     run_table1b_strings,
     run_table3,
 )
@@ -111,10 +110,6 @@ class TestSmokeRuns:
         for row in r.rows:
             assert row[1] > 0  # clusters
             assert row[4] > 0  # NCD
-
-    def test_ablation_mappers(self):
-        r = run_ablation_mappers(scale=TINY)
-        assert {row[0] for row in r.rows} == {"fastmap", "landmark"}
 
     def test_ablation_labeling(self):
         r = run_ablation_labeling(scale=TINY)

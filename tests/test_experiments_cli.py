@@ -12,7 +12,7 @@ class TestExperimentsCLI:
         assert set(_EXPERIMENTS) == {
             "table1", "table1b", "table2", "table3",
             "fig123", "fig4", "fig5", "fig6",
-            "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8",
+            "a1", "a2", "a3", "a4", "a6", "a7", "a8",
         }
 
     def test_single_experiment_prints_table(self, capsys):
@@ -24,11 +24,11 @@ class TestExperimentsCLI:
 
     def test_out_file_written(self, tmp_path, capsys):
         out_file = tmp_path / "results.json"
-        code = main(["a5", "--scale", "smoke", "--out", str(out_file)])
+        code = main(["a7", "--scale", "smoke", "--out", str(out_file)])
         assert code == 0
         docs = json.loads(out_file.read_text())
         assert len(docs) == 1
-        assert docs[0]["experiment"] == "Ablation A5"
+        assert docs[0]["experiment"] == "Ablation A7"
         assert docs[0]["context"]["scale"] == "smoke"
 
     def test_unknown_experiment_rejected(self):
@@ -37,4 +37,4 @@ class TestExperimentsCLI:
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(SystemExit):
-            main(["a5", "--scale", "galactic"])
+            main(["a7", "--scale", "galactic"])

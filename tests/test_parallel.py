@@ -404,6 +404,29 @@ class TestShardedCheckpoint:
         with pytest.raises(CheckpointError, match="BUBBLE"):
             model.fit(make_blobs(n=60), resume_from=ckdir)
 
+    def test_resume_rejects_different_config(self, tmp_path):
+        from repro.exceptions import CheckpointError
+
+        ckdir = tmp_path / "ck"
+        BUBBLE(EuclideanDistance(), max_nodes=12, seed=5, n_shards=2).fit(
+            make_blobs(n=60), checkpoint_path=ckdir
+        )
+        model = BUBBLE(EuclideanDistance(), max_nodes=30, seed=5, n_shards=2)
+        with pytest.raises(CheckpointError, match="max_nodes"):
+            model.fit(make_blobs(n=60), resume_from=ckdir)
+
+    def test_resume_may_change_execution_knobs(self, tmp_path):
+        points = make_blobs(n=90)
+        ckdir = tmp_path / "ck"
+        clean = BUBBLE(EuclideanDistance(), max_nodes=12, seed=5, n_shards=2).fit(
+            points, checkpoint_path=ckdir, checkpoint_every=10
+        )
+        resumed = BUBBLE(
+            EuclideanDistance(), max_nodes=12, seed=5, n_jobs=2,
+            max_shard_retries=0, shard_retry_backoff=1.0,
+        ).fit(points, resume_from=ckdir)
+        assert tree_signature(clean.tree_) == tree_signature(resumed.tree_)
+
     def test_sequential_file_rejected_as_sharded_resume(self, tmp_path):
         from repro.exceptions import CheckpointError
 
