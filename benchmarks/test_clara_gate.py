@@ -1,38 +1,45 @@
-"""Regression gate for the CLARA sampled global phase.
+"""Gate for the CLARA sampled global phase.
 
-Re-runs the exact-vs-sampled comparison (same Figure 4–6 workloads, seeds,
-and node budgets as the committed ``BENCH_clara.json``) and asserts the
-sampled phase's contract:
+Each Figure 4–6 cell workload is scanned with a generous node budget, so
+the scan leaves the several hundred leaf clustroids the sampled phase
+targets (the paper's tiny budgets consolidate to ~k clustroids, where
+every "subsample" is the whole set). Three legs run over byte-identical
+trees: the exact sequential CLARANS reference, CLARA on two workers, and
+CLARA again on one worker. The gate asserts:
 
 * **economy** — at equal ``k`` the sampled phase spends strictly fewer
-  global-phase distance calls than the exact sequential CLARANS reference
-  on every workload;
+  global-phase distance calls than the exact reference on every workload;
 * **quality** — full-dataset distortion under the sampled medoids stays
   within 5% of the exact reference's (it may also beat it: five restarts
   over five subsamples escape local optima the single exact search falls
   into);
 * **determinism** — the CLARA legs at ``n_jobs=2`` and ``n_jobs=1``
-  produce bit-identical medoids and costs, so worker count is provably
-  irrelevant to the result;
-* **conservation** — the per-site ledger keeps partitioning each leg's
-  total NCD exactly, sample re-booking included;
-* **baseline** — global-phase NCD stays within tolerance of the committed
-  ``BENCH_clara.json``, so search-cost drift fails CI instead of landing;
+  produce bit-identical medoids, costs and NCD;
+* **conservation** — the per-site ledger partitions each leg's total NCD
+  exactly, and ``global-sample`` is exactly what the workers reported;
+* **baseline** — global-phase NCD stays within 2% of the pinned values;
 * **speedup** — on >= 4 usable CPUs, the parallel sampled phase beats the
-  exact sequential one on wall-clock (a single-core box runs every other
-  check and records its honest numbers).
+  exact sequential one on wall-clock.
+
+The pinned constants are the baseline. After an intentional change that
+moves them, update them and say why in CHANGES.md.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import time
+from dataclasses import replace
 
 import pytest
 
-from benchmarks.harness import CLARA_OUTPUT, run_clara_benchmark, usable_cpus
+from benchmarks.workloads import TREE_PARAMS, cell_workloads, usable_cpus
+from repro.core.preclusterer import BUBBLE
+from repro.evaluation.metrics import distortion
+from repro.metrics import EuclideanDistance
+from repro.observability import Tracer
+from repro.pipelines.labeling import nearest_assignment
 
-#: Relative tolerance vs the committed baseline's global-phase NCD.
+#: Relative tolerance vs the pinned global-phase NCD.
 TOLERANCE = 0.02
 
 #: Allowed relative excess of CLARA's distortion over exact CLARANS's.
@@ -41,80 +48,128 @@ DISTORTION_TOLERANCE = 0.05
 #: The acceptance bar for parallel-sampled vs exact-sequential wall time.
 MIN_SPEEDUP = 1.5
 
+#: Subsamples per CLARA leg (the classic recommendation).
+CLARA_SAMPLES = 5
+
+#: Node budget per workload, tuned to leave several hundred clustroids.
+MAX_NODES = {"fig4_cells": 100, "fig5_cells": 110, "fig6_cells": 100}
+
+#: workload -> (exact global NCD, sampled global NCD).
+PINNED = {
+    "fig4_cells": (11_697_664, 4_803_970),
+    "fig5_cells": (13_391_736, 4_654_410),
+    "fig6_cells": (3_627_809, 906_425),
+}
+
+#: Tracer sites charged by each kind of global phase.
+GLOBAL_SITES = {"clarans": ("global-phase",), "clara": ("global-sample", "global-assign")}
+
+
+def _leg(workload, ds, method, n_jobs):
+    """One traced scan + global phase + labeling.
+
+    The scan always runs sequentially so every leg owns a byte-identical
+    tree; only the sampled searches fan out (``model.config`` is rebound
+    with the leg's ``n_jobs`` after the fit, before the global phase).
+    """
+    objects = list(ds.points)
+    metric = EuclideanDistance()
+    tracer = Tracer()
+    with tracer:
+        model = BUBBLE(
+            metric, max_nodes=MAX_NODES[workload.name], seed=0, tracer=tracer,
+            **TREE_PARAMS,
+        ).fit(objects)
+        model.config = replace(model.config, n_jobs=n_jobs)
+        start = time.perf_counter()
+        search = model.global_phase(
+            workload.n_clusters, method=method, global_samples=CLARA_SAMPLES, seed=0
+        )
+        global_seconds = time.perf_counter() - start
+        with tracer.span("redistribute"):
+            labels = nearest_assignment(metric, objects, search.medoids_)
+    tracer.close()
+    summary = tracer.summary()
+    return {
+        "ncd_total": summary["ncd_total"],
+        "ncd_by_site": summary["ncd_by_site"],
+        "ncd_global": sum(
+            summary["ncd_by_site"].get(s, 0) for s in GLOBAL_SITES[method]
+        ),
+        "global_seconds": global_seconds,
+        "medoid_indices": list(search.medoid_indices_),
+        "search_cost": float(search.cost_),
+        "samples": model.global_phase_samples_,
+        "distortion": distortion(ds.points, labels),
+    }
+
 
 @pytest.fixture(scope="module")
-def clara_doc(tmp_path_factory):
-    out = tmp_path_factory.mktemp("clara") / "BENCH_clara.json"
-    return run_clara_benchmark(scale="smoke", output=out, n_jobs=2, verbose=False)
+def legs():
+    """workload name -> {"exact", "clara", "clara_repeat"} leg records."""
+    out = {}
+    for workload in cell_workloads("smoke"):
+        ds = workload.dataset()
+        out[workload.name] = {
+            "exact": _leg(workload, ds, "clarans", 1),
+            "clara": _leg(workload, ds, "clara", 2),
+            "clara_repeat": _leg(workload, ds, "clara", 1),
+        }
+    assert out.keys() == PINNED.keys()
+    return out
 
 
-@pytest.fixture(scope="module")
-def baseline_doc():
-    if not CLARA_OUTPUT.exists():
-        pytest.skip("no committed BENCH_clara.json baseline")
-    return json.loads(Path(CLARA_OUTPUT).read_text(encoding="utf-8"))
-
-
-def test_sampled_ncd_below_exact(clara_doc):
-    for record in clara_doc["records"]:
-        name = record["workload"]["name"]
-        assert record["ncd_global_sampled"] < record["ncd_global_exact"], (
-            f"{name}: sampled global phase spent "
-            f"{record['ncd_global_sampled']} calls vs exact "
-            f"{record['ncd_global_exact']} — sampling must be cheaper at equal k"
+def test_sampled_ncd_below_exact(legs):
+    for name, leg in legs.items():
+        sampled, exact = leg["clara"]["ncd_global"], leg["exact"]["ncd_global"]
+        assert sampled < exact, (
+            f"{name}: sampled global phase spent {sampled} calls vs exact "
+            f"{exact} — sampling must be cheaper at equal k"
         )
 
 
-def test_distortion_within_tolerance_of_exact(clara_doc):
-    for record in clara_doc["records"]:
-        name = record["workload"]["name"]
-        assert record["distortion_ratio"] <= 1.0 + DISTORTION_TOLERANCE, (
-            f"{name}: CLARA distortion is {record['distortion_ratio']:.3f}x "
-            f"the exact reference (bar: {1.0 + DISTORTION_TOLERANCE:.2f}x)"
+def test_distortion_within_tolerance_of_exact(legs):
+    for name, leg in legs.items():
+        ratio = leg["clara"]["distortion"] / leg["exact"]["distortion"]
+        assert ratio <= 1.0 + DISTORTION_TOLERANCE, (
+            f"{name}: CLARA distortion is {ratio:.3f}x the exact reference "
+            f"(bar: {1.0 + DISTORTION_TOLERANCE:.2f}x)"
         )
 
 
-def test_sampled_phase_is_deterministic_across_n_jobs(clara_doc):
-    for record in clara_doc["records"]:
-        name = record["workload"]["name"]
-        assert record["deterministic"], (
-            f"{name}: CLARA at n_jobs=2 and n_jobs=1 disagree: "
-            f"{record['clara']['medoid_indices']} vs "
-            f"{record['clara_repeat']['medoid_indices']}"
+def test_sampled_phase_is_deterministic_across_n_jobs(legs):
+    for name, leg in legs.items():
+        clara, repeat = leg["clara"], leg["clara_repeat"]
+        assert clara["medoid_indices"] == repeat["medoid_indices"], (
+            f"{name}: CLARA at n_jobs=2 and n_jobs=1 disagree"
         )
-        assert record["clara"]["ncd_total"] == record["clara_repeat"]["ncd_total"]
+        assert clara["search_cost"] == repeat["search_cost"], name
+        assert clara["ncd_total"] == repeat["ncd_total"], name
 
 
-def test_conservation_law_holds_per_leg(clara_doc):
-    for record in clara_doc["records"]:
-        for leg_name in ("exact", "clara", "clara_repeat"):
-            leg = record[leg_name]
-            assert sum(leg["ncd_by_site"].values()) == leg["ncd_total"], (
-                f"{record['workload']['name']}/{leg_name}"
+def test_conservation_law_holds_per_leg(legs):
+    for name, leg in legs.items():
+        for leg_name, record in leg.items():
+            assert sum(record["ncd_by_site"].values()) == record["ncd_total"], (
+                f"{name}/{leg_name}"
             )
 
 
-def test_sample_accounting_sums_to_site(clara_doc):
+def test_sample_accounting_sums_to_site(legs):
     # The global-sample site must be exactly the sum of what the workers
     # reported home — re-booking may not invent or drop calls.
-    for record in clara_doc["records"]:
-        leg = record["clara"]
-        booked = leg["ncd_by_site"].get("global-sample", 0)
-        reported = sum(s["n_calls"] for s in leg["samples"])
-        assert booked == reported, record["workload"]["name"]
+    for name, leg in legs.items():
+        clara = leg["clara"]
+        booked = clara["ncd_by_site"].get("global-sample", 0)
+        assert booked == sum(s["n_calls"] for s in clara["samples"]), name
 
 
-def test_within_tolerance_of_committed_baseline(clara_doc, baseline_doc):
-    assert baseline_doc["format"] == clara_doc["format"]
-    fresh = {r["workload"]["name"]: r for r in clara_doc["records"]}
-    for want in baseline_doc["records"]:
-        name = want["workload"]["name"]
-        got = fresh[name]
-        assert got["workload"] == want["workload"]
-        for column in ("ncd_global_exact", "ncd_global_sampled"):
-            assert got[column] == pytest.approx(want[column], rel=TOLERANCE), (
-                f"{name}: {column} drifted: {got[column]} vs committed "
-                f"baseline {want[column]}"
+def test_global_ncd_within_tolerance_of_pins(legs):
+    for name, leg in legs.items():
+        for side, want in zip(("exact", "clara"), PINNED[name]):
+            got = leg[side]["ncd_global"]
+            assert got == pytest.approx(want, rel=TOLERANCE), (
+                f"{name}: {side} global NCD drifted: {got} vs pinned {want}"
             )
 
 
@@ -122,17 +177,13 @@ def test_within_tolerance_of_committed_baseline(clara_doc, baseline_doc):
     usable_cpus() < 4,
     reason="speedup gate needs >= 4 usable CPUs; this machine has fewer",
 )
-def test_parallel_sampled_beats_exact_wall(tmp_path):
-    doc = run_clara_benchmark(
-        scale="smoke", output=tmp_path / "BENCH_clara_4.json", n_jobs=4,
-        verbose=False,
-    )
-    for record in doc["records"]:
-        name = record["workload"]["name"]
-        exact = record["exact"]["global_seconds"]
-        sampled = record["clara"]["global_seconds"]
+def test_parallel_sampled_beats_exact_wall():
+    for workload in cell_workloads("smoke"):
+        ds = workload.dataset()
+        exact = _leg(workload, ds, "clarans", 1)["global_seconds"]
+        sampled = _leg(workload, ds, "clara", 4)["global_seconds"]
         assert sampled > 0
         assert exact / sampled >= MIN_SPEEDUP, (
-            f"{name}: parallel sampled phase took {sampled:.2f}s vs exact "
-            f"{exact:.2f}s ({exact / sampled:.2f}x, bar {MIN_SPEEDUP}x)"
+            f"{workload.name}: parallel sampled phase took {sampled:.2f}s vs "
+            f"exact {exact:.2f}s ({exact / sampled:.2f}x, bar {MIN_SPEEDUP}x)"
         )

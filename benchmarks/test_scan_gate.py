@@ -1,0 +1,175 @@
+"""Gate for the BUBBLE / BUBBLE-FM scan: pruned routing and slab memory.
+
+Each Figure 4–6 cell workload is scanned at smoke scale by both
+algorithms twice, with identical data, seeds and tree parameters: once at
+default settings (pruned routing on) and once with ``prune=False``. The
+default scan feeds both sets of checks.
+
+Pruning:
+
+* pruning never issues more distance calls than the exhaustive scan, in
+  total and at every attributed site;
+* the routing sites (``leaf-d0``, ``nonleaf-d2``) both save >= 25% on at
+  least one workload;
+* both scans end with the same number of sub-clusters (the equivalence
+  tests pin full tree identity);
+* the pruning counters add up.
+
+Memory:
+
+* the slab layout costs at least 30% fewer bytes per leaf than the
+  two-lists-of-boxed-floats layout it replaced;
+* every default tree audits clean, with the pinned sub-cluster count.
+
+Both: NCD totals stay within 2% of the pinned values, and the per-site
+ledger partitions each scan's total exactly.
+
+The pinned constants are the baseline. After an intentional change that
+moves them, update them and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+from typing import Any, NamedTuple
+
+import pytest
+
+from benchmarks.workloads import TREE_PARAMS, cell_workloads
+from repro.analysis.audit import audit_tree
+from repro.core.preclusterer import BUBBLE, BUBBLEFM
+from repro.metrics import EuclideanDistance
+from repro.observability import Tracer
+
+#: Relative tolerance vs the pinned NCD totals.
+TOLERANCE = 0.02
+
+#: At least one workload must save this much at both routing sites.
+MIN_SITE_REDUCTION = 0.25
+
+#: Slab bytes/leaf <= (1 - this) * legacy bytes/leaf.
+MIN_BYTES_REDUCTION = 0.30
+
+#: (workload, algorithm) -> (exhaustive NCD, pruned NCD, sub-clusters).
+PINNED = {
+    ("fig4_cells", "bubble"): (110_571, 58_344, 60),
+    ("fig4_cells", "bubble-fm"): (150_714, 136_859, 55),
+    ("fig5_cells", "bubble"): (121_280, 64_565, 63),
+    ("fig5_cells", "bubble-fm"): (149_835, 134_498, 60),
+    ("fig6_cells", "bubble"): (62_198, 38_651, 18),
+    ("fig6_cells", "bubble-fm"): (79_145, 59_500, 18),
+}
+
+ALGORITHMS = {
+    "bubble": (BUBBLE, {}),
+    "bubble-fm": (BUBBLEFM, {"image_dim": 20}),
+}
+
+
+class Scan(NamedTuple):
+    model: Any
+    summary: dict
+
+
+def _scan(algorithm, objects, max_nodes, prune):
+    """One traced scan: the fitted model and its tracer summary."""
+    cls, options = ALGORITHMS[algorithm]
+    tracer = Tracer()
+    with tracer:
+        model = cls(
+            EuclideanDistance(), max_nodes=max_nodes, seed=0, tracer=tracer,
+            prune=prune, **options, **TREE_PARAMS,
+        ).fit(objects)
+    tracer.close()
+    return Scan(model, tracer.summary())
+
+
+@pytest.fixture(scope="module")
+def scans():
+    """(workload, algorithm) -> {"pruned": Scan, "exhaustive": Scan}."""
+    out = {}
+    for workload in cell_workloads("smoke"):
+        objects = list(workload.dataset().points)
+        for algorithm in ALGORITHMS:
+            out[workload.name, algorithm] = {
+                side: _scan(algorithm, objects, workload.max_nodes, prune)
+                for side, prune in (("pruned", True), ("exhaustive", False))
+            }
+    assert out.keys() == PINNED.keys()
+    return out
+
+
+def _site_reduction(legs, site):
+    before = legs["exhaustive"].summary["ncd_by_site"].get(site, 0)
+    after = legs["pruned"].summary["ncd_by_site"].get(site, 0)
+    return 1.0 - after / before if before else 0.0
+
+
+def test_pruned_never_exceeds_exhaustive(scans):
+    for key, legs in scans.items():
+        exhaustive, pruned = legs["exhaustive"].summary, legs["pruned"].summary
+        assert pruned["ncd_total"] <= exhaustive["ncd_total"], key
+        for site, after in pruned["ncd_by_site"].items():
+            before = exhaustive["ncd_by_site"].get(site, 0)
+            assert after <= before, f"{key}: site {site} regressed"
+
+
+def test_routing_sites_meet_reduction_bar(scans):
+    meets = [
+        key
+        for key, legs in scans.items()
+        if _site_reduction(legs, "leaf-d0") >= MIN_SITE_REDUCTION
+        and _site_reduction(legs, "nonleaf-d2") >= MIN_SITE_REDUCTION
+    ]
+    assert meets, "no workload reaches 25% reduction at both routing sites"
+
+
+def test_trees_unchanged_by_pruning(scans):
+    for key, legs in scans.items():
+        pruned, exhaustive = legs["pruned"].model, legs["exhaustive"].model
+        assert pruned.n_subclusters_ == exhaustive.n_subclusters_, key
+
+
+def test_pruning_counters_consistent(scans):
+    for key, legs in scans.items():
+        stats = legs["pruned"].model.tree_.policy.pruning_stats.as_dict()
+        assert (
+            stats["candidates_evaluated"] + stats["candidates_pruned"]
+            == stats["candidates_total"]
+        ), key
+        assert stats["queries"] > 0, key
+
+
+def test_conservation_law_holds(scans):
+    for key, legs in scans.items():
+        for side, (_, summary) in legs.items():
+            assert sum(summary["ncd_by_site"].values()) == summary["ncd_total"], (
+                key, side,
+            )
+
+
+def test_ncd_within_tolerance_of_pins(scans):
+    for key, legs in scans.items():
+        want_exhaustive, want_pruned, _ = PINNED[key]
+        for side, want in (("exhaustive", want_exhaustive), ("pruned", want_pruned)):
+            got = legs[side].summary["ncd_total"]
+            assert got == pytest.approx(want, rel=TOLERANCE), (
+                f"{key} {side} NCD drifted: {got} vs pinned {want}"
+            )
+
+
+def test_slab_meets_bytes_reduction_bar(scans):
+    for key, legs in scans.items():
+        slab = legs["pruned"].model.tree_.policy.arena.snapshot()
+        assert slab["rows_used"] > 0, key
+        assert slab["bytes_per_leaf"] <= (1.0 - MIN_BYTES_REDUCTION) * slab[
+            "legacy_bytes_per_leaf"
+        ], f"{key}: slab layout saves < {MIN_BYTES_REDUCTION:.0%} per leaf"
+        assert slab["bytes_reduction"] >= MIN_BYTES_REDUCTION, key
+
+
+def test_default_trees_audit_clean_with_pinned_size(scans):
+    for key, legs in scans.items():
+        model = legs["pruned"].model
+        report = audit_tree(model.tree_, raise_on_error=False)
+        assert report.errors == [], f"{key}: {report.format()}"
+        assert model.n_subclusters_ == PINNED[key][2], key

@@ -54,10 +54,10 @@ reusable index structure, not part of the clustering decision procedure,
 and charging them would double-count work the exhaustive algorithm never
 performs either. The maintenance volume is tracked honestly in
 :class:`PruningStats` (``maintenance_evals``) and surfaced by the stats
-snapshot and the benchmark harness. This module is on the reprolint RPL001
-allowlist for exactly these reads; every *routing* evaluation goes through
-the counted public API under the same call site (``leaf-d0`` /
-``nonleaf-d2``) as the exhaustive path.
+snapshot. This module is on the reprolint RPL001 allowlist for exactly
+these reads; every *routing* evaluation goes through the counted public
+API under the same call site (``leaf-d0`` / ``nonleaf-d2``) as the
+exhaustive path.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 The CF*-tree, the distance function, the cache, and the tracer each hold a
 piece of the run's story; :class:`StatsSnapshot` collects them into a
-single JSON-compatible record — what ``repro stats <checkpoint>`` prints
-and what the benchmark harness embeds per experiment.
+single JSON-compatible record — what ``repro stats <checkpoint>`` prints.
 """
 
 from __future__ import annotations
@@ -180,7 +179,7 @@ class StatsSnapshot:
         self.query["bound_cache"] = index.bound_cache.as_dict()
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible dict (what the harness and sinks embed)."""
+        """JSON-compatible dict (what ``repro stats --json`` prints)."""
         return {
             "n_objects": self.n_objects,
             "n_nodes": self.n_nodes,

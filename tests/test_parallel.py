@@ -9,18 +9,24 @@ chooses the executor.
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.preclusterer import BUBBLE
+from repro.datasets.vector import make_cell_dataset
+from repro.evaluation.metrics import clustroid_quality, distortion
 from repro.exceptions import (
     EmptyDatasetError,
     MetricBudgetExceededError,
     ParameterError,
 )
 from repro.metrics import CachedDistance, EditDistance, EuclideanDistance
+from repro.experiments.config import paper_max_nodes
 from repro.observability import Tracer
 from repro.parallel import (
     global_index,
@@ -30,6 +36,7 @@ from repro.parallel import (
     shard_objects,
 )
 from repro.parallel.matrix import _band_bounds
+from repro.pipelines.cluster import cluster_dataset
 from repro.robustness import FlakyMetric, GuardedMetric
 
 __all__: list[str] = []
@@ -51,6 +58,11 @@ def tree_signature(tree):
 
     walk(tree.root)
     return sig
+
+
+def tree_fingerprint(tree) -> str:
+    """SHA-256 of :func:`tree_signature`: equal iff trees are byte-identical."""
+    return hashlib.sha256(repr(tree_signature(tree)).encode("utf-8")).hexdigest()
 
 
 def make_blobs(n=200, seed=3, n_centers=5, dim=2):
@@ -465,3 +477,123 @@ class TestGlobalQuarantine:
             model.fit(points, on_error="quarantine", max_quarantine=3)
         assert len(model.quarantine_) == 4
         assert model.ingest_report_ is not None
+
+
+#: CPUs this process may actually schedule on (affinity-aware).
+USABLE_CPUS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+class TestFig4ShardedBaseline:
+    """The Figure 4 smoke workload (1,500 cell points, 50 clusters), built
+    end to end once sequentially and twice as ``SHARDS`` merged shards on
+    two workers. ``SHARDS`` is fixed independently of ``n_jobs``, so the
+    merged tree and its NCD are the same for any worker count.
+
+    The pinned constants are the baseline. After an intentional change that
+    moves them, update them and say why in CHANGES.md.
+    """
+
+    SHARDS = 4
+
+    #: Relative tolerance vs the pinned NCD totals.
+    TOLERANCE = 0.02
+
+    #: Allowed relative drift of the sharded build's quality metrics vs the
+    #: sequential build (the shards grow their thresholds on partial views;
+    #: Section 4.2.2 bounds the effect, it does not zero it).
+    QUALITY_TOLERANCE = 0.25
+
+    #: The acceptance bar for the scan speedup on four workers.
+    MIN_SPEEDUP = 1.5
+
+    #: (NCD total, tree fingerprint) per build.
+    SEQUENTIAL = (135_114, "f2e256c39fa08af8d19a146837953000d58ac8ce263681c0b33f20ad5b82a5ca")
+    PARALLEL = (172_474, "faf759f5317c97032951422b8fb735d7480a90fdfe4ad039fbfbad132a426d8f")
+
+    @classmethod
+    def build(cls, ds, n_jobs):
+        """One traced ``cluster_dataset`` run; returns (result, summary)."""
+        tracer = Tracer()
+        with tracer:
+            result = cluster_dataset(
+                list(ds.points), EuclideanDistance(), n_clusters=50,
+                max_nodes=paper_max_nodes(50), seed=0, assign=True, tracer=tracer,
+                n_jobs=n_jobs, n_shards=cls.SHARDS if n_jobs > 1 else None,
+            )
+        tracer.close()
+        return result, tracer.summary()
+
+    @pytest.fixture(scope="class")
+    def fig4(self):
+        ds = make_cell_dataset(dim=20, n_clusters=50, n_points=1500, seed=50)
+        runs = {
+            name: self.build(ds, jobs)
+            for name, jobs in (("sequential", 1), ("parallel", 2), ("repeat", 2))
+        }
+        return ds, runs
+
+    def test_tree_fingerprints_match_pins(self, fig4):
+        _, runs = fig4
+        fingerprints = {
+            name: tree_fingerprint(result.model.tree_)
+            for name, (result, _summary) in runs.items()
+        }
+        assert fingerprints["sequential"] == self.SEQUENTIAL[1]
+        assert fingerprints["parallel"] == self.PARALLEL[1]
+        assert fingerprints["repeat"] == fingerprints["parallel"], (
+            "two parallel runs produced different merged trees"
+        )
+
+    def test_ncd_within_tolerance_of_pins(self, fig4):
+        _, runs = fig4
+        ncd = {name: summary["ncd_total"] for name, (_result, summary) in runs.items()}
+        for name, (want, _) in (
+            ("sequential", self.SEQUENTIAL), ("parallel", self.PARALLEL)
+        ):
+            assert ncd[name] == pytest.approx(want, rel=self.TOLERANCE), (
+                f"{name} NCD drifted: {ncd[name]} vs pinned {want}"
+            )
+        # NCD is part of the determinism contract, not just the tree shape.
+        assert ncd["repeat"] == ncd["parallel"]
+
+    def test_merged_tree_is_audit_clean(self, fig4, audit):
+        _, runs = fig4
+        assert not audit(runs["parallel"][0].model.tree_).errors
+
+    def test_conservation_law_holds_across_shards(self, fig4):
+        _, runs = fig4
+        for name in ("sequential", "parallel"):
+            _result, summary = runs[name]
+            assert sum(summary["ncd_by_site"].values()) == summary["ncd_total"], name
+
+    def test_shards_partition_the_input(self, fig4):
+        ds, runs = fig4
+        shards = runs["parallel"][0].model.shard_summaries_
+        assert len(shards) == self.SHARDS
+        assert sum(shard["n_objects"] for shard in shards) == len(ds.points)
+
+    def test_quality_within_tolerance_of_sequential(self, fig4):
+        ds, runs = fig4
+        seq, par = runs["sequential"][0], runs["parallel"][0]
+        for key, measure in (
+            ("clustroid_quality", lambda r: clustroid_quality(ds.centers, r.centers)),
+            ("distortion", lambda r: distortion(ds.points, r.labels)),
+        ):
+            assert measure(par) == pytest.approx(
+                measure(seq), rel=self.QUALITY_TOLERANCE
+            ), f"sharded build's {key} drifted from sequential"
+
+    @pytest.mark.skipif(
+        USABLE_CPUS < 4,
+        reason=f"speedup gate needs >= 4 usable CPUs; this machine has {USABLE_CPUS}",
+    )
+    def test_speedup_on_four_workers(self, fig4):
+        ds, runs = fig4
+        sequential = runs["sequential"][0].scan_seconds
+        parallel = self.build(ds, 4)[0].scan_seconds
+        assert sequential / parallel >= self.MIN_SPEEDUP, (
+            f"scan speedup {sequential / parallel:.2f}x on {USABLE_CPUS} CPUs "
+            f"is below the {self.MIN_SPEEDUP}x bar"
+        )
