@@ -13,17 +13,20 @@ This module provides:
 * :class:`RelativeEditDistance` — length-normalized edit distance as used by
   the RED comparator of French, Powell and Schulman.
 
-All DP loops are two-row and support an optional ``upper_bound`` early exit:
-once every entry of the current row exceeds the bound the true distance
-cannot come back below it, so the caller-supplied bound is returned instead.
+:func:`edit_distance` is the general two-row DP (any operation costs).
+With an ``upper_bound`` it caps the result at the bound, and it stops early
+once every entry of the current row exceeds it.
 
-Batched gathers (the ``one_to_many`` row a tree descent or an index query
-issues) run the unit-cost Levenshtein DP over a whole block of targets at
-once (:func:`levenshtein_block`): targets are padded into one code-point
-matrix and each query character advances every target's DP row with a few
-vectorized numpy operations, replacing ``len(objects)`` scalar DP loops
-with one ``O(len(query))``-step block recurrence. Results and counted-call
-accounting are bit-identical to the scalar loop.
+The unit-cost metrics (:class:`EditDistance`, :class:`RelativeEditDistance`)
+run one exact kernel instead: Myers' bit-parallel algorithm (J. ACM 46(3),
+1999) in Hyyrö's Levenshtein form. A query's per-character match masks are
+built once; each target character then advances a whole DP column with a
+fixed number of word operations on Python ints, so there is no 64-character
+limit. :func:`levenshtein_block` is the one row function: masks once, the
+kernel per target. ``EditDistance``'s ``one_to_many`` runs it, ``pairwise``
+fills the upper triangle one row at a time, and ``cross`` stacks rows. The
+integer distances equal the scalar DP's; counting stays in the public
+wrappers, so counted calls are unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.metrics.base import DistanceFunction
 __all__ = [
     "edit_distance",
     "damerau_levenshtein",
+    "levenshtein",
     "levenshtein_block",
     "EditDistance",
     "WeightedEditDistance",
@@ -67,15 +71,16 @@ def edit_distance(
         to be symmetric (and hence a metric); :class:`WeightedEditDistance`
         enforces this.
     upper_bound:
-        If given, the computation stops as soon as the distance provably
-        exceeds it and returns ``upper_bound`` itself. Useful when the caller
-        only needs to know whether two strings are within a threshold.
+        If given, the result is capped at it: ``min(distance, upper_bound)``,
+        whatever the argument order. The computation stops as soon as the
+        distance provably exceeds the bound. Useful when the caller only
+        needs to know whether two strings are within a threshold.
 
     Returns
     -------
     float
-        The minimum total cost of transforming ``a`` into ``b``. Integral
-        for unit costs.
+        The minimum total cost of transforming ``a`` into ``b`` (capped at
+        ``upper_bound`` if given). Integral for unit costs.
     """
     if a == b:
         return 0.0
@@ -86,7 +91,6 @@ def edit_distance(
     if lb == 0:
         total = la * delete_cost
         return min(total, upper_bound) if upper_bound is not None else total
-    # Ensure the inner loop runs over the longer string for fewer row swaps.
     prev = [j * insert_cost for j in range(lb + 1)]
     curr = [0.0] * (lb + 1)
     for i in range(1, la + 1):
@@ -108,7 +112,8 @@ def edit_distance(
         if upper_bound is not None and row_min > upper_bound:
             return float(upper_bound)
         prev, curr = curr, prev
-    return float(prev[lb])
+    total = prev[lb]
+    return float(min(total, upper_bound) if upper_bound is not None else total)
 
 
 def damerau_levenshtein(a: str, b: str) -> float:
@@ -141,59 +146,67 @@ def damerau_levenshtein(a: str, b: str) -> float:
     return float(prev[lb])
 
 
-#: Pad sentinel for the block DP's code-point matrix: not a valid Unicode
-#: code point, so it never equals a query character and padded columns keep
-#: accumulating cost — they can never leak into a real column's minimum at
-#: or before the target's true length.
-_PAD = np.uint32(0xFFFFFFFF)
+def _match_masks(query: str) -> dict[str, int]:
+    """Per-character match masks of ``query``: bit ``i`` of ``masks[c]`` is
+    set iff ``query[i] == c``. Built once per query, shared by every target."""
+    masks: dict[str, int] = {}
+    bit = 1
+    for c in query:
+        masks[c] = masks.get(c, 0) | bit
+        bit <<= 1
+    return masks
 
 
-def _codes(s: str) -> np.ndarray:
-    """Unicode code points of ``s`` as a uint32 vector."""
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
+def _myers(masks: dict[str, int], m: int, target: str) -> int:
+    """Unit-cost Levenshtein distance from a length-``m`` query to ``target``.
+
+    Myers' bit-vector recurrence in Hyyrö's global-distance form: one DP
+    column of the query is held as vertical +1/-1 delta bit-vectors
+    (``pv``/``mv``) and each target character advances the whole column
+    with a fixed number of word operations; ``score`` tracks the bottom
+    cell. Python ints make the vectors as wide as the query, so there is
+    no length limit and the result is exact.
+    """
+    if m == 0:
+        return len(target)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    get = masks.get
+    for c in target:
+        eq = get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 of the DP is 0, 1, 2, ...: every column enters with a +1.
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Unit-cost Levenshtein distance, computed bit-parallel (exact)."""
+    return _myers(_match_masks(a), len(a), b)
 
 
 def levenshtein_block(query: str, targets: Sequence[str]) -> np.ndarray:
     """Unit-cost Levenshtein distances from ``query`` to every target.
 
-    One vectorized DP over a padded code-point matrix: for each query
-    character the whole block's DP row advances with a handful of numpy
-    operations (substitution/deletion elementwise, then the insertion
-    running minimum via ``np.minimum.accumulate`` on cost-minus-column,
-    the standard trick that turns the left-to-right dependency into an
-    associative prefix scan). Exact — integral distances, bit-identical
-    to :func:`edit_distance` per pair.
+    The query's match masks are built once and the bit-parallel kernel
+    runs per target: ``O(ceil(len(query) / w) * len(target))`` operations
+    on ``w``-bit words per pair. Exact — integral distances, equal to
+    :func:`edit_distance` per pair.
     """
-    n = len(targets)
-    out = np.empty(n, dtype=np.float64)
-    if n == 0:
-        return out
-    q = _codes(query)
-    lens = np.fromiter((len(t) for t in targets), count=n, dtype=np.int64)
-    if len(q) == 0:
-        return lens.astype(np.float64)
-    width = int(lens.max())
-    if width == 0:
-        out[:] = float(len(q))
-        return out
-    block = np.full((n, width), _PAD, dtype=np.uint32)
-    for row, t in enumerate(targets):
-        if t:
-            block[row, : len(t)] = _codes(t)
-    arange = np.arange(width + 1, dtype=np.int64)
-    prev = np.broadcast_to(arange, (n, width + 1)).copy()
-    for i, code in enumerate(q, start=1):
-        sub = prev[:, :-1] + (block != code)
-        dele = prev[:, 1:] + 1
-        stepped = np.minimum(sub, dele)
-        # Insertion closes over the row: curr[j] = min_{j' <= j}
-        # (cand[j'] + (j - j')) with cand[0] = i (the empty-target column).
-        cand = np.concatenate(
-            [np.full((n, 1), i, dtype=np.int64), stepped], axis=1
-        )
-        prev = np.minimum.accumulate(cand - arange, axis=1) + arange
-    out[:] = prev[np.arange(n), lens]
-    return out
+    masks, m = _match_masks(query), len(query)
+    return np.fromiter(
+        (_myers(masks, m, t) for t in targets), dtype=np.float64, count=len(targets)
+    )
 
 
 def _require_str(x: Any) -> str:
@@ -205,11 +218,13 @@ def _require_str(x: Any) -> str:
 class EditDistance(DistanceFunction):
     """Unit-cost Levenshtein distance — the paper's canonical expensive metric.
 
-    Batched gathers (``one_to_many``, and ``cross``/``pairwise`` built on
-    it) use the vectorized block DP of :func:`levenshtein_block` instead of
-    a scalar loop when no ``upper_bound`` early exit is configured; the
-    counted-call accounting is unchanged (the public wrappers charge by
-    batch size before dispatch) and the results are bit-identical.
+    Every hook runs the bit-parallel kernel: ``one_to_many`` is one
+    :func:`levenshtein_block` row, ``pairwise`` fills its upper triangle
+    row by row and mirrors it, and the inherited ``cross`` stacks rows. The
+    public wrappers charge by batch size before dispatch, so counted calls
+    do not depend on the hook. With ``upper_bound`` every distance is
+    capped at it (``min(d, upper_bound)``), which keeps the capped function
+    symmetric.
     """
 
     name = "edit-distance"
@@ -218,17 +233,22 @@ class EditDistance(DistanceFunction):
         super().__init__()
         if upper_bound is not None and upper_bound <= 0:
             raise ParameterError(f"upper_bound must be > 0, got {upper_bound}")
-        self.upper_bound = upper_bound
+        self.upper_bound = None if upper_bound is None else float(upper_bound)
 
     def _distance(self, a: Any, b: Any) -> float:
-        return edit_distance(_require_str(a), _require_str(b), upper_bound=self.upper_bound)
+        d = float(levenshtein(_require_str(a), _require_str(b)))
+        return d if self.upper_bound is None else min(d, self.upper_bound)
 
     def _one_to_many(self, obj: Any, objects: Sequence) -> np.ndarray:
-        if self.upper_bound is not None:
-            # The early-exit contract is per-pair; keep the scalar loop.
-            return super()._one_to_many(obj, objects)
-        query = _require_str(obj)
-        return levenshtein_block(query, [_require_str(t) for t in objects])
+        row = levenshtein_block(_require_str(obj), [_require_str(t) for t in objects])
+        return row if self.upper_bound is None else np.minimum(row, self.upper_bound)
+
+    def _pairwise(self, objects: Sequence) -> np.ndarray:
+        n = len(objects)
+        upper = np.zeros((n, n), dtype=np.float64)
+        for i in range(n - 1):
+            upper[i, i + 1 :] = self._one_to_many(objects[i], objects[i + 1 :])
+        return upper + upper.T
 
 
 class WeightedEditDistance(DistanceFunction):
@@ -294,4 +314,4 @@ class RelativeEditDistance(DistanceFunction):
         longer = max(len(a), len(b))
         if longer == 0:
             return 0.0
-        return edit_distance(a, b) / longer
+        return levenshtein(a, b) / longer

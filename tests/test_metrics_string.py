@@ -1,6 +1,11 @@
 """Unit tests for string metrics: edit distance and variants."""
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import MetricError, ParameterError
 from repro.metrics import (
@@ -10,7 +15,8 @@ from repro.metrics import (
     WeightedEditDistance,
     edit_distance,
 )
-from repro.metrics.string import damerau_levenshtein
+from repro.metrics.string import damerau_levenshtein, levenshtein, levenshtein_block
+from repro.robustness import GuardedMetric
 
 
 class TestEditDistanceFunction:
@@ -44,6 +50,13 @@ class TestEditDistanceFunction:
     def test_upper_bound_on_length_difference(self):
         assert edit_distance("", "abcdef", upper_bound=2) == 2
 
+    @pytest.mark.parametrize("a,b,bound", [("aaaa", "b", 2), ("ab", "aaaaaab", 1)])
+    def test_upper_bound_caps_in_both_argument_orders(self, a, b, bound):
+        # No DP row's minimum exceeds the bound one way round, so only the
+        # final cap keeps the bounded distance symmetric.
+        assert edit_distance(a, b, upper_bound=bound) == bound
+        assert edit_distance(b, a, upper_bound=bound) == bound
+
     def test_weighted_costs(self):
         # Deleting 3 chars at cost 0.5 each.
         assert edit_distance("abcdef", "abc", delete_cost=0.5) == pytest.approx(1.5)
@@ -71,6 +84,13 @@ class TestEditDistanceMetric:
         m = EditDistance()
         out = m.one_to_many("cat", ["cat", "cut", "dog"])
         assert list(out) == [0, 1, 3]
+
+    @pytest.mark.parametrize("a,b,bound", [("aaaa", "b", 2.0), ("ab", "aaaaaab", 1.0)])
+    def test_upper_bound_is_symmetric(self, a, b, bound):
+        m = EditDistance(upper_bound=bound)
+        assert m.distance(a, b) == m.distance(b, a) == bound
+        assert m.one_to_many(a, [b]).tolist() == m.one_to_many(b, [a]).tolist() == [bound]
+        assert m.pairwise([a, b]).tolist() == [[0.0, bound], [bound, 0.0]]
 
 
 class TestWeightedEditDistance:
@@ -121,15 +141,22 @@ class TestRelativeEditDistance:
         for a, b in [("a", "bcdef"), ("xy", "yx"), ("", "abc")]:
             assert 0.0 <= m.distance(a, b) <= 1.0
 
+    def test_equals_scalar_edit_distance_over_longer(self):
+        rng = random.Random(3)
+        m = RelativeEditDistance()
+        for _ in range(200):
+            a, b = (
+                "".join(rng.choice("abcd ") for _ in range(rng.randrange(0, 90)))
+                for _ in range(2)
+            )
+            expected = edit_distance(a, b) / max(len(a), len(b)) if a or b else 0.0
+            assert m.distance(a, b) == expected
+
 
 class TestLevenshteinBlock:
-    """The vectorized block DP must be bit-identical to the scalar loop."""
+    """The bit-parallel row function must equal the scalar DP exactly."""
 
     def test_matches_scalar_on_random_strings(self):
-        import random
-
-        from repro.metrics.string import levenshtein_block
-
         rng = random.Random(7)
         words = [
             "".join(rng.choice("abcde") for _ in range(rng.randrange(0, 10)))
@@ -141,15 +168,11 @@ class TestLevenshteinBlock:
             assert list(got) == [edit_distance(query, w) for w in words]
 
     def test_edge_shapes(self):
-        from repro.metrics.string import levenshtein_block
-
         assert len(levenshtein_block("abc", [])) == 0
         assert list(levenshtein_block("", ["", "ab", "xyz"])) == [0.0, 2.0, 3.0]
         assert list(levenshtein_block("abc", ["", ""])) == [3.0, 3.0]
 
     def test_unicode_and_padding_mix(self):
-        from repro.metrics.string import levenshtein_block
-
         targets = ["", "á", "ábç∂", "😀x", "a" * 40, "ábç∂éf"]
         for query in ["ábç", "😀", "aaaa"]:
             got = levenshtein_block(query, targets)
@@ -176,3 +199,65 @@ class TestLevenshteinBlock:
         assert list(row) == [
             edit_distance("execution", w, upper_bound=2.0) for w in words
         ]
+
+
+#: Strings that stress the kernel: any code point (astral ones included),
+#: a tiny alphabet with heavy repeats, and lengths past one 64-bit word.
+texts = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="ab😀", max_size=150),
+    st.builds(lambda c, n: c * n, st.characters(), st.integers(0, 150)),
+    st.text(alphabet="abcdefgh", min_size=60, max_size=150),
+)
+
+
+class TestBitParallelKernelProperties:
+    """The scalar :func:`edit_distance` DP is the oracle for every hook."""
+
+    @given(a=texts, b=texts)
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_scalar_dp(self, a, b):
+        expected = edit_distance(a, b)
+        assert levenshtein(a, b) == expected
+        assert levenshtein(b, a) == expected
+
+    @given(query=texts, targets=st.lists(texts, max_size=6))
+    @settings(max_examples=75, deadline=None)
+    def test_block_matches_scalar_dp(self, query, targets):
+        got = levenshtein_block(query, targets)
+        assert got.dtype == np.float64
+        assert got.tolist() == [edit_distance(query, t) for t in targets]
+
+    @given(
+        objs=st.lists(texts, max_size=6),
+        others=st.lists(texts, max_size=4),
+        bound=st.sampled_from([None, 1.0, 7.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_hooks_equal_elementwise_distance(self, objs, others, bound):
+        ref = EditDistance(upper_bound=bound)
+        metric = EditDistance(upper_bound=bound)
+        n, k = len(objs), len(others)
+        if n:
+            row = metric.one_to_many(objs[0], objs)
+            assert row.tolist() == [ref.distance(objs[0], o) for o in objs]
+            assert metric.n_calls == n
+        calls = metric.n_calls
+        pair = metric.pairwise(objs)
+        assert metric.n_calls == calls + n * (n - 1) // 2
+        assert pair.tolist() == [[ref.distance(a, b) for b in objs] for a in objs]
+        calls = metric.n_calls
+        cross = metric.cross(objs, others)
+        assert metric.n_calls == calls + n * k
+        assert cross.shape == (n, k)
+        assert cross.tolist() == [[ref.distance(a, b) for b in others] for a in objs]
+
+    @given(objs=st.lists(texts, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_guarded_pairwise_equals_bare(self, objs):
+        # The guard probes the batched ``_pairwise`` hook and validates the
+        # matrix; what it returns must be the bare metric's.
+        n = len(objs)
+        guard = GuardedMetric(EditDistance())
+        assert guard.pairwise(objs).tolist() == EditDistance().pairwise(objs).tolist()
+        assert guard.n_calls == n * (n - 1) // 2
