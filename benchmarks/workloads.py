@@ -7,14 +7,13 @@ compares against constants pinned in its own module.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any
 
 from repro.datasets.vector import make_cell_dataset
 from repro.experiments.config import paper_max_nodes, resolve_scale
 
-__all__ = ["TREE_PARAMS", "CellWorkload", "cell_workloads", "usable_cpus"]
+__all__ = ["TREE_PARAMS", "CellWorkload", "cell_workloads"]
 
 #: Tree parameters shared with the figure experiments (Section 6.1).
 TREE_PARAMS = dict(branching_factor=15, sample_size=75, representation_number=10)
@@ -51,9 +50,3 @@ def cell_workloads(scale: str = "smoke") -> list[CellWorkload]:
         CellWorkload("fig6_cells", max(cfg.sweep_clusters), cfg.fig6_points, 70),
     ]
 
-
-def usable_cpus() -> int:
-    """CPUs this process may actually schedule on (affinity-aware)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1

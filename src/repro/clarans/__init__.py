@@ -7,11 +7,11 @@ objects must fit in memory; cost grows steeply with N), which the
 ablation benchmarks quantify.
 
 :mod:`repro.clarans.clara` adds the CLARA-style sampled variant: multiple
-subsamples searched in parallel across the shard worker pool, candidates
-scored by full-dataset cost, exact CLARANS kept as the quality reference.
+subsamples searched one after another, candidates scored by full-dataset
+cost, exact CLARANS kept as the quality reference.
 """
 
-from repro.clarans.clara import CLARA, SampleResult, SampleTask, run_sample
+from repro.clarans.clara import CLARA
 from repro.clarans.clarans import CLARANS
 
-__all__ = ["CLARANS", "CLARA", "SampleTask", "SampleResult", "run_sample"]
+__all__ = ["CLARANS", "CLARA"]

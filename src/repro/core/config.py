@@ -76,7 +76,7 @@ class BuildConfig:
     #: stream is split into shards, each worker scans its shard with its
     #: own metric copy, and the shard trees' leaf CF*s are merged
     #: deterministically into the model's final tree. Requires a picklable
-    #: metric. Also sizes the worker pool of the ``"clara"`` global phase.
+    #: metric.
     n_jobs: int = 1
     #: Logical shard count of the parallel build — the determinism-bearing
     #: knob: for a fixed ``(seed, n_shards)`` the merged tree is identical

@@ -405,14 +405,13 @@ class PreClusterer:
         global_samples: int = 5,
         global_sample_size: int | None = None,
         seed: Any = None,
-        chaos: Any = None,
     ) -> Any:
         """Run a medoid global phase over the fitted tree's clustroids.
 
         ``method="clarans"`` is the exact sequential search (the quality
         reference); ``"clara"`` draws ``global_samples`` population-weighted
-        subsamples of the clustroids, searches each across this model's
-        worker pool (``n_jobs``), and keeps the candidate with the best
+        subsamples of the clustroids, searches each in turn on this
+        model's metric, and keeps the candidate with the best
         full-clustroid-set weighted cost — see :class:`repro.clarans.CLARA`.
         Sub-cluster populations weight both the draws and the scoring, so
         big leaves count proportionally.
@@ -455,12 +454,8 @@ class PreClusterer:
                 sample_size=global_sample_size,
                 num_local=num_local,
                 max_neighbors=max_neighbors,
-                n_jobs=self.config.n_jobs,
                 seed=seed,
                 tracer=self.tracer,
-                max_retries=self.config.max_shard_retries,
-                retry_backoff=self.config.shard_retry_backoff,
-                chaos=chaos,
             )
             search.fit(clustroids, weights=weights)
             self.global_phase_samples_ = list(search.sample_summaries_)

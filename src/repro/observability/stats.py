@@ -83,12 +83,12 @@ class StatsSnapshot:
     backoff_seconds_total: float = 0.0
     #: Subsamples searched by a CLARA-style sampled global phase.
     global_samples: int = 0
-    #: Worker-side distance calls across those sample searches.
+    #: Distance calls spent inside those sample searches.
     global_sample_ncd: int = 0
-    #: Aggregate worker wall-clock seconds across the sample searches.
+    #: Aggregate wall-clock seconds across the sample searches.
     global_sample_seconds: float = 0.0
     #: Per-sample diagnostics of the sampled global phase (size, NCD,
-    #: wall, costs, attempts), in sample order.
+    #: wall, costs), in sample order.
     global_phase_samples: list[dict] = field(default_factory=list)
 
     @classmethod
@@ -320,7 +320,6 @@ class StatsSnapshot:
                     f"size={s.get('sample_size')} "
                     f"calls={s.get('n_calls')} "
                     f"cost={float(s.get('full_cost', 0.0)):.6g} "
-                    f"wall={float(s.get('elapsed_seconds', 0.0)):.2f}s "
-                    f"attempts={s.get('n_attempts')}"
+                    f"wall={float(s.get('elapsed_seconds', 0.0)):.2f}s"
                 )
         return "\n".join(lines)

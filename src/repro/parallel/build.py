@@ -94,8 +94,8 @@ def rebook_worker_calls(metric: Any, by_site: dict[str, int], n_calls: int) -> N
     innermost open span — ``count_external(0)`` is a no-op, and an
     over-attributed worker (negative residual) raises rather than silently
     skewing ``sum(by_site)`` vs ``n_calls``. This is the one sanctioned
-    absorb path for every parallel phase (sharded build, sampled global
-    phase); call it inside the span the calls belong to.
+    absorb path for the sharded build; call it inside the span the calls
+    belong to.
     """
     attributed = 0
     for site in sorted(by_site):

@@ -23,13 +23,9 @@ structure is what makes recovery possible:
 
 Failures that retrying cannot fix — invalid parameters, the quarantine
 circuit breaker, tree-invariant violations, a global deadline — propagate
-immediately. The supervisor is policy-free about *what* a shard does: it
-runs the ``runner`` callable (default
-:func:`repro.parallel.worker.run_shard`; the sampled global phase passes
-:func:`repro.clarans.clara.run_sample`) over each task and reports
-:class:`SupervisorStats` that the caller folds into its report. A task
-only needs ``shard_id`` and ``attempt`` attributes; the runner must be a
-module-level function so the spawn start method can pickle it.
+immediately. Each attempt runs :func:`repro.parallel.worker.run_shard`
+over its :class:`~repro.parallel.worker.ShardTask`, and the supervisor
+reports :class:`SupervisorStats` that the caller folds into its report.
 """
 
 from __future__ import annotations
@@ -124,15 +120,15 @@ class _LiveWorker:
     started: float
 
 
-def _worker_entry(conn: Any, runner: Callable[[Any], Any], task: Any) -> None:
-    """Spawn target: run the task, send ``("result"|"error", payload)``.
+def _worker_entry(conn: Any, task: Any) -> None:
+    """Spawn target: run the shard, send ``("result"|"error", payload)``.
 
     Module-level so the spawn start method can pickle it. A worker that
     dies before (or while) sending leaves the parent an EOF on ``conn`` —
     that silence *is* the crash signal.
     """
     try:
-        message: tuple[str, Any] = ("result", runner(task))
+        message: tuple[str, Any] = ("result", run_shard(task))
     except BaseException as exc:  # delivered to the parent, not lost
         message = ("error", exc)
     try:
@@ -153,15 +149,7 @@ class ShardSupervisor:
     Parameters
     ----------
     tasks:
-        One task per shard — typically
-        :class:`~repro.parallel.worker.ShardTask`, but any picklable
-        object with mutable ``shard_id``/``attempt`` attributes works
-        (the sampled global phase supervises
-        :class:`~repro.clarans.clara.SampleTask` this way).
-    runner:
-        Module-level function executed over each task (in a worker
-        process, inline, or as the fallback); defaults to
-        :func:`~repro.parallel.worker.run_shard`.
+        One :class:`~repro.parallel.worker.ShardTask` per shard.
     n_jobs:
         Max concurrently live worker processes; ``<= 1`` runs every shard
         inline (same retry semantics, no process boundary).
@@ -201,7 +189,6 @@ class ShardSupervisor:
         tasks: list[Any],
         *,
         n_jobs: int,
-        runner: Callable[[Any], Any] = run_shard,
         max_retries: int = 2,
         backoff: float = 0.25,
         backoff_multiplier: float = 2.0,
@@ -215,7 +202,6 @@ class ShardSupervisor:
         clock: Callable[[], float] = time.monotonic,
     ):
         self.tasks = list(tasks)
-        self.runner = runner
         self.n_jobs = int(n_jobs)
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
@@ -264,7 +250,7 @@ class ShardSupervisor:
     def _complete(
         self, state: _ShardState, result: Any, results: dict[int, Any]
     ) -> None:
-        if getattr(result, "resumed_at", None) is not None:
+        if result.resumed_at is not None:
             self.stats.shards_resumed += 1
         results[state.task.shard_id] = result
         if self.on_result is not None:
@@ -299,7 +285,7 @@ class ShardSupervisor:
         """Graceful degradation: the shard's last stand, in-parent."""
         self.stats.inline_fallbacks += 1
         task = self._prepare(state)
-        self._complete(state, self.runner(task), results)
+        self._complete(state, run_shard(task), results)
 
     # ------------------------------------------------------------------
     # Inline backend (n_jobs <= 1) — same retry semantics, no processes
@@ -311,7 +297,7 @@ class ShardSupervisor:
                 self._check_deadline()
                 task = self._prepare(state)
                 try:
-                    result = self.runner(task)
+                    result = run_shard(task)
                 except _NON_RETRYABLE:
                     raise
                 except Exception as exc:
@@ -367,7 +353,7 @@ class ShardSupervisor:
         task = self._prepare(state)
         recv_conn, send_conn = context.Pipe(duplex=False)
         process = context.Process(
-            target=_worker_entry, args=(send_conn, self.runner, task)
+            target=_worker_entry, args=(send_conn, task)
         )
         process.daemon = True
         process.start()

@@ -123,10 +123,10 @@ def cluster_dataset(
     instead (a domain-specific alternative in the spirit of Section 2's
     "a domain-specific clustering method can further analyze the
     sub-clusters output by our algorithm"); ``"clara"`` is the sampled
-    parallel variant of that search — ``global_samples``
-    population-weighted subsamples of the clustroids searched across the
-    worker pool, best candidate by full-clustroid-set cost (see
-    ``docs/performance.md``, "Sampled global phase").
+    variant of that search — ``global_samples`` population-weighted
+    subsamples of the clustroids searched one after another, best
+    candidate by full-clustroid-set cost (see ``docs/performance.md``,
+    "Sampled global phase").
     ``global_sample_size`` pins the per-subsample size (default
     ``40 + 2k``).
 
@@ -148,11 +148,12 @@ def cluster_dataset(
     becomes a sharded build (see :mod:`repro.parallel`), and under
     ``global_method="hac"`` the clustroid distance matrix is gathered with
     chunked ``cross()`` blocks across the pool before being handed to the
-    hierarchical clusterer. CLARANS keeps its sequential adaptive search —
-    it measures a data-dependent subset of pairs, so precomputing the full
-    matrix would *increase* NCD. Requires a picklable metric. With
-    ``checkpoint_path``/``resume_from`` the sharded build keeps per-shard
-    checkpoints in a directory (see :meth:`PreClusterer.fit`).
+    hierarchical clusterer. CLARANS and CLARA keep their sequential
+    adaptive searches — they measure a data-dependent subset of pairs, so
+    precomputing the full matrix would *increase* NCD. Requires a
+    picklable metric. With ``checkpoint_path``/``resume_from`` the sharded
+    build keeps per-shard checkpoints in a directory (see
+    :meth:`PreClusterer.fit`).
     """
     if algorithm not in _ALGORITHMS:
         raise ParameterError(f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}")

@@ -50,10 +50,10 @@ class IngestReport:
     #: Subsamples searched by a CLARA-style sampled global phase (0 when
     #: the global phase was exact or never ran).
     global_samples: int = 0
-    #: Distance calls spent inside the sample searches (worker-side NCD,
-    #: re-booked on the parent metric under the ``global-sample`` site).
+    #: Distance calls spent inside the sample searches (booked under the
+    #: ``global-sample`` site).
     global_sample_ncd: int = 0
-    #: Aggregate worker wall-clock seconds across the sample searches.
+    #: Aggregate wall-clock seconds across the sample searches.
     global_sample_seconds: float = 0.0
     #: Wall-clock seconds spent scanning (cumulative).
     elapsed_seconds: float = 0.0
