@@ -50,14 +50,18 @@ class _SampleCache:
     """Node-level cache: the concatenation of all entry samples plus the
     segment boundaries, so one batched ``one_to_many`` serves a whole node.
 
+    ``batch`` is ``flat`` as the metric prepared it at refresh time
+    (:meth:`~repro.metrics.base.DistanceFunction.prepare`); gathers pass it,
+    or slices of it, instead of re-stacking ``flat`` on every call.
     ``geometry`` is lazily-built pivot geometry for the pruned routing
     engine (:mod:`repro.core.routing`); ``None`` is always legal."""
 
-    __slots__ = ("flat", "offsets", "geometry")
+    __slots__ = ("flat", "offsets", "batch", "geometry")
 
-    def __init__(self, flat: list, offsets: np.ndarray):
+    def __init__(self, flat: list, offsets: np.ndarray, batch: Any):
         self.flat = flat
         self.offsets = offsets
+        self.batch = batch
         self.geometry = None
 
 
@@ -161,7 +165,7 @@ class BubblePolicy(BirchStarPolicy):
             )
         push_site("nonleaf-d2")
         try:
-            dists = self.metric.one_to_many(obj, cache.flat)
+            dists = self.metric.one_to_many(obj, cache.batch)
         finally:
             pop_site()
         sq = dists**2
@@ -210,7 +214,9 @@ class BubblePolicy(BirchStarPolicy):
                 entry.summary = sample_without_replacement(pool, quota, self._rng)
                 flat.extend(entry.summary)
                 offsets.append(len(flat))
-            node.aux = _SampleCache(flat, np.asarray(offsets, dtype=np.intp))
+            node.aux = _SampleCache(
+                flat, np.asarray(offsets, dtype=np.intp), self.metric.prepare(flat)
+            )
 
     def _sample_pool(self, child: Any) -> list:
         """Objects a non-leaf entry may sample from: the child's clustroids

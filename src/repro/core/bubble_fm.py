@@ -39,7 +39,9 @@ __all__ = ["BubbleFMPolicy"]
 class _FMSampleCache(_SampleCache):
     """Sample cache extended with the node's image space: the fitted
     FastMap, the image vector of every sample, and one image centroid per
-    entry. ``mapper is None`` marks the distance-space fallback."""
+    entry. ``mapper is None`` marks the distance-space fallback, the only
+    case that gathers through ``batch``; image-space caches leave it as
+    ``flat``."""
 
     __slots__ = ("mapper", "centroids", "images")
 
@@ -47,11 +49,12 @@ class _FMSampleCache(_SampleCache):
         self,
         flat: Any,
         offsets: Any,
+        batch: Any,
         mapper: Any,
         centroids: np.ndarray | None,
         images: np.ndarray | None = None,
     ):
-        super().__init__(flat, offsets)
+        super().__init__(flat, offsets, batch)
         self.mapper = mapper
         self.centroids = centroids
         self.images = images
@@ -100,7 +103,7 @@ class BubbleFMPolicy(BubblePolicy):
         if len(flat) <= 2 * self.image_dim:
             # Too few samples for a k-dimensional image space: BUBBLE-FM
             # "measures distances at NL in the distance space, as in BUBBLE".
-            node.aux = _FMSampleCache(flat, offsets, None, None, None)
+            node.aux = _FMSampleCache(flat, offsets, cache.batch, None, None, None)
             return
         mapper = FastMap(
             self.metric, self.image_dim, iterations=self.fm_iterations, seed=self._rng
@@ -115,7 +118,7 @@ class BubbleFMPolicy(BubblePolicy):
         centroids = np.empty((len(node.entries), self.image_dim), dtype=np.float64)
         for i in range(len(node.entries)):
             centroids[i] = images[offsets[i] : offsets[i + 1]].mean(axis=0)
-        node.aux = _FMSampleCache(flat, offsets, mapper, centroids, images)
+        node.aux = _FMSampleCache(flat, offsets, flat, mapper, centroids, images)
 
     def on_node_split(self, old: NonLeafNode, left: NonLeafNode, right: NonLeafNode) -> None:
         """Reuse the split node's image space for both halves.
@@ -159,7 +162,7 @@ class BubbleFMPolicy(BubblePolicy):
             centroids = np.vstack(
                 [images[off[i] : off[i + 1]].mean(axis=0) for i in range(len(half.entries))]
             )
-            half.aux = _FMSampleCache(flat, off, cache.mapper, centroids, images)
+            half.aux = _FMSampleCache(flat, off, flat, cache.mapper, centroids, images)
 
     def nonleaf_distances(self, node: NonLeafNode, obj: Any) -> np.ndarray:
         cache = self._node_cache(node)

@@ -45,6 +45,17 @@ nodes the same argument lifts through the D2 aggregate because the RMS is
 monotone: ``lb_j <= d(q, s_j)`` pointwise (both non-negative) implies
 ``rms(lb) <= rms(d)`` per segment.
 
+Each refinement round reduces every segment's squared bounds at once
+(``np.add.reduceat``), which sums in a different order from the per-entry
+``np.mean`` the measured values use and may differ from it in the last ulp.
+That is harmless for the pruning argument — any order gives a valid bound —
+but it can flip which entry an exact tie picks, or whether a bound that
+equals ``best`` is pruned. So whenever several open entries lie within a
+relative ``1e-9`` of the smallest bound, or that bound lies within ``1e-9``
+of ``best``, the candidates' bounds are re-reduced in ``np.mean``'s order
+and those values decide; a sum of ``k`` non-negative terms differs between
+orders by at most ``~k`` ulps, far inside the window.
+
 Accounting
 ----------
 Cached geometry maintenance — measuring ``d(p, c_i)`` when a clustroid
@@ -141,11 +152,13 @@ class LeafGeometry:
     geometry travel in one pickle graph.
     """
 
-    __slots__ = ("clustroids", "pair")
+    __slots__ = ("clustroids", "pair", "batch")
 
     def __init__(self) -> None:
         self.clustroids: list[Any] = []
         self.pair: np.ndarray = np.zeros((0, 0), dtype=np.float64)
+        #: ``metric.prepare(clustroids)``, rebuilt whenever a row goes stale.
+        self.batch: Any = []
 
 
 #: Cap on reference pivots per non-leaf sample cache: one per sample
@@ -162,18 +175,31 @@ class SampleGeometry:
 
     ``positions`` holds the flat indices of the initial pivots — the first
     sample of up to ``_MAX_SEGMENT_PIVOTS`` evenly spread segments, always
-    including the first and the last segment. ``pair[i, j] == d(flat[i],
-    flat[j])`` is the full sample-to-sample matrix feeding the anchor
-    bounds. Sample sets are immutable between refreshes and a refresh
-    installs a brand-new cache object, so this is built once per cache
-    lifetime and never invalidated in place.
+    including the first and the last segment — and ``pivots`` the prepared
+    batch of those samples. ``pair[i, j] == d(flat[i], flat[j])`` is the
+    full sample-to-sample matrix feeding the anchor bounds. ``gather_from[i]``
+    is the first sample of segment ``i`` the pivots leave unmeasured (one
+    past the segment start for a pivot segment), and ``counts[i]`` the
+    segment's length. Sample sets are immutable between refreshes and a
+    refresh installs a brand-new cache object, so this is built once per
+    cache lifetime and never invalidated in place.
     """
 
-    __slots__ = ("positions", "pair")
+    __slots__ = ("positions", "pivots", "pair", "gather_from", "counts")
 
-    def __init__(self, positions: np.ndarray, pair: np.ndarray) -> None:
+    def __init__(
+        self,
+        positions: np.ndarray,
+        pivots: Any,
+        pair: np.ndarray,
+        gather_from: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
         self.positions = positions
+        self.pivots = pivots
         self.pair = pair
+        self.gather_from = gather_from
+        self.counts = counts
 
 
 def ensure_leaf_geometry(
@@ -221,6 +247,7 @@ def ensure_leaf_geometry(
             pair[:, i] = block[k]
     geom.clustroids = clustroids
     geom.pair = pair
+    geom.batch = metric.prepare(clustroids)
     return geom, clustroids
 
 
@@ -236,13 +263,22 @@ def ensure_sample_geometry(
     offsets = np.asarray(cache.offsets)
     n_segments = len(offsets) - 1
     n_pivots = min(n_segments, _MAX_SEGMENT_PIVOTS)
-    seg_ids = np.linspace(0, n_segments - 1, num=max(n_pivots, 1)).astype(int)
-    positions = np.array(sorted({int(offsets[i]) for i in seg_ids}), dtype=np.intp)
+    spread = np.linspace(0, n_segments - 1, num=max(n_pivots, 1)).astype(int)
+    seg_ids = sorted({int(i) for i in spread})
+    positions = offsets[seg_ids].astype(np.intp)
+    gather_from = offsets[:-1].astype(np.intp)
+    gather_from[seg_ids] += 1
     # Raw hook: geometry maintenance is NCD-neutral by design (see module
     # docstring); tracked via stats.maintenance_evals.
     pair = np.asarray(metric._pairwise(flat), dtype=np.float64)
     stats.maintenance_evals += len(flat) * (len(flat) - 1) // 2
-    geom = SampleGeometry(positions, pair)
+    geom = SampleGeometry(
+        positions,
+        metric.prepare([flat[int(p)] for p in positions]),
+        pair,
+        gather_from,
+        np.diff(offsets).astype(np.float64),
+    )
     cache.geometry = geom
     stats.geometry_builds += 1
     return geom
@@ -262,32 +298,34 @@ def pruned_leaf_distances(
     geom, clustroids = ensure_leaf_geometry(metric, node, stats)
     n = len(clustroids)
     pair = geom.pair
+    batch = geom.batch
     push_site("leaf-d0")
     try:
         out = np.full(n, np.inf, dtype=np.float64)
-        known = np.zeros(n, dtype=bool)
-        lb = np.zeros(n, dtype=np.float64)
+        # Lower bounds of the unmeasured clustroids; measured slots hold
+        # +inf, so the best-first pick is a plain argmin.
+        open_lb = np.zeros(n, dtype=np.float64)
 
-        def admit(i: int, value: float) -> None:
+        def admit(i: int) -> float:
             # An exactly-measured clustroid becomes an anchor tightening
             # every remaining lower bound (AESA refinement).
+            value = float(metric.one_to_many(obj, batch[i : i + 1])[0])
             out[i] = value
-            known[i] = True
-            np.maximum(lb, np.abs(pair[i] - value), out=lb)
+            np.maximum(open_lb, np.abs(pair[i] - value), out=open_lb)
+            open_lb[i] = np.inf
+            return value
 
-        admit(0, float(metric.one_to_many(obj, [clustroids[0]])[0]))
-        best = float(out[0])
+        best = admit(0)
         n_evaluated = 1
-        while not known.all():
-            open_lb = np.where(known, np.inf, lb)
-            i = int(np.argmin(open_lb))
-            stats.bound_checks += int(n - known.sum())
+        while n_evaluated < n:
+            i = int(open_lb.argmin())
+            stats.bound_checks += n - n_evaluated
             if open_lb[i] > best:
                 break
-            admit(i, float(metric.one_to_many(obj, [clustroids[i]])[0]))
+            value = admit(i)
             n_evaluated += 1
-            if out[i] < best:
-                best = float(out[i])
+            if value < best:
+                best = value
         stats.queries += 1
         stats.candidates_total += n
         stats.candidates_evaluated += n_evaluated
@@ -295,6 +333,11 @@ def pruned_leaf_distances(
         return out
     finally:
         pop_site()
+
+
+#: Relative window within which a vectorised segment bound is re-reduced in
+#: ``np.mean``'s summation order before it decides (see module docstring).
+_TIE_RTOL = 1e-9
 
 
 def pruned_segment_distances(
@@ -311,69 +354,82 @@ def pruned_segment_distances(
     to the exhaustive computation. Never issues more counted calls than the
     exhaustive gather (``len(flat)``) would.
     """
-    flat = cache.flat
+    batch = cache.batch
     offsets = cache.offsets
     geom = ensure_sample_geometry(metric, cache, stats)
     pair = geom.pair
-    pivot_positions = geom.positions
-    n = len(flat)
+    gather_from = geom.gather_from
+    starts = offsets[:-1]
+    n = len(cache.flat)
     push_site("nonleaf-d2")
     try:
         d_full = np.full(n, np.nan, dtype=np.float64)
-        known = np.zeros(n, dtype=bool)
         lb = np.zeros(n, dtype=np.float64)
 
-        def admit(positions: list[int], values: np.ndarray) -> None:
+        def admit(positions: Any, values: np.ndarray) -> None:
             # Exactly-measured samples become anchors tightening every
             # remaining per-sample lower bound (AESA refinement). At an
             # anchor's own column the bound collapses to the exact
             # distance, so bounds and exact values mix consistently
             # inside a segment's RMS.
             d_full[positions] = values
-            known[positions] = True
             np.maximum(
                 lb, np.abs(pair[positions] - values[:, None]).max(axis=0), out=lb
             )
 
-        dq = np.asarray(
-            metric.one_to_many(obj, [flat[int(p)] for p in pivot_positions]),
-            dtype=np.float64,
-        )
-        admit([int(p) for p in pivot_positions], dq)
+        dq = np.asarray(metric.one_to_many(obj, geom.pivots), dtype=np.float64)
+        admit(geom.positions, dq)
 
         out = np.full(n_entries, np.inf, dtype=np.float64)
         lb_sq = np.empty(n, dtype=np.float64)
-        open_entries = list(range(n_entries))
+        entry_lb = np.empty(n_entries, dtype=np.float64)
+        # 0 for open entries, +inf for measured ones: added to the bounds,
+        # it masks measured entries out of the argmin.
+        closed = np.zeros(n_entries, dtype=np.float64)
+        n_open = n_entries
         best = np.inf
-        n_evaluated = 0
         # Best-first walk: measure the open entry with the smallest RMS
         # lower bound (one batched gather per entry), let its samples
         # tighten the remaining bounds, and stop once the smallest open
         # bound exceeds the best exact D2 — which prunes everything left.
-        while open_entries:
+        while n_open:
             np.multiply(lb, lb, out=lb_sq)
-            entry_lb = [
-                float(np.sqrt(lb_sq[offsets[i] : offsets[i + 1]].mean()))
-                for i in open_entries
-            ]
-            stats.bound_checks += len(open_entries)
-            pick = int(np.argmin(entry_lb))
-            if entry_lb[pick] > best:
+            np.add.reduceat(lb_sq, starts, out=entry_lb)
+            np.divide(entry_lb, geom.counts, out=entry_lb)
+            np.sqrt(entry_lb, out=entry_lb)
+            np.add(entry_lb, closed, out=entry_lb)
+            stats.bound_checks += n_open
+            i = int(entry_lb.argmin())
+            bound = float(entry_lb[i])
+            window = bound * _TIE_RTOL
+            near = entry_lb <= bound + window
+            if abs(bound - best) <= window or np.count_nonzero(near) > 1:
+                # Near a tie or the stopping bound: decide on the bounds as
+                # the scalar walk reduces them (see module docstring).
+                candidates = np.flatnonzero(near & (closed == 0.0))
+                exact = [
+                    float(np.sqrt(lb_sq[offsets[j] : offsets[j + 1]].mean()))
+                    for j in candidates
+                ]
+                k = int(np.argmin(exact))
+                i, bound = int(candidates[k]), exact[k]
+            if bound > best:
                 break
-            i = open_entries.pop(pick)
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            unknown = [p for p in range(lo, hi) if not known[p]]
-            if unknown:
-                admit(unknown, metric.one_to_many(obj, [flat[p] for p in unknown]))
+            closed[i] = np.inf
+            n_open -= 1
+            lo, first, hi = int(offsets[i]), int(gather_from[i]), int(offsets[i + 1])
+            if first < hi:
+                # Only a segment's first sample can be a pivot, so the
+                # unmeasured samples are one contiguous run.
+                admit(slice(first, hi), metric.one_to_many(obj, batch[first:hi]))
             seg = d_full[lo:hi]
             out[i] = float(np.sqrt((seg**2).mean()))
-            n_evaluated += 1
             if out[i] < best:
                 best = float(out[i])
         stats.queries += 1
         stats.candidates_total += n_entries
-        stats.candidates_evaluated += n_evaluated
-        stats.candidates_pruned += n_entries - n_evaluated
+        stats.candidates_evaluated += n_entries - n_open
+        stats.candidates_pruned += n_open
         return out
     finally:
         pop_site()

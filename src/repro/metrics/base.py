@@ -249,6 +249,21 @@ class DistanceFunction(ABC):
     def __call__(self, a: Any, b: Any) -> float:
         return self.distance(a, b)
 
+    def prepare(self, objects: Sequence) -> Sequence:
+        """Return ``objects`` in the form this metric's batch hooks read
+        fastest; costs no distance calls.
+
+        Callers that measure against the same collection many times (sample
+        caches, leaf clustroids, labeling centers) prepare it once and pass
+        the result, or slices of it, wherever a sequence of objects is
+        accepted. Every counted method returns bit-identical values and
+        counts the same calls for a prepared batch as for the original
+        sequence. The default returns ``objects`` unchanged; wrappers such as
+        :class:`~repro.robustness.GuardedMetric` keep it, so their inner
+        metric always sees the objects themselves.
+        """
+        return objects
+
     # ------------------------------------------------------------------
     # Implementation hooks (uncounted)
     # ------------------------------------------------------------------

@@ -46,7 +46,15 @@ def as_matrix(objects: Sequence) -> np.ndarray:
     return mat
 
 
-class MinkowskiDistance(DistanceFunction):
+class _VectorMetric(DistanceFunction):
+    """Base of the coordinate-vector metrics: their batch hooks read a
+    stacked float64 matrix, so :meth:`prepare` stacks once up front."""
+
+    def prepare(self, objects: Sequence) -> Sequence:
+        return as_matrix(objects) if len(objects) else objects
+
+
+class MinkowskiDistance(_VectorMetric):
     """The Lp metric ``d(x, y) = (sum |x_i - y_i|^p)^(1/p)`` for ``p >= 1``."""
 
     def __init__(self, p: float = 2.0):
@@ -80,9 +88,11 @@ class MinkowskiDistance(DistanceFunction):
                 f"dimension mismatch: object has {vec.shape[-1]} coordinates, "
                 f"collection has {mat.shape[1]}"
             )
-        diff = np.abs(mat - vec)
+        # Squaring makes |x| redundant on the Euclidean path: (-x)**2 == x**2.
+        diff = mat - vec
         if self.p == 2.0:
             return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        np.abs(diff, out=diff)
         if self.p == 1.0:
             return diff.sum(axis=1)
         return (diff**self.p).sum(axis=1) ** (1.0 / self.p)
@@ -111,9 +121,10 @@ class MinkowskiDistance(DistanceFunction):
         # Row-by-row |a_i - B| keeps each row bit-identical to the
         # corresponding `_one_to_many(a_i, objects_b)` result, which the
         # pruned-routing equivalence guarantee relies on.
-        diff = np.abs(mat_a[:, None, :] - mat_b[None, :, :])
+        diff = mat_a[:, None, :] - mat_b[None, :, :]
         if self.p == 2.0:
             return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        np.abs(diff, out=diff)
         if self.p == 1.0:
             return diff.sum(axis=2)
         return (diff**self.p).sum(axis=2) ** (1.0 / self.p)
@@ -135,7 +146,7 @@ class ManhattanDistance(MinkowskiDistance):
         self.name = "manhattan"
 
 
-class ChebyshevDistance(DistanceFunction):
+class ChebyshevDistance(_VectorMetric):
     """The L-infinity metric ``d(x, y) = max_i |x_i - y_i|``."""
 
     name = "chebyshev"
@@ -150,7 +161,7 @@ class ChebyshevDistance(DistanceFunction):
         return np.abs(mat - vec).max(axis=1)
 
 
-class AngularDistance(DistanceFunction):
+class AngularDistance(_VectorMetric):
     """The angle between two vectors, ``arccos(cos_sim) / pi`` in [0, 1].
 
     Unlike raw cosine *dissimilarity* (``1 - cos``), the angle satisfies the
@@ -182,7 +193,7 @@ class AngularDistance(DistanceFunction):
         return np.arccos(np.clip(cos, -1.0, 1.0)) / np.pi
 
 
-class CanberraDistance(DistanceFunction):
+class CanberraDistance(_VectorMetric):
     """Canberra distance: ``sum_i |x_i - y_i| / (|x_i| + |y_i|)``.
 
     A metric that weights differences near zero heavily; common for

@@ -29,5 +29,6 @@ def nearest_assignment(
     """
     if len(centers) == 0:
         raise ParameterError("nearest_assignment requires at least one center")
-    labels = [int(np.argmin(metric.one_to_many(obj, centers))) for obj in objects]
+    batch = metric.prepare(centers)
+    labels = [int(np.argmin(metric.one_to_many(obj, batch))) for obj in objects]
     return np.asarray(labels, dtype=np.intp)

@@ -4,7 +4,7 @@ snapshot and converges to the same result as an uninterrupted run."""
 import numpy as np
 import pytest
 
-from repro import BUBBLE, BUBBLEFM, EuclideanDistance
+from repro import BUBBLE, BUBBLEFM, EuclideanDistance, persistence
 from repro.exceptions import CheckpointError, MetricBudgetExceededError
 from repro.metrics import EditDistance, FunctionDistance
 from repro.persistence import Checkpoint, load_checkpoint, save_checkpoint
@@ -66,6 +66,21 @@ class TestCheckpointPrimitives:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(garbage)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path, metric=EuclideanDistance())
+
+    # Routing caches travel in the pickle and gain fields between versions,
+    # so any other version must be refused up front, not fail mid-resume.
+    @pytest.mark.parametrize("version", [1, 2, 4, "3", None])
+    def test_other_format_version_raises_checkpoint_error(
+        self, points, tmp_path, monkeypatch, version
+    ):
+        path = tmp_path / "scan.ckpt"
+        model = BUBBLE(EuclideanDistance(), max_nodes=20, seed=3)
+        model.partial_fit(points[:100])
+        monkeypatch.setattr(persistence, "_CHECKPOINT_VERSION", version)
+        save_checkpoint(path, model.tree_, cursor=100)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
             load_checkpoint(path, metric=EuclideanDistance())
 
     def test_atomic_write_replaces_existing(self, points, tmp_path):

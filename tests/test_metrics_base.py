@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.metrics import FunctionDistance
+from repro.metrics import CachedDistance, EuclideanDistance, FunctionDistance
 from repro.metrics.base import DistanceFunction
+from repro.robustness import GuardedMetric
 
 
 def abs_diff(a, b):
@@ -70,6 +71,24 @@ class TestCounting:
         out = m.pairwise(list(range(6)))
         np.testing.assert_allclose(out, out.T)
         np.testing.assert_allclose(np.diag(out), 0)
+
+
+class TestPrepare:
+    def test_default_returns_its_argument(self):
+        m = FunctionDistance(abs_diff)
+        objs = [3, 1, 2]
+        assert m.prepare(objs) is objs
+        assert m.n_calls == 0
+
+    @pytest.mark.parametrize("wrap", ["guarded", "cached"])
+    def test_wrappers_do_not_forward_it(self, wrap):
+        # The wrappers gather object by object (validation, cache keys), so
+        # they keep the default even around a metric that stacks.
+        inner = EuclideanDistance()
+        m = GuardedMetric(inner) if wrap == "guarded" else CachedDistance(inner)
+        objs = [np.zeros(2), np.ones(2)]
+        assert m.prepare(objs) is objs
+        assert isinstance(inner.prepare(objs), np.ndarray)
 
 
 class TestAbstract:

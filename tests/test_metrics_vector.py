@@ -5,11 +5,24 @@ import pytest
 
 from repro.exceptions import MetricError, ParameterError
 from repro.metrics import (
+    AngularDistance,
+    CanberraDistance,
     ChebyshevDistance,
     EuclideanDistance,
     ManhattanDistance,
     MinkowskiDistance,
 )
+from repro.metrics.base import DistanceFunction
+
+#: Every shipped vector metric; each overrides ``prepare``.
+VECTOR_METRICS = [
+    EuclideanDistance,
+    ManhattanDistance,
+    lambda: MinkowskiDistance(3.0),
+    ChebyshevDistance,
+    AngularDistance,
+    CanberraDistance,
+]
 
 
 class TestEuclidean:
@@ -110,3 +123,46 @@ class TestMinkowski:
         pts = list(rng.normal(size=(5, 3)))
         dm = m.pairwise(pts)
         assert dm[1, 2] == pytest.approx(m._distance(pts[1], pts[2]))
+
+
+class TestPreparedBatches:
+    """``prepare`` stacks once; every counted method must return the same
+    bytes and count the same calls over the batch, or a slice of it, as
+    over the original list."""
+
+    @pytest.fixture
+    def objs(self):
+        return list(np.random.default_rng(5).uniform(-2.0, 3.0, size=(9, 4)))
+
+    @pytest.mark.parametrize("factory", VECTOR_METRICS)
+    def test_overrides_prepare_with_a_matrix(self, factory, objs):
+        metric = factory()
+        assert type(metric).prepare is not DistanceFunction.prepare
+        batch = metric.prepare(objs)
+        assert isinstance(batch, np.ndarray) and batch.shape == (9, 4)
+        assert metric.prepare([]) == []
+        assert metric.n_calls == 0
+
+    @pytest.mark.parametrize("factory", VECTOR_METRICS)
+    def test_batch_and_slices_match_lists(self, factory, objs):
+        on_list, on_batch = factory(), factory()
+        batch = on_batch.prepare(objs)
+        query = objs[0] + 0.25
+        for lo, hi in ((0, 9), (2, 3), (4, 9)):
+            assert (
+                on_list.one_to_many(query, objs[lo:hi]).tobytes()
+                == on_batch.one_to_many(query, batch[lo:hi]).tobytes()
+            )
+        assert (
+            on_list.cross(objs[:3], objs[3:]).tobytes()
+            == on_batch.cross(batch[:3], batch[3:]).tobytes()
+        )
+        assert on_list.pairwise(objs).tobytes() == on_batch.pairwise(batch).tobytes()
+        assert on_list.n_calls == on_batch.n_calls
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_cross_rows_equal_one_to_many(self, p, objs):
+        metric = MinkowskiDistance(p)
+        block = metric.cross(objs[:4], objs)
+        for k in range(4):
+            assert block[k].tobytes() == metric.one_to_many(objs[k], objs).tobytes()

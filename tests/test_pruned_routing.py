@@ -8,15 +8,26 @@ and string metrics, with and without a node budget (so Type II rebuild
 re-insertion is covered too), plus the PruningStats counter invariants.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bubble import BubblePolicy
+from repro import BUBBLE
+from repro.core.bubble import BubblePolicy, _SampleCache
 from repro.core.bubble_fm import BubbleFMPolicy
 from repro.core.cftree import CFTree
-from repro.core.routing import PruningStats
+from repro.core.routing import (
+    PruningStats,
+    ensure_leaf_geometry,
+    ensure_sample_geometry,
+    pruned_leaf_distances,
+    pruned_segment_distances,
+)
+from repro.datasets.vector import make_cell_dataset
 from repro.metrics import EditDistance, EuclideanDistance
+from repro.metrics.base import pop_site, push_site
 
 point_lists = st.lists(
     st.tuples(
@@ -211,3 +222,198 @@ class TestConservationLaw:
         summary = tracer.summary()
         assert summary["ncd_total"] == metric.n_calls
         assert sum(summary["ncd_by_site"].values()) == summary["ncd_total"]
+
+
+# ----------------------------------------------------------------------
+# The vectorised walks against their scalar reference
+# ----------------------------------------------------------------------
+def scalar_leaf_distances(metric, node, obj, stats):
+    """Reference leaf walk: one Python-level bound mask per round, one
+    re-stacked clustroid list per measurement."""
+    geom, clustroids = ensure_leaf_geometry(metric, node, stats)
+    n = len(clustroids)
+    pair = geom.pair
+    push_site("leaf-d0")
+    try:
+        out = np.full(n, np.inf, dtype=np.float64)
+        known = np.zeros(n, dtype=bool)
+        lb = np.zeros(n, dtype=np.float64)
+
+        def admit(i, value):
+            out[i] = value
+            known[i] = True
+            np.maximum(lb, np.abs(pair[i] - value), out=lb)
+
+        admit(0, float(metric.one_to_many(obj, [clustroids[0]])[0]))
+        best = float(out[0])
+        n_evaluated = 1
+        while not known.all():
+            open_lb = np.where(known, np.inf, lb)
+            i = int(np.argmin(open_lb))
+            stats.bound_checks += int(n - known.sum())
+            if open_lb[i] > best:
+                break
+            admit(i, float(metric.one_to_many(obj, [clustroids[i]])[0]))
+            n_evaluated += 1
+            if out[i] < best:
+                best = float(out[i])
+        stats.queries += 1
+        stats.candidates_total += n
+        stats.candidates_evaluated += n_evaluated
+        stats.candidates_pruned += n - n_evaluated
+        return out
+    finally:
+        pop_site()
+
+
+def scalar_segment_distances(metric, cache, n_entries, obj, stats):
+    """Reference non-leaf walk: one ``np.mean`` per open entry per round."""
+    flat = cache.flat
+    offsets = cache.offsets
+    geom = ensure_sample_geometry(metric, cache, stats)
+    pair = geom.pair
+    n = len(flat)
+    push_site("nonleaf-d2")
+    try:
+        d_full = np.full(n, np.nan, dtype=np.float64)
+        known = np.zeros(n, dtype=bool)
+        lb = np.zeros(n, dtype=np.float64)
+
+        def admit(positions, values):
+            d_full[positions] = values
+            known[positions] = True
+            np.maximum(
+                lb, np.abs(pair[positions] - values[:, None]).max(axis=0), out=lb
+            )
+
+        pivots = [int(p) for p in geom.positions]
+        admit(pivots, np.asarray(metric.one_to_many(obj, [flat[p] for p in pivots])))
+        out = np.full(n_entries, np.inf, dtype=np.float64)
+        open_entries = list(range(n_entries))
+        best = np.inf
+        n_evaluated = 0
+        while open_entries:
+            lb_sq = lb * lb
+            entry_lb = [
+                float(np.sqrt(lb_sq[offsets[i] : offsets[i + 1]].mean()))
+                for i in open_entries
+            ]
+            stats.bound_checks += len(open_entries)
+            pick = int(np.argmin(entry_lb))
+            if entry_lb[pick] > best:
+                break
+            i = open_entries.pop(pick)
+            lo, hi = int(offsets[i]), int(offsets[i + 1])
+            unknown = [p for p in range(lo, hi) if not known[p]]
+            if unknown:
+                admit(unknown, metric.one_to_many(obj, [flat[p] for p in unknown]))
+            seg = d_full[lo:hi]
+            out[i] = float(np.sqrt((seg**2).mean()))
+            n_evaluated += 1
+            if out[i] < best:
+                best = float(out[i])
+        stats.queries += 1
+        stats.candidates_total += n_entries
+        stats.candidates_evaluated += n_evaluated
+        stats.candidates_pruned += n_entries - n_evaluated
+        return out
+    finally:
+        pop_site()
+
+
+def sample_cache(metric, segments):
+    flat = [np.asarray(p, dtype=float) for seg in segments for p in seg]
+    offsets = np.cumsum([0] + [len(seg) for seg in segments]).astype(np.intp)
+    return _SampleCache(flat, offsets, metric.prepare(flat))
+
+
+def leaf_node(clustroids):
+    entries = [SimpleNamespace(clustroid=np.asarray(c, dtype=float)) for c in clustroids]
+    return SimpleNamespace(entries=entries, aux=None)
+
+
+small_ints = st.integers(min_value=-3, max_value=3)
+int_points = st.tuples(small_ints, small_ints)
+
+
+class TestVectorisedWalkExactness:
+    #: Six segments whose entries 1 and 4 tie exactly at D2 = sqrt(21):
+    #: reducing the bounds in a different summation order from ``np.mean``
+    #: prunes entry 1 and returns entry 4.
+    TIE_POINTS = [
+        [-2, -3], [0, 0], [2, -3], [2, -2], [0, -1], [-3, 0], [2, 1], [-3, -2],
+        [1, 3], [-1, 2], [-3, -3], [1, -2], [3, 3], [-3, -3], [1, 3], [-3, -2],
+        [-2, 0], [2, -1], [1, -3], [2, -3], [3, -2], [2, -2], [-2, 1], [-1, 1],
+        [-1, 3], [-2, 1], [-1, -2], [-2, -3], [3, 0], [0, -1], [2, 2], [-3, 0],
+        [0, 0], [-2, -2], [-3, -3], [3, -3], [0, -2], [-2, -2], [0, 2], [-3, 0],
+        [2, 1], [0, -3], [3, -3], [-1, 2],
+    ]
+    TIE_SEGMENTS = (3, 6, 9, 7, 7, 12)
+
+    def test_exact_tie_keeps_the_first_entry(self):
+        bounds = np.cumsum((0,) + self.TIE_SEGMENTS)
+        segments = [self.TIE_POINTS[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        metric = EuclideanDistance()
+        stats = PruningStats()
+        out = pruned_segment_distances(
+            metric, sample_cache(metric, segments), 6, np.array([-2.0, 3.0]), stats
+        )
+        assert out[1] == out[4] == np.sqrt(21.0)
+        assert int(np.argmin(out)) == 1
+        assert metric.n_calls == 36
+        assert stats.bound_checks == 20
+        assert stats.candidates_evaluated == 4
+
+    @given(
+        segments=st.lists(
+            st.lists(int_points, min_size=1, max_size=14), min_size=2, max_size=8
+        ),
+        queries=st.lists(int_points, min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_segment_walk_matches_scalar_reference(self, segments, queries):
+        runs = []
+        for walk in (scalar_segment_distances, pruned_segment_distances):
+            metric, stats = EuclideanDistance(), PruningStats()
+            cache = sample_cache(metric, segments)
+            outs = [
+                walk(metric, cache, len(segments), np.asarray(q, dtype=float), stats)
+                for q in queries
+            ]
+            runs.append(([o.tobytes() for o in outs], metric.n_calls, stats.as_dict()))
+        assert runs[0] == runs[1]
+
+    @given(
+        clustroids=st.lists(int_points, min_size=4, max_size=24),
+        queries=st.lists(st.tuples(int_points, int_points), min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_leaf_walk_matches_scalar_reference(self, clustroids, queries):
+        runs = []
+        for walk in (scalar_leaf_distances, pruned_leaf_distances):
+            metric, stats = EuclideanDistance(), PruningStats()
+            node = leaf_node(clustroids)
+            outs = []
+            for k, (q, moved) in enumerate(queries):
+                outs.append(walk(metric, node, np.asarray(q, dtype=float), stats).tobytes())
+                # A clustroid drifts between queries: its geometry row and
+                # its slot of the prepared batch go stale.
+                node.entries[k % len(clustroids)].clustroid = np.asarray(moved, dtype=float)
+            runs.append((outs, metric.n_calls, stats.as_dict()))
+        assert runs[0] == runs[1]
+
+    def test_fit_counters_pinned(self):
+        cells = make_cell_dataset(dim=20, n_clusters=20, n_points=800, seed=3)
+        model = BUBBLE(EuclideanDistance(), threshold=0.0, max_nodes=None, seed=0)
+        model.fit(list(cells.points))
+        assert model.metric.n_calls == 71_661
+        stats = model.tree_.policy.pruning_stats.as_dict()
+        assert stats == {
+            "bound_checks": 68_995,
+            "candidates_total": 19_525,
+            "candidates_evaluated": 10_151,
+            "candidates_pruned": 9_374,
+            "maintenance_evals": 204_274,
+            "geometry_builds": 229,
+            "queries": 2_212,
+        }
