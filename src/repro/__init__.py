@@ -34,7 +34,6 @@ from repro.robustness import (
     Quarantine,
 )
 from repro.clarans import CLARANS
-from repro.cure import CURE
 from repro.dbscan import MetricDBSCAN
 from repro.core import BUBBLE, BUBBLEFM, CFTree, PreClusterer, SubCluster
 from repro.fastmap import FastMap
@@ -56,7 +55,6 @@ __all__ = [
     "BUBBLEFM",
     "BIRCH",
     "CLARANS",
-    "CURE",
     "MetricDBSCAN",
     "REDClusterer",
     "AgglomerativeClusterer",

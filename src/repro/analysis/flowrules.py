@@ -399,13 +399,12 @@ def _is_none_literal(seed: ast.expr) -> bool:
 # RPL104 — external-count booking stays in the accounting layer
 # ----------------------------------------------------------------------
 #: Modules allowed to book external counts: the primitive itself, the
-#: guard wrapper that owns its counting, and the parallel build/matrix
-#: re-booking paths.
+#: guard wrapper that owns its counting, and the parallel build's
+#: re-booking of shard ledgers.
 _BOOKING_ALLOWLIST = (
     "metrics/base.py",
     "robustness/guarded.py",
     "parallel/build.py",
-    "parallel/matrix.py",
 )
 
 

@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--global-phase", choices=["hac", "clarans", "clara"], default="hac",
         help="global phase over the sub-cluster clustroids: hac (paper "
              "default), clarans (exact medoid search), or clara (sampled "
-             "parallel medoid search; see docs/performance.md)",
+             "medoid search; see docs/performance.md)",
     )
     clu.add_argument(
         "--global-samples", type=int, default=5, metavar="N",

@@ -402,42 +402,6 @@ class CFTree:
         self._split_since_audit = False
         audit_tree(self, raise_on_error=True)
 
-    def check_invariants(self) -> None:
-        """Raise :class:`TreeInvariantError` on any structural violation.
-
-        Used by the test suite after randomized insertion sequences.
-        """
-        count = 0
-        depths: set[int] = set()
-        stack: list[tuple[object, int]] = [(self.root, 1)]
-        total_objects = 0
-        while stack:
-            node, depth = stack.pop()
-            count += 1
-            if len(node.entries) > self.branching_factor:
-                raise TreeInvariantError(
-                    f"node holds {len(node.entries)} entries > B={self.branching_factor}"
-                )
-            if node.is_leaf:
-                depths.add(depth)
-                total_objects += sum(f.n for f in node.entries)
-            else:
-                if not node.entries:
-                    raise TreeInvariantError("non-leaf node with no entries")
-                stack.extend((e.child, depth + 1) for e in node.entries)
-        if len(depths) > 1:
-            raise TreeInvariantError(f"leaves at unequal depths: {sorted(depths)}")
-        if count != self.n_nodes:
-            raise TreeInvariantError(
-                f"node counter {self.n_nodes} != walked count {count}"
-            )
-        total_objects += sum(f.n for f in self._outliers)
-        if total_objects != self.n_objects:
-            raise TreeInvariantError(
-                f"leaf features plus parked outliers sum to {total_objects} "
-                f"objects, expected {self.n_objects}"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CFTree(nodes={self.n_nodes}, clusters={self.n_clusters}, "

@@ -304,11 +304,16 @@ class PreClusterer:
 
     def _tree_is_sound(self) -> bool:
         """Metric-free structural check after a failed insert."""
-        try:
-            self.tree_.check_invariants()
-        except TreeInvariantError:
-            return False
-        return True
+        # Imported lazily: repro.analysis depends on repro.core, not vice versa.
+        from repro.analysis.audit import audit_tree
+
+        return audit_tree(
+            self.tree_,
+            recompute_exact=False,
+            check_samples=False,
+            check_threshold=False,
+            raise_on_error=False,
+        ).ok
 
     def _sync_report(self) -> None:
         """Pull metric-side and tree-side counters into the report."""

@@ -2,8 +2,9 @@
 
 Works in any distance space: it only needs the pairwise distance matrix of
 the items (for the paper's pipelines, the clustroids of the sub-clusters
-found by the pre-clustering phase — a few hundred items, so the O(n^3)
-worst case is immaterial next to the data scan).
+found by the pre-clustering phase — a few hundred items). Merging follows
+the O(n^2) nearest-neighbour chain, which is exact for all four linkages
+below because each is reducible.
 
 Supported linkages (Lance–Williams update coefficients):
 
@@ -31,7 +32,6 @@ from repro.metrics.base import DistanceFunction
 __all__ = ["AgglomerativeClusterer", "linkage_matrix"]
 
 _LINKAGES = ("single", "complete", "average", "weighted")
-_METHODS = ("auto", "generic", "nn-chain")
 
 
 def _lw_update(linkage: str, di: np.ndarray, dj: np.ndarray, ni: float, nj: float) -> np.ndarray:
@@ -74,12 +74,9 @@ class AgglomerativeClusterer:
         n_clusters: int | None = None,
         linkage: str = "average",
         distance_threshold: float | None = None,
-        method: str = "auto",
     ):
         if linkage not in _LINKAGES:
             raise ParameterError(f"linkage must be one of {_LINKAGES}, got {linkage!r}")
-        if method not in _METHODS:
-            raise ParameterError(f"method must be one of {_METHODS}, got {method!r}")
         if (n_clusters is None) == (distance_threshold is None):
             raise ParameterError(
                 "exactly one of n_clusters and distance_threshold must be given"
@@ -91,11 +88,6 @@ class AgglomerativeClusterer:
         self.n_clusters = n_clusters
         self.linkage = linkage
         self.distance_threshold = distance_threshold
-        #: ``generic`` is the O(n^3) masked-argmin loop; ``nn-chain`` the
-        #: O(n^2) nearest-neighbour-chain algorithm (valid for all four
-        #: supported linkages, which are reducible). ``auto`` picks
-        #: nn-chain.
-        self.method = method
         self.labels_: np.ndarray | None = None
         self.merges_: list[tuple[int, int, float]] = []
 
@@ -134,52 +126,8 @@ class AgglomerativeClusterer:
             raise ParameterError(f"weights must have shape ({n},), got {sizes.shape}")
 
         np.fill_diagonal(dm, np.inf)
-        if self.method == "generic":
-            self._fit_generic(dm, sizes)
-        else:
-            self._fit_nn_chain(dm, sizes)
+        self._fit_nn_chain(dm, sizes)
         return self
-
-    # ------------------------------------------------------------------
-    # O(n^3) reference implementation: repeated global argmin.
-    # ------------------------------------------------------------------
-    def _fit_generic(self, dm: np.ndarray, sizes: np.ndarray) -> None:
-        n = dm.shape[0]
-        self.merges_ = []
-        active = np.ones(n, dtype=bool)
-        cluster_id = list(range(n))
-        members: dict[int, list[int]] = {i: [i] for i in range(n)}
-
-        target = self.n_clusters if self.n_clusters is not None else 1
-        remaining = n
-        while remaining > target:
-            masked = np.where(active[:, None] & active[None, :], dm, np.inf)
-            flat = int(np.argmin(masked))
-            i, j = divmod(flat, n)
-            best = masked[i, j]
-            if not np.isfinite(best):
-                break
-            if self.distance_threshold is not None and best > self.distance_threshold:
-                break
-            if j < i:
-                i, j = j, i
-            new_row = _lw_update(self.linkage, dm[i], dm[j], sizes[i], sizes[j])
-            dm[i, :] = new_row
-            dm[:, i] = new_row
-            dm[i, i] = np.inf
-            sizes[i] += sizes[j]
-            active[j] = False
-            new_id = n + len(self.merges_)
-            self.merges_.append((cluster_id[i], cluster_id[j], float(best)))
-            members[new_id] = members.pop(cluster_id[i]) + members.pop(cluster_id[j])
-            cluster_id[i] = new_id
-            remaining -= 1
-
-        labels = np.empty(n, dtype=np.intp)
-        for flat_label, row in enumerate(np.flatnonzero(active)):
-            for item in members[cluster_id[row]]:
-                labels[item] = flat_label
-        self.labels_ = labels
 
     # ------------------------------------------------------------------
     # O(n^2) nearest-neighbour chain (Benzecri / Murtagh).

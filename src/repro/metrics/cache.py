@@ -202,9 +202,9 @@ class CachedDistance(DistanceFunction):
 
     def cross(self, objects_a: Sequence, objects_b: Sequence) -> np.ndarray:
         # Route every pair through the cache so repeated cross-gathers (D2
-        # between the same entry summaries, exact merges, the parallel
-        # global matrix) hit memoized pairs; each row's unique misses go to
-        # the inner metric as one batched gather.
+        # between the same entry summaries, exact merges) hit memoized
+        # pairs; each row's unique misses go to the inner metric as one
+        # batched gather.
         out = np.empty((len(objects_a), len(objects_b)), dtype=np.float64)
         for i, a in enumerate(objects_a):
             out[i] = self.one_to_many(a, objects_b)

@@ -1,18 +1,16 @@
-"""Parallel sharded BIRCH* build and parallel global phase.
+"""Parallel sharded BIRCH* build.
 
 Sharding multiplies scan throughput on the same NCD budget: the input
 stream is split round-robin across worker processes, each runs the
 existing fault-tolerant ``fit`` path on its shard with its own CF*-tree,
 tracer, and pruning geometry, and the shard trees' leaf CF*s are merged
 deterministically into one final tree (summaries compose — the global
-phase only ever needed one set of leaf clusters, not one tree). The
-clustroid distance matrix of the global phase is likewise gathered with
-chunked ``cross()`` blocks across the pool.
+phase only ever needed one set of leaf clusters, not one tree).
 
 Entry points: ``BUBBLE``/``BUBBLEFM``/``PreClusterer`` accept ``n_jobs=``
 and ``n_shards=`` and route their ``fit`` through :func:`parallel_fit`;
 ``cluster_dataset`` and the CLI's ``--jobs`` thread the same knob through
-the whole pipeline. See ``docs/performance.md`` ("Parallel build") for
+to the scan. See ``docs/performance.md`` ("Parallel build") for
 shard/merge semantics, determinism guarantees, and quality caveats.
 
 Shards execute under the :class:`~repro.parallel.pool.ShardSupervisor`,
@@ -25,7 +23,6 @@ parallel builds").
 from __future__ import annotations
 
 from repro.parallel.build import parallel_fit, resolve_n_shards
-from repro.parallel.matrix import pairwise_matrix
 from repro.parallel.pool import ShardFailure, ShardSupervisor, SupervisorStats
 from repro.parallel.shard import global_index, shard_objects
 from repro.parallel.worker import ShardResult, ShardTask, run_shard
@@ -33,7 +30,6 @@ from repro.parallel.worker import ShardResult, ShardTask, run_shard
 __all__ = [
     "parallel_fit",
     "resolve_n_shards",
-    "pairwise_matrix",
     "shard_objects",
     "global_index",
     "ShardTask",

@@ -13,7 +13,6 @@ from repro.pipelines.authority import AuthorityFile, build_authority_file
 from repro.pipelines.cluster import ClusteringResult, cluster_dataset
 from repro.pipelines.labeling import nearest_assignment
 from repro.pipelines.map_first import map_first_cluster
-from repro.pipelines.refine import refine_labels
 
 __all__ = [
     "ClusteringResult",
@@ -22,5 +21,4 @@ __all__ = [
     "nearest_assignment",
     "AuthorityFile",
     "build_authority_file",
-    "refine_labels",
 ]

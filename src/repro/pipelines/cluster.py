@@ -144,14 +144,12 @@ def cluster_dataset(
     runs under a ``global-phase`` span, and the second scan under
     ``redistribute`` — so per-site NCD covers the whole pipeline.
 
-    ``n_jobs`` parallelizes the expensive phases: the pre-clustering scan
-    becomes a sharded build (see :mod:`repro.parallel`), and under
-    ``global_method="hac"`` the clustroid distance matrix is gathered with
-    chunked ``cross()`` blocks across the pool before being handed to the
-    hierarchical clusterer. CLARANS and CLARA keep their sequential
-    adaptive searches — they measure a data-dependent subset of pairs, so
-    precomputing the full matrix would *increase* NCD. Requires a
-    picklable metric. With ``checkpoint_path``/``resume_from`` the sharded
+    ``n_jobs`` parallelizes the pre-clustering scan only: it becomes a
+    sharded build (see :mod:`repro.parallel`), which requires a picklable
+    metric. The global phase always runs sequentially in the parent, so
+    under ``global_method="hac"`` the clustroid distance matrix is gathered
+    with the metric's own ``pairwise`` and HAC reads the same values for
+    any ``n_jobs``. With ``checkpoint_path``/``resume_from`` the sharded
     build keeps per-shard checkpoints in a directory (see
     :meth:`PreClusterer.fit`).
     """
@@ -173,7 +171,6 @@ def cluster_dataset(
         model: PreClusterer = BUBBLE(metric, seed=seed, tracer=tracer, **options)
     else:
         model = BUBBLEFM(metric, seed=seed, tracer=tracer, **options)
-    n_jobs = model.config.n_jobs
     model.fit(
         objects,
         on_error=on_error,
@@ -192,14 +189,7 @@ def cluster_dataset(
         if global_method == "hac":
             with tracer.span("global-phase"):
                 hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
-                if n_jobs > 1:
-                    from repro.parallel import pairwise_matrix
-
-                    with tracer.span("global-matrix"):
-                        dm = pairwise_matrix(metric, clustroids, n_jobs=n_jobs)
-                    hac.fit(distance_matrix=dm, weights=weights)
-                else:
-                    hac.fit(objects=clustroids, metric=metric, weights=weights)
+                hac.fit(objects=clustroids, metric=metric, weights=weights)
             sub_labels = hac.labels_
             n_final = hac.n_clusters_
         else:

@@ -1,0 +1,160 @@
+"""Brute-force exactness oracles the test suite checks the library against.
+
+Neither is fast enough, or needed, in the library itself:
+
+* :func:`generic_hac` is the O(n^3) repeated-global-argmin agglomerative
+  loop. The library's nearest-neighbour chain is exact for all four
+  supported linkages (they are reducible), and this loop is what it is
+  tested against. It applies its own Lance–Williams update, so a slip in
+  the library's update cannot hide in both.
+* :func:`classical_mds` is the Torgerson construction behind Lemma 4.1 of
+  the paper: any finite distance space embeds exactly into R^k for some
+  ``k < N`` *when the distances are Euclidean-realizable*. It needs all
+  ``N(N-1)/2`` distances and cubic time, which is exactly why the paper
+  dismisses plain MDS for large N and reaches for FastMap — but for small
+  object sets it is exact ground truth to compare FastMap against.
+  :func:`stress` scores an embedding against the true distances.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
+
+from repro.exceptions import EmptyDatasetError, ParameterError
+from repro.metrics.base import DistanceFunction
+
+__all__ = ["classical_mds", "generic_hac", "stress"]
+
+
+def _lance_williams(
+    linkage: str, di: np.ndarray, dj: np.ndarray, ni: float, nj: float
+) -> np.ndarray:
+    """Distance from every cluster to the union of clusters i and j."""
+    if linkage == "single":
+        return np.minimum(di, dj)
+    if linkage == "complete":
+        return np.maximum(di, dj)
+    if linkage == "average":
+        return (ni * di + nj * dj) / (ni + nj)
+    if linkage == "weighted":
+        return 0.5 * (di + dj)
+    raise ParameterError(f"unknown linkage {linkage!r}")
+
+
+def generic_hac(
+    distance_matrix: np.ndarray,
+    n_clusters: int | None = None,
+    linkage: str = "average",
+    distance_threshold: float | None = None,
+    weights: Sequence[float] | None = None,
+) -> np.ndarray:
+    """Flat labels from merging the globally closest pair until the stop rule.
+
+    Same contract as :class:`repro.hac.AgglomerativeClusterer`: stop at
+    ``n_clusters`` clusters, or once the closest pair is farther than
+    ``distance_threshold``. ``weights`` are the initial cluster sizes.
+    """
+    dm = np.array(distance_matrix, dtype=np.float64, copy=True)
+    n = dm.shape[0]
+    sizes = np.ones(n) if weights is None else np.array(weights, dtype=np.float64)
+    np.fill_diagonal(dm, np.inf)
+    active = np.ones(n, dtype=bool)
+    members: list[list[int]] = [[i] for i in range(n)]
+
+    target = n_clusters if n_clusters is not None else 1
+    remaining = n
+    while remaining > target:
+        masked = np.where(active[:, None] & active[None, :], dm, np.inf)
+        i, j = divmod(int(np.argmin(masked)), n)
+        best = masked[i, j]
+        if not np.isfinite(best):
+            break
+        if distance_threshold is not None and best > distance_threshold:
+            break
+        if j < i:
+            i, j = j, i
+        new_row = _lance_williams(linkage, dm[i], dm[j], sizes[i], sizes[j])
+        dm[i, :] = new_row
+        dm[:, i] = new_row
+        dm[i, i] = np.inf
+        sizes[i] += sizes[j]
+        active[j] = False
+        members[i].extend(members[j])
+        remaining -= 1
+
+    labels = np.empty(n, dtype=np.intp)
+    for flat_label, row in enumerate(np.flatnonzero(active)):
+        labels[members[row]] = flat_label
+    return labels
+
+
+def classical_mds(
+    distance_matrix: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """Embed objects into R^k from their full distance matrix.
+
+    Parameters
+    ----------
+    distance_matrix:
+        Symmetric ``(N, N)`` matrix of pairwise distances.
+    k:
+        Target dimensionality. If the space embeds exactly in fewer than
+        ``k`` dimensions the extra coordinates are zero.
+
+    Returns
+    -------
+    ``(N, k)`` array of coordinates whose pairwise Euclidean distances best
+    approximate (exactly reproduce, when realizable) the input distances.
+    """
+    dm = np.asarray(distance_matrix, dtype=np.float64)
+    if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
+        raise ParameterError(f"distance_matrix must be square, got shape {dm.shape}")
+    n = dm.shape[0]
+    if n == 0:
+        raise EmptyDatasetError("classical_mds requires at least one object")
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    # Double centering: B = -1/2 * J D^2 J with J = I - 1/n 11^T.
+    d2 = dm**2
+    row_mean = d2.mean(axis=1, keepdims=True)
+    col_mean = d2.mean(axis=0, keepdims=True)
+    grand_mean = d2.mean()
+    b = -0.5 * (d2 - row_mean - col_mean + grand_mean)
+    eigvals, eigvecs = np.linalg.eigh(b)
+    # eigh returns ascending order; take the k largest non-negative components.
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order][:k]
+    eigvecs = eigvecs[:, order][:, :k]
+    eigvals = np.clip(eigvals, 0.0, None)
+    coords = eigvecs * np.sqrt(eigvals)
+    if coords.shape[1] < k:
+        coords = np.hstack([coords, np.zeros((n, k - coords.shape[1]))])
+    return coords
+
+
+def stress(
+    objects: Sequence,
+    images: np.ndarray,
+    metric: DistanceFunction,
+) -> float:
+    """Kruskal stress-1 of an embedding: 0 means exact distance preservation.
+
+    ``sqrt( sum (d_ij - ||x_i - x_j||)^2 / sum d_ij^2 )`` over all pairs.
+    Counts ``N(N-1)/2`` distance calls.
+    """
+    n = len(objects)
+    if n < 2:
+        return 0.0
+    images = np.asarray(images, dtype=np.float64)
+    d_true = metric.pairwise(objects)
+    diff = images[:, None, :] - images[None, :, :]
+    d_img = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    iu = np.triu_indices(n, k=1)
+    num = float(((d_true[iu] - d_img[iu]) ** 2).sum())
+    den = float((d_true[iu] ** 2).sum())
+    if den == 0.0:
+        return 0.0
+    return float(np.sqrt(num / den))

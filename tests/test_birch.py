@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.audit import audit_tree
 from repro.birch import BIRCH, BirchVectorPolicy, VectorClusterFeature
 from repro.core.cftree import CFTree
 
@@ -71,7 +72,7 @@ class TestBirchPolicy:
         pts = rng.uniform(0, 100, size=(60, 2))
         for p in pts:
             tree.insert(p)
-        tree.check_invariants()
+        audit_tree(tree)
         if tree.root.is_leaf:
             pytest.skip("tree did not grow")
         # Each root entry summary must equal the exact CF of its subtree.
@@ -96,7 +97,7 @@ class TestBirchDriver:
     def test_recovers_blobs(self, blob_data):
         points, _, centers = blob_data
         model = BIRCH(max_nodes=10, seed=0).fit(points)
-        model.tree_.check_invariants()
+        audit_tree(model.tree_)
         found = model.centroids_
         for c in centers:
             assert np.min(np.linalg.norm(found - c, axis=1)) < 1.5

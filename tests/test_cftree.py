@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.audit import audit_tree
 from repro.core.bubble import BubblePolicy
 from repro.core.cftree import CFTree
 from repro.core.threshold import suggest_next_threshold
@@ -50,7 +51,7 @@ class TestInsertion:
         tree.insert(np.array([1.0, 1.0]))
         assert tree.n_objects == 1
         assert tree.n_clusters == 1
-        tree.check_invariants()
+        audit_tree(tree)
 
     def test_duplicates_absorbed_at_zero_threshold(self):
         tree = make_tree(threshold=0.0)
@@ -78,14 +79,14 @@ class TestInsertion:
             tree.insert(np.array([float(i) * 10, 0.0]))
         assert tree.height == 2
         assert tree.n_nodes == 3  # root + two leaves
-        tree.check_invariants()
+        audit_tree(tree)
 
     def test_many_inserts_keep_invariants(self):
         tree = make_tree(branching_factor=4)
         rng = np.random.default_rng(0)
         for _ in range(300):
             tree.insert(rng.normal(size=2))
-        tree.check_invariants()
+        audit_tree(tree)
         assert tree.n_objects == 300
 
     def test_leaves_at_same_depth_after_growth(self):
@@ -93,7 +94,7 @@ class TestInsertion:
         rng = np.random.default_rng(1)
         for _ in range(100):
             tree.insert(rng.uniform(0, 100, size=2))
-        tree.check_invariants()
+        audit_tree(tree)
         assert tree.height >= 3
 
 
@@ -113,7 +114,7 @@ class TestRebuild:
         before = tree.n_clusters
         tree.rebuild(1.0)
         assert tree.n_clusters < before
-        tree.check_invariants()
+        audit_tree(tree)
 
     def test_rebuild_conserves_population(self):
         tree = make_tree(branching_factor=4, threshold=0.0)
@@ -131,7 +132,7 @@ class TestRebuild:
         assert tree.n_nodes <= 5
         assert tree.n_rebuilds >= 1
         assert tree.threshold > 0.0
-        tree.check_invariants()
+        audit_tree(tree)
 
     def test_threshold_grows_monotonically(self):
         tree = make_tree(branching_factor=4, max_nodes=5, threshold=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.audit import audit_tree
 from repro.core.bubble import BubblePolicy
 from repro.core.bubble_fm import BubbleFMPolicy
 from repro.core.cftree import CFTree
@@ -39,7 +40,7 @@ class TestTreeInvariants:
     @settings(max_examples=60, deadline=None)
     def test_structure_after_random_inserts(self, points):
         tree = build(points)
-        tree.check_invariants()
+        audit_tree(tree)
 
     @given(points=point_lists)
     @settings(max_examples=60, deadline=None)
@@ -52,7 +53,7 @@ class TestTreeInvariants:
     def test_rebuild_preserves_population_and_structure(self, points):
         tree = build(points)
         tree.rebuild(tree.threshold * 2 + 1.0)
-        tree.check_invariants()
+        audit_tree(tree)
         assert sum(f.n for f in tree.leaf_features()) == len(points)
 
     @given(points=point_lists)
@@ -60,13 +61,13 @@ class TestTreeInvariants:
     def test_memory_bound_always_respected(self, points):
         tree = build(points, max_nodes=5)
         assert tree.n_nodes <= 5
-        tree.check_invariants()
+        audit_tree(tree)
 
     @given(points=point_lists)
     @settings(max_examples=30, deadline=None)
     def test_bubble_fm_same_invariants(self, points):
         tree = build(points, policy_cls=BubbleFMPolicy, max_nodes=6)
-        tree.check_invariants()
+        audit_tree(tree)
         assert sum(f.n for f in tree.leaf_features()) == len(points)
 
     @given(points=point_lists)
@@ -87,7 +88,7 @@ class TestStringTreeInvariants:
         tree = CFTree(policy, branching_factor=4, threshold=1.0, seed=0)
         for w in words:
             tree.insert(w)
-        tree.check_invariants()
+        audit_tree(tree)
         assert sum(f.n for f in tree.leaf_features()) == len(words)
 
     @given(words=word_lists)

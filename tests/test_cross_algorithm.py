@@ -4,7 +4,7 @@ an unambiguous dataset."""
 import numpy as np
 import pytest
 
-from repro import BIRCH, BUBBLE, BUBBLEFM, CLARANS, CURE, MetricDBSCAN
+from repro import BIRCH, BUBBLE, BUBBLEFM, CLARANS, MetricDBSCAN
 from repro.evaluation import adjusted_rand_index
 from repro.metrics import EuclideanDistance
 from repro.pipelines import cluster_dataset, map_first_cluster
@@ -54,11 +54,6 @@ class TestEveryAlgorithmAgrees:
     def test_clarans(self, easy_blobs):
         points, truth = easy_blobs
         model = CLARANS(3, EuclideanDistance(), max_neighbors=60, seed=0).fit(points)
-        assert adjusted_rand_index(truth, model.labels_) == 1.0
-
-    def test_cure(self, easy_blobs):
-        points, truth = easy_blobs
-        model = CURE(3, seed=0).fit(np.vstack(points))
         assert adjusted_rand_index(truth, model.labels_) == 1.0
 
     def test_dbscan(self, easy_blobs):

@@ -7,7 +7,7 @@ import pytest
 from repro import BUBBLE, BUBBLEFM
 from repro.core.bubble import BubblePolicy
 from repro.core.cftree import CFTree
-from repro.metrics import FunctionDistance
+from repro.metrics import EuclideanDistance, FunctionDistance
 from repro.metrics.base import DistanceFunction
 
 
@@ -88,6 +88,66 @@ class TestMetricFailures:
         metric = FlakyMetric(fail_after=2_000)
         with pytest.raises(RuntimeError):
             BUBBLEFM(metric, max_nodes=8, image_dim=2, seed=0).fit(points)
+
+
+class TrippedEuclidean(EuclideanDistance):
+    """Euclidean distance whose hooks fail the test once ``tripped`` is set."""
+
+    tripped = False
+
+    def _check(self) -> None:
+        assert not self.tripped, "the soundness check evaluated the metric"
+
+    def _distance(self, a, b):
+        self._check()
+        return super()._distance(a, b)
+
+    def _one_to_many(self, obj, objects):
+        self._check()
+        return super()._one_to_many(obj, objects)
+
+    def _pairwise(self, objects):
+        self._check()
+        return super()._pairwise(objects)
+
+    def _cross(self, objects_a, objects_b):
+        self._check()
+        return super()._cross(objects_a, objects_b)
+
+
+class TestQuarantineSoundnessCheck:
+    """Under ``on_error="quarantine"`` a failed insert is quarantined only if
+    the tree is still sound; that check is structural and metric-free."""
+
+    @pytest.mark.parametrize("damage", [False, True])
+    def test_damaged_tree_reraises_instead_of_quarantining(
+        self, rng, monkeypatch, damage
+    ):
+        points = list(rng.normal(size=(300, 2)))
+        points[200] = np.array([1e6, 1e6])
+        metric = TrippedEuclidean()
+        calls_at_failure = []
+        real_insert = CFTree.insert
+
+        def failing_insert(tree, obj):
+            if obj[0] < 1e5:
+                return real_insert(tree, obj)
+            if damage:
+                tree.n_nodes += 1  # a node the walk will not find
+            calls_at_failure.append(metric.n_calls)
+            metric.tripped = True
+            raise RuntimeError("insert failed mid-update")
+
+        monkeypatch.setattr(CFTree, "insert", failing_insert)
+        model = BUBBLE(metric, max_nodes=10, seed=0)
+        if damage:
+            with pytest.raises(RuntimeError, match="mid-update"):
+                model.fit(points, on_error="quarantine")
+            assert len(model.quarantine_) == 0
+        else:
+            model.fit(points[:201], on_error="quarantine")
+            assert [r.index for r in model.quarantine_] == [200]
+        assert metric.n_calls == calls_at_failure[0]
 
 
 class TestObjectContract:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import stress
 from repro.exceptions import EmptyDatasetError, NotFittedError, ParameterError
-from repro.fastmap import FastMap, stress
+from repro.fastmap import FastMap
 from repro.metrics import EuclideanDistance, FunctionDistance
 
 

@@ -8,9 +8,9 @@ derived by hand from the definitions in Section 4.
 import numpy as np
 import pytest
 
+from oracles import classical_mds
 from repro import BUBBLE
 from repro.core.features import BubbleClusterFeature
-from repro.fastmap import classical_mds
 from repro.hac import AgglomerativeClusterer
 from repro.metrics import EditDistance, EuclideanDistance, edit_distance
 

@@ -1,10 +1,10 @@
-"""Unit tests for classical MDS and the stress diagnostic."""
+"""Unit tests for the classical MDS oracle and the stress diagnostic."""
 
 import numpy as np
 import pytest
 
+from oracles import classical_mds, stress
 from repro.exceptions import EmptyDatasetError, ParameterError
-from repro.fastmap import classical_mds, stress
 from repro.metrics import EuclideanDistance
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import BUBBLE
+from repro.analysis.audit import audit_tree
 from repro.core.bubble import BubblePolicy
 from repro.core.cftree import CFTree
 from repro.exceptions import ParameterError
@@ -44,7 +45,7 @@ class TestParking:
         tree = model.tree_
         assert tree.n_rebuilds >= 1
         assert tree.n_outliers_parked > 0
-        tree.check_invariants()
+        audit_tree(tree)
 
     def test_population_conserved_through_parking(self, rng):
         pts = noisy_blobs(rng)
@@ -66,7 +67,7 @@ class TestParking:
         parked_before = len(tree.outliers)
         reabsorbed = tree.reabsorb_outliers()
         assert reabsorbed == parked_before
-        tree.check_invariants()
+        audit_tree(tree)
 
     def test_dense_clusters_survive_parking(self, rng):
         pts = noisy_blobs(rng)

@@ -1,4 +1,4 @@
-"""Tests for the parallel sharded build and the parallel global phase.
+"""Tests for the parallel sharded build.
 
 Process-pool legs (``n_jobs > 1``) spawn real worker processes, so
 everything they ship — metrics, poison predicates — lives at module level
@@ -25,17 +25,15 @@ from repro.exceptions import (
     MetricBudgetExceededError,
     ParameterError,
 )
-from repro.metrics import CachedDistance, EditDistance, EuclideanDistance
+from repro.metrics import EuclideanDistance
 from repro.experiments.config import paper_max_nodes
 from repro.observability import Tracer
 from repro.parallel import (
     global_index,
-    pairwise_matrix,
     parallel_fit,
     resolve_n_shards,
     shard_objects,
 )
-from repro.parallel.matrix import _band_bounds
 from repro.pipelines.cluster import cluster_dataset
 from repro.robustness import FlakyMetric, GuardedMetric
 
@@ -102,13 +100,6 @@ class TestShardHelpers:
         model = BUBBLE(EuclideanDistance(), n_jobs=3, n_shards=5)
         assert resolve_n_shards(model) == 5
 
-    def test_band_bounds_partition_rows(self):
-        for n, n_bands in [(5, 2), (64, 8), (97, 16), (3, 8)]:
-            bounds = _band_bounds(n, n_bands)
-            assert bounds[0][0] == 0 and bounds[-1][1] == n
-            for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-                assert stop == start
-
 
 class TestDeterminism:
     def test_inline_build_is_reproducible(self):
@@ -160,6 +151,28 @@ class TestDeterminism:
             assert tree_signature(inline.tree_) == tree_signature(runs[jobs].tree_)
             assert inline.metric.n_calls == runs[jobs].metric.n_calls
             assert len(runs[jobs].shard_summaries_) == 4
+
+    def test_n_jobs_never_changes_the_pipeline(self):
+        # The global phase runs in the parent for any n_jobs: HAC reads the
+        # same clustroid distance matrix, so sub-cluster labels, centers and
+        # NCD match the inline build exactly, over a HAC of 64+ clustroids.
+        points = make_blobs(n=1500, n_centers=8, dim=8)
+        runs = {
+            jobs: cluster_dataset(
+                points, EuclideanDistance(), n_clusters=8, max_nodes=40,
+                seed=0, n_jobs=jobs, n_shards=2,
+            )
+            for jobs in (1, 2)
+        }
+        inline, pooled = runs[1], runs[2]
+        assert len(inline.subclusters) >= 64
+        np.testing.assert_array_equal(
+            inline.subcluster_labels, pooled.subcluster_labels
+        )
+        assert len(inline.centers) == len(pooled.centers)
+        for a, b in zip(inline.centers, pooled.centers):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert inline.n_distance_calls == pooled.n_distance_calls
 
     def test_merged_tree_is_audit_clean(self, audit):
         points = make_blobs(n=150)
@@ -320,31 +333,6 @@ class TestValidation:
         model = BUBBLE(EuclideanDistance(), n_shards=2)
         with pytest.raises(ParameterError, match="on_error"):
             parallel_fit(model, make_blobs(n=10), on_error="ignore")
-
-
-class TestParallelMatrix:
-    def test_small_input_delegates_sequential(self):
-        metric = EuclideanDistance()
-        objects = make_blobs(n=10)
-        matrix = pairwise_matrix(metric, objects, n_jobs=4)
-        np.testing.assert_allclose(matrix, EuclideanDistance().pairwise(objects))
-        assert metric.n_calls == 10 * 9 // 2
-
-    def test_pool_matches_sequential_values_and_ncd(self):
-        objects = make_blobs(n=70, seed=8)
-        sequential = EuclideanDistance()
-        expected = sequential.pairwise(objects)
-        metric = EuclideanDistance()
-        matrix = pairwise_matrix(metric, objects, n_jobs=2)
-        np.testing.assert_allclose(matrix, expected)
-        assert metric.n_calls == sequential.n_calls == 70 * 69 // 2
-
-    def test_string_metric_through_cache(self):
-        words = [f"word{i:03d}" for i in range(30)]
-        metric = CachedDistance(EditDistance())
-        matrix = pairwise_matrix(metric, words, n_jobs=1)
-        assert matrix.shape == (30, 30)
-        assert np.all(matrix == matrix.T)
 
 
 class TestShardedCheckpoint:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import BUBBLE, BUBBLEFM
+from repro.analysis.audit import audit_tree
 from repro.core.bubble_fm import BubbleFMPolicy, _FMSampleCache
 from repro.core.cftree import CFTree
 from repro.exceptions import ParameterError
@@ -95,7 +96,7 @@ class TestSplitImageReuse:
             tree.insert(rng.uniform(0, 1000, size=2))
             i += 1
         assert tree.height >= 3
-        tree.check_invariants()
+        audit_tree(tree)
         # Non-root internal nodes exist and have usable caches.
         internal = []
         stack = [tree.root]
