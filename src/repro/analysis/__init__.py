@@ -3,17 +3,14 @@
 Three layers turn the paper's stated invariants into machine-checked
 guarantees:
 
-* :mod:`repro.analysis.lint` — **reprolint**, a dataflow-aware static
-  analyser with project-specific rules: the token/AST rules
-  (:mod:`repro.analysis.rules` — NCD-accounting hygiene, seeded
-  randomness, tolerance-based distance comparisons, no accidental
-  all-pairs scans, explicit public surfaces) and the CFG/dataflow rules
-  (:mod:`repro.analysis.flowrules` — pickle-safety at worker boundaries,
-  all-paths span/ledger pairing, seed provenance, external-count booking
-  discipline, float-stability shapes), built on a per-function CFG
-  (:mod:`repro.analysis.cfg`), a scope/value-origin model
-  (:mod:`repro.analysis.dataflow`), and a cross-module symbol table
-  (:mod:`repro.analysis.symbols`);
+* :mod:`repro.analysis.lint` — **reprolint**, a static analyser with
+  project-specific AST rules (:mod:`repro.analysis.rules` —
+  NCD-accounting hygiene, seeded randomness, tolerance-based distance
+  comparisons, no accidental all-pairs scans, explicit public surfaces,
+  no cancellation-prone arithmetic in the numerics modules). What the
+  retired dataflow rules checked — worker pickling, ledger-site pairing,
+  seed provenance, external-count booking — is now structural or
+  covered by runtime tests (``docs/analysis.md`` maps each one);
 * :mod:`repro.analysis.audit` — a CF*-tree invariant sanitizer that walks
   a live tree and checks the structural and CF*-level properties of
   Sections 3-4 (Lemma 4.2, Observation 1);
@@ -26,7 +23,6 @@ See ``docs/analysis.md`` for the rule catalogue and the audit guarantees.
 from repro.analysis.audit import AuditIssue, AuditReport, audit_tree
 from repro.analysis.lint import (
     ALL_RULES,
-    PROFILES,
     LintViolation,
     format_violations,
     lint_file,
@@ -39,7 +35,6 @@ from repro.analysis.rules import BASE_RULES, Rule, RuleContext
 __all__ = [
     "ALL_RULES",
     "BASE_RULES",
-    "PROFILES",
     "AuditIssue",
     "AuditReport",
     "LintViolation",

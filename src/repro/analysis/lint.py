@@ -2,15 +2,11 @@
 
 Generic linters keep the code tidy; *this* linter keeps the paper's
 guarantees machine-checked. Every rule encodes an invariant the
-reproduction depends on (see :mod:`repro.analysis.rules`,
-:mod:`repro.analysis.flowrules` and ``docs/analysis.md`` for the
-catalogue): honest NCD accounting, seeded randomness, tolerance-based
-distance comparisons, no accidental all-pairs scans, explicit public
-surfaces — and, via the dataflow engine (:mod:`repro.analysis.cfg`,
-:mod:`repro.analysis.dataflow`, :mod:`repro.analysis.symbols`),
-pickle-safety at worker boundaries, all-paths span/ledger pairing, seed
-provenance, external-count booking discipline, and float-stability
-shapes feeding the BETULA worklist.
+reproduction depends on (see :mod:`repro.analysis.rules` and
+``docs/analysis.md`` for the catalogue): honest NCD accounting, seeded
+randomness, tolerance-based distance comparisons, no accidental
+all-pairs scans, explicit public surfaces, and no cancellation-prone
+arithmetic in the numerics modules.
 
 Built on :mod:`ast` and :mod:`tokenize` only — no third-party
 dependencies. Run it as ``repro lint``, ``python -m repro.analysis``, or
@@ -26,14 +22,11 @@ Suppression syntax (reasons are mandatory — RPL000 flags bare ones)::
 
 A suppression whose rule would not have fired is itself an RPL000
 violation, so the suppression inventory can never silently go stale.
-Profiles select which rules run: ``src`` (everything) and ``tests``
-(parallel-safety rules only — RPL000/RPL101/RPL102).
 """
 
 from __future__ import annotations
 
 import ast
-import functools
 import io
 import json
 import sys
@@ -42,13 +35,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.flowrules import FLOW_RULES
 from repro.analysis.rules import BASE_RULES, META_RULE, Rule, RuleContext
-from repro.analysis.symbols import ProjectSymbolTable
 
 __all__ = [
     "ALL_RULES",
-    "PROFILES",
     "LintViolation",
     "lint_source",
     "lint_file",
@@ -58,19 +48,8 @@ __all__ = [
     "main",
 ]
 
-#: The complete catalogue: the engine-level meta rule, the token/AST
-#: rules, and the CFG/dataflow rules.
-ALL_RULES: tuple[Rule, ...] = (META_RULE, *BASE_RULES, *FLOW_RULES)
-
-#: Named rule profiles. ``None`` means "every rule". The ``tests``
-#: profile keeps the parallel-safety rules (pickle-safety and span/ledger
-#: pairing — tests construct real worker tasks and tracer spans) while
-#: dropping style- and scope-rules that are meaningless for test code
-#: (loop-depth RPL004, ``__all__`` RPL005, seeded-randomness RPL002, ...).
-PROFILES: dict[str, tuple[str, ...] | None] = {
-    "src": None,
-    "tests": ("RPL000", "RPL101", "RPL102"),
-}
+#: The complete catalogue: the engine-level meta rule and the AST rules.
+ALL_RULES: tuple[Rule, ...] = (META_RULE, *BASE_RULES)
 
 _DISABLE_MARKER = "reprolint:"
 _REASON_SEPARATOR = " -- "
@@ -171,32 +150,17 @@ def _parse_suppressions(source: str) -> _Suppressions:
     return out
 
 
-def _select_rules(
-    select: Iterable[str] | None, profile: str
-) -> list[Rule]:
-    known = {rule.code for rule in ALL_RULES}
-    if select is not None:
-        wanted = {c.strip().upper() for c in select if c.strip()}
-        unknown = wanted - known
-        if unknown:
-            raise ValueError(
-                f"unknown rule code(s) {sorted(unknown)}; known: {sorted(known)}"
-            )
-        return [rule for rule in ALL_RULES if rule.code in wanted]
-    if profile not in PROFILES:
-        raise ValueError(
-            f"unknown profile {profile!r}; known: {sorted(PROFILES)}"
-        )
-    codes = PROFILES[profile]
-    if codes is None:
+def _select_rules(select: Iterable[str] | None) -> list[Rule]:
+    if select is None:
         return list(ALL_RULES)
-    return [rule for rule in ALL_RULES if rule.code in codes]
-
-
-@functools.lru_cache(maxsize=1)
-def _package_symbols() -> ProjectSymbolTable:
-    """Shared fallback symbol table over the installed ``repro`` source."""
-    return ProjectSymbolTable().with_package()
+    known = {rule.code for rule in ALL_RULES}
+    wanted = {c.strip().upper() for c in select if c.strip()}
+    unknown = wanted - known
+    if unknown:
+        raise ValueError(
+            f"unknown rule code(s) {sorted(unknown)}; known: {sorted(known)}"
+        )
+    return [rule for rule in ALL_RULES if rule.code in wanted]
 
 
 def _meta_findings(
@@ -208,7 +172,7 @@ def _meta_findings(
 
     Unused-suppression detection only fires when every code a directive
     names was actually executed this run — a ``--select RPL001`` pass must
-    not declare an RPL102 suppression stale.
+    not declare an RPL105 suppression stale.
     """
     known = {rule.code for rule in ALL_RULES}
     findings: list[tuple[int, int, str]] = []
@@ -245,18 +209,14 @@ def lint_source(
     source: str,
     path: str = "<string>",
     select: Iterable[str] | None = None,
-    profile: str = "src",
-    symbols: ProjectSymbolTable | None = None,
 ) -> list[LintViolation]:
     """Lint Python source text; returns violations sorted by location.
 
     ``path`` is used both for reporting and for path-scoped rule
     exemptions (e.g. RPL001 exempts ``metrics/base.py``), so pass the
-    real repository-relative path whenever one exists. ``symbols``
-    defaults to a table over the installed ``repro`` package, which is
-    what standalone snippets need to resolve project imports.
+    real repository-relative path whenever one exists.
     """
-    rules = _select_rules(select, profile)
+    rules = _select_rules(select)
     active_codes = {rule.code for rule in rules}
     try:
         tree = ast.parse(source, filename=path)
@@ -267,10 +227,7 @@ def lint_source(
             LintViolation(path, line, max(col, 0), "RPL000", f"syntax error: {exc.msg}")
         ]
     suppressions = _parse_suppressions(source)
-    norm_path = Path(path).as_posix()
-    if symbols is None:
-        symbols = _package_symbols()
-    ctx = RuleContext(tree=tree, path=norm_path, source=source, symbols=symbols)
+    ctx = RuleContext(tree=tree, path=Path(path).as_posix())
     violations: list[LintViolation] = []
     for rule in rules:
         for line, col, message in rule.check(ctx):
@@ -289,19 +246,14 @@ def lint_source(
 
 
 def lint_file(
-    path: str | Path,
-    select: Iterable[str] | None = None,
-    profile: str = "src",
-    symbols: ProjectSymbolTable | None = None,
+    path: str | Path, select: Iterable[str] | None = None
 ) -> list[LintViolation]:
     """Lint one file on disk."""
     text = Path(path).read_text(encoding="utf-8")
-    return lint_source(text, str(path), select=select, profile=profile, symbols=symbols)
+    return lint_source(text, str(path), select=select)
 
 
-def _iter_python_files(
-    paths: Sequence[str | Path], exclude: Sequence[str] = ()
-) -> list[Path]:
+def _iter_python_files(paths: Sequence[str | Path]) -> list[Path]:
     files: list[Path] = []
     for item in paths:
         p = Path(item)
@@ -309,11 +261,6 @@ def _iter_python_files(
             files.extend(sorted(p.rglob("*.py")))
         elif p.suffix == ".py":
             files.append(p)
-    if exclude:
-        files = [
-            f for f in files
-            if not any(marker in f.as_posix() for marker in exclude)
-        ]
     # De-duplicate while preserving order (a file may be reachable twice).
     seen: set[Path] = set()
     unique: list[Path] = []
@@ -326,26 +273,12 @@ def _iter_python_files(
 
 
 def lint_paths(
-    paths: Sequence[str | Path],
-    select: Iterable[str] | None = None,
-    profile: str = "src",
-    exclude: Sequence[str] = (),
+    paths: Sequence[str | Path], select: Iterable[str] | None = None
 ) -> list[LintViolation]:
-    """Lint every ``*.py`` file under the given files/directories.
-
-    ``exclude`` drops files whose posix path contains any of the given
-    substrings (e.g. ``tests/fixtures`` — lint fixtures violate rules on
-    purpose). One cross-module symbol table is built over everything being
-    linted (plus the installed ``repro`` package as fallback) and shared by
-    all files, so ``from repro.x import y`` resolves precisely.
-    """
-    files = _iter_python_files(paths, exclude=exclude)
-    symbols = ProjectSymbolTable.from_paths(files).with_package()
+    """Lint every ``*.py`` file under the given files/directories."""
     violations: list[LintViolation] = []
-    for f in files:
-        violations.extend(
-            lint_file(f, select=select, profile=profile, symbols=symbols)
-        )
+    for f in _iter_python_files(paths):
+        violations.extend(lint_file(f, select=select))
     return violations
 
 
@@ -435,11 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: the profile's rules)",
-    )
-    parser.add_argument(
-        "--profile", choices=sorted(PROFILES), default="src",
-        help="rule profile: src (all rules) or tests (RPL000/101/102)",
+        help="comma-separated rule codes to run (default: every rule)",
     )
     parser.add_argument(
         "--format", choices=["text", "json", "sarif"], default="text",
@@ -448,10 +377,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--output", default=None, metavar="FILE",
         help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--exclude", action="append", default=[], metavar="SUBSTRING",
-        help="skip files whose path contains SUBSTRING (repeatable)",
     )
     parser.add_argument(
         "--statistics", action="store_true", help="append per-rule counts",
@@ -468,9 +393,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     select = args.select.split(",") if args.select else None
     try:
-        violations = lint_paths(
-            args.paths, select=select, profile=args.profile, exclude=args.exclude
-        )
+        violations = lint_paths(args.paths, select=select)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

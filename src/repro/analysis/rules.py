@@ -29,19 +29,21 @@ RPL004
 RPL005
     Public modules must declare ``__all__`` so the public surface is
     explicit (and the typing gate knows what to hold stable).
+RPL105
+    In the numerics-bearing modules (``birch/``, ``core/features.py``,
+    ``fastmap/``), no catastrophic-cancellation shapes: differences of
+    squared magnitudes (``a*a - b*b``, sum-of-squares minus
+    square-of-sum) and scalar ``+=`` accumulation of squared distances.
+    The CF* code uses stable incremental forms (Welford/Chan, compensated
+    RowSums); the irreducible remainder carries a justified suppression.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.analysis.cfg import FunctionCFG
-    from repro.analysis.dataflow import ModuleScopes
-    from repro.analysis.symbols import ProjectSymbolTable
 
 __all__ = ["BASE_RULES", "META_RULE", "Finding", "Rule", "RuleContext"]
 
@@ -67,45 +69,11 @@ _RNG_TYPES = frozenset(
 
 
 class RuleContext:
-    """Everything a checker may need about one module, built lazily.
+    """What a checker sees of one module: its AST and its path."""
 
-    Token-level rules only touch ``tree``/``path``/``source``; the RPL1xx
-    dataflow rules additionally pull ``scopes`` (lexical scope tree with
-    per-binding value origins), ``function_cfgs`` (statement-granular
-    control-flow graphs), and ``symbols`` (the cross-module import-resolving
-    table, shared across the whole lint run). The expensive artefacts are
-    memoised so multiple rules pay for them once.
-    """
-
-    def __init__(
-        self,
-        tree: ast.Module,
-        path: str,
-        source: str,
-        symbols: ProjectSymbolTable | None = None,
-    ) -> None:
+    def __init__(self, tree: ast.Module, path: str) -> None:
         self.tree = tree
         self.path = path
-        self.source = source
-        self.symbols = symbols
-        self._scopes: ModuleScopes | None = None
-        self._function_cfgs: list[FunctionCFG] | None = None
-
-    @property
-    def scopes(self) -> ModuleScopes:
-        if self._scopes is None:
-            from repro.analysis.dataflow import build_scopes
-
-            self._scopes = build_scopes(self.tree)
-        return self._scopes
-
-    @property
-    def function_cfgs(self) -> list[FunctionCFG]:
-        if self._function_cfgs is None:
-            from repro.analysis.cfg import iter_function_cfgs
-
-            self._function_cfgs = list(iter_function_cfgs(self.tree))
-        return self._function_cfgs
 
 
 #: Checker signature shared by every concrete rule.
@@ -142,6 +110,15 @@ def _dotted_name(node: ast.expr) -> list[str] | None:
         parts.append(node.id)
         parts.reverse()
         return parts
+    return None
+
+
+def _callee_name(func: ast.expr) -> str | None:
+    """``f(...)`` -> ``"f"``, ``a.b.f(...)`` -> ``"f"``; None otherwise."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
     return None
 
 
@@ -436,6 +413,79 @@ def _check_declares_all(ctx: RuleContext) -> Iterator[Finding]:
         )
 
 
+# ----------------------------------------------------------------------
+# RPL105 — catastrophic-cancellation shapes in the numerics modules
+# ----------------------------------------------------------------------
+_STABILITY_SCOPE = ("birch/", "fastmap/", "core/features")
+
+#: Names that denote squared magnitudes by project convention.
+_SQUARE_NAMES = frozenset({"ss", "dss", "sq", "cross_sq", "r1_sq", "r2_sq"})
+_SQUARE_NAME_RE = re.compile(r"(_sq\d*$|sq$|sumsq|sq_sum|squared|^d[a-z_]*2$|^r\d$)")
+
+
+def _square_name(name: str) -> bool:
+    return name in _SQUARE_NAMES or bool(_SQUARE_NAME_RE.search(name))
+
+
+def _is_squareish(expr: ast.expr) -> bool:
+    """True when ``expr`` denotes a squared magnitude."""
+    if isinstance(expr, ast.BinOp):
+        if isinstance(expr.op, ast.Pow):
+            return isinstance(expr.right, ast.Constant) and expr.right.value == 2
+        if isinstance(expr.op, ast.Mult):
+            return ast.dump(expr.left) == ast.dump(expr.right)
+        if isinstance(expr.op, ast.Div):
+            # sum-of-squares normalized by a count is still a square scale.
+            return _is_squareish(expr.left)
+        if isinstance(expr.op, ast.Add):
+            return _is_squareish(expr.left) and _is_squareish(expr.right)
+        return False
+    if isinstance(expr, ast.Call):
+        name = _callee_name(expr.func)
+        if name in ("float", "int", "abs") and expr.args:
+            return _is_squareish(expr.args[0])
+        if name == "square":
+            return True
+        if name == "dot" and len(expr.args) == 2:
+            return ast.dump(expr.args[0]) == ast.dump(expr.args[1])
+        if name is not None and _square_name(name):
+            return True
+        if name == "sum" and isinstance(expr.func, ast.Attribute):
+            return _is_squareish(expr.func.value)
+        return False
+    if isinstance(expr, ast.Name):
+        return _square_name(expr.id)
+    if isinstance(expr, ast.Attribute):
+        return _square_name(expr.attr)
+    if isinstance(expr, ast.Subscript):
+        return _is_squareish(expr.value)
+    return False
+
+
+def _check_float_stability(ctx: RuleContext) -> Iterator[Finding]:
+    if not any(marker in ctx.path for marker in _STABILITY_SCOPE):
+        return
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            if _is_squareish(node.left) and _is_squareish(node.right):
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    "difference of squared magnitudes cancels catastrophically "
+                    "when the operands are close (BETULA, PAPERS.md); prefer a "
+                    "numerically stable incremental form",
+                )
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            if _is_squareish(node.value):
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    "scalar += accumulation of squared magnitudes loses "
+                    "precision at large n; use a compensated or pairwise "
+                    "summation (BETULA worklist)",
+                )
+
+
 META_RULE = Rule(
     code="RPL000",
     summary="lint integrity: syntax errors, unused or unjustified suppressions",
@@ -473,5 +523,11 @@ BASE_RULES: tuple[Rule, ...] = (
         summary="public modules must declare __all__",
         rationale="an explicit public surface is what the typing gate holds stable",
         checker=_check_declares_all,
+    ),
+    Rule(
+        code="RPL105",
+        summary="no cancellation-prone squared-magnitude arithmetic in the numerics modules",
+        rationale="difference-of-squares and scalar squared accumulation drift at scale (BETULA)",
+        checker=_check_float_stability,
     ),
 )

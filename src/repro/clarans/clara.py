@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.clarans.clarans import CLARANS
 from repro.exceptions import EmptyDatasetError, NotFittedError, ParameterError
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.observability.tracer import NULL_TRACER, NullTracer
 
 __all__ = ["CLARA"]
@@ -201,12 +201,8 @@ class CLARA:
                 calls_before = metric.n_calls
                 # The span times the search on a tracer; the site books its
                 # calls on whatever ledger is active, tracer or not.
-                with tracer.span(SAMPLE_SITE):
-                    push_site(SAMPLE_SITE)
-                    try:
-                        search.fit([objs[int(i)] for i in indices])
-                    finally:
-                        pop_site()
+                with tracer.span(SAMPLE_SITE), site(SAMPLE_SITE):
+                    search.fit([objs[int(i)] for i in indices])
                 assert search.medoid_indices_ is not None and search.cost_ is not None
                 candidates.append([int(indices[i]) for i in search.medoid_indices_])
                 summaries.append(

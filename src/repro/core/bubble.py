@@ -34,7 +34,7 @@ from repro.core.routing import (
     pruned_segment_distances,
 )
 from repro.exceptions import ParameterError, TreeInvariantError
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.utils.rng import ensure_rng
 from repro.utils.sampling import sample_without_replacement
 from repro.utils.validation import check_integer
@@ -142,11 +142,8 @@ class BubblePolicy(BirchStarPolicy):
         if self.prune and len(node.entries) >= _MIN_PRUNE_LEAF_ENTRIES:
             return pruned_leaf_distances(self.metric, node, obj, self.pruning_stats)
         clustroids = [feature.clustroid for feature in node.entries]
-        push_site("leaf-d0")
-        try:
+        with site("leaf-d0"):
             return self.metric.one_to_many(obj, clustroids)
-        finally:
-            pop_site()
 
     def leaf_entry_distance(self, a: Any, b: Any) -> float:
         return self.metric.distance(a.clustroid, b.clustroid)
@@ -163,11 +160,8 @@ class BubblePolicy(BirchStarPolicy):
             return pruned_segment_distances(
                 self.metric, cache, len(node.entries), obj, self.pruning_stats
             )
-        push_site("nonleaf-d2")
-        try:
+        with site("nonleaf-d2"):
             dists = self.metric.one_to_many(obj, cache.batch)
-        finally:
-            pop_site()
         sq = dists**2
         offsets = cache.offsets
         out = np.empty(len(node.entries), dtype=np.float64)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.bubble import BubblePolicy, _SampleCache
 from repro.core.nodes import NonLeafNode
 from repro.fastmap import FastMap
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.utils.validation import check_integer
 
 __all__ = ["BubbleFMPolicy"]
@@ -108,12 +108,8 @@ class BubbleFMPolicy(BubblePolicy):
         mapper = FastMap(
             self.metric, self.image_dim, iterations=self.fm_iterations, seed=self._rng
         )
-        with self.tracer.span("fastmap-refit"):
-            push_site("fastmap-refit")
-            try:
-                images = mapper.fit(flat)
-            finally:
-                pop_site()
+        with self.tracer.span("fastmap-refit"), site("fastmap-refit"):
+            images = mapper.fit(flat)
         self.n_fastmap_fits += 1
         centroids = np.empty((len(node.entries), self.image_dim), dtype=np.float64)
         for i in range(len(node.entries)):
@@ -168,11 +164,8 @@ class BubbleFMPolicy(BubblePolicy):
         cache = self._node_cache(node)
         if getattr(cache, "mapper", None) is None:
             return super().nonleaf_distances(node, obj)
-        push_site("fastmap-map")
-        try:
+        with site("fastmap-map"):
             image = cache.mapper.transform(obj)  # exactly 2k distance calls
-        finally:
-            pop_site()
         diff = cache.centroids - image
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.arena import FeatureArena
 from repro.exceptions import ParameterError
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.utils.numerics import compensated_add
 
 __all__ = [
@@ -283,11 +283,8 @@ class BubbleClusterFeature(ClusterFeature):
         reused.
         """
         reps = self._reps
-        push_site("leaf-update")
-        try:
+        with site("leaf-update"):
             dists = self.metric.one_to_many(obj, reps)
-        finally:
-            pop_site()
         sq = np.asarray(dists, dtype=np.float64) ** 2
         if self.exact:
             rowsum_new = float(sq.sum())
@@ -347,12 +344,9 @@ class BubbleClusterFeature(ClusterFeature):
         r1_sq, r2_sq = self.radius**2, other.radius**2
         c1, c2 = self.clustroid, other.clustroid
         # d(o, other's clustroid) for each of our candidates, and vice versa.
-        push_site("leaf-update")
-        try:
+        with site("leaf-update"):
             d_to_c2 = self.metric.one_to_many(c2, reps_self)
             d_to_c1 = self.metric.one_to_many(c1, reps_other)
-        finally:
-            pop_site()
 
         cand_objs = reps_self + reps_other
         cand_rs = np.concatenate([self._rowsums, other._rowsums])
@@ -384,11 +378,8 @@ class BubbleClusterFeature(ClusterFeature):
         from the full cross-distance matrix (``n1 * n2`` calls, one batched
         gather)."""
         reps_self, reps_other = self._reps, other._reps
-        push_site("leaf-update")
-        try:
+        with site("leaf-update"):
             cross = self.metric.cross(reps_self, reps_other)
-        finally:
-            pop_site()
         cross_sq = np.asarray(cross, dtype=np.float64) ** 2
         new_rs = np.concatenate([self._rowsums, other._rowsums])
         new_comp = np.concatenate(

@@ -78,7 +78,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 
 __all__ = [
     "PruningStats",
@@ -299,8 +299,7 @@ def pruned_leaf_distances(
     n = len(clustroids)
     pair = geom.pair
     batch = geom.batch
-    push_site("leaf-d0")
-    try:
+    with site("leaf-d0"):
         out = np.full(n, np.inf, dtype=np.float64)
         # Lower bounds of the unmeasured clustroids; measured slots hold
         # +inf, so the best-first pick is a plain argmin.
@@ -331,8 +330,6 @@ def pruned_leaf_distances(
         stats.candidates_evaluated += n_evaluated
         stats.candidates_pruned += n - n_evaluated
         return out
-    finally:
-        pop_site()
 
 
 #: Relative window within which a vectorised segment bound is re-reduced in
@@ -361,8 +358,7 @@ def pruned_segment_distances(
     gather_from = geom.gather_from
     starts = offsets[:-1]
     n = len(cache.flat)
-    push_site("nonleaf-d2")
-    try:
+    with site("nonleaf-d2"):
         d_full = np.full(n, np.nan, dtype=np.float64)
         lb = np.zeros(n, dtype=np.float64)
 
@@ -431,5 +427,3 @@ def pruned_segment_distances(
         stats.candidates_evaluated += n_entries - n_open
         stats.candidates_pruned += n_open
         return out
-    finally:
-        pop_site()

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.metrics.base import pop_site, push_site
+from repro.metrics.base import site
 from repro.utils.rng import ensure_rng
 
 __all__ = ["suggest_next_threshold"]
@@ -40,14 +40,11 @@ def suggest_next_threshold(tree: Any, seed: int | np.random.Generator | None = N
         if len(candidates) > _MAX_SAMPLED_LEAVES:
             idx = rng.choice(len(candidates), size=_MAX_SAMPLED_LEAVES, replace=False)
             candidates = [candidates[int(i)] for i in idx]
-        push_site("threshold")
-        try:
+        with site("threshold"):
             for leaf in candidates:
                 dm = tree.policy.leaf_entry_matrix(leaf.entries)
                 np.fill_diagonal(dm, np.inf)
                 nn_dists.extend(dm.min(axis=1).tolist())
-        finally:
-            pop_site()
 
     old_t = tree.threshold
     estimate = float(np.median(nn_dists)) if nn_dists else 0.0

@@ -47,7 +47,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import EmptyDatasetError, ParameterError
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.metrics.cache import _default_key
 from repro.utils.validation import check_integer
 
@@ -459,11 +459,8 @@ class MetricIndex(ABC):
         self._check_ready()
         session = QuerySession(self.metric, obj, self.objects, self.bound_cache)
         start_calls = self.metric.n_calls
-        push_site(QUERY_KNN_SITE)
-        try:
+        with site(QUERY_KNN_SITE):
             pairs = self._knn(session, obj, min(k, len(self)))
-        finally:
-            pop_site()
         return self._finish("knn", session, pairs, start_calls)
 
     def within(self, obj: Any, radius: float) -> QueryResult:
@@ -473,11 +470,8 @@ class MetricIndex(ABC):
         self._check_ready()
         session = QuerySession(self.metric, obj, self.objects, self.bound_cache)
         start_calls = self.metric.n_calls
-        push_site(QUERY_RANGE_SITE)
-        try:
+        with site(QUERY_RANGE_SITE):
             pairs = self._range(session, obj, float(radius))
-        finally:
-            pop_site()
         return self._finish("range", session, pairs, start_calls)
 
     def _finish(
@@ -526,10 +520,7 @@ def brute_force_reference(
     """
     if not objects:
         raise EmptyDatasetError("brute_force_reference over no objects")
-    push_site(QUERY_KNN_SITE)
-    try:
+    with site(QUERY_KNN_SITE):
         row = metric.one_to_many(query, list(objects))
-    finally:
-        pop_site()
     order = sorted((float(value), i) for i, value in enumerate(row))
     return order[: min(k, len(order))]

@@ -11,7 +11,10 @@ ledger** behind :mod:`repro.observability`: while a :class:`CallLedger` is
 active, every counted call is additionally charged to the innermost *site*
 label on the ledger's stack (``leaf-d0`` leaf routing, ``nonleaf-d2`` sample
 routing, ``fastmap-map`` incremental mapping, ...; see
-``docs/observability.md`` for the taxonomy). Counting and charging share one
+``docs/observability.md`` for the taxonomy). Library code opens a site only
+as ``with site(label):``, which closes it on every path out of the block,
+raises included, so no path can leave a stale label on the stack.
+Counting and charging share one
 code path (:meth:`DistanceFunction._count`), so the attributed totals sum
 *exactly* to ``n_calls`` — the conservation law the regression tests pin.
 With no ledger active the cost is a single ``None`` check per counted batch.
@@ -33,8 +36,7 @@ __all__ = [
     "activate_ledger",
     "deactivate_ledger",
     "active_ledger",
-    "push_site",
-    "pop_site",
+    "site",
 ]
 
 #: Site label for calls counted while a ledger is active but no span or
@@ -100,23 +102,37 @@ def active_ledger() -> CallLedger | None:
     return _ACTIVE_LEDGER
 
 
-def push_site(label: str) -> None:
-    """Open attribution site ``label`` on the active ledger (no-op when
-    attribution is disabled). Pair with :func:`pop_site` in a ``finally``."""
-    ledger = _ACTIVE_LEDGER
-    if ledger is not None:
-        ledger.stack.append(label)
+class site:
+    """Context manager charging the calls made inside it to site ``label``.
 
-
-def pop_site() -> None:
-    """Close the innermost site opened by :func:`push_site`.
-
-    Tolerates an empty stack so a push skipped because attribution was
-    disabled never underflows its paired pop.
+    ``with site("leaf-d0"): ...`` opens ``label`` on the ledger active at
+    entry and closes it on that same ledger at exit, on every path out of
+    the block, so a raise inside the block cannot leak the site and a
+    ledger switched inside the block cannot be popped in its place. With
+    no active ledger it does nothing.
     """
-    ledger = _ACTIVE_LEDGER
-    if ledger is not None and ledger.stack:
-        ledger.stack.pop()
+
+    __slots__ = ("label", "_ledger")
+
+    def __init__(self, label: str) -> None:
+        self.label = label
+        self._ledger: CallLedger | None = None
+
+    def __enter__(self) -> None:
+        ledger = self._ledger = _ACTIVE_LEDGER
+        if ledger is not None:
+            ledger.stack.append(self.label)
+
+    def __exit__(self, *exc_info: object) -> None:
+        ledger = self._ledger
+        if ledger is not None:
+            self._ledger = None
+            ledger.stack.pop()
+
+
+#: :meth:`DistanceFunction.count_external`'s ``site`` parameter shadows
+#: the class inside that method.
+_site = site
 
 
 class DistanceFunction(ABC):
@@ -188,11 +204,8 @@ class DistanceFunction(ABC):
         if site is None:
             self._count(n)
             return
-        push_site(site)
-        try:
+        with _site(site):
             self._count(n)
-        finally:
-            pop_site()
 
     # ------------------------------------------------------------------
     # Public measuring API (counted)

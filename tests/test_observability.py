@@ -23,15 +23,16 @@ from hypothesis import strategies as st
 
 from repro.core.preclusterer import BUBBLE, BUBBLEFM
 from repro.datasets import make_ds2
-from repro.exceptions import ParameterError
+from repro.exceptions import MetricBudgetExceededError, ParameterError
+from repro.index import BruteForceIndex, VPTree
+from repro.index.base import QUERY_KNN_SITE, QUERY_RANGE_SITE
 from repro.metrics import EuclideanDistance
 from repro.metrics.base import (
     CallLedger,
     activate_ledger,
     active_ledger,
     deactivate_ledger,
-    pop_site,
-    push_site,
+    site,
 )
 from repro.metrics.cache import CachedDistance
 from repro.observability import (
@@ -41,9 +42,11 @@ from repro.observability import (
     NullTracer,
     StatsSnapshot,
     SummarySink,
+    TraceSink,
     Tracer,
     format_summary,
 )
+from repro.robustness import FlakyMetric, GuardedMetric
 
 
 def _ds2_objects(n=500, seed=13):
@@ -183,17 +186,46 @@ class TestOverheadGuard:
 # Tracer / ledger mechanics
 # ----------------------------------------------------------------------
 class TestLedger:
-    def test_push_pop_are_noops_without_active_ledger(self):
+    def test_site_is_a_noop_without_active_ledger(self):
         assert active_ledger() is None
-        push_site("anywhere")
-        pop_site()  # must not raise
+        with site("anywhere"):
+            assert active_ledger() is None
         assert active_ledger() is None
 
-    def test_pop_tolerates_empty_stack(self):
+    def test_site_opened_without_ledger_pops_nothing(self):
+        # Attribution was off at entry, so the exit must not pop a ledger
+        # that was activated inside the block.
+        ledger = CallLedger()
+        ledger.stack.append("phase")
+        with site("anywhere"):
+            previous = activate_ledger(ledger)
+        try:
+            assert ledger.stack == ["phase"]
+        finally:
+            deactivate_ledger(previous)
+
+    def test_ledger_switched_inside_a_site_leaves_both_stacks_clean(self):
+        first, second = CallLedger(), CallLedger()
+        second.stack.append("phase")  # a span open on the second ledger
+        previous = activate_ledger(first)
+        try:
+            with site("outer"):
+                assert first.stack == ["outer"]
+                activate_ledger(second)
+            assert first.stack == []
+            assert second.stack == ["phase"]
+        finally:
+            deactivate_ledger(previous)
+
+    def test_site_closes_when_its_block_raises(self):
         ledger = CallLedger()
         previous = activate_ledger(ledger)
         try:
-            pop_site()  # reprolint: disable=RPL102 -- exercises the empty-stack tolerance on purpose
+            with site("outer"):
+                with pytest.raises(RuntimeError):
+                    with site("inner"):
+                        raise RuntimeError("fault inside the site")
+                assert ledger.stack == ["outer"]
             assert ledger.stack == []
         finally:
             deactivate_ledger(previous)
@@ -221,6 +253,92 @@ class TestLedger:
         tracer = Tracer()
         with pytest.raises(ParameterError):
             tracer._deactivate()
+
+
+class _LedgerStackSink(TraceSink):
+    """Records every span event at which the tracer's ledger stack is not
+    exactly the spans still open: a leaked site shows up as an extra label."""
+
+    def __init__(self) -> None:
+        self.tracer: Tracer | None = None
+        self.open: list[str] = []
+        self.n_events = 0
+        self.mismatches: list[tuple[str, str, list[str]]] = []
+
+    def emit(self, event):
+        if event["ev"] == "enter":
+            self.open.append(event["span"])
+        elif event["ev"] == "exit":
+            self.open.pop()
+        else:
+            return
+        self.n_events += 1
+        stack = self.tracer.ledger.stack
+        if stack != self.open:
+            self.mismatches.append((event["ev"], event["span"], list(stack)))
+
+
+class TestSitesUnderFaults:
+    """A fault raised inside a ledger site must close the site on its way
+    out: afterwards the ledger stack holds only the spans still open, and
+    the next counted call is charged to its own site."""
+
+    @pytest.mark.parametrize("backend", [BruteForceIndex, VPTree])
+    @pytest.mark.parametrize(
+        "query, fault_site",
+        [("nearest", QUERY_KNN_SITE), ("within", QUERY_RANGE_SITE)],
+    )
+    def test_budget_fault_inside_a_query(self, backend, query, fault_site):
+        objs = _ds2_objects(n=200)
+        build_calls = backend(EuclideanDistance()).build(objs).stats.build_calls
+        metric = GuardedMetric(EuclideanDistance(), max_calls=build_calls + 1)
+        index = backend(metric).build(objs)
+        probe = EuclideanDistance()
+        tracer = Tracer()
+        with tracer, tracer.span("serve"):
+            with pytest.raises(MetricBudgetExceededError):
+                if query == "nearest":
+                    index.nearest(objs[0], k=5)
+                else:
+                    index.within(objs[0], radius=50.0)
+            assert tracer.ledger.stack == ["serve"]
+            charged = dict(tracer.calls_by_site)
+            probe.distance(objs[0], objs[1])
+            with site("probe"):
+                probe.distance(objs[0], objs[1])
+        assert tracer.ledger.stack == []
+        by_site = tracer.calls_by_site
+        assert by_site["serve"] == charged.get("serve", 0) + 1
+        assert by_site["probe"] == 1
+        assert by_site.get(fault_site, 0) == charged.get(fault_site, 0)
+
+    @pytest.mark.parametrize("model_cls", [BUBBLE, BUBBLEFM])
+    def test_flaky_fault_inside_a_quarantined_insert(self, model_cls):
+        objs = _ds2_objects(n=800)
+        # A poisoned object raises on its first routing call: at a root
+        # leaf of 2 entries (the exhaustive leaf-d0 gather), at one of 10
+        # (the pruned leaf walk), and at non-leaf routing once the tree
+        # has grown.
+        poisoned = (2, 10, 250, 600)
+        for i in poisoned:
+            objs[i] = np.array([1e6, 1e6])
+        metric = FlakyMetric(
+            EuclideanDistance(), failure_rate=0.0, poison=lambda o: o[0] > 1e5
+        )
+        sink = _LedgerStackSink()
+        tracer = Tracer(sinks=[sink])
+        sink.tracer = tracer
+        model = model_cls(metric, max_nodes=20, seed=0, tracer=tracer)
+        model.fit(objs, on_error="quarantine")
+        assert [r.index for r in model.quarantine_] == list(poisoned)
+        assert sink.n_events > 0
+        assert sink.mismatches == []
+        assert tracer.ledger.stack == []
+        assert sum(tracer.calls_by_site.values()) == metric.n_calls
+        with tracer:
+            charged = tracer.calls_by_site.get("unattributed", 0)
+            EuclideanDistance().distance(objs[0], objs[1])
+        assert tracer.calls_by_site["unattributed"] == charged + 1
 
 
 class TestTracer:

@@ -27,7 +27,7 @@ from repro.core.routing import (
 )
 from repro.datasets.vector import make_cell_dataset
 from repro.metrics import EditDistance, EuclideanDistance
-from repro.metrics.base import pop_site, push_site
+from repro.metrics.base import site
 
 point_lists = st.lists(
     st.tuples(
@@ -233,8 +233,7 @@ def scalar_leaf_distances(metric, node, obj, stats):
     geom, clustroids = ensure_leaf_geometry(metric, node, stats)
     n = len(clustroids)
     pair = geom.pair
-    push_site("leaf-d0")
-    try:
+    with site("leaf-d0"):
         out = np.full(n, np.inf, dtype=np.float64)
         known = np.zeros(n, dtype=bool)
         lb = np.zeros(n, dtype=np.float64)
@@ -262,8 +261,6 @@ def scalar_leaf_distances(metric, node, obj, stats):
         stats.candidates_evaluated += n_evaluated
         stats.candidates_pruned += n - n_evaluated
         return out
-    finally:
-        pop_site()
 
 
 def scalar_segment_distances(metric, cache, n_entries, obj, stats):
@@ -273,8 +270,7 @@ def scalar_segment_distances(metric, cache, n_entries, obj, stats):
     geom = ensure_sample_geometry(metric, cache, stats)
     pair = geom.pair
     n = len(flat)
-    push_site("nonleaf-d2")
-    try:
+    with site("nonleaf-d2"):
         d_full = np.full(n, np.nan, dtype=np.float64)
         known = np.zeros(n, dtype=bool)
         lb = np.zeros(n, dtype=np.float64)
@@ -317,8 +313,6 @@ def scalar_segment_distances(metric, cache, n_entries, obj, stats):
         stats.candidates_evaluated += n_evaluated
         stats.candidates_pruned += n_entries - n_evaluated
         return out
-    finally:
-        pop_site()
 
 
 def sample_cache(metric, segments):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ALL_RULES, lint_file, lint_paths, lint_source
-from repro.analysis.lint import format_violations, main
+from repro.analysis.lint import _parse_suppressions, format_violations, main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "reprolint"
 SRC = Path(__file__).parent.parent / "src"
@@ -186,8 +186,7 @@ class TestFramework:
 
     def test_rule_catalogue_complete(self):
         assert [r.code for r in ALL_RULES] == [
-            "RPL000", "RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-            "RPL101", "RPL102", "RPL103", "RPL104", "RPL105",
+            "RPL000", "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL105",
         ]
         for rule in ALL_RULES:
             assert rule.summary and rule.rationale
@@ -202,6 +201,25 @@ class TestFramework:
         """The whole library lints clean — the invariant CI enforces."""
         violations = lint_paths([SRC])
         assert violations == [], format_violations(violations)
+
+    def test_tests_and_benchmarks_carry_no_suppressions(self):
+        """Outside the lint fixtures, tests and benchmarks suppress no rule:
+        the linter runs on ``src`` only, so a suppression there could only
+        go stale unseen."""
+        repo = SRC.parent
+        files = [
+            path
+            for tree in (repo / "tests", repo / "benchmarks")
+            for path in sorted(tree.rglob("*.py"))
+            if FIXTURES not in path.parents
+        ]
+        assert len(files) > 50  # sanity: the walk found the suites
+        marked = [
+            str(path.relative_to(repo))
+            for path in files
+            if _parse_suppressions(path.read_text(encoding="utf-8")).directives
+        ]
+        assert marked == []
 
 
 # ----------------------------------------------------------------------

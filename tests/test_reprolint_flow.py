@@ -1,26 +1,19 @@
-"""Tests for the reprolint dataflow engine and the RPL1xx rule family.
+"""Tests for reprolint's RPL105 and RPL000 rules, its self-lint, and SARIF.
 
-The acceptance contract pinned here: every RPL1xx rule fires on its
-fixture, RPL102 accepts all existing ledger call sites while rejecting a
-pop skipped on an exception path (path-sensitivity, not grep), the
-engine lints itself clean, and the tests/benchmarks profile baseline is
-zero.
+The acceptance contract pinned here: RPL105 fires on its fixture only
+inside the numerics modules, RPL000 polices the suppressions themselves,
+the analysis package lints itself clean, and the SARIF log has the shape
+code-scanning uploads expect.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import PROFILES, lint_file, lint_paths, lint_source, to_sarif
-from repro.analysis.cfg import build_cfg, iter_function_cfgs
-from repro.analysis.dataflow import OriginKind, build_scopes, resolve_expr
-from repro.analysis.symbols import ProjectSymbolTable
+from repro.analysis import lint_file, lint_paths, lint_source, to_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures" / "reprolint"
-REPO = Path(__file__).parent.parent
-SRC = REPO / "src"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def codes(violations):
@@ -28,248 +21,8 @@ def codes(violations):
 
 
 # ----------------------------------------------------------------------
-# Analysis core
-# ----------------------------------------------------------------------
-class TestCFG:
-    def test_try_finally_covers_exception_paths(self):
-        import ast
-
-        tree = ast.parse(
-            "def f(m):\n"
-            "    before()\n"
-            "    try:\n"
-            "        return m.work()\n"
-            "    finally:\n"
-            "        after()\n"
-        )
-        fn = next(fc for fc in iter_function_cfgs(tree) if fc.name == "f")
-        # The finally suite is duplicated per continuation: its statement
-        # appears on both the return path and the exception path.
-        finally_nodes = [
-            n for n in fn.cfg.statement_nodes() if n.line == 6
-        ]
-        assert len(finally_nodes) >= 2
-
-    def test_postdominators_straight_line(self):
-        import ast
-
-        tree = ast.parse("a()\nb()\nc()\n")
-        cfg = build_cfg(tree.body)
-        postdom = cfg.postdominators()
-        nodes = {n.line: n.index for n in cfg.statement_nodes()}
-        # c() post-dominates a() and b(); b() does not post-dominate c().
-        assert nodes[3] in postdom[nodes[1]]
-        assert nodes[3] in postdom[nodes[2]]
-        assert nodes[2] not in postdom[nodes[3]]
-
-    def test_postdominators_branch(self):
-        import ast
-
-        tree = ast.parse(
-            "if cond():\n    a()\nelse:\n    b()\njoin()\n"
-        )
-        cfg = build_cfg(tree.body)
-        postdom = cfg.postdominators()
-        nodes = {n.line: n.index for n in cfg.statement_nodes()}
-        # The join post-dominates both branches; neither branch
-        # post-dominates the test.
-        assert nodes[5] in postdom[nodes[2]]
-        assert nodes[5] in postdom[nodes[4]]
-        assert nodes[2] not in postdom[nodes[1]]
-
-
-class TestDataflow:
-    def _scope_and_tree(self, source):
-        import ast
-
-        tree = ast.parse(source)
-        return tree, build_scopes(tree)
-
-    def test_lambda_origin(self):
-        tree, scopes = self._scope_and_tree("def f():\n    g = lambda: 1\n    use(g)\n")
-        fn = tree.body[0]
-        call = fn.body[1].value
-        origins = resolve_expr(call.args[0], scopes.scope_of(fn), None)
-        assert {o.kind for o in origins} == {OriginKind.LAMBDA}
-
-    def test_param_origin(self):
-        tree, scopes = self._scope_and_tree("def f(seed):\n    use(seed)\n")
-        fn = tree.body[0]
-        call = fn.body[0].value
-        origins = resolve_expr(call.args[0], scopes.scope_of(fn), None)
-        assert {o.kind for o in origins} == {OriginKind.PARAM}
-
-    def test_unknown_never_guessed(self):
-        tree, scopes = self._scope_and_tree("def f(x):\n    y = mystery(x)\n    use(y)\n")
-        fn = tree.body[0]
-        call = fn.body[1].value
-        origins = resolve_expr(call.args[0], scopes.scope_of(fn), None)
-        assert {o.kind for o in origins} == {OriginKind.UNKNOWN}
-
-    def test_symbol_table_resolves_reexport(self):
-        table = ProjectSymbolTable()
-        table.add_source(
-            "src/repro/parallel/pool.py",
-            "class ShardSupervisor:\n    pass\n",
-        )
-        table.add_source(
-            "src/repro/parallel/__init__.py",
-            "from repro.parallel.pool import ShardSupervisor\n",
-        )
-        symbol = table.resolve_import("repro.parallel", "ShardSupervisor")
-        assert symbol.module == "repro.parallel.pool"
-        assert symbol.is_module_level_callable
-
-    def test_module_level_lambda_not_pickle_safe(self):
-        table = ProjectSymbolTable()
-        table.add_source("src/repro/util.py", "helper = lambda x: x\n")
-        symbol = table.resolve_import("repro.util", "helper")
-        assert not symbol.is_module_level_callable
-
-
-# ----------------------------------------------------------------------
 # Per-rule fixtures
 # ----------------------------------------------------------------------
-class TestRPL101:
-    def test_fixture_trips(self):
-        vs = lint_file(FIXTURES / "rpl101_pickle_safety.py", select=["RPL101"])
-        assert codes(vs) == ["RPL101"] * 3
-        messages = " ".join(v.message for v in vs)
-        assert "lambda" in messages
-        assert "local_task" in messages
-        assert "LocalDriver" in messages
-
-    def test_module_level_clean(self):
-        # The negative case lives in the same fixture: no finding lands in
-        # ship_module_level.
-        src = (FIXTURES / "rpl101_pickle_safety.py").read_text()
-        good_start = src.splitlines().index("def ship_module_level(pool: ProcessPoolExecutor):")
-        vs = lint_file(FIXTURES / "rpl101_pickle_safety.py", select=["RPL101"])
-        assert all(v.line <= good_start for v in vs)
-
-    def test_supervisor_task_list(self):
-        src = (
-            "from repro.parallel import ShardSupervisor\n"
-            "def run():\n"
-            "    make = lambda: None\n"
-            "    return ShardSupervisor([make], n_jobs=2)\n"
-        )
-        vs = lint_source(src, "x.py", select=["RPL101"])
-        assert codes(vs) == ["RPL101"]
-
-    def test_supervisor_callbacks_stay_local(self):
-        # Keyword callbacks run in the parent process and never pickle.
-        src = (
-            "from repro.parallel import ShardSupervisor\n"
-            "def run(tasks):\n"
-            "    def on_result(r):\n"
-            "        return r\n"
-            "    return ShardSupervisor(tasks, on_result=on_result)\n"
-        )
-        assert lint_source(src, "x.py", select=["RPL101"]) == []
-
-
-class TestRPL102:
-    def test_rejects_pop_skipped_on_exception_path(self):
-        """The acceptance case: path-sensitivity, not grep.
-
-        ``leaks_on_exception`` pushes, calls, pops — the pop exists and
-        runs on the normal path, so any token-level matcher calls it
-        balanced. Only following the exception edge out of the distance
-        call proves the leak.
-        """
-        vs = lint_file(FIXTURES / "rpl102_span_discipline.py", select=["RPL102"])
-        leak = [v for v in vs if "leaks_on_exception" in v.message]
-        assert len(leak) == 1
-        assert "exception path" in leak[0].message
-
-    def test_unmatched_pop_flagged(self):
-        vs = lint_file(FIXTURES / "rpl102_span_discipline.py", select=["RPL102"])
-        pops = [v for v in vs if "unmatched_pop" in v.message]
-        assert len(pops) == 1
-
-    def test_paired_forms_accepted(self):
-        vs = lint_file(FIXTURES / "rpl102_span_discipline.py", select=["RPL102"])
-        assert all(
-            "paired" not in v.message for v in vs
-        ), [v.message for v in vs]
-
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "core/bubble.py",
-            "core/bubble_fm.py",
-            "core/features.py",
-            "core/routing.py",
-            "core/threshold.py",
-            "metrics/base.py",
-            "observability/tracer.py",
-        ],
-    )
-    def test_accepts_existing_ledger_sites(self, module):
-        path = SRC / "repro" / module
-        if not path.exists():
-            pytest.skip(f"{module} not present")
-        assert lint_file(path, select=["RPL102"]) == []
-
-
-class TestRPL103:
-    def test_fixture_trips(self):
-        vs = lint_file(FIXTURES / "rpl103_seed_provenance.py", select=["RPL103"])
-        assert codes(vs) == ["RPL103"] * 4
-        messages = [v.message for v in vs]
-        assert any("literal seed" in m for m in messages)
-        assert any("wall clock" in m for m in messages)
-        assert any("without a seed" in m for m in messages)
-        assert any("default_rng(None)" in m for m in messages)
-
-    def test_param_and_seedsequence_clean(self):
-        src = (FIXTURES / "rpl103_seed_provenance.py").read_text()
-        good_start = src.splitlines().index("def param_seed(seed):")
-        vs = lint_file(FIXTURES / "rpl103_seed_provenance.py", select=["RPL103"])
-        assert all(v.line <= good_start for v in vs)
-
-    def test_ensure_rng_with_param_clean(self):
-        src = (
-            "from repro.utils.rng import ensure_rng\n"
-            "def f(seed):\n"
-            "    return ensure_rng(seed)\n"
-        )
-        assert lint_source(src, "src/repro/x.py", select=["RPL103"]) == []
-
-
-class TestRPL104:
-    def test_fixture_trips_outside_accounting_layer(self):
-        vs = lint_file(FIXTURES / "rpl104_count_booking.py", select=["RPL104"])
-        assert codes(vs) == ["RPL104"] * 2
-        assert all("accounting layer" in v.message for v in vs)
-
-    def test_conditional_residual_flagged_in_allowlisted_module(self):
-        src = (
-            "def absorb(metric, result):\n"
-            "    attributed = 0\n"
-            "    for site, n in result.by_site.items():\n"
-            "        metric.count_external(n, site=site)\n"
-            "        attributed += n\n"
-            "    if result.n_calls > attributed:\n"
-            "        metric.count_external(result.n_calls - attributed)\n"
-        )
-        vs = lint_source(src, "src/repro/parallel/build.py", select=["RPL104"])
-        assert codes(vs) == ["RPL104"]
-        assert "post-dominated" in vs[0].message
-
-    def test_unconditional_residual_clean(self):
-        src = (
-            "def absorb(metric, result):\n"
-            "    attributed = 0\n"
-            "    for site, n in result.by_site.items():\n"
-            "        metric.count_external(n, site=site)\n"
-            "        attributed += n\n"
-            "    metric.count_external(result.n_calls - attributed)\n"
-        )
-        assert lint_source(src, "src/repro/parallel/build.py", select=["RPL104"]) == []
-
-
 class TestRPL105:
     def _lint_fixture_as(self, path):
         src = (FIXTURES / "rpl105_float_stability.py").read_text()
@@ -315,48 +68,8 @@ class TestRPL000:
 
 
 # ----------------------------------------------------------------------
-# Profiles, baselines, SARIF
+# Self-lint, SARIF
 # ----------------------------------------------------------------------
-class TestProfiles:
-    def test_profiles_catalogue(self):
-        assert PROFILES["src"] is None
-        assert set(PROFILES["tests"]) == {"RPL000", "RPL101", "RPL102"}
-
-    def test_tests_profile_drops_style_rules(self):
-        # No __all__, nested distance loops: clean under the tests profile,
-        # violations under the src profile.
-        src = (
-            "def scan(metric, objects):\n"
-            "    out = []\n"
-            "    for a in objects:\n"
-            "        for b in objects:\n"
-            "            out.append(metric.distance(a, b))\n"
-            "    return out\n"
-        )
-        assert lint_source(src, "tests/test_x.py", profile="tests") == []
-        full = codes(lint_source(src, "pkg/mod.py", profile="src"))
-        assert "RPL004" in full and "RPL005" in full
-
-    def test_unknown_profile_raises(self):
-        with pytest.raises(ValueError, match="unknown profile"):
-            lint_source("x = 1\n", profile="nope")
-
-    def test_tests_and_benchmarks_baseline_is_zero(self):
-        """The relaxed-profile baseline CI enforces over tests/benchmarks."""
-        from repro.analysis.lint import format_violations
-
-        violations = lint_paths(
-            [REPO / "tests", REPO / "benchmarks"],
-            profile="tests",
-            exclude=["tests/fixtures"],
-        )
-        assert violations == [], format_violations(violations)
-
-    def test_exclude_filters_paths(self):
-        vs = lint_paths([FIXTURES], select=["RPL101"], exclude=["fixtures"])
-        assert vs == []
-
-
 class TestSelfLint:
     def test_engine_lints_itself_clean(self):
         """The analysis package passes every one of its own rules."""
@@ -368,16 +81,16 @@ class TestSelfLint:
 
 class TestSarif:
     def test_sarif_shape(self):
-        vs = lint_file(FIXTURES / "rpl101_pickle_safety.py", select=["RPL101"])
+        vs = lint_file(FIXTURES / "rpl001_raw_hook.py", select=["RPL001"])
         log = to_sarif(vs)
         assert log["version"] == "2.1.0"
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "reprolint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"RPL000", "RPL101", "RPL105"} <= rule_ids
+        assert {"RPL000", "RPL001", "RPL105"} <= rule_ids
         assert len(run["results"]) == len(vs)
         first = run["results"][0]
-        assert first["ruleId"] == "RPL101"
+        assert first["ruleId"] == "RPL001"
         region = first["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == vs[0].line
         assert region["startColumn"] == vs[0].col + 1
@@ -388,8 +101,8 @@ class TestSarif:
         out = tmp_path / "report.sarif"
         code = main(
             [
-                str(FIXTURES / "rpl103_seed_provenance.py"),
-                "--select", "RPL103",
+                str(FIXTURES / "rpl001_raw_hook.py"),
+                "--select", "RPL001",
                 "--format", "sarif",
                 "--output", str(out),
             ]
