@@ -24,6 +24,10 @@ Memory:
 Both: NCD totals stay within 2% of the pinned values, and the per-site
 ledger partitions each scan's total exactly.
 
+Geometry reuse: each default scan's uncounted geometry upkeep
+(``PruningStats.maintenance_evals``) stays within 2% of its pinned value,
+so a change that stops carrying measured pairs forward fails here.
+
 The pinned constants are the baseline. After an intentional change that
 moves them, update them and say why in CHANGES.md.
 """
@@ -57,6 +61,16 @@ PINNED = {
     ("fig5_cells", "bubble-fm"): (149_835, 134_498, 60),
     ("fig6_cells", "bubble"): (62_198, 38_651, 18),
     ("fig6_cells", "bubble-fm"): (79_145, 59_500, 18),
+}
+
+#: (workload, algorithm) -> pruned scan's maintenance_evals.
+PINNED_MAINTENANCE = {
+    ("fig4_cells", "bubble"): 17_255,
+    ("fig4_cells", "bubble-fm"): 7_636,
+    ("fig5_cells", "bubble"): 17_476,
+    ("fig5_cells", "bubble-fm"): 7_297,
+    ("fig6_cells", "bubble"): 9_211,
+    ("fig6_cells", "bubble-fm"): 4_441,
 }
 
 ALGORITHMS = {
@@ -155,6 +169,15 @@ def test_ncd_within_tolerance_of_pins(scans):
             assert got == pytest.approx(want, rel=TOLERANCE), (
                 f"{key} {side} NCD drifted: {got} vs pinned {want}"
             )
+
+
+def test_maintenance_within_tolerance_of_pins(scans):
+    for key, legs in scans.items():
+        got = legs["pruned"].model.tree_.policy.pruning_stats.maintenance_evals
+        want = PINNED_MAINTENANCE[key]
+        assert got == pytest.approx(want, rel=TOLERANCE), (
+            f"{key} geometry upkeep drifted: {got} vs pinned {want}"
+        )
 
 
 def test_slab_meets_bytes_reduction_bar(scans):

@@ -29,7 +29,9 @@ from repro.core.features import (
 from repro.core.nodes import LeafNode, NonLeafNode
 from repro.core.policy import BirchStarPolicy
 from repro.core.routing import (
+    LeafGeometry,
     PruningStats,
+    geometry_donor,
     pruned_leaf_distances,
     pruned_segment_distances,
 )
@@ -54,15 +56,24 @@ class _SampleCache:
     (:meth:`~repro.metrics.base.DistanceFunction.prepare`); gathers pass it,
     or slices of it, instead of re-stacking ``flat`` on every call.
     ``geometry`` is lazily-built pivot geometry for the pruned routing
-    engine (:mod:`repro.core.routing`); ``None`` is always legal."""
+    engine (:mod:`repro.core.routing`); ``None`` is always legal. ``prior``
+    holds measured pairs the geometry build may copy, as ``(objects,
+    pair)``, until that build drops it."""
 
-    __slots__ = ("flat", "offsets", "batch", "geometry")
+    __slots__ = ("flat", "offsets", "batch", "geometry", "prior")
 
-    def __init__(self, flat: list, offsets: np.ndarray, batch: Any):
+    def __init__(
+        self,
+        flat: list,
+        offsets: np.ndarray,
+        batch: Any,
+        prior: tuple[list, np.ndarray] | None = None,
+    ):
         self.flat = flat
         self.offsets = offsets
         self.batch = batch
         self.geometry = None
+        self.prior = prior
 
 
 class BubblePolicy(BirchStarPolicy):
@@ -209,8 +220,41 @@ class BubblePolicy(BirchStarPolicy):
                 flat.extend(entry.summary)
                 offsets.append(len(flat))
             node.aux = _SampleCache(
-                flat, np.asarray(offsets, dtype=np.intp), self.metric.prepare(flat)
+                flat,
+                np.asarray(offsets, dtype=np.intp),
+                self.metric.prepare(flat),
+                self._geometry_donor(node),
             )
+
+    def _geometry_donor(self, node: NonLeafNode) -> tuple[list, np.ndarray] | None:
+        """Measured pairs ``node``'s next sample cache may copy: the
+        outgoing cache's, or, for a node with no cache yet (a new root),
+        its first child's."""
+        if not self.prune:
+            return None
+        aux = node.aux
+        if aux is None:
+            aux = node.entries[0].child.aux
+        return geometry_donor(aux)
+
+    def on_node_split(
+        self, old: NonLeafNode, left: NonLeafNode, right: NonLeafNode
+    ) -> None:
+        """Refresh both halves with the split node's geometry as their
+        donor: their samples are drawn from the same children's pools.
+        Each half holds the old cache only until its own refresh replaces
+        it."""
+        left.aux = right.aux = old.aux
+        super().on_node_split(old, left, right)
+
+    def on_leaf_split(self, old: LeafNode, left: LeafNode, right: LeafNode) -> None:
+        """Hand the split leaf's geometry to both halves: their clustroids
+        are the old leaf's, so each half measures only the rows the old
+        geometry never held (the overflow entry's)."""
+        geom = old.aux
+        if isinstance(geom, LeafGeometry):
+            left.aux = geom
+            right.aux = geom.copy()
 
     def _sample_pool(self, child: Any) -> list:
         """Objects a non-leaf entry may sample from: the child's clustroids

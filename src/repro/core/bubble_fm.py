@@ -40,8 +40,9 @@ class _FMSampleCache(_SampleCache):
     """Sample cache extended with the node's image space: the fitted
     FastMap, the image vector of every sample, and one image centroid per
     entry. ``mapper is None`` marks the distance-space fallback, the only
-    case that gathers through ``batch``; image-space caches leave it as
-    ``flat``."""
+    case that gathers through ``batch`` or builds pruning geometry (and so
+    the only one keeping a ``prior``); image-space caches leave ``batch``
+    as ``flat``."""
 
     __slots__ = ("mapper", "centroids", "images")
 
@@ -53,8 +54,9 @@ class _FMSampleCache(_SampleCache):
         mapper: Any,
         centroids: np.ndarray | None,
         images: np.ndarray | None = None,
+        prior: tuple[list, np.ndarray] | None = None,
     ):
-        super().__init__(flat, offsets, batch)
+        super().__init__(flat, offsets, batch, prior)
         self.mapper = mapper
         self.centroids = centroids
         self.images = images
@@ -103,7 +105,9 @@ class BubbleFMPolicy(BubblePolicy):
         if len(flat) <= 2 * self.image_dim:
             # Too few samples for a k-dimensional image space: BUBBLE-FM
             # "measures distances at NL in the distance space, as in BUBBLE".
-            node.aux = _FMSampleCache(flat, offsets, cache.batch, None, None, None)
+            node.aux = _FMSampleCache(
+                flat, offsets, cache.batch, None, None, None, cache.prior
+            )
             return
         mapper = FastMap(
             self.metric, self.image_dim, iterations=self.fm_iterations, seed=self._rng

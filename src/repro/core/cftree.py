@@ -250,6 +250,7 @@ class CFTree:
         right = LeafNode([node.entries[i] for i in group_b])
         self.n_nodes += 1
         self._split_since_audit = True
+        self.policy.on_leaf_split(node, left, right)
         return left, right
 
     def _split_nonleaf(self, node: NonLeafNode) -> tuple[NonLeafNode, NonLeafNode]:

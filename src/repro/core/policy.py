@@ -138,6 +138,14 @@ class BirchStarPolicy(ABC):
         self.refresh_node(left)
         self.refresh_node(right)
 
+    def on_leaf_split(self, old: LeafNode, left: LeafNode, right: LeafNode) -> None:
+        """Called when leaf ``old`` was split into ``left`` and ``right``.
+
+        Each half holds a subset of the old leaf's entries. The default does
+        nothing; BUBBLE hands the old leaf's routing geometry to both halves
+        so the pairs it already measured are not measured again.
+        """
+
     def on_descend(self, node: NonLeafNode, entry_index: int, obj: Any, feature: Any) -> None:
         """Called as an insertion descends through ``node`` via
         ``entry_index``. BUBBLE ignores it; the BIRCH instantiation uses it

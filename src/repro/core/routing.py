@@ -31,30 +31,43 @@ counted calls than the exhaustive gather.
 
 Exactness
 ---------
-Pruning happens only when ``lb_i`` is *strictly* greater than an exactly
-measured distance ``best >= min_j d(q, c_j)``, so a pruned candidate
-satisfies ``d(q, c_i) >= lb_i > min_j d(q, c_j)`` — it can never achieve,
-or even tie, the minimum. (The best-first walk visits candidates in
-ascending ``lb`` order, so when it stops at the first ``lb_i > best``
-every remaining candidate is pruned by the same argument.) Pruned slots are reported as ``+inf``; every
-measured slot is produced by the same ``one_to_many`` row computation the
-exhaustive gather would have used, so the returned array has bit-identical
-values at every index that matters and ``np.argmin`` (first minimal index)
-selects exactly the entry the exhaustive scan would select. At non-leaf
-nodes the same argument lifts through the D2 aggregate because the RMS is
-monotone: ``lb_j <= d(q, s_j)`` pointwise (both non-negative) implies
-``rms(lb) <= rms(d)`` per segment.
+In real arithmetic a pruned candidate satisfies ``d(q, c_i) >= lb_i > best
+>= min_j d(q, c_j)``: it can never achieve, or even tie, the minimum. (The
+best-first walk visits candidates in ascending ``lb`` order, so when it
+stops at the first ``lb_i`` past the stop rule every remaining candidate is
+pruned by the same argument.) At non-leaf nodes the argument lifts through
+the D2 aggregate because the RMS is monotone: ``lb_j <= d(q, s_j)``
+pointwise (both non-negative) implies ``rms(lb) <= rms(d)`` per segment.
+
+Floating point needs two more things:
+
+* **Row-built geometry.** Every ``D[i, j]`` is a value a ``one_to_many``
+  row returns: fresh rows come from ``_one_to_many`` or from ``_cross``
+  (row-identical to it), and carried pairs are copies of such values. No
+  geometry comes from ``_pairwise``, whose Euclidean Gram identity
+  ``|a|^2 + |b|^2 - 2a.b`` can be off by up to ~1% on near-duplicates.
+* **A stop margin.** Even so, ``|d(q, a) - D[a, i]|`` may round a few ulps
+  above ``d(q, c_i)``, so a candidate tying ``best`` in real arithmetic
+  could be pruned while rounding makes it the exhaustive argmin. Both
+  walks therefore stop only when the smallest open bound exceeds ``best *
+  (1 + 1e-9)``, far above that rounding and far below any real gap.
+
+Pruned slots are reported as ``+inf``; every measured slot is produced by
+the same ``one_to_many`` row computation the exhaustive gather would have
+used, so the returned array has bit-identical values at every index that
+matters and ``np.argmin`` (first minimal index) selects exactly the entry
+the exhaustive scan would select.
 
 Each refinement round reduces every segment's squared bounds at once
 (``np.add.reduceat``), which sums in a different order from the per-entry
 ``np.mean`` the measured values use and may differ from it in the last ulp.
 That is harmless for the pruning argument — any order gives a valid bound —
-but it can flip which entry an exact tie picks, or whether a bound that
-equals ``best`` is pruned. So whenever several open entries lie within a
+but it can flip which entry an exact tie picks, or which side of the stop
+threshold a bound lands on. So whenever several open entries lie within a
 relative ``1e-9`` of the smallest bound, or that bound lies within ``1e-9``
-of ``best``, the candidates' bounds are re-reduced in ``np.mean``'s order
-and those values decide; a sum of ``k`` non-negative terms differs between
-orders by at most ``~k`` ulps, far inside the window.
+of the stop threshold, the candidates' bounds are re-reduced in
+``np.mean``'s order and those values decide; a sum of ``k`` non-negative
+terms differs between orders by at most ``~k`` ulps, far inside the window.
 
 Accounting
 ----------
@@ -69,6 +82,22 @@ snapshot. This module is on the reprolint RPL001 allowlist for exactly
 these reads; every *routing* evaluation goes through the counted public
 API under the same call site (``leaf-d0`` / ``nonleaf-d2``) as the
 exhaustive path.
+
+A pair is measured once per geometry lineage, carried forward by object
+identity (never by a bare ``id()`` without a live reference, never through
+a process-global memo):
+
+* a leaf keeps the rows of clustroids that survive an absorb, and a split
+  leaf's halves inherit its geometry, so each measures only the overflow
+  entry's row;
+* a refreshed sample cache — including each half of a split non-leaf —
+  holds the geometry of the cache it replaced (``prior``) until its own
+  is built, then copies the pairs of the samples both hold and measures
+  the new samples' rows with one ``_cross`` gather; a new root borrows its
+  first child's geometry the same way;
+* with nothing to carry over, the sample matrix is measured as
+  ``_one_to_many`` rows over its upper triangle, ``n(n - 1) / 2``
+  evaluations, the count ``maintenance_evals`` books.
 """
 
 from __future__ import annotations
@@ -85,6 +114,7 @@ __all__ = [
     "LeafGeometry",
     "SampleGeometry",
     "ensure_leaf_geometry",
+    "geometry_donor",
     "ensure_sample_geometry",
     "pruned_leaf_distances",
     "pruned_segment_distances",
@@ -114,7 +144,8 @@ class PruningStats:
     candidates_pruned: int = 0
     #: Raw (NCD-neutral) evaluations spent refreshing cached geometry.
     maintenance_evals: int = 0
-    #: Pivot geometries built or rebuilt.
+    #: Geometry objects built: one per sample cache routed through, and one
+    #: per leaf that did not inherit its split parent's geometry.
     geometry_builds: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -160,6 +191,13 @@ class LeafGeometry:
         #: ``metric.prepare(clustroids)``, rebuilt whenever a row goes stale.
         self.batch: Any = []
 
+    def copy(self) -> LeafGeometry:
+        """A second geometry over the same rows. Shallow: refreshes replace
+        the fields rather than mutate them, so the two never interfere."""
+        twin = LeafGeometry()
+        twin.clustroids, twin.pair, twin.batch = self.clustroids, self.pair, self.batch
+        return twin
+
 
 #: Cap on reference pivots per non-leaf sample cache: one per sample
 #: segment, evenly spread, at most this many. More pivots tighten the D2
@@ -202,13 +240,76 @@ class SampleGeometry:
         self.counts = counts
 
 
+def _match_by_identity(
+    objects: list[Any], old_objects: list[Any]
+) -> tuple[list[int], list[int]]:
+    """Where each of ``objects`` sits in ``old_objects``, by identity:
+    ``(src, fresh)`` with ``objects[i] is old_objects[src[i]]`` for every
+    ``i`` not in ``fresh``, the positions of the objects ``old_objects``
+    does not hold (``src`` reads -1 there)."""
+    old_pos = {id(o): j for j, o in enumerate(old_objects)}
+    src = [old_pos.get(id(o), -1) for o in objects]
+    return src, [i for i, j in enumerate(src) if j < 0]
+
+
+def _carried_pairs(
+    metric: DistanceFunction,
+    objects: list[Any],
+    batch: Any,
+    src: list[int],
+    fresh: list[int],
+    old_pair: np.ndarray,
+    stats: PruningStats,
+) -> np.ndarray:
+    """The pairwise matrix over ``objects``, reusing ``old_pair``.
+
+    Pairs of kept objects (see :func:`_match_by_identity`) are copied from
+    ``old_pair``; the fresh objects' rows are measured with one raw-hook
+    ``_cross`` gather against ``batch`` (``objects`` as the metric prepared
+    them) and mirrored into their columns. Geometry maintenance is
+    NCD-neutral by design (see module docstring); tracked via
+    ``stats.maintenance_evals``.
+    """
+    n = len(objects)
+    if len(fresh) < n:
+        # Fresh slots copy an arbitrary old pair here; the block below
+        # overwrites their rows and columns.
+        pair = old_pair.take(src, axis=0).take(src, axis=1)
+    else:
+        pair = np.zeros((n, n), dtype=np.float64)
+    if fresh:
+        block = np.asarray(
+            metric._cross([objects[i] for i in fresh], batch), dtype=np.float64
+        )
+        stats.maintenance_evals += len(fresh) * n
+        pair[fresh, :] = block
+        pair[:, fresh] = block.T
+    return pair
+
+
+def geometry_donor(aux: Any) -> tuple[list[Any], np.ndarray] | None:
+    """The measured pairs ``aux`` can hand to a new sample cache, as
+    ``(objects, pair)``: a leaf's geometry, a sample cache's built
+    geometry, or the donor a sample cache still holds; else ``None``. A
+    donor is always built geometry, which holds no donor itself, so donors
+    never chain."""
+    if isinstance(aux, LeafGeometry):
+        return aux.clustroids, aux.pair
+    geom = getattr(aux, "geometry", None)
+    if isinstance(geom, SampleGeometry):
+        return aux.flat, geom.pair
+    return getattr(aux, "prior", None)
+
+
 def ensure_leaf_geometry(
     metric: DistanceFunction, node: Any, stats: PruningStats
 ) -> tuple[LeafGeometry, list[Any]]:
     """Return ``node``'s leaf geometry, refreshing any stale rows.
 
     Rows whose clustroid object is unchanged (by identity) are carried
-    over; every other row is re-measured through the raw hooks.
+    over; every other row is re-measured through the raw hooks. A leaf
+    that inherited its split parent's geometry therefore measures only
+    the rows of clustroids the parent never held.
     """
     clustroids = [feature.clustroid for feature in node.entries]
     n = len(clustroids)
@@ -220,34 +321,11 @@ def ensure_leaf_geometry(
     old = geom.clustroids
     if len(old) == n and all(old[i] is clustroids[i] for i in range(n)):
         return geom, clustroids
-    old_pos = {id(c): j for j, c in enumerate(old)}
-    pair = np.zeros((n, n), dtype=np.float64)
-    kept_new, kept_old, stale = [], [], []
-    for i, clustroid in enumerate(clustroids):
-        j = old_pos.get(id(clustroid))
-        if j is None:
-            stale.append(i)
-        else:
-            kept_new.append(i)
-            kept_old.append(j)
-    if kept_new:
-        pair[np.ix_(kept_new, kept_new)] = geom.pair[np.ix_(kept_old, kept_old)]
-    if stale:
-        # One raw-hook cross gather covers every stale row at once (same
-        # evaluation count as row-at-a-time, one batched dispatch).
-        # Geometry maintenance is NCD-neutral by design (see module
-        # docstring); tracked via stats.maintenance_evals.
-        block = np.asarray(
-            metric._cross([clustroids[i] for i in stale], clustroids),
-            dtype=np.float64,
-        )
-        stats.maintenance_evals += len(stale) * n
-        for k, i in enumerate(stale):
-            pair[i, :] = block[k]
-            pair[:, i] = block[k]
+    batch = metric.prepare(clustroids)
+    src, fresh = _match_by_identity(clustroids, old)
+    geom.pair = _carried_pairs(metric, clustroids, batch, src, fresh, geom.pair, stats)
     geom.clustroids = clustroids
-    geom.pair = pair
-    geom.batch = metric.prepare(clustroids)
+    geom.batch = batch
     return geom, clustroids
 
 
@@ -255,7 +333,14 @@ def ensure_sample_geometry(
     metric: DistanceFunction, cache: Any, stats: PruningStats
 ) -> SampleGeometry:
     """Return the pivot geometry of a non-leaf sample cache, building it
-    on first use (raw, NCD-neutral)."""
+    on first use (raw, NCD-neutral).
+
+    When the cache holds a donor (``cache.prior``, the ``(objects, pair)``
+    of geometry built earlier), the pairs of samples present in both are
+    copied and only the new samples' rows are measured. With nothing
+    carried over the matrix is measured as ``_one_to_many`` rows over its
+    upper triangle. The cache drops its donor here, so donors never chain.
+    """
     geom = cache.geometry
     flat = cache.flat
     if isinstance(geom, SampleGeometry) and geom.pair.shape[0] == len(flat):
@@ -268,10 +353,22 @@ def ensure_sample_geometry(
     positions = offsets[seg_ids].astype(np.intp)
     gather_from = offsets[:-1].astype(np.intp)
     gather_from[seg_ids] += 1
-    # Raw hook: geometry maintenance is NCD-neutral by design (see module
-    # docstring); tracked via stats.maintenance_evals.
-    pair = np.asarray(metric._pairwise(flat), dtype=np.float64)
-    stats.maintenance_evals += len(flat) * (len(flat) - 1) // 2
+    prior, cache.prior = cache.prior, None
+    batch = cache.batch
+    n = len(flat)
+    src, fresh = _match_by_identity(flat, prior[0]) if prior is not None else ([], [])
+    if len(fresh) < len(src):
+        pair = _carried_pairs(metric, flat, batch, src, fresh, prior[1], stats)
+    else:
+        # Raw hooks, NCD-neutral (see module docstring). Row by row rather
+        # than ``_pairwise``: every value is then the one a ``one_to_many``
+        # gather returns, which the exactness argument relies on.
+        pair = np.zeros((n, n), dtype=np.float64)
+        for i in range(n - 1):
+            row = metric._one_to_many(flat[i], batch[i + 1 :])
+            pair[i, i + 1 :] = row
+            pair[i + 1 :, i] = row
+        stats.maintenance_evals += n * (n - 1) // 2
     geom = SampleGeometry(
         positions,
         metric.prepare([flat[int(p)] for p in positions]),
@@ -282,6 +379,12 @@ def ensure_sample_geometry(
     cache.geometry = geom
     stats.geometry_builds += 1
     return geom
+
+
+#: Relative stop margin of both walks, and the window within which a
+#: vectorised segment bound is re-reduced in ``np.mean``'s summation order
+#: before it decides (see module docstring).
+_TIE_RTOL = 1e-9
 
 
 def pruned_leaf_distances(
@@ -315,26 +418,23 @@ def pruned_leaf_distances(
             return value
 
         best = admit(0)
+        stop = best * (1.0 + _TIE_RTOL)
         n_evaluated = 1
         while n_evaluated < n:
             i = int(open_lb.argmin())
             stats.bound_checks += n - n_evaluated
-            if open_lb[i] > best:
+            if open_lb[i] > stop:
                 break
             value = admit(i)
             n_evaluated += 1
             if value < best:
                 best = value
+                stop = best * (1.0 + _TIE_RTOL)
         stats.queries += 1
         stats.candidates_total += n
         stats.candidates_evaluated += n_evaluated
         stats.candidates_pruned += n - n_evaluated
         return out
-
-
-#: Relative window within which a vectorised segment bound is re-reduced in
-#: ``np.mean``'s summation order before it decides (see module docstring).
-_TIE_RTOL = 1e-9
 
 
 def pruned_segment_distances(
@@ -383,7 +483,7 @@ def pruned_segment_distances(
         # it masks measured entries out of the argmin.
         closed = np.zeros(n_entries, dtype=np.float64)
         n_open = n_entries
-        best = np.inf
+        best = stop = np.inf
         # Best-first walk: measure the open entry with the smallest RMS
         # lower bound (one batched gather per entry), let its samples
         # tighten the remaining bounds, and stop once the smallest open
@@ -399,7 +499,7 @@ def pruned_segment_distances(
             bound = float(entry_lb[i])
             window = bound * _TIE_RTOL
             near = entry_lb <= bound + window
-            if abs(bound - best) <= window or np.count_nonzero(near) > 1:
+            if abs(bound - stop) <= window or np.count_nonzero(near) > 1:
                 # Near a tie or the stopping bound: decide on the bounds as
                 # the scalar walk reduces them (see module docstring).
                 candidates = np.flatnonzero(near & (closed == 0.0))
@@ -409,7 +509,7 @@ def pruned_segment_distances(
                 ]
                 k = int(np.argmin(exact))
                 i, bound = int(candidates[k]), exact[k]
-            if bound > best:
+            if bound > stop:
                 break
             closed[i] = np.inf
             n_open -= 1
@@ -422,6 +522,7 @@ def pruned_segment_distances(
             out[i] = float(np.sqrt((seg**2).mean()))
             if out[i] < best:
                 best = float(out[i])
+                stop = best * (1.0 + _TIE_RTOL)
         stats.queries += 1
         stats.candidates_total += n_entries
         stats.candidates_evaluated += n_entries - n_open

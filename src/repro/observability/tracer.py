@@ -267,9 +267,15 @@ class Tracer(NullTracer):
             raise ParameterError(
                 f"span {span.name!r} exited out of order; spans must nest"
             )
+        stack = self.ledger.stack
+        if not stack or stack[-1] != span.name:
+            leaked = stack[-1] if stack else None
+            raise ParameterError(
+                f"span {span.name!r} exited while ledger site {leaked!r} is "
+                "still open; sites must close inside the span that opened them"
+            )
         self._open.pop()
-        if self.ledger.stack and self.ledger.stack[-1] == span.name:
-            self.ledger.stack.pop()
+        stack.pop()
         t1 = self._clock() - self._t0
         ncd1 = self.ledger.total
         agg = self._aggregates.get(span.name)

@@ -142,7 +142,7 @@ def load_subclusters(
 # Scan checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 _METRIC_PID = "repro.metric"
 _TRACER_PID = "repro.tracer"
 

@@ -351,6 +351,22 @@ class TestTracer:
         with pytest.raises(ParameterError):
             outer.__exit__(None, None, None)
 
+    def test_span_exit_over_a_leaked_site_raises(self):
+        tracer = Tracer()
+        leak = site("leaked")
+        with tracer:
+            span = tracer.span("outer")
+            span.__enter__()
+            leak.__enter__()
+            with pytest.raises(ParameterError, match="'leaked'"):
+                span.__exit__(None, None, None)
+            # Nothing was popped: closing the site lets the span exit.
+            assert tracer.ledger.stack == ["outer", "leaked"]
+            leak.__exit__(None, None, None)
+            span.__exit__(None, None, None)
+        assert tracer.ledger.stack == []
+        assert tracer.span_aggregates()["outer"]["count"] == 1
+
     def test_span_aggregates_are_inclusive(self):
         tracer = Tracer()
         metric = EuclideanDistance()

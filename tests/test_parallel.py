@@ -26,6 +26,7 @@ from repro.exceptions import (
     ParameterError,
 )
 from repro.metrics import EuclideanDistance
+from repro.metrics.base import site
 from repro.experiments.config import paper_max_nodes
 from repro.observability import Tracer
 from repro.parallel import (
@@ -34,6 +35,7 @@ from repro.parallel import (
     resolve_n_shards,
     shard_objects,
 )
+from repro.parallel.build import rebook_worker_calls
 from repro.pipelines.cluster import cluster_dataset
 from repro.robustness import FlakyMetric, GuardedMetric
 
@@ -257,6 +259,35 @@ class TestAccounting:
         assert sum(s["n_objects"] for s in summaries) == len(points)
         assert all(s["n_calls"] > 0 for s in summaries)
         assert all(s["peak_rss_kb"] > 0 for s in summaries)
+
+
+class TestRebookWorkerCalls:
+    """``rebook_worker_calls`` books a worker's per-site calls on the
+    parent metric, then charges whatever the worker left unattributed to
+    the parent's innermost open site."""
+
+    def _rebook(self, by_site, n_calls):
+        metric, tracer = EuclideanDistance(), Tracer()
+        with tracer, tracer.span("merge"), site("absorb"):
+            rebook_worker_calls(metric, by_site, n_calls)
+        return metric, tracer
+
+    def test_residual_is_charged_to_the_innermost_open_site(self):
+        metric, tracer = self._rebook({"leaf-d0": 5, "nonleaf-d2": 3}, 10)
+        assert tracer.calls_by_site == {"leaf-d0": 5, "nonleaf-d2": 3, "absorb": 2}
+        assert metric.n_calls == 10
+
+    @pytest.mark.parametrize(
+        "by_site, n_calls",
+        [({}, 0), ({"leaf-d0": 4}, 4), ({"leaf-d0": 4, "split": 1}, 9), ({}, 7)],
+    )
+    def test_sites_partition_the_booked_calls(self, by_site, n_calls):
+        metric, tracer = self._rebook(by_site, n_calls)
+        assert sum(tracer.calls_by_site.values()) == metric.n_calls == n_calls
+
+    def test_negative_residual_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            self._rebook({"leaf-d0": 5}, 3)
 
 
 class TestQuarantineMerge:
