@@ -535,7 +535,11 @@ class PreClusterer:
         ----------
         via:
             ``"linear"`` compares each object against every clustroid
-            (exact; ``O(K)`` distance calls per object). ``"tree"`` routes
+            (exact; ``K`` distance calls per object). It stays exhaustive
+            on purpose: it is the baseline ablation A6 measures the other
+            two against. The pipeline's second scan,
+            :func:`repro.pipelines.nearest_assignment`, returns the same
+            labels from a pruned walk. ``"tree"`` routes
             each object down the CF*-tree (logarithmic cost, slightly
             approximate) — the option that makes the second phase viable
             when there are thousands of sub-clusters and the metric is

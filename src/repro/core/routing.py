@@ -110,6 +110,7 @@ import numpy as np
 from repro.metrics.base import DistanceFunction, site
 
 __all__ = [
+    "TIE_RTOL",
     "PruningStats",
     "LeafGeometry",
     "SampleGeometry",
@@ -381,10 +382,11 @@ def ensure_sample_geometry(
     return geom
 
 
-#: Relative stop margin of both walks, and the window within which a
+#: Relative stop margin of both walks (and of the second scan's walk in
+#: :mod:`repro.pipelines.labeling`), and the window within which a
 #: vectorised segment bound is re-reduced in ``np.mean``'s summation order
 #: before it decides (see module docstring).
-_TIE_RTOL = 1e-9
+TIE_RTOL = 1e-9
 
 
 def pruned_leaf_distances(
@@ -418,7 +420,7 @@ def pruned_leaf_distances(
             return value
 
         best = admit(0)
-        stop = best * (1.0 + _TIE_RTOL)
+        stop = best * (1.0 + TIE_RTOL)
         n_evaluated = 1
         while n_evaluated < n:
             i = int(open_lb.argmin())
@@ -429,7 +431,7 @@ def pruned_leaf_distances(
             n_evaluated += 1
             if value < best:
                 best = value
-                stop = best * (1.0 + _TIE_RTOL)
+                stop = best * (1.0 + TIE_RTOL)
         stats.queries += 1
         stats.candidates_total += n
         stats.candidates_evaluated += n_evaluated
@@ -497,7 +499,7 @@ def pruned_segment_distances(
             stats.bound_checks += n_open
             i = int(entry_lb.argmin())
             bound = float(entry_lb[i])
-            window = bound * _TIE_RTOL
+            window = bound * TIE_RTOL
             near = entry_lb <= bound + window
             if abs(bound - stop) <= window or np.count_nonzero(near) > 1:
                 # Near a tie or the stopping bound: decide on the bounds as
@@ -522,7 +524,7 @@ def pruned_segment_distances(
             out[i] = float(np.sqrt((seg**2).mean()))
             if out[i] < best:
                 best = float(out[i])
-                stop = best * (1.0 + _TIE_RTOL)
+                stop = best * (1.0 + TIE_RTOL)
         stats.queries += 1
         stats.candidates_total += n_entries
         stats.candidates_evaluated += n_entries - n_open

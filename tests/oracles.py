@@ -1,6 +1,6 @@
 """Brute-force exactness oracles the test suite checks the library against.
 
-Neither is fast enough, or needed, in the library itself:
+None is fast enough, or needed, in the library itself:
 
 * :func:`generic_hac` is the O(n^3) repeated-global-argmin agglomerative
   loop. The library's nearest-neighbour chain is exact for all four
@@ -14,18 +14,23 @@ Neither is fast enough, or needed, in the library itself:
   dismisses plain MDS for large N and reaches for FastMap — but for small
   object sets it is exact ground truth to compare FastMap against.
   :func:`stress` scores an embedding against the true distances.
+* :func:`exhaustive_assignment` is the second scan as the paper states it:
+  every object measured against every center, labeled with the first
+  index of the minimum. The library's pruned walk
+  (:func:`repro.pipelines.nearest_assignment`) must return its labels
+  exactly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.exceptions import EmptyDatasetError, ParameterError
 from repro.metrics.base import DistanceFunction
 
-__all__ = ["classical_mds", "generic_hac", "stress"]
+__all__ = ["classical_mds", "exhaustive_assignment", "generic_hac", "stress"]
 
 
 def _lance_williams(
@@ -158,3 +163,15 @@ def stress(
     if den == 0.0:
         return 0.0
     return float(np.sqrt(num / den))
+
+
+def exhaustive_assignment(
+    metric: DistanceFunction, objects: Iterable, centers: Sequence
+) -> np.ndarray:
+    """Index of each object's nearest center, lowest index on ties.
+
+    Costs ``len(objects) * len(centers)`` distance calls.
+    """
+    batch = metric.prepare(centers)
+    labels = [int(np.argmin(metric.one_to_many(obj, batch))) for obj in objects]
+    return np.asarray(labels, dtype=np.intp)

@@ -1,17 +1,34 @@
 """Unit tests for the end-to-end pipelines."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import exhaustive_assignment
 from repro.datasets import make_authority_dataset, make_cell_dataset
 from repro.evaluation import adjusted_rand_index, distortion
 from repro.exceptions import ParameterError
-from repro.metrics import EditDistance, EuclideanDistance
+from repro.metrics import CachedDistance, EditDistance, EuclideanDistance
+from repro.metrics.base import CallLedger, activate_ledger, deactivate_ledger, site
 from repro.pipelines import (
     cluster_dataset,
+    labeling,
     map_first_cluster,
     nearest_assignment,
 )
+from repro.robustness import GuardedMetric
+
+#: Points of a small integer grid: many exact ties, duplicate centers.
+grid_points = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda xy: np.array(xy, dtype=np.float64)
+    ),
+    max_size=40,
+)
+ab_strings = st.lists(st.text(alphabet="ab", max_size=5), max_size=30)
 
 
 class TestNearestAssignment:
@@ -27,10 +44,104 @@ class TestNearestAssignment:
             nearest_assignment(euclidean, [np.zeros(2)], [])
 
     def test_call_count(self, euclidean):
+        # One call for the center matrix, then one per object: d(obj, c0)
+        # is 0 and the bound |0 - d(c0, c1)| prunes c1.
         centers = [np.zeros(2), np.ones(2)]
         euclidean.reset_counter()
         nearest_assignment(euclidean, [np.zeros(2)] * 5, centers)
-        assert euclidean.n_calls == 10
+        assert euclidean.n_calls == 6
+
+
+def _check_walk(make_metric, objects, centers, as_generator=False):
+    """The walk's labels equal the exhaustive oracle's, its counted calls
+    stay within ``[N, N*K + K(K-1)/2]``, and the ledger partitions them."""
+    want = exhaustive_assignment(make_metric(), objects, centers)
+    metric = make_metric()
+    ledger = CallLedger()
+    previous = activate_ledger(ledger)
+    try:
+        with site("redistribute"):
+            got = nearest_assignment(
+                metric, (o for o in objects) if as_generator else objects, centers
+            )
+    finally:
+        deactivate_ledger(previous)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.intp
+    n, k = len(objects), len(centers)
+    assert metric.n_calls <= n * k + k * (k - 1) // 2
+    if not isinstance(metric, CachedDistance):  # cache hits are not calls
+        assert n <= metric.n_calls
+    assert sum(ledger.by_site.values()) == ledger.total == metric.n_calls
+    return metric.n_calls
+
+
+def _guarded_euclidean():
+    return GuardedMetric(EuclideanDistance(), sleep=lambda s: None)
+
+
+def _cached_euclidean():
+    return CachedDistance(EuclideanDistance(), key=lambda v: tuple(v))
+
+
+class TestNearestAssignmentWalk:
+    """The pruned second scan returns the exhaustive scan's labels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(objects=grid_points, centers=grid_points.filter(len))
+    def test_euclidean_grid_ties(self, objects, centers):
+        _check_walk(EuclideanDistance, objects, centers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(objects=ab_strings, centers=ab_strings.filter(len))
+    def test_edit_distance_ab_strings(self, objects, centers):
+        _check_walk(EditDistance, objects, centers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(objects=grid_points, centers=grid_points.filter(len))
+    def test_generator_input(self, objects, centers):
+        _check_walk(EuclideanDistance, objects, centers, as_generator=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(objects=grid_points, centers=grid_points.filter(len))
+    def test_guarded_metric(self, objects, centers):
+        _check_walk(_guarded_euclidean, objects, centers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(objects=grid_points, centers=grid_points.filter(len))
+    def test_cached_distance(self, objects, centers):
+        _check_walk(_cached_euclidean, objects, centers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(objects=grid_points, centers=grid_points.filter(len))
+    def test_small_blocks_stream(self, objects, centers):
+        # Blocks of 3 objects: several blocks per input, and the center
+        # matrix arrives mid-stream once more than K/2 objects are read.
+        with mock.patch.object(labeling, "_BLOCK", 3):
+            _check_walk(EuclideanDistance, objects, centers, as_generator=True)
+
+    def test_single_center_costs_one_call_per_object(self):
+        objects = [np.array([float(i), 0.0]) for i in range(7)]
+        calls = _check_walk(EuclideanDistance, objects, [np.array([1.0, 1.0])])
+        assert calls == len(objects)
+
+    def test_small_input_skips_the_center_matrix(self):
+        # N <= K/2: no matrix, so every pair is measured and nothing else.
+        centers = [np.array([float(i), 0.0]) for i in range(8)]
+        objects = [np.array([2.5, 1.0]), np.array([7.0, 0.0]), np.array([0.0, 0.0])]
+        calls = _check_walk(EuclideanDistance, objects, centers)
+        assert calls == len(objects) * len(centers)
+
+    def test_empty_input(self, euclidean):
+        labels = nearest_assignment(euclidean, [], [np.zeros(2)])
+        assert labels.shape == (0,) and labels.dtype == np.intp
+        assert euclidean.n_calls == 0
+
+    def test_prunes_clustered_data(self):
+        ds = make_cell_dataset(dim=5, n_clusters=10, n_points=400, seed=3)
+        centers = [ds.points[np.flatnonzero(ds.labels == c)[0]] for c in range(10)]
+        calls = _check_walk(EuclideanDistance, list(ds.points), centers)
+        assert calls <= 0.5 * len(ds.points) * len(centers)
 
 
 class TestClusterDataset:

@@ -20,7 +20,7 @@ from repro.core.bubble import BubblePolicy, _SampleCache
 from repro.core.bubble_fm import BubbleFMPolicy
 from repro.core.cftree import CFTree
 from repro.core.routing import (
-    _TIE_RTOL,
+    TIE_RTOL,
     LeafGeometry,
     PruningStats,
     SampleGeometry,
@@ -255,7 +255,7 @@ def scalar_leaf_distances(metric, node, obj, stats):
             open_lb = np.where(known, np.inf, lb)
             i = int(np.argmin(open_lb))
             stats.bound_checks += int(n - known.sum())
-            if open_lb[i] > best * (1.0 + _TIE_RTOL):
+            if open_lb[i] > best * (1.0 + TIE_RTOL):
                 break
             admit(i, float(metric.one_to_many(obj, [clustroids[i]])[0]))
             n_evaluated += 1
@@ -302,7 +302,7 @@ def scalar_segment_distances(metric, cache, n_entries, obj, stats):
             ]
             stats.bound_checks += len(open_entries)
             pick = int(np.argmin(entry_lb))
-            if entry_lb[pick] > best * (1.0 + _TIE_RTOL):
+            if entry_lb[pick] > best * (1.0 + TIE_RTOL):
                 break
             i = open_entries.pop(pick)
             lo, hi = int(offsets[i]), int(offsets[i + 1])
