@@ -46,7 +46,7 @@ __all__ = ["AuditIssue", "AuditReport", "audit_tree"]
 def _uncounted_distance(metric: DistanceFunction, a: Any, b: Any) -> float:
     # The audit must not perturb NCD (the paper's headline cost metric),
     # so it deliberately bypasses the counted wrappers.
-    return float(metric._distance(a, b))  # reprolint: disable=RPL001 -- NCD-neutral audit
+    return float(metric._distance(a, b))  # NCD-neutral audit
 
 
 @dataclass(frozen=True)
@@ -346,7 +346,7 @@ class _TreeAuditor:
         reps = feature._reps
         # One raw-hook gather for the whole member set (NCD-neutral), then a
         # vectorized row reduction — no scalar distance loop.
-        dists = self.metric._pairwise(reps)  # reprolint: disable=RPL001 -- NCD-neutral audit
+        dists = self.metric._pairwise(reps)  # NCD-neutral audit
         fresh = (np.asarray(dists, dtype=np.float64) ** 2).sum(axis=1)
         stored = np.asarray(feature.rowsums, dtype=np.float64)
         scale = max(1.0, float(fresh.max()))

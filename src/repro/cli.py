@@ -12,7 +12,6 @@ The workflow commands:
 
 And the analysis commands (see ``docs/analysis.md``):
 
-* ``lint`` — run **reprolint**, the project-specific static analyzer;
 * ``audit`` — load a scan checkpoint and run the CF*-tree invariant
   sanitizer over it;
 * ``stats`` — load a scan checkpoint and print its
@@ -197,11 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("predicted", help="one integer label per line")
     ev.add_argument("truth", help="one integer label per line")
-
-    # The real argument surface lives in repro.analysis.lint.main; main()
-    # forwards before this parser runs. Registered here so `repro --help`
-    # lists it.
-    sub.add_parser("lint", help="run reprolint, the project static analyzer")
 
     aud = sub.add_parser(
         "audit", help="audit the CF*-tree invariants of a scan checkpoint"
@@ -776,14 +770,7 @@ def _cmd_stats(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    arg_list = list(sys.argv[1:] if argv is None else argv)
-    if arg_list and arg_list[0] == "lint":
-        # reprolint owns its argument surface (shared with
-        # `python -m repro.analysis`); forward everything after the verb.
-        from repro.analysis.lint import main as lint_main
-
-        return lint_main(arg_list[1:])
-    args = _build_parser().parse_args(arg_list)
+    args = _build_parser().parse_args(argv)
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "cluster":

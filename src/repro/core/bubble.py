@@ -167,7 +167,9 @@ class BubblePolicy(BirchStarPolicy):
     # ------------------------------------------------------------------
     def nonleaf_distances(self, node: NonLeafNode, obj: Any) -> np.ndarray:
         cache = self._node_cache(node)
-        if self._prunable_cache(node, cache) is not None:
+        # Pruning needs two entries (something to prune) and two samples (a
+        # pivot plus something it can bound).
+        if self.prune and len(node.entries) >= 2 and len(cache.flat) >= 2:
             return pruned_segment_distances(
                 self.metric, cache, len(node.entries), obj, self.pruning_stats
             )
@@ -180,18 +182,6 @@ class BubblePolicy(BirchStarPolicy):
             seg = sq[offsets[i] : offsets[i + 1]]
             out[i] = np.sqrt(seg.mean())
         return out
-
-    def _prunable_cache(self, node: NonLeafNode, cache: _SampleCache) -> _SampleCache | None:
-        """The node's sample cache if pruned D2 routing applies, else None.
-
-        Pruning needs at least two entries (something to prune) and two
-        samples (a pivot plus something it can bound), and must stand aside
-        when the node routes through an image space (BUBBLE-FM's mapper)."""
-        if not self.prune or len(node.entries) < 2 or len(cache.flat) < 2:
-            return None
-        if getattr(cache, "mapper", None) is not None:
-            return None
-        return cache
 
     def nonleaf_entry_distances(self, node: NonLeafNode) -> np.ndarray:
         entries = node.entries

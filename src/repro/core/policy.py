@@ -85,7 +85,7 @@ class BirchStarPolicy(ABC):
             for j in range(i + 1, n):
                 # Bounded by B+1 entries of one overflowing node, not by the
                 # dataset: this is the paper's split-seed cost, not a scan.
-                d = self.leaf_entry_distance(entries[i], entries[j])  # reprolint: disable=RPL004 -- split-seed pairs over one node's B+1 entries, not the dataset
+                d = self.leaf_entry_distance(entries[i], entries[j])
                 out[i, j] = d
                 out[j, i] = d
         return out

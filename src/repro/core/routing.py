@@ -78,10 +78,10 @@ reusable index structure, not part of the clustering decision procedure,
 and charging them would double-count work the exhaustive algorithm never
 performs either. The maintenance volume is tracked honestly in
 :class:`PruningStats` (``maintenance_evals``) and surfaced by the stats
-snapshot. This module is on the reprolint RPL001 allowlist for exactly
-these reads; every *routing* evaluation goes through the counted public
-API under the same call site (``leaf-d0`` / ``nonleaf-d2``) as the
-exhaustive path.
+snapshot, and ``tests/test_evaluation_oracle.py`` checks at run time that
+these are the only raw reads. Every *routing* evaluation goes through the
+counted public API under the same call site (``leaf-d0`` / ``nonleaf-d2``)
+as the exhaustive path.
 
 A pair is measured once per geometry lineage, carried forward by object
 identity (never by a bare ``id()`` without a live reference, never through
@@ -126,7 +126,7 @@ __all__ = [
 class PruningStats:
     """Counters describing what the pruned routing engine did.
 
-    All counters are cumulative since construction (or :meth:`reset`).
+    All counters are cumulative since construction.
     ``candidates_evaluated + candidates_pruned == candidates_total`` holds
     at all times; ``maintenance_evals`` are raw (uncounted) metric
     evaluations spent keeping pivot geometry fresh.
@@ -152,11 +152,6 @@ class PruningStats:
     def as_dict(self) -> dict[str, int]:
         """JSON-compatible copy of every counter."""
         return asdict(self)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        for name in self.__dataclass_fields__:
-            setattr(self, name, 0)
 
     def absorb(self, counters: dict[str, int]) -> None:
         """Add another engine's counters into this one.

@@ -124,7 +124,11 @@ class FastMap:
             dist_ab = float(np.sqrt(dist_ab2))
             self.axis_lengths_.append(dist_ab)
             dists_b2 = self._reduced_sq_to_all(objects[ib], coords[ib, :axis], objects, coords, axis)
-            coords[:, axis] = (dists_a2 + dist_ab2 - dists_b2) / (2.0 * dist_ab)  # reprolint: disable=RPL105 -- irreducible: FastMap's projection (Eq. 3) is *defined* on squared residual distances; it is a single-shot cosine-law evaluation, not an accumulation, so there is no stable incremental form to rewrite into
+            # FastMap's projection (Eq. 3) is *defined* on squared residual
+            # distances; it is a single-shot cosine-law evaluation, not an
+            # accumulation, so there is no stable incremental form to rewrite
+            # into.
+            coords[:, axis] = (dists_a2 + dist_ab2 - dists_b2) / (2.0 * dist_ab)
         self.embedding_ = coords
         return coords
 
@@ -193,7 +197,9 @@ class FastMap:
             db2 = d_ob**2 - _sq_norm(x[:axis] - self._pivot_coords_b[axis])
             da2 = max(da2, 0.0)
             db2 = max(db2, 0.0)
-            x[axis] = (da2 + length**2 - db2) / (2.0 * length)  # reprolint: disable=RPL105 -- irreducible: same single-shot FastMap projection formula as fit(); defined on squared distances, nothing accumulates across calls
+            # Same single-shot FastMap projection formula as fit(); defined on
+            # squared distances, nothing accumulates across calls.
+            x[axis] = (da2 + length**2 - db2) / (2.0 * length)
         return x
 
     def transform_many(self, objects: Sequence) -> np.ndarray:

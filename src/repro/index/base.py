@@ -248,10 +248,6 @@ class QuerySession:
         self.cache_hits = 0
         self.bound_checks = 0
 
-    def known(self, index: int) -> float | None:
-        """The already-measured distance to ``objects[index]``, if any."""
-        return self.memo.get(index)
-
     def measure(self, index: int) -> float:
         """Exact ``d(query, objects[index])``; memo and bound-cache aware."""
         value = self.memo.get(index)

@@ -213,4 +213,4 @@ class CachedDistance(DistanceFunction):
     def _distance(self, a: Any, b: Any) -> float:  # pragma: no cover - bypassed by distance()
         # Wrapper hook-to-hook delegation: counting happens in the inner
         # metric's public API, which every overridden entry point above uses.
-        return self.inner._distance(a, b)  # reprolint: disable=RPL001 -- hook delegation; the public wrapper counts
+        return self.inner._distance(a, b)  # hook delegation; the public wrapper counts

@@ -162,7 +162,7 @@ class FlakyMetric(DistanceFunction):
             return float("nan") if self.mode == "nan" else -1.0
         # Wrapper hook-to-hook delegation: the flaky layer must not double
         # count — the public wrapper entered by the caller already counted.
-        return self.inner._distance(a, b)  # reprolint: disable=RPL001 -- hook delegation; the public wrapper counts
+        return self.inner._distance(a, b)  # hook delegation; the public wrapper counts
 
 
 class SlowMetric(DistanceFunction):
@@ -187,7 +187,7 @@ class SlowMetric(DistanceFunction):
     def _distance(self, a: Any, b: Any) -> float:
         self._sleep(self.delay_seconds)
         # Hook-to-hook delegation, same no-double-count rule as FlakyMetric.
-        return self.inner._distance(a, b)  # reprolint: disable=RPL001 -- hook delegation; the public wrapper counts
+        return self.inner._distance(a, b)  # hook delegation; the public wrapper counts
 
 
 def _splice_innermost(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import InnerCounting, InnerCountingEditDistance, InnerCountingEuclidean
 from repro.metrics import EuclideanDistance
 
 
@@ -69,44 +70,28 @@ def tiny_strings():
     )
 
 
-class InnerCountingEuclidean(EuclideanDistance):
-    """Euclidean distance that counts the pairs it evaluates, in its hooks.
-
-    The hooks sit below the library's counting wrappers, so this metric
-    sees every evaluation of ``d``, counted or not. ``evals`` is a class
-    total, so pickled copies (a sharded build makes one per shard) add to
-    it too.
-    """
-
-    evals = 0
-
-    def _distance(self, a, b):
-        InnerCountingEuclidean.evals += 1
-        return super()._distance(a, b)
-
-    def _one_to_many(self, obj, objects):
-        InnerCountingEuclidean.evals += len(objects)
-        return super()._one_to_many(obj, objects)
-
-    def _pairwise(self, objects):
-        InnerCountingEuclidean.evals += len(objects) * (len(objects) - 1) // 2
-        return super()._pairwise(objects)
-
-    def _cross(self, objects_a, objects_b):
-        InnerCountingEuclidean.evals += len(objects_a) * len(objects_b)
-        return super()._cross(objects_a, objects_b)
-
-
 @pytest.fixture
 def inner_euclidean():
-    """Factory for the innermost counting metric; each call resets ``evals``.
+    """Factory for the innermost counting metric; each call resets the
+    totals.
 
     The factory holds no state, so hypothesis tests may share it across
     examples.
     """
 
     def make():
-        InnerCountingEuclidean.evals = 0
+        InnerCounting.reset()
         return InnerCountingEuclidean()
+
+    return make
+
+
+@pytest.fixture
+def inner_edit_distance():
+    """Like :func:`inner_euclidean`, over strings."""
+
+    def make():
+        InnerCounting.reset()
+        return InnerCountingEditDistance()
 
     return make

@@ -19,6 +19,10 @@ None is fast enough, or needed, in the library itself:
   index of the minimum. The library's pruned walk
   (:func:`repro.pipelines.nearest_assignment`) must return its labels
   exactly.
+* :class:`InnerCounting` metrics count every evaluation of ``d`` in their
+  raw hooks, below the library's counting wrappers, and every hook
+  dispatch. ``tests/test_evaluation_oracle.py`` checks the library's NCD
+  against them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import EmptyDatasetError, ParameterError
+from repro.metrics import EditDistance, EuclideanDistance, RelativeEditDistance
 from repro.metrics.base import DistanceFunction
 
 __all__ = ["classical_mds", "exhaustive_assignment", "generic_hac", "stress"]
@@ -175,3 +180,58 @@ def exhaustive_assignment(
     batch = metric.prepare(centers)
     labels = [int(np.argmin(metric.one_to_many(obj, batch))) for obj in objects]
     return np.asarray(labels, dtype=np.intp)
+
+
+class InnerCounting:
+    """Mixin: a metric that counts the pairs it evaluates, in its hooks.
+
+    The hooks sit below the library's counting wrappers, so the metric sees
+    every evaluation of ``d``, counted or not. It also counts hook
+    *dispatches*: one per outermost hook entry, the unit a batched call
+    saves over a Python loop of scalar calls. A hook that delegates to a
+    sibling hook (``EditDistance._pairwise`` runs ``_one_to_many`` rows) is
+    booked once, at the outer call. Both totals live on the mixin, so
+    pickled copies (a sharded build makes one per shard) add to them too.
+    """
+
+    evals = 0
+    dispatches = 0
+    _depth = 0
+
+    @staticmethod
+    def reset():
+        InnerCounting.evals = InnerCounting.dispatches = InnerCounting._depth = 0
+
+    def _hook(self, hook, pairs, *args):
+        if InnerCounting._depth == 0:
+            InnerCounting.evals += pairs
+            InnerCounting.dispatches += 1
+        InnerCounting._depth += 1
+        try:
+            return getattr(super(), hook)(*args)
+        finally:
+            InnerCounting._depth -= 1
+
+    def _distance(self, a, b):
+        return self._hook("_distance", 1, a, b)
+
+    def _one_to_many(self, obj, objects):
+        return self._hook("_one_to_many", len(objects), obj, objects)
+
+    def _pairwise(self, objects):
+        return self._hook("_pairwise", len(objects) * (len(objects) - 1) // 2, objects)
+
+    def _cross(self, objects_a, objects_b):
+        return self._hook("_cross", len(objects_a) * len(objects_b), objects_a, objects_b)
+
+
+class InnerCountingEuclidean(InnerCounting, EuclideanDistance):
+    """Euclidean distance under :class:`InnerCounting`."""
+
+
+class InnerCountingEditDistance(InnerCounting, EditDistance):
+    """Unit-cost edit distance under :class:`InnerCounting`."""
+
+
+class InnerCountingRelativeEditDistance(InnerCounting, RelativeEditDistance):
+    """Relative edit distance (RED's metric) under :class:`InnerCounting`."""

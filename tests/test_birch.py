@@ -25,6 +25,27 @@ class TestVectorCF:
         expected_r = np.sqrt(np.mean(np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)))
         assert f.radius == pytest.approx(expected_r)
 
+    def test_radius_stable_far_from_origin(self):
+        # The (n, mean, SSE) form keeps the radius exact where the textbook
+        # SS/n - |mean|^2 cancels: here 3e16 against a spread of about 1.
+        rng = np.random.default_rng(11)
+        pts = 1e8 + rng.normal(size=(200, 3))
+
+        def radius(x):
+            return np.sqrt(np.mean(np.sum((x - x.mean(axis=0)) ** 2, axis=1)))
+
+        f, g = VectorClusterFeature(pts[0]), VectorClusterFeature(pts[150])
+        for p in pts[1:150]:
+            f.absorb(p)
+        for p in pts[151:]:
+            g.absorb(p)
+        assert f.radius == pytest.approx(radius(pts[:150]), rel=1e-6)
+        both = radius(pts)
+        assert f.admits_feature(g, 0.0, both * (1 + 1e-6))
+        assert not f.admits_feature(g, 0.0, both * (1 - 1e-6))
+        f.merge(g)
+        assert f.radius == pytest.approx(both, rel=1e-6)
+
     def test_merge_equals_bulk(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(10, 2)), rng.normal(size=(15, 2))

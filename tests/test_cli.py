@@ -194,11 +194,6 @@ class TestAuditVerb:
     def test_missing_checkpoint_exits_two(self, tmp_path, capsys):
         assert main(["audit", str(tmp_path / "nope.ckpt"), "--type", "vectors"]) == 2
 
-    def test_lint_verb_dispatch(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text('"""Doc."""\n\n__all__ = ["X"]\n\nX = 1\n')
-        assert main(["lint", str(clean)]) == 0
-
     def test_truncated_pickle_exits_two(self, tmp_path, capsys):
         path, _ = self._make_checkpoint(tmp_path)
         data = path.read_bytes()

@@ -177,3 +177,6 @@ class TestFigureSmokeRuns:
             "cf-tree",
         }
         assert all(row[5] == 1.0 for row in r.rows)  # exactness
+        # The linear scan measures every clustroid once per query, counted.
+        (linear,) = [row for row in r.rows if row[0] == "linear scan"]
+        assert linear[3] == linear[1]

@@ -26,14 +26,14 @@ from repro.clarans import CLARANS
 from repro.clarans.clara import CLARA
 from repro.core.bubble import BubblePolicy
 from repro.core.cftree import CFTree
-from repro.core.preclusterer import BUBBLE
+from repro.core.preclusterer import BUBBLE, BUBBLEFM
 from repro.core.threshold import suggest_next_threshold
 from repro.datasets import make_authority_dataset, make_ds1, make_ds2
 from repro.datasets.vector import make_cell_dataset
 from repro.evaluation.metrics import silhouette_score
 from repro.fastmap import FastMap
 from repro.index import VPTree
-from repro.metrics import EuclideanDistance
+from repro.metrics import EuclideanDistance, FunctionDistance
 from repro.parallel.build import _shard_seeds
 from repro.robustness import ChaosPolicy, FaultInjector, GuardedMetric
 from repro.utils.sampling import reservoir_sample, sample_without_replacement
@@ -92,6 +92,51 @@ def _chaos_corruption(seed):
 
 
 _POINTS = make_ds2(n_points=120, n_clusters=4, seed=3)
+#: Ten dimensions, so FastMap's 2-d image depends on which pivots it draws.
+_FM_POINTS = make_cell_dataset(dim=10, n_clusters=10, n_points=400, seed=3).as_objects()
+
+
+def _retry_delays(seed):
+    def failing(a, b):
+        raise RuntimeError("flaky")
+
+    delays = []
+    guard = GuardedMetric(
+        FunctionDistance(failing), on_fault="retry", max_retries=8, seed=seed,
+        sleep=delays.append,
+    )
+    with pytest.raises(RuntimeError):
+        guard.distance(0.0, 1.0)
+    return delays
+
+
+def _symmetry_checks(seed):
+    guard = GuardedMetric(EuclideanDistance(), symmetry_check_rate=0.5, seed=seed)
+    checked = []
+    for _ in range(64):
+        guard.distance(np.zeros(2), np.ones(2))
+        checked.append(guard.n_symmetry_checks)
+    return checked
+
+
+def _vptree_build(seed):
+    """Vantage points in pre-order, then the build NCD."""
+    index = VPTree(EuclideanDistance(), leaf_size=4, seed=seed).build(_POINTS.as_objects())
+    vantage, stack = [], [index._root]
+    while stack:
+        node = stack.pop()
+        if node is not None and not isinstance(node, list):
+            vantage.append(node.index)
+            stack += [node.outside, node.inside]
+    return (*vantage, index.stats.build_calls)
+
+
+def _bubble_fm_fit(seed):
+    """NCD and sub-cluster sizes of a fit whose image spaces are refitted."""
+    metric = EuclideanDistance()
+    model = BUBBLEFM(metric, max_nodes=10, seed=seed).fit(_FM_POINTS)
+    return (metric.n_calls, *(s.n for s in model.subclusters_))
+
 
 #: One draw per function that builds its generator from a seed argument.
 SEEDED_DRAWS = {
@@ -111,6 +156,11 @@ SEEDED_DRAWS = {
     "suggest_next_threshold": lambda seed: suggest_next_threshold(
         _threshold_tree(), seed=seed
     ),
+    "VPTree.build": _vptree_build,
+    "BUBBLEFM.fit": _bubble_fm_fit,
+    "FastMap.fit": lambda seed: FastMap(
+        EuclideanDistance(), k=2, iterations=1, seed=seed
+    ).fit(_POINTS.as_objects()),
     "silhouette_score": lambda seed: silhouette_score(
         EuclideanDistance(), _POINTS.as_objects(), _POINTS.labels, sample_size=10, seed=seed
     ),
@@ -121,6 +171,8 @@ SEEDED_DRAWS = {
         50, 10, np.ones(50), seed
     ),
     "parallel.build._shard_seeds": lambda seed: _shard_seeds(seed, 4),
+    "GuardedMetric retry jitter": _retry_delays,
+    "GuardedMetric symmetry sampling": _symmetry_checks,
     "ChaosPolicy.wrap_metric": lambda seed: _chaos_fault_pattern(seed),
     "ChaosPolicy.before_retry": _chaos_corruption,
 }

@@ -110,6 +110,21 @@ class TestLongStreamDrift:
         assert report.errors == [], report.format()
 
 
+    def test_exact_merges_keep_sub_ulp_mass(self):
+        """Exact merges add their cross-distance sums through the compensated
+        slots too. Next to a 1e16 RowSum an addend of 1 is half an ulp, so a
+        plain ``+=`` would round each of the 62 away."""
+        metric = EuclideanDistance()
+        feature = BubbleClusterFeature(metric, np.zeros(2), representation_number=64)
+        feature.absorb(np.array([1e8, 0.0]))
+        for _ in range(62):
+            feature.merge(
+                BubbleClusterFeature(metric, np.array([0.0, 1.0]), representation_number=64)
+            )
+        assert feature.exact and feature.n == 64
+        assert feature.rowsums[0] == 1e16 + 62
+
+
 # ----------------------------------------------------------------------
 # Arena lifecycle
 # ----------------------------------------------------------------------
