@@ -65,12 +65,12 @@ PINNED = {
 
 #: (workload, algorithm) -> pruned scan's maintenance_evals.
 PINNED_MAINTENANCE = {
-    ("fig4_cells", "bubble"): 17_255,
-    ("fig4_cells", "bubble-fm"): 7_636,
-    ("fig5_cells", "bubble"): 17_476,
-    ("fig5_cells", "bubble-fm"): 7_297,
-    ("fig6_cells", "bubble"): 9_211,
-    ("fig6_cells", "bubble-fm"): 4_441,
+    ("fig4_cells", "bubble"): 13_161,
+    ("fig4_cells", "bubble-fm"): 5_160,
+    ("fig5_cells", "bubble"): 13_625,
+    ("fig5_cells", "bubble-fm"): 4_975,
+    ("fig6_cells", "bubble"): 7_154,
+    ("fig6_cells", "bubble-fm"): 3_054,
 }
 
 ALGORITHMS = {

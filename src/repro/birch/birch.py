@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.birch.policy import BirchVectorPolicy
 from repro.core.preclusterer import PreClusterer
+from repro.metrics.base import DistanceFunction
 
 __all__ = ["BIRCH"]
 
@@ -19,6 +20,10 @@ class BIRCH(PreClusterer):
     * cluster centers are **centroids** (synthetic points), not clustroids;
     * the threshold requirement bounds the cluster *radius after insertion*
       rather than the center distance.
+
+    ``metric`` measures the centroid distances (``EuclideanDistance()`` if
+    omitted); pass a counting or :class:`~repro.robustness.GuardedMetric`
+    wrapper to count, budget or time-limit them.
 
     Examples
     --------
@@ -36,9 +41,10 @@ class BIRCH(PreClusterer):
         max_nodes: int | None = None,
         threshold: float = 0.0,
         seed: int | np.random.Generator | None = None,
+        metric: DistanceFunction | None = None,
     ):
         super().__init__(
-            metric=BirchVectorPolicy().metric,
+            metric=BirchVectorPolicy(metric).metric,
             branching_factor=branching_factor,
             max_nodes=max_nodes,
             threshold=threshold,
@@ -46,10 +52,9 @@ class BIRCH(PreClusterer):
         )
 
     def _make_policy(self) -> BirchVectorPolicy:
-        policy = BirchVectorPolicy()
-        # Share one counter between driver and policy for NCD-style reports.
-        policy.metric = self.metric
-        return policy
+        # The driver and the policy share one metric, so NCD, budgets and
+        # deadlines cover every centroid distance of the fit.
+        return BirchVectorPolicy(self.metric)
 
     @property
     def centroids_(self) -> np.ndarray:

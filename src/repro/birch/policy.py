@@ -19,19 +19,31 @@ import numpy as np
 from repro.birch.cf import VectorClusterFeature
 from repro.core.nodes import LeafNode, NonLeafNode
 from repro.core.policy import BirchStarPolicy
+from repro.exceptions import ParameterError
+from repro.metrics.base import DistanceFunction
 from repro.metrics.vector import EuclideanDistance, as_matrix
 
 __all__ = ["BirchVectorPolicy"]
 
 
 class BirchVectorPolicy(BirchStarPolicy):
-    """Framework components of vector-space BIRCH."""
+    """Framework components of vector-space BIRCH.
 
-    def __init__(self) -> None:
-        # BIRCH computes centroid distances with vector arithmetic; we still
-        # route them through a metric object so callers can read a call
-        # count comparable to NCD if they want to.
-        self.metric = EuclideanDistance()
+    Parameters
+    ----------
+    metric:
+        Measures the centroid distances routing and splits compare;
+        ``EuclideanDistance()`` if omitted. Every such distance goes
+        through it, so a counting, caching or budgeted wrapper
+        (:class:`~repro.robustness.GuardedMetric`) sees them all.
+    """
+
+    def __init__(self, metric: DistanceFunction | None = None) -> None:
+        if metric is None:
+            metric = EuclideanDistance()
+        if not isinstance(metric, DistanceFunction):
+            raise ParameterError("metric must be a DistanceFunction")
+        self.metric = metric
 
     # ------------------------------------------------------------------
     # Leaf level

@@ -34,6 +34,7 @@ from repro.core.routing import (
     geometry_donor,
     pruned_leaf_distances,
     pruned_segment_distances,
+    remember_leaf_walk,
 )
 from repro.exceptions import ParameterError, TreeInvariantError
 from repro.metrics.base import DistanceFunction, site
@@ -154,7 +155,10 @@ class BubblePolicy(BirchStarPolicy):
             return pruned_leaf_distances(self.metric, node, obj, self.pruning_stats)
         clustroids = [feature.clustroid for feature in node.entries]
         with site("leaf-d0"):
-            return self.metric.one_to_many(obj, clustroids)
+            dists = self.metric.one_to_many(obj, clustroids)
+        if self.prune:
+            remember_leaf_walk(node, obj, clustroids, dists)
+        return dists
 
     def leaf_entry_distance(self, a: Any, b: Any) -> float:
         return self.metric.distance(a.clustroid, b.clustroid)

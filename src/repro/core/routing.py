@@ -81,23 +81,26 @@ performs either. The maintenance volume is tracked honestly in
 snapshot, and ``tests/test_evaluation_oracle.py`` checks at run time that
 these are the only raw reads. Every *routing* evaluation goes through the
 counted public API under the same call site (``leaf-d0`` / ``nonleaf-d2``)
-as the exhaustive path.
+as the exhaustive path. Upkeep reuses what the walks measured, though: a
+counted walk distance that lands in the geometry is not measured again.
 
-A pair is measured once per geometry lineage, carried forward by object
-identity (never by a bare ``id()`` without a live reference, never through
-a process-global memo):
+Each pair is measured at most once per geometry lineage, carried forward
+by object identity (never by a bare ``id()`` without a live reference,
+never through a process-global memo). One routine assembles every matrix:
+it copies the pairs its donors hold, then measures each unknown pair once.
 
-* a leaf keeps the rows of clustroids that survive an absorb, and a split
-  leaf's halves inherit its geometry, so each measures only the overflow
-  entry's row;
-* a refreshed sample cache — including each half of a split non-leaf —
-  holds the geometry of the cache it replaced (``prior``) until its own
-  is built, then copies the pairs of the samples both hold and measures
-  the new samples' rows with one ``_cross`` gather; a new root borrows its
-  first child's geometry the same way;
-* with nothing to carry over, the sample matrix is measured as
-  ``_one_to_many`` rows over its upper triangle, ``n(n - 1) / 2``
-  evaluations, the count ``maintenance_evals`` books.
+* A leaf keeps the rows of clustroids that survive an absorb, and a split
+  leaf's halves inherit its geometry. The leaf also keeps its last walk's
+  row, ``d(q, c_i)`` for every clustroid the walk did not prune, so when
+  ``q`` becomes a clustroid (a new entry, or an absorb that moves a
+  clustroid to it) only its pruned columns are measured.
+* A refreshed sample cache — including each half of a split non-leaf —
+  holds the geometry of the cache it replaced (``prior``) until its own is
+  built, and copies the pairs of the samples both hold; a new root borrows
+  its first child's geometry the same way. The ``f`` new samples of ``n``
+  are measured against the kept ones in one ``_cross`` gather and among
+  themselves over the upper triangle, ``f(n - f) + f(f - 1) / 2``
+  evaluations; with nothing carried over that is ``n(n - 1) / 2``.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ __all__ = [
     "LeafGeometry",
     "SampleGeometry",
     "ensure_leaf_geometry",
+    "remember_leaf_walk",
     "geometry_donor",
     "ensure_sample_geometry",
     "pruned_leaf_distances",
@@ -175,23 +179,29 @@ class LeafGeometry:
     against, so clustroid drift (an absorb that moved the clustroid) is
     detected by identity and only the stale rows are re-measured; rows of
     surviving clustroids are carried over across entry insertions and
-    removals. Identity survives pickling because the features and the
-    geometry travel in one pickle graph.
+    removals. ``walk`` holds the last routing walk through the leaf as
+    ``(obj, clustroids, row)``: the object routed, the clustroids it was
+    measured against and the distances measured (``+inf`` where pruned),
+    so an object that becomes a clustroid brings most of its row along.
+    Identity survives pickling because the features and the geometry
+    travel in one pickle graph.
     """
 
-    __slots__ = ("clustroids", "pair", "batch")
+    __slots__ = ("clustroids", "pair", "batch", "walk")
 
     def __init__(self) -> None:
         self.clustroids: list[Any] = []
         self.pair: np.ndarray = np.zeros((0, 0), dtype=np.float64)
         #: ``metric.prepare(clustroids)``, rebuilt whenever a row goes stale.
         self.batch: Any = []
+        self.walk: tuple[Any, list[Any], np.ndarray] | None = None
 
     def copy(self) -> LeafGeometry:
         """A second geometry over the same rows. Shallow: refreshes replace
         the fields rather than mutate them, so the two never interfere."""
         twin = LeafGeometry()
         twin.clustroids, twin.pair, twin.batch = self.clustroids, self.pair, self.batch
+        twin.walk = self.walk
         return twin
 
 
@@ -236,50 +246,106 @@ class SampleGeometry:
         self.counts = counts
 
 
-def _match_by_identity(
-    objects: list[Any], old_objects: list[Any]
-) -> tuple[list[int], list[int]]:
-    """Where each of ``objects`` sits in ``old_objects``, by identity:
-    ``(src, fresh)`` with ``objects[i] is old_objects[src[i]]`` for every
-    ``i`` not in ``fresh``, the positions of the objects ``old_objects``
-    does not hold (``src`` reads -1 there)."""
-    old_pos = {id(o): j for j, o in enumerate(old_objects)}
-    src = [old_pos.get(id(o), -1) for o in objects]
-    return src, [i for i, j in enumerate(src) if j < 0]
+def _take(batch: Any, positions: Any) -> Any:
+    """The items of a prepared batch at ``positions``."""
+    if isinstance(batch, np.ndarray):
+        return batch[positions]
+    return [batch[j] for j in positions]
 
 
-def _carried_pairs(
+def _assemble_pairs(
     metric: DistanceFunction,
     objects: list[Any],
     batch: Any,
-    src: list[int],
-    fresh: list[int],
-    old_pair: np.ndarray,
+    base: tuple[list[Any], np.ndarray] | None,
+    walk: tuple[Any, list[Any], np.ndarray] | None,
     stats: PruningStats,
 ) -> np.ndarray:
-    """The pairwise matrix over ``objects``, reusing ``old_pair``.
+    """The pairwise matrix over ``objects``, each pair measured at most once.
 
-    Pairs of kept objects (see :func:`_match_by_identity`) are copied from
-    ``old_pair``; the fresh objects' rows are measured with one raw-hook
-    ``_cross`` gather against ``batch`` (``objects`` as the metric prepared
-    them) and mirrored into their columns. Geometry maintenance is
-    NCD-neutral by design (see module docstring); tracked via
-    ``stats.maintenance_evals``.
+    Measured distances are copied, matched by identity (the donors hold
+    their objects, so the ids are live): the pairs of ``base``, an
+    ``(objects, pair)`` matrix, and the row of ``walk``, an ``(obj,
+    objects, row)`` walk with ``+inf`` where it pruned. The objects
+    ``base`` holds are kept, the others fresh, so every pair left unknown
+    involves a fresh object. Those are measured through the raw hooks
+    against ``batch`` (``objects`` as the metric prepared them). With no
+    walk row to copy, the fresh objects are measured against the kept ones
+    in one ``_cross`` gather and among themselves over the upper triangle,
+    one ``_one_to_many`` row each: ``f(n - f) + f(f - 1) / 2`` evaluations
+    for ``f`` fresh objects of ``n``. Otherwise each fresh object measures
+    its unknown pairs in one gather. Geometry maintenance is NCD-neutral by
+    design (see module docstring); tracked via ``stats.maintenance_evals``.
     """
     n = len(objects)
-    if len(fresh) < n:
-        # Fresh slots copy an arbitrary old pair here; the block below
-        # overwrites their rows and columns.
-        pair = old_pair.take(src, axis=0).take(src, axis=1)
+    if base is not None and len(base[0]):
+        held, block = base
+        where = {id(obj): j for j, obj in enumerate(held)}
+        src = [where.get(id(obj), -1) for obj in objects]
+        fresh = [i for i, j in enumerate(src) if j < 0]
+        # Fresh rows and columns copy arbitrary held pairs here; every one
+        # of them is overwritten below.
+        pair = block.take(src, axis=0).take(src, axis=1)
     else:
-        pair = np.zeros((n, n), dtype=np.float64)
-    if fresh:
-        block = np.asarray(
-            metric._cross([objects[i] for i in fresh], batch), dtype=np.float64
-        )
-        stats.maintenance_evals += len(fresh) * n
-        pair[fresh, :] = block
-        pair[:, fresh] = block.T
+        held, src, fresh = None, None, list(range(n))
+        pair = np.empty((n, n), dtype=np.float64)
+    if not fresh:
+        return pair
+    walked_row = at = None
+    if walk is not None:
+        obj, walked, row = walk
+        at = [i for i in range(n) if objects[i] is obj]
+        if at:
+            index = src
+            if walked is not held:
+                where = {id(o): j for j, o in enumerate(walked)}
+                index = [where.get(id(o), -1) for o in objects]
+            # ``walked_row[i] == d(obj, objects[i])``, +inf where unknown
+            # (index -1 reads the appended +inf).
+            walked_row = np.append(row, np.inf).take(index)
+    if walked_row is None:
+        # Nothing measured involves a fresh object: fresh against kept in
+        # one gather, then the fresh upper triangle row by row.
+        rows = np.asarray(fresh)[:, None]
+        fresh_objects = [objects[i] for i in fresh]
+        fresh_batch = batch
+        kept = [i for i, j in enumerate(src) if j >= 0] if src is not None else []
+        if kept:
+            across = np.asarray(
+                metric._cross(fresh_objects, _take(batch, kept)), dtype=np.float64
+            )
+            stats.maintenance_evals += across.size
+            pair[rows, kept] = across
+            pair[np.asarray(kept, dtype=np.intp)[:, None], fresh] = across.T
+            fresh_batch = _take(batch, fresh)
+        f = len(fresh)
+        among = np.zeros((f, f), dtype=np.float64)
+        for r in range(f - 1):
+            among[r, r + 1 :] = metric._one_to_many(fresh_objects[r], fresh_batch[r + 1 :])
+        stats.maintenance_evals += f * (f - 1) // 2
+        pair[rows, fresh] = among + among.T
+        return pair
+    # Each fresh object measures the pairs neither the walk nor an earlier
+    # fresh row holds, in one gather.
+    done: list[int] = []
+    for i in fresh:
+        if objects[i] is walk[0]:
+            # Measured slots of the walk row only gain values below, so
+            # later rows may still read it.
+            values = walked_row
+        else:
+            values = np.full(n, np.inf)
+            values[at] = walked_row[i]
+        if done:
+            values[done] = pair[i, done]
+        values[i] = 0.0
+        cols = np.flatnonzero(np.isinf(values))
+        if len(cols):
+            values[cols] = metric._one_to_many(objects[i], _take(batch, cols))
+            stats.maintenance_evals += len(cols)
+        pair[i] = values
+        pair[:, i] = values
+        done.append(i)
     return pair
 
 
@@ -303,9 +369,10 @@ def ensure_leaf_geometry(
     """Return ``node``'s leaf geometry, refreshing any stale rows.
 
     Rows whose clustroid object is unchanged (by identity) are carried
-    over; every other row is re-measured through the raw hooks. A leaf
-    that inherited its split parent's geometry therefore measures only
-    the rows of clustroids the parent never held.
+    over, and a clustroid that is the object of the leaf's last walk takes
+    the distances that walk measured. Only the remaining pairs are measured
+    through the raw hooks. A leaf that inherited its split parent's
+    geometry therefore measures only the overflow entry's pruned columns.
     """
     clustroids = [feature.clustroid for feature in node.entries]
     n = len(clustroids)
@@ -313,16 +380,29 @@ def ensure_leaf_geometry(
     if not isinstance(geom, LeafGeometry):
         geom = LeafGeometry()
         node.aux = geom
-        stats.geometry_builds += 1
     old = geom.clustroids
     if len(old) == n and all(old[i] is clustroids[i] for i in range(n)):
         return geom, clustroids
+    if not old:
+        stats.geometry_builds += 1
     batch = metric.prepare(clustroids)
-    src, fresh = _match_by_identity(clustroids, old)
-    geom.pair = _carried_pairs(metric, clustroids, batch, src, fresh, geom.pair, stats)
+    geom.pair = _assemble_pairs(metric, clustroids, batch, (old, geom.pair), geom.walk, stats)
+    geom.walk = None
     geom.clustroids = clustroids
     geom.batch = batch
     return geom, clustroids
+
+
+def remember_leaf_walk(node: Any, obj: Any, clustroids: list[Any], row: np.ndarray) -> None:
+    """Keep the distances a walk measured from ``obj`` to ``clustroids``
+    (``+inf`` where pruned) on ``node``'s leaf geometry, creating an
+    unbuilt one if the leaf has none, so the next refresh copies them if
+    ``obj`` has become a clustroid. The row is shared, not copied."""
+    geom = node.aux
+    if not isinstance(geom, LeafGeometry):
+        geom = LeafGeometry()
+        node.aux = geom
+    geom.walk = (obj, clustroids, row)
 
 
 def ensure_sample_geometry(
@@ -333,9 +413,9 @@ def ensure_sample_geometry(
 
     When the cache holds a donor (``cache.prior``, the ``(objects, pair)``
     of geometry built earlier), the pairs of samples present in both are
-    copied and only the new samples' rows are measured. With nothing
-    carried over the matrix is measured as ``_one_to_many`` rows over its
-    upper triangle. The cache drops its donor here, so donors never chain.
+    copied; every other pair is measured once (see
+    :func:`_assemble_pairs`). The cache drops its donor here, so donors
+    never chain.
     """
     geom = cache.geometry
     flat = cache.flat
@@ -350,21 +430,7 @@ def ensure_sample_geometry(
     gather_from = offsets[:-1].astype(np.intp)
     gather_from[seg_ids] += 1
     prior, cache.prior = cache.prior, None
-    batch = cache.batch
-    n = len(flat)
-    src, fresh = _match_by_identity(flat, prior[0]) if prior is not None else ([], [])
-    if len(fresh) < len(src):
-        pair = _carried_pairs(metric, flat, batch, src, fresh, prior[1], stats)
-    else:
-        # Raw hooks, NCD-neutral (see module docstring). Row by row rather
-        # than ``_pairwise``: every value is then the one a ``one_to_many``
-        # gather returns, which the exactness argument relies on.
-        pair = np.zeros((n, n), dtype=np.float64)
-        for i in range(n - 1):
-            row = metric._one_to_many(flat[i], batch[i + 1 :])
-            pair[i, i + 1 :] = row
-            pair[i + 1 :, i] = row
-        stats.maintenance_evals += n * (n - 1) // 2
+    pair = _assemble_pairs(metric, flat, cache.batch, prior, None, stats)
     geom = SampleGeometry(
         positions,
         metric.prepare([flat[int(p)] for p in positions]),
@@ -431,6 +497,7 @@ def pruned_leaf_distances(
         stats.candidates_total += n
         stats.candidates_evaluated += n_evaluated
         stats.candidates_pruned += n - n_evaluated
+        geom.walk = (obj, clustroids, out)
         return out
 
 

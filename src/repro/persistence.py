@@ -142,7 +142,7 @@ def load_subclusters(
 # Scan checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 4
+_CHECKPOINT_VERSION = 5
 _METRIC_PID = "repro.metric"
 _TRACER_PID = "repro.tracer"
 

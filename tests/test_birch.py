@@ -6,6 +6,9 @@ import pytest
 from repro.analysis.audit import audit_tree
 from repro.birch import BIRCH, BirchVectorPolicy, VectorClusterFeature
 from repro.core.cftree import CFTree
+from repro.exceptions import MetricBudgetExceededError, ParameterError
+from repro.metrics import EuclideanDistance
+from repro.robustness import GuardedMetric
 
 
 class TestVectorCF:
@@ -141,3 +144,22 @@ class TestBirchDriver:
         model = BIRCH(threshold=0.5, seed=0).fit(pts)
         assert model.n_subclusters_ == 1
         assert model.subclusters_[0].radius < 0.05
+
+    def test_metric_parameter_is_the_fit_metric(self, blob_data):
+        points, _, _ = blob_data
+        metric = EuclideanDistance()
+        model = BIRCH(max_nodes=10, seed=0, metric=metric).fit(points)
+        assert model.metric is metric
+        assert model.tree_.policy.metric is metric
+        assert metric.n_calls > 0
+
+    def test_guarded_budget_stops_the_fit(self, blob_data):
+        points, _, _ = blob_data
+        metric = GuardedMetric(EuclideanDistance(), max_calls=50)
+        with pytest.raises(MetricBudgetExceededError):
+            BIRCH(max_nodes=10, seed=0, metric=metric).fit(points)
+        assert metric.n_calls <= 50
+
+    def test_metric_must_be_a_distance_function(self):
+        with pytest.raises(ParameterError):
+            BIRCH(metric="euclidean")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import BUBBLE
+from repro.core import routing
 from repro.core.bubble import BubblePolicy, _SampleCache
 from repro.core.bubble_fm import BubbleFMPolicy
 from repro.core.cftree import CFTree
@@ -26,6 +27,7 @@ from repro.core.routing import (
     SampleGeometry,
     ensure_leaf_geometry,
     ensure_sample_geometry,
+    geometry_donor,
     pruned_leaf_distances,
     pruned_segment_distances,
 )
@@ -411,10 +413,62 @@ class TestVectorisedWalkExactness:
             "candidates_total": 19_525,
             "candidates_evaluated": 10_151,
             "candidates_pruned": 9_374,
-            "maintenance_evals": 165_735,
+            "maintenance_evals": 116_666,
             "geometry_builds": 89,
             "queries": 2_212,
         }
+
+
+# ----------------------------------------------------------------------
+# Geometry upkeep measures each pair once
+# ----------------------------------------------------------------------
+#: Two tight groups of clustroids far apart: a query near the first group
+#: prunes most of the second.
+GROUPED = [[0, 0], [1, 0], [0, 1], [1, 1], [40, 40], [41, 40], [40, 41], [41, 41]]
+
+
+class TestUpkeepMeasuresEachPairOnce:
+    @pytest.mark.parametrize("placement", ["new entry", "absorb moves clustroid"])
+    def test_placed_object_row_comes_from_its_walk(self, inner_euclidean, placement):
+        metric, stats = inner_euclidean(), PruningStats()
+        node = leaf_node(GROUPED)
+        ensure_leaf_geometry(metric, node, stats)
+        q = np.array([0.4, 0.3])
+        out = pruned_leaf_distances(metric, node, q, stats)
+        pruned = int(np.isinf(out).sum())
+        assert pruned == stats.candidates_pruned > 0
+        if placement == "new entry":
+            node.entries.append(SimpleNamespace(clustroid=q))
+        else:
+            node.entries[int(np.argmin(out))].clustroid = q
+        before = metric.evals
+        geom, clustroids = ensure_leaf_geometry(metric, node, stats)
+        assert metric.evals - before == pruned
+        for i, obj in enumerate(clustroids):
+            row = EuclideanDistance()._one_to_many(obj, clustroids)
+            assert geom.pair[i].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("n_fresh", [0, 1, 5, 11, 12])
+    def test_carried_build_measures_fresh_pairs_once(self, inner_euclidean, n_fresh):
+        rng = np.random.default_rng(n_fresh)
+        n = 12
+        metric, stats = inner_euclidean(), PruningStats()
+        old = sample_cache(metric, [list(rng.normal(size=(n, 3)))])
+        ensure_sample_geometry(metric, old, stats)
+        flat = old.flat[: n - n_fresh] + list(rng.normal(size=(n_fresh, 3)))
+        order = rng.permutation(n)
+        flat = [flat[i] for i in order]
+        cache = _SampleCache(
+            flat, np.array([0, 4, n], dtype=np.intp), metric.prepare(flat),
+            geometry_donor(old),
+        )
+        before = metric.evals
+        geom = ensure_sample_geometry(metric, cache, stats)
+        f = n_fresh
+        assert metric.evals - before == f * (n - f) + f * (f - 1) // 2
+        for i, obj in enumerate(flat):
+            row = EuclideanDistance()._one_to_many(obj, flat)
+            assert geom.pair[i].tobytes() == row.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -533,9 +587,15 @@ class TestCarriedGeometry:
     def test_cached_pairs_equal_fresh_rows_after_checkpoint(
         self, tmp_path, monkeypatch, metric_factory, make_objects
     ):
-        donated = {"leaf": 0, "nonleaf": 0}
+        donated = {"leaf": 0, "nonleaf": 0, "walk": 0}
         leaf_split = BubblePolicy.on_leaf_split
         node_split = BubblePolicy.on_node_split
+        assemble = routing._assemble_pairs
+
+        def spy_assemble(metric, objects, batch, base, walk, stats):
+            # A leaf refresh whose walked object became a clustroid.
+            donated["walk"] += walk is not None and any(o is walk[0] for o in objects)
+            return assemble(metric, objects, batch, base, walk, stats)
 
         def spy_leaf(policy, old, left, right):
             donated["leaf"] += isinstance(old.aux, LeafGeometry)
@@ -547,11 +607,12 @@ class TestCarriedGeometry:
 
         monkeypatch.setattr(BubblePolicy, "on_leaf_split", spy_leaf)
         monkeypatch.setattr(BubblePolicy, "on_node_split", spy_node)
+        monkeypatch.setattr(routing, "_assemble_pairs", spy_assemble)
         objs = make_objects(np.random.default_rng(5))
         tree, _, _ = build(objs, metric_factory=metric_factory, max_nodes=40)
         # The scan exercised every way geometry is handed on.
         assert tree.n_rebuilds > 0
-        assert donated["leaf"] > 0 and donated["nonleaf"] > 0
+        assert donated["leaf"] > 0 and donated["nonleaf"] > 0 and donated["walk"] > 0
 
         path = tmp_path / "tree.ckpt"
         save_checkpoint(path, tree)

@@ -59,6 +59,30 @@ class TestVPTreeQueries:
         expected = [i for i, p in enumerate(pts) if np.linalg.norm(p - q) <= 2.5]
         assert sorted(got.indices) == expected
 
+    def test_range_keeps_objects_at_boundary_radii(self):
+        # Edit distances are integers, so every radius below is an exact
+        # tie for some objects, and so is many a node's median split: the
+        # partition (``d <= mu`` inside) and the range test (``d_vp <=
+        # radius``) must both keep an object at exactly the boundary.
+        rng = np.random.default_rng(8)
+        words = [
+            "".join(rng.choice(list("abc"), size=int(rng.integers(1, 7))))
+            for _ in range(80)
+        ]
+        metric = EditDistance()
+        for seed in range(3):
+            tree = VPTree(metric, leaf_size=2, seed=seed).build(words)
+            for query in words[:10] + ["", "abcabc"]:
+                dists = [metric._distance(query, w) for w in words]
+                for radius in range(7):
+                    got = tree.within(query, radius)
+                    assert sorted(got.indices) == [
+                        i for i, d in enumerate(dists) if d <= radius
+                    ]
+                    assert sorted(got.distances) == sorted(
+                        d for d in dists if d <= radius
+                    )
+
     def test_knn_prunes_vs_linear(self, rng):
         centers = np.array([[0, 0], [100, 0], [0, 100], [100, 100]], dtype=float)
         pts = []
