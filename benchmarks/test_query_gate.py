@@ -23,6 +23,13 @@ asserts:
   dedicated VP-tree build;
 * **baseline** — per-query k-NN NCD stays within 2% of the pinned values.
 
+A second record replays a serving script on one fitted tree: 60 k-NN,
+range and insert ops, with a re-adoption through ``model.index()`` after
+each insert and a fifth of the queries repeating a recent one. It asserts
+every answer is exact, pins the script's total NCD, and asserts that each
+re-adoption costs under a quarter of the first adoption, because the
+model's bound cache keeps the anchor pairs whose objects did not change.
+
 The pinned constants are the baseline. After an intentional change that
 moves them, update them and say why in CHANGES.md.
 """
@@ -35,7 +42,7 @@ import pytest
 from benchmarks.workloads import TREE_PARAMS, cell_workloads
 from repro.core.preclusterer import BUBBLE
 from repro.datasets import make_authority_dataset
-from repro.index import CFTreeIndex, make_index
+from repro.index import CFTreeIndex, QueryBoundCache, make_index
 from repro.metrics import EditDistance, EuclideanDistance
 from repro.observability import Tracer
 
@@ -61,8 +68,22 @@ PINNED = {
     "fig4_cells": (1500.0, 71.36, 138.32),
     "fig5_cells": (1500.0, 68.04, 149.12),
     "fig6_cells": (1500.0, 125.48, 112.6),
-    "authority_strings": (117.36, 96.36, 77.6),
+    "authority_strings": (117.36, 90.36, 65.68),
 }
+
+
+#: Serving script: ops, the share of queries repeating one of the last
+#: ``SCRIPT_RECENT``, and the points the tree is fitted on.
+SCRIPT_OPS = 60
+SCRIPT_REPEAT = 0.2
+SCRIPT_RECENT = 10
+SCRIPT_FIT = 600
+
+#: Total counted NCD of the serving script (queries, inserts, adoptions).
+PINNED_SCRIPT_NCD = 4359
+
+#: A re-adoption must cost under this share of the first adoption.
+MAX_READOPT_SHARE = 0.25
 
 
 def _workloads():
@@ -79,12 +100,17 @@ def _workloads():
 def _serve(backend, metric, tree, indexed, queries, radius):
     """Run every query on one backend; return its answers and costs."""
     tracer = Tracer()
+    # Unbounded, so the repeat of the first query is still held after the
+    # other 24 (on the brute backend that is 36,000 pairs, past the
+    # default ``maxsize``).
+    cache = QueryBoundCache(maxsize=None)
     with tracer:
         if backend == "cftree":
-            index = CFTreeIndex.from_tree(tree, metric=metric)
+            index = CFTreeIndex.from_tree(tree, metric=metric, bound_cache=cache)
         else:
             # A fixed seed makes the vantage points, hence the NCD, repeat.
-            index = make_index(backend, metric, **({"seed": 0} if backend == "vptree" else {}))
+            kwargs = {"seed": 0} if backend == "vptree" else {}
+            index = make_index(backend, metric, bound_cache=cache, **kwargs)
             index.build(indexed)
         answers = []
         knn_calls = 0
@@ -207,3 +233,80 @@ def test_knn_ncd_within_tolerance_of_pins(records):
             assert got == pytest.approx(want, rel=TOLERANCE), (
                 f"{name}/{backend}: per-query NCD drifted ({got} vs pinned {want})"
             )
+
+
+@pytest.fixture(scope="module")
+def script_record():
+    """Replay the serving script on one fitted tree; check every answer."""
+    workload = cell_workloads("smoke")[0]
+    points = list(workload.dataset().points)
+    metric = EuclideanDistance()
+    model = BUBBLE(
+        metric, threshold=0.0, max_nodes=None, seed=0, **TREE_PARAMS
+    ).fit(points[:SCRIPT_FIT])
+    reference = EuclideanDistance()
+    rng = np.random.default_rng(workload.seed)
+    fresh = iter(points[SCRIPT_FIT:])
+    kinds = [kind for _ in range(SCRIPT_OPS // 10) for kind in rng.permutation(
+        ["knn"] * 6 + ["range"] * 3 + ["insert"]
+    )]
+    start = metric.n_calls
+    index = model.index()
+    adoptions = [index.stats.build_calls]
+    # The 5th-nearest distance of a probe: a few answers per range query.
+    radius = float(np.partition(reference.one_to_many(points[-1], list(index.objects)), 4)[4])
+    recent: list = []
+    exact, stale = True, False
+    for kind in kinds:
+        if kind == "insert":
+            model.partial_fit([next(fresh)])
+            stale = True
+            continue
+        if stale:
+            index = model.index()
+            adoptions.append(index.stats.build_calls)
+            stale = False
+        if recent and rng.random() < SCRIPT_REPEAT:
+            query = recent[int(rng.integers(len(recent)))]
+        else:
+            query = next(fresh)
+            recent = (recent + [query])[-SCRIPT_RECENT:]
+        objects = list(index.objects)
+        if kind == "knn":
+            got = index.nearest(query, k=QUERY_K)
+            want = sorted(
+                (float(v), i) for i, v in enumerate(reference.one_to_many(query, objects))
+            )[:QUERY_K]
+        else:
+            got = index.within(query, radius)
+            row = reference.one_to_many(query, objects)
+            want = sorted((float(v), i) for i, v in enumerate(row) if v <= radius)
+        exact = exact and [(n.distance, n.index) for n in got] == want
+    return {
+        "exact": exact,
+        "ncd_total": metric.n_calls - start,
+        "adoptions": adoptions,
+        "bound_cache": index.bound_cache.as_dict(),
+    }
+
+
+def test_serving_script_answers_exactly(script_record):
+    assert script_record["exact"]
+    assert len(script_record["adoptions"]) == 1 + SCRIPT_OPS // 10
+    assert script_record["bound_cache"]["hits"] > 0
+
+
+def test_readoption_reuses_held_anchor_pairs(script_record):
+    first, *again = script_record["adoptions"]
+    assert first > 0
+    for calls in again:
+        assert calls < MAX_READOPT_SHARE * first, (
+            f"a re-adoption cost {calls} calls against {first} for the first"
+        )
+
+
+def test_serving_script_ncd_within_tolerance_of_pin(script_record):
+    got = script_record["ncd_total"]
+    assert got == pytest.approx(PINNED_SCRIPT_NCD, rel=TOLERANCE), (
+        f"serving script NCD drifted ({got} vs pinned {PINNED_SCRIPT_NCD})"
+    )

@@ -34,7 +34,6 @@ from repro.robustness import (
     Quarantine,
 )
 from repro.clarans import CLARANS
-from repro.dbscan import MetricDBSCAN
 from repro.core import BUBBLE, BUBBLEFM, CFTree, PreClusterer, SubCluster
 from repro.fastmap import FastMap
 from repro.hac import AgglomerativeClusterer
@@ -55,7 +54,6 @@ __all__ = [
     "BUBBLEFM",
     "BIRCH",
     "CLARANS",
-    "MetricDBSCAN",
     "REDClusterer",
     "AgglomerativeClusterer",
     "CFTree",

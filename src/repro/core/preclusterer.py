@@ -111,6 +111,8 @@ class PreClusterer:
         #: until :meth:`global_phase` runs with ``method="clara"``).
         self.global_phase_samples_: list[dict] = []
         self._cursor = 0
+        #: ``(metric, QueryBoundCache)`` shared by every :meth:`index`.
+        self._serving: tuple[DistanceFunction, Any] | None = None
 
     # -- subclasses supply the policy ---------------------------------
     def _make_policy(self) -> BubblePolicy:
@@ -508,12 +510,22 @@ class PreClusterer:
 
         ``backend="cftree"`` (default) is the cheap path: it reuses the
         fitted tree's cached leaf geometry, so the only counted calls are
-        the non-leaf anchor distances. The other backends (``"vptree"``,
-        ``"brute"``) build from scratch over the clustroid list. Extra
-        keyword arguments go to the backend constructor (e.g.
-        ``bound_cache=`` to share one cross-query cache).
+        the non-leaf anchor pairs its last adoption did not already hold.
+        The other backends (``"vptree"``, ``"brute"``) build from scratch
+        over the clustroid list. Extra keyword arguments go to the backend
+        constructor.
+
+        Every index gets the model's one
+        :class:`~repro.index.QueryBoundCache` unless ``bound_cache=`` is
+        passed. It is keyed by indexed object, so the distances queries
+        paid for, and the anchor pairs of the last adoption, survive
+        :meth:`partial_fit` and the next ``index()`` call. It is created
+        on first use, tied to :attr:`metric` (assigning a new metric
+        starts a fresh one), and never pickled with the model.
         """
         tree = self._require_tree()
+        if "bound_cache" not in kwargs:
+            kwargs["bound_cache"] = self._bound_cache()
         if backend == "cftree":
             from repro.index.cftree import CFTreeIndex
 
@@ -523,6 +535,21 @@ class PreClusterer:
         idx = make_index(backend, self.metric, **kwargs)
         idx.build(self.clustroids_)
         return idx
+
+    def _bound_cache(self) -> Any:
+        """The model-owned query bound cache for the current :attr:`metric`."""
+        if self._serving is None or self._serving[0] is not self.metric:
+            from repro.index import QueryBoundCache
+
+            self._serving = (self.metric, QueryBoundCache())
+        return self._serving[1]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The bound cache keys objects by ``id``, which means nothing in
+        # another process: it never travels.
+        state = self.__dict__.copy()
+        state["_serving"] = None
+        return state
 
     def assign(self, objects: Iterable, via: str = "linear") -> np.ndarray:
         """Second scan: label each object with its nearest sub-cluster.

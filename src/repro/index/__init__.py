@@ -20,7 +20,10 @@ bit-identical results (ordered by ``(distance, index)``), report the
 per-query NCD in a typed :class:`QueryResult`, charge query traffic to
 dedicated :class:`~repro.metrics.base.CallLedger` sites, and share exact
 distances across successive queries through a bounded
-:class:`QueryBoundCache`.
+:class:`QueryBoundCache`. The cache keys distances by indexed object, so
+a model's one cache (``PreClusterer.index()`` passes it to every index)
+keeps serving repeated queries, and the cf-tree's anchor pairs, after an
+insert forces a re-adoption.
 """
 
 from typing import Any

@@ -11,8 +11,12 @@ control, behind one :class:`MetricIndex` protocol:
   typed :class:`QueryResult` carrying the per-query NCD and pruning stats;
 * a process of repeated queries shares a bounded :class:`QueryBoundCache`
   (Anchors-Hierarchy-style cached sufficient statistics: every exactly
-  measured ``d(query, indexed[i])`` persists across queries, so a repeated
-  or similar query starts from already-paid distances instead of zero).
+  measured ``d(query, obj)`` persists across queries, so a repeated query
+  starts from already-paid distances instead of zero). Distances are keyed
+  by the indexed object, not its position, so they outlive the index that
+  paid for them: a model that re-adopts its index after an insert keeps
+  serving them, and the cf-tree backend copies the anchor pairs its last
+  adoption measured.
 
 Exactness contract
 ------------------
@@ -23,7 +27,9 @@ lower bound *strictly* exceeds the current worst kept distance (ties are
 always visited, so equal-distance neighbours resolve to the lowest index
 on every backend). A per-query memo guarantees no indexed object is ever
 measured twice, hence no query can cost more counted calls than the brute
-scan it replaces.
+scan it replaces. The bound cache is consulted only after the memo
+misses, and holds exact values, so it can lower that cost but never change
+an answer.
 
 Accounting
 ----------
@@ -146,30 +152,58 @@ class QueryResult:
 
 
 class QueryBoundCache:
-    """Bounded LRU of exact query→indexed-object distances across queries.
+    """Exact distances paid for by queries, kept across queries and inserts.
 
-    Keys are ``(query_key, index)`` pairs; values are the *exact* measured
-    distances, so serving a hit changes nothing about a query's result —
-    only its cost. A query object whose key is unhashable (e.g. a tuple
-    holding an ndarray) simply bypasses the cache.
+    For each recent query the cache holds a *row*: a map from an indexed
+    object's ``id`` to ``(object, distance)``. Keying by object rather than
+    by index position keeps a row valid when a model re-adopts its index
+    after an insert and the clustroids move to new positions. Each entry
+    holds a reference to its object for as long as the entry lives, so the
+    ``id`` cannot be reused by another object while it could be served.
+    Values are *exact* measured distances, so a hit changes a query's cost,
+    never its answer. A query whose key is unhashable (e.g. a tuple
+    holding an ndarray) bypasses the cache.
+
+    ``maxsize`` bounds the pairs held across all rows. Whole rows are
+    evicted, least recently used first, while the pairs held exceed it;
+    eviction runs only when a query starts, so a running query never
+    loses its own row (the newest row is never evicted).
+
+    The cache also keeps the anchor pairs of the last cf-tree adoption
+    (:attr:`anchor_rows`, see
+    :meth:`~repro.index.cftree.CFTreeIndex.from_tree`), keyed the same
+    way, so a re-adoption copies the pairs whose objects are unchanged.
+    They are replaced wholesale at each adoption, so they stay bounded by
+    the current tree and do not count against ``maxsize``.
+
+    Every counter is cumulative over the cache's life, which for the cache
+    a model owns spans all of its :meth:`~repro.core.PreClusterer.index`
+    calls.
     """
 
     def __init__(
         self,
-        maxsize: int | None = 200_000,
+        maxsize: int | None = 8192,
         key: Callable[[Any], Any] | None = None,
     ):
         if maxsize is not None and maxsize <= 0:
             raise ParameterError(f"maxsize must be positive or None, got {maxsize}")
         self.maxsize = maxsize
         self._key = key if key is not None else _default_key
-        self._store: OrderedDict[tuple[Any, int], float] = OrderedDict()
+        self._rows: OrderedDict[Any, dict[int, tuple[Any, float]]] = OrderedDict()
+        #: ``id(anchor) -> (anchor, {id(child anchor): (child anchor, d)})``
+        #: of the last cf-tree adoption.
+        self.anchor_rows: dict[int, tuple[Any, dict[int, tuple[Any, float]]]] = {}
         self.n_hits = 0
         self.n_misses = 0
+        #: Whole query rows evicted.
         self.n_evictions = 0
+        #: Anchor pairs a cf-tree adoption copied instead of measuring.
+        self.n_anchor_reused = 0
 
     def __len__(self) -> int:
-        return len(self._store)
+        """Query→object pairs held."""
+        return sum(map(len, self._rows.values()))
 
     def key_for(self, obj: Any) -> Any:
         """Hashable cache key for a query object, or ``None`` if unkeyable."""
@@ -180,21 +214,26 @@ class QueryBoundCache:
             return None
         return k
 
-    def get(self, query_key: Any, index: int) -> float | None:
-        """The cached exact distance, or ``None`` (counted as hit/miss)."""
-        value = self._store.get((query_key, index))
-        if value is None:
-            self.n_misses += 1
-            return None
-        self._store.move_to_end((query_key, index))
-        self.n_hits += 1
-        return value
+    def row_for(self, query: Any) -> dict[int, tuple[Any, float]] | None:
+        """Open (or refresh) the row of a starting query; ``None`` bypasses.
 
-    def put(self, query_key: Any, index: int, value: float) -> None:
-        self._store[(query_key, index)] = value
-        if self.maxsize is not None and len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-            self.n_evictions += 1
+        The row is the live map the query's session reads and writes. This
+        is the only place rows are evicted.
+        """
+        key = self.key_for(query)
+        if key is None:
+            return None
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = {}
+        else:
+            self._rows.move_to_end(key)
+        if self.maxsize is not None:
+            pairs = len(self)
+            while pairs > self.maxsize and len(self._rows) > 1:
+                pairs -= len(self._rows.popitem(last=False)[1])
+                self.n_evictions += 1
+        return row
 
     @property
     def hit_rate(self) -> float:
@@ -206,8 +245,10 @@ class QueryBoundCache:
             "hits": self.n_hits,
             "misses": self.n_misses,
             "evictions": self.n_evictions,
-            "size": len(self._store),
+            "queries": len(self._rows),
+            "pairs": len(self),
             "maxsize": self.maxsize,
+            "anchor_pairs_reused": self.n_anchor_reused,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -215,10 +256,11 @@ class QueryBoundCache:
 class QuerySession:
     """Per-query measurement state shared by every backend.
 
-    Memoizes every exact distance by indexed position (so no object is
+    Memoizes every exact distance by indexed position (so no position is
     measured twice within a query — the structural guarantee that query
-    NCD never exceeds the brute scan) and consults the cross-query
-    :class:`QueryBoundCache` before paying a counted call.
+    NCD never exceeds the brute scan) and, after a memo miss, looks the
+    position's object up in the query's :class:`QueryBoundCache` row
+    before paying a counted call.
     """
 
     __slots__ = (
@@ -226,9 +268,9 @@ class QuerySession:
         "query",
         "objects",
         "memo",
-        "bound_cache",
-        "qkey",
+        "row",
         "cache_hits",
+        "cache_misses",
         "bound_checks",
     )
 
@@ -243,9 +285,10 @@ class QuerySession:
         self.query = query
         self.objects = objects
         self.memo: dict[int, float] = {}
-        self.bound_cache = bound_cache
-        self.qkey = bound_cache.key_for(query) if bound_cache is not None else None
+        #: The query's live row in the bound cache (``None``: no caching).
+        self.row = bound_cache.row_for(query) if bound_cache is not None else None
         self.cache_hits = 0
+        self.cache_misses = 0
         self.bound_checks = 0
 
     def measure(self, index: int) -> float:
@@ -253,47 +296,49 @@ class QuerySession:
         value = self.memo.get(index)
         if value is not None:
             return value
-        if self.qkey is not None and self.bound_cache is not None:
-            cached = self.bound_cache.get(self.qkey, index)
-            if cached is not None:
-                self.memo[index] = cached
+        obj = self.objects[index]
+        row = self.row
+        if row is not None:
+            held = row.get(id(obj))
+            if held is not None:
+                value = self.memo[index] = held[1]
                 self.cache_hits += 1
-                return cached
-        value = float(self.metric.one_to_many(self.query, [self.objects[index]])[0])
-        self.memo[index] = value
-        if self.qkey is not None and self.bound_cache is not None:
-            self.bound_cache.put(self.qkey, index, value)
+                return value
+            self.cache_misses += 1
+        value = self.memo[index] = float(self.metric.one_to_many(self.query, [obj])[0])
+        if row is not None:
+            row[id(obj)] = (obj, value)
         return value
 
     def measure_many(self, indices: Sequence[int]) -> np.ndarray:
-        """Batched exact distances; unique misses pay one counted gather."""
+        """Batched exact distances; the misses pay one counted gather."""
         out = np.empty(len(indices), dtype=np.float64)
+        objects, memo, row = self.objects, self.memo, self.row
         missing: list[int] = []
         positions: list[int] = []
+        hits = 0
         for pos, index in enumerate(indices):
-            value = self.memo.get(index)
-            if value is not None:
+            value = memo.get(index)
+            if value is None and row is not None:
+                held = row.get(id(objects[index]))
+                if held is not None:
+                    value = memo[index] = held[1]
+                    hits += 1
+            if value is None:
+                missing.append(index)
+                positions.append(pos)
+            else:
                 out[pos] = value
-                continue
-            if self.qkey is not None and self.bound_cache is not None:
-                cached = self.bound_cache.get(self.qkey, index)
-                if cached is not None:
-                    self.memo[index] = cached
-                    self.cache_hits += 1
-                    out[pos] = cached
-                    continue
-            missing.append(index)
-            positions.append(pos)
+        if row is not None:
+            self.cache_hits += hits
+            self.cache_misses += len(missing)
         if missing:
-            values = self.metric.one_to_many(
-                self.query, [self.objects[i] for i in missing]
-            )
-            for pos, index, value in zip(positions, missing, values):
-                v = float(value)
-                out[pos] = v
-                self.memo[index] = v
-                if self.qkey is not None and self.bound_cache is not None:
-                    self.bound_cache.put(self.qkey, index, v)
+            gathered = [objects[i] for i in missing]
+            values = self.metric.one_to_many(self.query, gathered)
+            for pos, index, obj, value in zip(positions, missing, gathered, values):
+                v = out[pos] = memo[index] = float(value)
+                if row is not None:
+                    row[id(obj)] = (obj, v)
         return out
 
 
@@ -494,6 +539,8 @@ class MetricIndex(ABC):
             cache_hits=session.cache_hits,
         )
         self.stats.record(result)
+        self.bound_cache.n_hits += session.cache_hits
+        self.bound_cache.n_misses += session.cache_misses
         return result
 
     # ------------------------------------------------------------------

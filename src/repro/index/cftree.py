@@ -10,8 +10,9 @@ Hierarchy idea of cached sufficient statistics):
 * each leaf becomes an *anchor ball* centred on its first clustroid with
   covering radius ``max_j d(c_0, c_j)`` read from the cached matrix;
 * each non-leaf node becomes an anchor ball around its first child's
-  anchor, with child anchor distances measured once at index-build time
-  (the only counted calls :meth:`CFTreeIndex.from_tree` issues);
+  anchor, with child anchor distances measured at index-build time (the
+  only counted calls :meth:`CFTreeIndex.from_tree` issues, and only for
+  the pairs the bound cache does not already hold from the last adoption);
 * a k-NN query descends best-first by ball lower bound, and inside a
   leaf runs the AESA refinement loop seeded by the anchor distance —
   every exactly measured clustroid tightens the lower bounds of its
@@ -51,6 +52,9 @@ from repro.index.base import (
 from repro.metrics.base import DistanceFunction, site
 
 __all__ = ["CFTreeIndex"]
+
+#: ``id(anchor) -> (anchor, {id(other): (other, d(anchor, other))})``.
+_AnchorRows = dict[int, tuple[Any, dict[int, tuple[Any, float]]]]
 
 
 class _AnchorNode:
@@ -115,10 +119,16 @@ class CFTreeIndex(MetricIndex):
     ) -> "CFTreeIndex":
         """Index the leaf clustroids of a fitted CF*-tree.
 
-        ``metric`` defaults to the tree policy's metric. The only counted
-        calls are the anchor-to-child-anchor distances of non-leaf nodes
-        (charged to the ``query-build`` site); leaf geometry comes from
-        the build's cached pairwise matrices.
+        ``metric`` defaults to the tree policy's metric. Leaf geometry
+        comes from the build's cached pairwise matrices. The only counted
+        calls are the anchor-to-child-anchor pairs of non-leaf nodes that
+        ``bound_cache`` does not already hold, charged to the
+        ``query-build`` site. The cache holds the pairs of the last
+        adoption it served, keyed by object identity, so re-adopting a tree
+        after an insert pays only for the pairs whose objects changed;
+        with nothing held (a fresh cache) each non-leaf node pays one
+        gather over its child anchors. Each adoption replaces the held
+        pairs with the current tree's.
         """
         resolved: Any = (
             metric
@@ -156,16 +166,19 @@ class CFTreeIndex(MetricIndex):
         if tree is None or tree.n_clusters == 0:
             raise EmptyDatasetError("cannot index an empty CF*-tree")
         self._objects = []
+        held: _AnchorRows = self.bound_cache.anchor_rows
+        fresh: _AnchorRows = {}
         start_calls = self.metric.n_calls
         with site(QUERY_BUILD_SITE):
-            self._root = self._wrap(tree.root)
+            self._root = self._wrap(tree.root, held, fresh)
         self._count_build(start_calls)
+        self.bound_cache.anchor_rows = fresh
         self._tree = tree
         self._fingerprint = self._tree_fingerprint(tree)
         self.stats.extras["maintenance_evals"] = self.build_stats.maintenance_evals
         self.stats.extras["geometry_builds"] = self.build_stats.geometry_builds
 
-    def _wrap(self, node: Any) -> _AnchorNode:
+    def _wrap(self, node: Any, held: _AnchorRows, fresh: _AnchorRows) -> _AnchorNode:
         out = _AnchorNode()
         if node.is_leaf:
             geom, clustroids = ensure_leaf_geometry(
@@ -178,14 +191,15 @@ class CFTreeIndex(MetricIndex):
             out.anchor = out.offset
             out.radius = float(geom.pair[0].max()) if out.size else 0.0
             return out
-        children = [self._wrap(entry.child) for entry in node.entries]
-        anchor_obj = self._objects[children[0].anchor]
+        children = [self._wrap(entry.child, held, fresh) for entry in node.entries]
         child_dists = np.zeros(len(children), dtype=np.float64)
         if len(children) > 1:
-            # The only counted index-build calls: anchor → child anchors
-            # (the first child shares this node's anchor, distance 0).
-            child_dists[1:] = self.metric.one_to_many(
-                anchor_obj, [self._objects[c.anchor] for c in children[1:]]
+            # The first child shares this node's anchor, distance 0.
+            child_dists[1:] = self._anchor_dists(
+                self._objects[children[0].anchor],
+                [self._objects[c.anchor] for c in children[1:]],
+                held,
+                fresh,
             )
         out.children = children
         out.child_dists = child_dists
@@ -195,6 +209,37 @@ class CFTreeIndex(MetricIndex):
             max(d + c.radius for d, c in zip(child_dists, children))
         )
         return out
+
+    def _anchor_dists(
+        self, anchor: Any, others: list[Any], held: _AnchorRows, fresh: _AnchorRows
+    ) -> np.ndarray:
+        """``d(anchor, other)`` for each of ``others``, recorded in ``fresh``.
+
+        The only counted index-build calls: pairs the last adoption held
+        (``held``, both objects unchanged by identity) are copied, and the
+        rest are measured in one gather.
+        """
+        keys = list(map(id, others))
+        prior = held.get(id(anchor))
+        if prior is None:
+            dists = np.asarray(self.metric.one_to_many(anchor, others), dtype=np.float64)
+        else:
+            dists = np.empty(len(others), dtype=np.float64)
+            missing: list[int] = []
+            for j, key in enumerate(keys):
+                pair = prior[1].get(key)
+                if pair is None:
+                    missing.append(j)
+                else:
+                    dists[j] = pair[1]
+            if missing:
+                dists[missing] = self.metric.one_to_many(
+                    anchor, [others[j] for j in missing]
+                )
+            self.bound_cache.n_anchor_reused += len(others) - len(missing)
+        row = fresh.setdefault(id(anchor), (anchor, {}))[1]
+        row.update(zip(keys, zip(others, dists.tolist())))
+        return dists
 
     @staticmethod
     def _tree_fingerprint(tree: Any) -> tuple[int, int, int, int]:

@@ -2,8 +2,7 @@
 
 The VP-tree (Yianilos, SODA 1993) is the repository's one general-purpose
 exact index: it serves object sets that have no fitted CF*-tree to adopt
-(region queries in :class:`~repro.dbscan.MetricDBSCAN`, exact second-phase
-labeling via ``assign(via="vptree")``). A fitted tree is served by the
+(exact second-phase labeling via ``assign(via="vptree")``). A fitted tree is served by the
 ``cftree`` backend instead.
 
 Construction: pick a vantage point, measure every remaining object against

@@ -10,8 +10,6 @@ letting vector metrics vectorize the arithmetic with numpy.
 
 from repro.metrics.base import DistanceFunction, FunctionDistance
 from repro.metrics.cache import CachedDistance
-from repro.metrics.curves import DiscreteFrechetDistance, discrete_frechet
-from repro.metrics.discrete import DiscreteMetric, HammingDistance, JaccardDistance
 from repro.metrics.string import (
     DamerauLevenshteinDistance,
     EditDistance,
@@ -43,9 +41,4 @@ __all__ = [
     "DamerauLevenshteinDistance",
     "RelativeEditDistance",
     "edit_distance",
-    "HammingDistance",
-    "JaccardDistance",
-    "DiscreteMetric",
-    "DiscreteFrechetDistance",
-    "discrete_frechet",
 ]

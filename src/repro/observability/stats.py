@@ -63,8 +63,13 @@ class StatsSnapshot:
     #: hit_rate; ``None`` when no :class:`CachedDistance` is in the chain).
     cache: dict[str, Any] | None = None
     #: Query-serving counters of a :class:`repro.index.MetricIndex`
-    #: (:meth:`~repro.index.IndexQueryStats.as_dict` plus the bound-cache
-    #: record; ``None`` until :meth:`apply_index` runs).
+    #: (:meth:`~repro.index.IndexQueryStats.as_dict` plus, under
+    #: ``"bound_cache"``, :meth:`~repro.index.QueryBoundCache.as_dict`:
+    #: hits, misses, queries evicted, queries and pairs held, and anchor
+    #: pairs reused; ``None`` until :meth:`apply_index` runs). The
+    #: bound-cache counters are cumulative over every index sharing the
+    #: cache, which for ``model.index()`` means over all of the model's
+    #: adoptions; the other counters cover this index only.
     query: dict[str, Any] | None = None
     #: Pruned-routing counters (:class:`repro.core.routing.PruningStats`
     #: as a dict; ``None`` when the policy has no pruning engine).
@@ -171,7 +176,7 @@ class StatsSnapshot:
 
         Populates :attr:`query` with the cumulative
         :class:`~repro.index.IndexQueryStats` record plus the cross-query
-        bound cache's hit/miss/eviction counters.
+        bound cache's record (cumulative over every index sharing it).
         """
         self.query = dict(index.stats.as_dict())
         self.query["backend"] = getattr(index, "backend", "?")
@@ -268,6 +273,14 @@ class StatsSnapshot:
                     "bound cache",
                     f"{bc.get('hits', 0)} hits / {bc.get('misses', 0)} misses "
                     f"(hit rate {float(bc.get('hit_rate', 0.0)):.1%})",
+                )
+            )
+            rows.append(
+                (
+                    "bound cache held",
+                    f"{bc.get('queries', 0)} queries / {bc.get('pairs', 0)} pairs "
+                    f"({bc.get('evictions', 0)} queries evicted, "
+                    f"{bc.get('anchor_pairs_reused', 0)} anchor pairs reused)",
                 )
             )
         if self.pruning is not None and self.pruning.get("queries"):

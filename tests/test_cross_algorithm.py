@@ -4,7 +4,7 @@ an unambiguous dataset."""
 import numpy as np
 import pytest
 
-from repro import BIRCH, BUBBLE, BUBBLEFM, CLARANS, MetricDBSCAN
+from repro import BIRCH, BUBBLE, BUBBLEFM, CLARANS
 from repro.evaluation import adjusted_rand_index
 from repro.metrics import EuclideanDistance
 from repro.pipelines import cluster_dataset, map_first_cluster
@@ -55,12 +55,6 @@ class TestEveryAlgorithmAgrees:
         points, truth = easy_blobs
         model = CLARANS(3, EuclideanDistance(), max_neighbors=60, seed=0).fit(points)
         assert adjusted_rand_index(truth, model.labels_) == 1.0
-
-    def test_dbscan(self, easy_blobs):
-        points, truth = easy_blobs
-        model = MetricDBSCAN(eps=1.5, min_pts=4, metric=EuclideanDistance()).fit(points)
-        assert model.n_clusters_ == 3
-        assert adjusted_rand_index(truth, np.maximum(model.labels_, 0)) > 0.99
 
 
 class TestNCDOrdering:

@@ -10,7 +10,6 @@ import pytest
 
 import repro
 import repro.core.preclusterer
-import repro.dbscan.dbscan
 import repro.fastmap.fastmap
 import repro.index.vptree
 import repro.metrics.base
@@ -21,7 +20,6 @@ MODULES = [
     repro.fastmap.fastmap,
     repro.core.preclusterer,
     repro.index.vptree,
-    repro.dbscan.dbscan,
 ]
 
 

@@ -16,7 +16,6 @@ FAST = {
     "quickstart.py",
     "custom_metric_space.py",
     "streaming_and_persistence.py",
-    "trajectory_clustering.py",
 }
 
 
@@ -38,7 +37,6 @@ def test_examples_directory_complete():
         "custom_metric_space.py",
         "paper_figures.py",
         "streaming_and_persistence.py",
-        "trajectory_clustering.py",
     } <= names
 
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+import weakref
+
 import numpy as np
 import pytest
+from oracles import InnerCounting, InnerCountingEuclidean
 
 from repro.core.preclusterer import BUBBLE
 from repro.exceptions import (
@@ -42,39 +46,210 @@ def _fit_bubble(objects, metric=None):
 
 
 class TestQueryBoundCache:
-    def test_put_get_and_lru_eviction(self):
-        cache = QueryBoundCache(maxsize=2)
-        cache.put("q", 0, 1.0)
-        cache.put("q", 1, 2.0)
-        assert cache.get("q", 0) == 1.0  # refreshes 0's recency
-        cache.put("q", 2, 3.0)  # evicts ("q", 1)
-        assert cache.get("q", 1) is None
-        assert cache.get("q", 0) == 1.0
+    def test_whole_query_lru_eviction(self):
+        cache = QueryBoundCache(maxsize=4)
+        objects = [np.full(2, float(i)) for i in range(3)]
+        a = cache.row_for("a")
+        a.update({id(o): (o, 1.0) for o in objects})
+        b = cache.row_for("b")  # 3 pairs held, within maxsize
+        b.update({id(o): (o, 2.0) for o in objects[:2]})
+        # A running query's row may push past maxsize; nothing is evicted
+        # until the next query starts.
+        assert len(cache) == 5 and cache.n_evictions == 0
+        assert cache.row_for("a") is a  # refreshes "a", so "b" is the LRU
         assert cache.n_evictions == 1
-        assert len(cache) == 2
+        assert cache.as_dict()["queries"] == 1 and len(cache) == 3
+        # The starting query's own row is never evicted, however large.
+        cache.row_for("c")[id(objects[0])] = (objects[0], 3.0)
+        big = QueryBoundCache(maxsize=1)
+        row = big.row_for("a")
+        row.update({id(o): (o, 1.0) for o in objects})
+        assert big.row_for("a") is row and len(big) == 3
+        big.row_for("b")
+        assert big.as_dict()["queries"] == 1 and len(big) == 0
 
     def test_hit_miss_counters_and_rate(self):
         cache = QueryBoundCache()
         assert cache.hit_rate == 0.0
-        cache.put("q", 0, 1.5)
-        assert cache.get("q", 0) == 1.5
-        assert cache.get("q", 9) is None
+        index = make_index("brute", EuclideanDistance(), bound_cache=cache)
+        index.build(_points(5, seed=9))
+        first = index.nearest(np.zeros(3), k=2)
+        second = index.nearest(np.zeros(3), k=2)
+        assert (first.n_calls, first.cache_hits) == (5, 0)
+        assert (second.n_calls, second.cache_hits) == (0, 5)
         doc = cache.as_dict()
-        assert doc["hits"] == 1 and doc["misses"] == 1
+        assert doc["hits"] == 5 and doc["misses"] == 5
         assert doc["hit_rate"] == 0.5
+        assert doc["queries"] == 1 and doc["pairs"] == 5
 
     def test_unhashable_key_bypasses(self):
         cache = QueryBoundCache()
         # Tuples holding ndarrays hash-fail -> key_for signals bypass.
         assert cache.key_for((np.zeros(2), np.ones(2))) is None
+        assert cache.row_for((np.zeros(2), np.ones(2))) is None
         assert cache.key_for("abc") == "abc"
         key = cache.key_for(np.zeros(2))
         assert key is not None  # ndarrays key by (dtype, shape, bytes)
+        # An unkeyable query pays in full every time and leaves no row.
+        listed = QueryBoundCache(key=lambda q: [q])
+        index = make_index("brute", EditDistance(), bound_cache=listed)
+        index.build(["abc", "abd", "xyz"])
+        assert index.nearest("abc").n_calls == index.nearest("abc").n_calls == 3
+        assert len(listed) == 0 and listed.as_dict()["misses"] == 0
 
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ParameterError):
             QueryBoundCache(maxsize=0)
 
+    def test_evicted_object_id_never_served_stale(self):
+        metric = EuclideanDistance()
+        cache = QueryBoundCache(maxsize=1)
+        query = np.zeros(2)
+        old = [np.full(2, float(i + 1)) for i in range(3)]
+        alive = weakref.ref(old[0])
+        index = make_index("brute", metric, bound_cache=cache)
+        index.build(old)
+        index.nearest(query)
+        del old, index
+        # The row holds its objects, so their ids cannot be reused yet.
+        assert alive() is not None
+        make_index("brute", metric, bound_cache=cache).build(_points(2, dim=2)).nearest(
+            np.ones(2)
+        )  # this query's start evicts the row of ``query``
+        assert alive() is None
+        for trial in range(20):
+            # Fresh objects, often at the freed addresses: whatever their
+            # ids, ``query`` must pay for every one and answer exactly.
+            new = [np.full(2, float(-i - trial)) for i in range(3)]
+            index = make_index("brute", metric, bound_cache=cache).build(new)
+            result = index.nearest(query, k=3)
+            assert result.n_calls == 3 and result.cache_hits == 0
+            row = metric.one_to_many(query, new)
+            assert [(n.distance, n.index) for n in result] == sorted(
+                (float(v), i) for i, v in enumerate(row)
+            )
+
+
+def _anchor_pairs(tree):
+    """The ``(anchor, child anchor)`` pairs a cf-tree adoption measures."""
+    pairs = []
+
+    def anchor(node):
+        if node.is_leaf:
+            return node.entries[0].clustroid
+        first, *rest = [anchor(entry.child) for entry in node.entries]
+        pairs.extend((first, other) for other in rest)
+        return first
+
+    anchor(tree.root)
+    return pairs
+
+
+class TestCacheSurvivesReadoption:
+    """One model-owned cache serves queries and anchor pairs across inserts."""
+
+    def _model(self):
+        return _fit_bubble(_points(60, seed=11), InnerCountingEuclidean())
+
+    def test_repeat_after_insert_pays_only_new_objects(self):
+        model = self._model()
+        query = np.full(3, 0.1)
+        first = model.index().within(query, 1e9)  # measures every clustroid
+        measured = {id(n.obj): n.obj for n in first}
+        # Re-inserting an indexed object changes no clustroid.
+        model.partial_fit([model.clustroids_[3]])
+        index = model.index()
+        assert all(id(obj) in measured for obj in index.objects)
+        InnerCounting.reset()
+        again = index.within(query, 1e9)
+        knn = index.nearest(query, k=4)
+        assert InnerCounting.evals == again.n_calls == knn.n_calls == 0
+        assert again.cache_hits == len(index)
+        # A new far point becomes a new clustroid: the repeat pays for it
+        # and nothing else.
+        model.partial_fit([np.full(3, 40.0)])
+        index = model.index()
+        new = [obj for obj in index.objects if id(obj) not in measured]
+        assert new
+        InnerCounting.reset()
+        again = index.within(query, 1e9)
+        assert InnerCounting.evals == again.n_calls == len(new)
+        expected = model.metric.one_to_many(query, list(index.objects))
+        assert [(n.distance, n.index) for n in again] == sorted(
+            (float(v), i) for i, v in enumerate(expected)
+        )
+
+    def test_readoption_pays_exactly_the_anchor_pairs_not_held(self):
+        model = self._model()
+        first = model.index()
+        before = _anchor_pairs(model.tree_)
+        assert len(before) > 2  # the tree has non-leaf levels
+        assert first.stats.build_calls == len(before)
+        held = {(id(a), id(b)) for a, b in before}
+        reused = first.bound_cache.n_anchor_reused
+        for x in (np.full(3, 25.0), np.full(3, -25.0), np.array([25.0, -25.0, 0.0])):
+            model.partial_fit([x])
+        after = _anchor_pairs(model.tree_)
+        unheld = [(a, b) for a, b in after if (id(a), id(b)) not in held]
+        InnerCounting.reset()
+        second = model.index()
+        assert second.bound_cache is first.bound_cache
+        assert second.stats.build_calls == len(unheld) < len(after)
+        assert (
+            InnerCounting.evals
+            == second.stats.build_calls + second.build_stats.maintenance_evals
+        )
+        assert second.bound_cache.n_anchor_reused - reused == len(after) - len(unheld)
+        # Copied pairs equal what a fresh adoption measures.
+        standalone = CFTreeIndex.from_tree(model.tree_, metric=EuclideanDistance())
+        stack = [(second._root, standalone._root)]
+        while stack:
+            got, want = stack.pop()
+            if want.children is not None:
+                assert np.array_equal(got.child_dists, want.child_dists)
+                stack.extend(zip(got.children, want.children))
+        # The held pairs were replaced by exactly this tree's, so the next
+        # adoption pays nothing.
+        cache = second.bound_cache
+        assert sum(len(row) for _, row in cache.anchor_rows.values()) == len(after)
+        assert model.index().stats.build_calls == 0
+        # Adopting another tree drops every pair of this one.
+        other = _fit_bubble(_points(30, seed=12))
+        CFTreeIndex.from_tree(other.tree_, bound_cache=cache)
+        held = sum(len(row) for _, row in cache.anchor_rows.values())
+        assert held == len(_anchor_pairs(other.tree_))
+
+    def test_pickled_model_starts_with_an_empty_cache(self):
+        model = self._model()
+        index = model.index()
+        query = np.zeros(3)
+        index.nearest(query, k=3)
+        assert len(index.bound_cache) > 0
+        clone = pickle.loads(pickle.dumps(model))
+        restored = clone.index()
+        assert restored.bound_cache is not index.bound_cache
+        assert len(restored.bound_cache) == 0
+        assert restored.bound_cache.n_anchor_reused == 0
+        assert restored.stats.build_calls == len(_anchor_pairs(clone.tree_))
+        result = restored.nearest(query, k=3)
+        assert result.cache_hits == 0
+        objects = list(restored.objects)
+        want = sorted(
+            (float(v), i)
+            for i, v in enumerate(EuclideanDistance().one_to_many(query, objects))
+        )[:3]
+        assert [(n.distance, n.index) for n in result] == want
+
+    def test_new_metric_starts_a_fresh_cache(self):
+        model = self._model()
+        cache = model.index().bound_cache
+        assert model.index(backend="vptree").bound_cache is cache
+        own = QueryBoundCache()
+        assert model.index(bound_cache=own).bound_cache is own
+        model.metric = EuclideanDistance()
+        index = model.index()
+        assert index.bound_cache is not cache and index.metric is model.metric
+        assert index.bound_cache.n_anchor_reused == 0
 
 class TestNeighborHeap:
     def test_keeps_k_best_with_lowest_index_ties(self):
@@ -267,10 +442,21 @@ class TestStatsSnapshotIntegration:
         assert snapshot.query is not None
         assert snapshot.query["n_queries"] == 2
         assert snapshot.query["backend"] == "cftree"
-        assert snapshot.query["bound_cache"]["misses"] >= 0
+        bound = snapshot.query["bound_cache"]
+        assert bound["misses"] > 0 and bound["queries"] == 1
+        assert bound["pairs"] == bound["misses"]
+        assert bound["anchor_pairs_reused"] == 0
         text = snapshot.format()
         assert "queries served" in text
         assert "query NCD" in text
+        assert "1 queries / " in text and "0 anchor pairs reused" in text
+        # The counters are cumulative over the model's adoptions.
+        model.partial_fit([np.full(3, 9.0)])
+        readopted = model.index()
+        snapshot.apply_index(readopted)
+        again = snapshot.query["bound_cache"]
+        assert again["misses"] == bound["misses"]
+        assert again["anchor_pairs_reused"] > 0
 
 
 class TestStringBackends:

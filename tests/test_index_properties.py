@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.preclusterer import BUBBLE
-from repro.index import CFTreeIndex, make_index
+from repro.index import CFTreeIndex, brute_force_reference, make_index
 from repro.metrics import EditDistance, EuclideanDistance
 from repro.metrics.base import CallLedger, activate_ledger, deactivate_ledger
 from repro.metrics.cache import CachedDistance
@@ -204,3 +204,84 @@ class TestLedgerConservationWithQueryTraffic:
             index.within(np.zeros(3), 25.0)
         assert sum(ledger.by_site.values()) == ledger.total
         assert "query-knn" in ledger.by_site
+
+
+#: One serving op: kind, which pooled query (few, so queries repeat), k.
+serving_ops = st.lists(
+    st.tuples(
+        st.sampled_from(("knn", "range", "insert", "adopt")),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=1, max_value=4),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _serve_across_inserts(metric_factory, fit, extra, queries, ops, radius):
+    """Replay ``ops`` on one fitted model; check every answer and the ledger.
+
+    Inserts leave the index stale until the next adoption (an explicit
+    ``adopt`` op or the next query), so the model-owned bound cache is
+    carried across re-adoptions of a changing tree.
+    """
+    metric = GuardedMetric(metric_factory())
+    served = []
+    with _ledger() as ledger:
+        model = BUBBLE(
+            metric,
+            threshold=0.0,
+            max_nodes=None,
+            branching_factor=4,
+            sample_size=min(8, len(fit)),
+            representation_number=4,
+            seed=0,
+        ).fit(fit)
+        index = model.index()
+        inserts = iter(extra)
+        stale = False
+        for kind, pick, k in ops:
+            if kind == "insert":
+                obj = next(inserts, None)
+                if obj is not None:
+                    model.partial_fit([obj])
+                    stale = True
+                continue
+            if kind == "adopt" or stale:
+                index, stale = model.index(), False
+            if kind == "adopt":
+                continue
+            query = queries[pick]
+            result = (
+                index.nearest(query, k=k) if kind == "knn" else index.within(query, radius)
+            )
+            served.append((kind, query, k, list(index.objects), result))
+    assert sum(ledger.by_site.values()) == ledger.total == metric.n_calls
+    reference = metric_factory()
+    for kind, query, k, objects, result in served:
+        if kind == "knn":
+            want = brute_force_reference(reference, objects, query, k)
+        else:
+            row = reference.one_to_many(query, objects)
+            want = sorted((float(v), i) for i, v in enumerate(row) if v <= radius)
+        assert [(n.distance, n.index) for n in result] == want, kind
+        assert result.n_calls <= len(objects)
+
+
+class TestServingAcrossInserts:
+    """The model-owned bound cache never changes an answer across inserts."""
+
+    @given(points=point_lists, extra=point_lists, ops=serving_ops)
+    @settings(max_examples=25, deadline=None)
+    def test_vectors(self, points, extra, ops):
+        objects = _vectors(points)
+        queries = [objects[0] + 0.25, objects[-1], np.zeros(3), objects[0] + 0.25]
+        _serve_across_inserts(
+            EuclideanDistance, objects, _vectors(extra), queries, ops, radius=40.0
+        )
+
+    @given(words=word_lists, extra=word_lists, ops=serving_ops)
+    @settings(max_examples=20, deadline=None)
+    def test_strings(self, words, extra, ops):
+        queries = [words[0] + "a", words[-1], "abc", words[0] + "a"]
+        _serve_across_inserts(EditDistance, words, extra, queries, ops, radius=3.0)
