@@ -2,8 +2,8 @@
 
 BUBBLE's contract with the data is a single function ``d(a, b)`` satisfying
 the metric axioms — objects can be anything. This example clusters Python
-sets (customer "shopping baskets") under the Jaccard distance, defined inline
-with ``FunctionDistance`` like any other user metric.
+sets (customer "shopping baskets") under the Jaccard distance, and shows how
+to plug in a completely custom metric with ``FunctionDistance``.
 
 Run:  python examples/custom_metric_space.py
 """
@@ -15,6 +15,7 @@ import numpy as np
 from repro import BUBBLE, FunctionDistance
 from repro.evaluation import adjusted_rand_index
 from repro.hac import AgglomerativeClusterer
+from repro.metrics import JaccardDistance
 
 
 def make_baskets(seed: int = 0):
@@ -39,18 +40,12 @@ def make_baskets(seed: int = 0):
     return [baskets[i] for i in order], np.asarray(labels)[order]
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
-    """``1 - |a & b| / |a | b|`` (0 for two empty sets): a metric on sets."""
-    union = len(a | b)
-    return 1.0 - len(a & b) / union if union else 0.0
-
-
 def main() -> None:
     baskets, truth = make_baskets()
     print(f"{len(baskets)} baskets, e.g. {sorted(baskets[0])[:4]} ...")
 
-    # --- Jaccard distance on sets -----------------------------------------
-    metric = FunctionDistance(jaccard, name="jaccard")
+    # --- built-in set metric ----------------------------------------------
+    metric = JaccardDistance()
     model = BUBBLE(
         metric,
         threshold=0.8,   # baskets within Jaccard distance 0.8 may merge
@@ -72,7 +67,7 @@ def main() -> None:
     print(f"after hierarchical merge: ARI vs archetypes = "
           f"{adjusted_rand_index(truth, final):.3f}")
 
-    # --- another custom metric ---------------------------------------------
+    # --- fully custom metric ----------------------------------------------
     # Any callable works; here a weighted symmetric-difference distance.
     def basket_distance(a, b) -> float:
         return float(len(a ^ b)) / (1.0 + min(len(a), len(b)))

@@ -10,6 +10,7 @@ letting vector metrics vectorize the arithmetic with numpy.
 
 from repro.metrics.base import DistanceFunction, FunctionDistance
 from repro.metrics.cache import CachedDistance
+from repro.metrics.discrete import DiscreteMetric, HammingDistance, JaccardDistance
 from repro.metrics.string import (
     DamerauLevenshteinDistance,
     EditDistance,
@@ -41,4 +42,7 @@ __all__ = [
     "DamerauLevenshteinDistance",
     "RelativeEditDistance",
     "edit_distance",
+    "HammingDistance",
+    "JaccardDistance",
+    "DiscreteMetric",
 ]

@@ -11,6 +11,7 @@ from repro.metrics import (
     DamerauLevenshteinDistance,
     EditDistance,
     EuclideanDistance,
+    JaccardDistance,
     ManhattanDistance,
     MinkowskiDistance,
     RelativeEditDistance,
@@ -21,6 +22,8 @@ vectors = st.lists(
 ).map(np.asarray)
 
 words = st.text(alphabet="abcdef ,.", min_size=0, max_size=12)
+
+small_sets = st.frozensets(st.integers(min_value=0, max_value=9), max_size=6)
 
 VECTOR_METRICS = [EuclideanDistance(), ManhattanDistance(), ChebyshevDistance(), MinkowskiDistance(3)]
 STRING_METRICS = [EditDistance(), DamerauLevenshteinDistance(), RelativeEditDistance()]
@@ -80,3 +83,10 @@ class TestStringMetricAxioms:
             DamerauLevenshteinDistance().distance(a, b)
             <= EditDistance().distance(a, b)
         )
+
+
+class TestJaccardAxioms:
+    @given(a=small_sets, b=small_sets, c=small_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_axioms(self, a, b, c):
+        assert_metric_axioms(JaccardDistance(), a, b, c)
