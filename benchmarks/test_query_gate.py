@@ -68,7 +68,7 @@ PINNED = {
     "fig4_cells": (1500.0, 71.36, 138.32),
     "fig5_cells": (1500.0, 68.04, 149.12),
     "fig6_cells": (1500.0, 125.48, 112.6),
-    "authority_strings": (117.36, 90.36, 65.68),
+    "authority_strings": (97.92, 80.48, 65.68),
 }
 
 
@@ -188,8 +188,9 @@ def test_no_backend_exceeds_brute_cost(records):
     for name, record in records.items():
         brute = record["backends"]["brute"]["knn_mean_ncd"]
         # Equality only on the vector cells: the string workload contains
-        # duplicate records, so a duplicated query string is served from
-        # the cross-query bound cache even by the brute backend.
+        # duplicate records, so the brute backend measures a clustroid held
+        # at several positions once, and serves a duplicated query string
+        # from the cross-query bound cache.
         if record["kind"] == "vector":
             assert brute == record["n_indexed"], "brute scan must measure everything"
         assert brute <= record["n_indexed"]

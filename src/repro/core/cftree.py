@@ -68,6 +68,12 @@ class CFTree:
         production scans.
     """
 
+    #: Bumped when an insertion of any kind starts and when a rebuild
+    #: starts, so an unchanged version means an unchanged tree (an index
+    #: over the tree compares it in O(1)). Held as a class default, which
+    #: also covers trees pickled before the counter existed.
+    version = 0
+
     def __init__(
         self,
         policy: BirchStarPolicy,
@@ -164,6 +170,7 @@ class CFTree:
                 self.rebuild(suggest_next_threshold(self, self._rng))
 
     def _insert_top(self, feature: Any, routing_obj: Any) -> None:
+        self.version += 1
         split = self._insert_into(self.root, feature, routing_obj)
         if split is not None:
             left, right = split
@@ -310,6 +317,7 @@ class CFTree:
             len(self._outliers),
         )
         self.threshold = new_threshold
+        self.version += 1
         self.root = LeafNode()
         self.n_nodes = 1
         self.n_rebuilds += 1

@@ -22,6 +22,12 @@ changing a single routing decision:
   stops as soon as the smallest open lower bound exceeds the best exact
   distance seen so far. The rest are pruned.
 
+One leaf loop, :func:`best_first_leaf_scan`, runs this walk both for
+routing, which stops past ``best * (1 + TIE_RTOL)`` (see below), and for
+the query scan of the cf-tree index (:mod:`repro.index.cftree`), which
+stops past the k-NN radius ``tau`` or the range radius. The caller hands
+it the counted measurement of a candidate and the stop limit.
+
 Non-leaf nodes seed the walk with up to ``_MAX_SEGMENT_PIVOTS`` pivots
 spread across their sample segments — in clustered data a single reference
 point cannot separate two clusters that happen to be equidistant from it,
@@ -105,6 +111,7 @@ it copies the pairs its donors hold, then measures each unknown pair once.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -121,6 +128,7 @@ __all__ = [
     "remember_leaf_walk",
     "geometry_donor",
     "ensure_sample_geometry",
+    "best_first_leaf_scan",
     "pruned_leaf_distances",
     "pruned_segment_distances",
 ]
@@ -450,6 +458,44 @@ def ensure_sample_geometry(
 TIE_RTOL = 1e-9
 
 
+def best_first_leaf_scan(
+    pair: np.ndarray,
+    first: float,
+    measure: Callable[[int], float],
+    limit: Callable[[], float],
+) -> tuple[int, int]:
+    """The best-first (AESA) walk over one leaf's candidates.
+
+    ``pair`` is the leaf's cached ``d(c_i, c_j)`` matrix and ``first`` the
+    exact distance from the query to candidate 0, which seeds every lower
+    bound. Each round picks the open candidate with the smallest bound
+    (lowest index on ties) and stops when that bound strictly exceeds
+    ``limit()``; otherwise ``measure(i)`` returns the candidate's counted
+    exact distance, which tightens every remaining bound. Routing stops
+    past ``best * (1 + TIE_RTOL)``, query serving past the k-NN radius
+    ``tau`` or the range radius.
+
+    Returns ``(measured, bound_checks)``: the candidates measured after
+    candidate 0, and one bound check per open candidate per round.
+    """
+    # Open lower bounds; measured slots hold +inf, so the best-first pick
+    # is a plain argmin.
+    bounds = np.abs(pair[0] - first)
+    bounds[0] = np.inf
+    n_open = len(bounds) - 1
+    checks = 0
+    while n_open:
+        i = int(bounds.argmin())
+        checks += n_open
+        if bounds[i] > limit():
+            break
+        value = measure(i)
+        np.maximum(bounds, np.abs(pair[i] - value), out=bounds)
+        bounds[i] = np.inf
+        n_open -= 1
+    return len(bounds) - 1 - n_open, checks
+
+
 def pruned_leaf_distances(
     metric: DistanceFunction, node: Any, obj: Any, stats: PruningStats
 ) -> np.ndarray:
@@ -463,40 +509,26 @@ def pruned_leaf_distances(
     """
     geom, clustroids = ensure_leaf_geometry(metric, node, stats)
     n = len(clustroids)
-    pair = geom.pair
     batch = geom.batch
     with site("leaf-d0"):
         out = np.full(n, np.inf, dtype=np.float64)
-        # Lower bounds of the unmeasured clustroids; measured slots hold
-        # +inf, so the best-first pick is a plain argmin.
-        open_lb = np.zeros(n, dtype=np.float64)
-
-        def admit(i: int) -> float:
-            # An exactly-measured clustroid becomes an anchor tightening
-            # every remaining lower bound (AESA refinement).
-            value = float(metric.one_to_many(obj, batch[i : i + 1])[0])
-            out[i] = value
-            np.maximum(open_lb, np.abs(pair[i] - value), out=open_lb)
-            open_lb[i] = np.inf
-            return value
-
-        best = admit(0)
+        best = out[0] = float(metric.one_to_many(obj, batch[0:1])[0])
         stop = best * (1.0 + TIE_RTOL)
-        n_evaluated = 1
-        while n_evaluated < n:
-            i = int(open_lb.argmin())
-            stats.bound_checks += n - n_evaluated
-            if open_lb[i] > stop:
-                break
-            value = admit(i)
-            n_evaluated += 1
+
+        def measure(i: int) -> float:
+            nonlocal best, stop
+            value = out[i] = float(metric.one_to_many(obj, batch[i : i + 1])[0])
             if value < best:
                 best = value
                 stop = best * (1.0 + TIE_RTOL)
+            return value
+
+        measured, checks = best_first_leaf_scan(geom.pair, best, measure, lambda: stop)
         stats.queries += 1
+        stats.bound_checks += checks
         stats.candidates_total += n
-        stats.candidates_evaluated += n_evaluated
-        stats.candidates_pruned += n - n_evaluated
+        stats.candidates_evaluated += 1 + measured
+        stats.candidates_pruned += n - 1 - measured
         geom.walk = (obj, clustroids, out)
         return out
 

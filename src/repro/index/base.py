@@ -25,9 +25,10 @@ ordered by ``(distance, index)``, distances produced by the same counted
 ``one_to_many`` gathers a linear scan would issue, pruning only when a
 lower bound *strictly* exceeds the current worst kept distance (ties are
 always visited, so equal-distance neighbours resolve to the lowest index
-on every backend). A per-query memo guarantees no indexed object is ever
-measured twice, hence no query can cost more counted calls than the brute
-scan it replaces. The bound cache is consulted only after the memo
+on every backend). A per-query memo, by position and by object identity,
+guarantees no indexed object is ever measured twice, even one held at
+several positions, hence no query can cost more counted calls than the
+brute scan it replaces. The bound cache is consulted only after the memo
 misses, and holds exact values, so it can lower that cost but never change
 an answer.
 
@@ -259,8 +260,11 @@ class QuerySession:
     Memoizes every exact distance by indexed position (so no position is
     measured twice within a query — the structural guarantee that query
     NCD never exceeds the brute scan) and, after a memo miss, looks the
-    position's object up in the query's :class:`QueryBoundCache` row
-    before paying a counted call.
+    position's object up in the query's row by identity before paying a
+    counted call. The row is the query's :class:`QueryBoundCache` row, or a
+    private one when there is no cache (or the query is unkeyable), so an
+    object held at several positions is measured once per query either
+    way; only lookups in a bound-cache row count as cache hits and misses.
     """
 
     __slots__ = (
@@ -269,6 +273,7 @@ class QuerySession:
         "objects",
         "memo",
         "row",
+        "shared",
         "cache_hits",
         "cache_misses",
         "bound_checks",
@@ -285,60 +290,79 @@ class QuerySession:
         self.query = query
         self.objects = objects
         self.memo: dict[int, float] = {}
-        #: The query's live row in the bound cache (``None``: no caching).
-        self.row = bound_cache.row_for(query) if bound_cache is not None else None
+        row = bound_cache.row_for(query) if bound_cache is not None else None
+        #: Whether :attr:`row` is the query's live bound-cache row.
+        self.shared = row is not None
+        #: ``id(obj) -> (obj, d(query, obj))`` for every object measured.
+        self.row: dict[int, tuple[Any, float]] = row if row is not None else {}
         self.cache_hits = 0
         self.cache_misses = 0
         self.bound_checks = 0
 
-    def measure(self, index: int) -> float:
-        """Exact ``d(query, objects[index])``; memo and bound-cache aware."""
+    def measure(self, index: int, batch: Sequence[Any] | None = None) -> float:
+        """Exact ``d(query, objects[index])``; memo and bound-cache aware.
+
+        A miss measures ``batch``, a one-row batch holding
+        ``objects[index]`` (such as a slice of a batch the metric
+        prepared), or ``[objects[index]]`` when it is ``None``.
+        """
         value = self.memo.get(index)
         if value is not None:
             return value
         obj = self.objects[index]
         row = self.row
-        if row is not None:
-            held = row.get(id(obj))
-            if held is not None:
-                value = self.memo[index] = held[1]
+        held = row.get(id(obj))
+        if held is not None:
+            value = self.memo[index] = held[1]
+            if self.shared:
                 self.cache_hits += 1
-                return value
+            return value
+        if self.shared:
             self.cache_misses += 1
-        value = self.memo[index] = float(self.metric.one_to_many(self.query, [obj])[0])
-        if row is not None:
-            row[id(obj)] = (obj, value)
+        value = self.memo[index] = float(
+            self.metric.one_to_many(self.query, [obj] if batch is None else batch)[0]
+        )
+        row[id(obj)] = (obj, value)
         return value
 
     def measure_many(self, indices: Sequence[int]) -> np.ndarray:
-        """Batched exact distances; the misses pay one counted gather."""
+        """Batched exact distances; the distinct missing objects pay one
+        counted gather."""
         out = np.empty(len(indices), dtype=np.float64)
         objects, memo, row = self.objects, self.memo, self.row
-        missing: list[int] = []
-        positions: list[int] = []
+        # ``id(obj) -> slot in gathered``: an object held at several
+        # positions is gathered once; as in :meth:`measure`, its later
+        # positions count as bound-cache hits.
+        slots: dict[int, int] = {}
+        gathered: list[Any] = []
+        waiting: list[tuple[int, int, int]] = []
         hits = 0
         for pos, index in enumerate(indices):
             value = memo.get(index)
-            if value is None and row is not None:
-                held = row.get(id(objects[index]))
+            if value is None:
+                obj = objects[index]
+                key = id(obj)
+                held = row.get(key)
                 if held is not None:
                     value = memo[index] = held[1]
                     hits += 1
-            if value is None:
-                missing.append(index)
-                positions.append(pos)
-            else:
-                out[pos] = value
-        if row is not None:
-            self.cache_hits += hits
-            self.cache_misses += len(missing)
-        if missing:
-            gathered = [objects[i] for i in missing]
-            values = self.metric.one_to_many(self.query, gathered)
-            for pos, index, obj, value in zip(positions, missing, gathered, values):
-                v = out[pos] = memo[index] = float(value)
-                if row is not None:
-                    row[id(obj)] = (obj, v)
+                else:
+                    slot = slots.get(key)
+                    if slot is None:
+                        slot = slots[key] = len(gathered)
+                        gathered.append(obj)
+                    waiting.append((pos, index, slot))
+                    continue
+            out[pos] = value
+        if self.shared:
+            self.cache_hits += hits + len(waiting) - len(gathered)
+            self.cache_misses += len(gathered)
+        if gathered:
+            values = [float(v) for v in self.metric.one_to_many(self.query, gathered)]
+            for obj, value in zip(gathered, values):
+                row[id(obj)] = (obj, value)
+            for pos, index, slot in waiting:
+                out[pos] = memo[index] = values[slot]
         return out
 
 

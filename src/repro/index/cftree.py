@@ -14,10 +14,17 @@ Hierarchy idea of cached sufficient statistics):
   only counted calls :meth:`CFTreeIndex.from_tree` issues, and only for
   the pairs the bound cache does not already hold from the last adoption);
 * a k-NN query descends best-first by ball lower bound, and inside a
-  leaf runs the AESA refinement loop seeded by the anchor distance —
-  every exactly measured clustroid tightens the lower bounds of its
-  unmeasured siblings through the cached matrix, and the scan stops as
-  soon as the smallest open bound strictly exceeds the current ``tau``.
+  leaf runs the routing engine's best-first leaf loop
+  (:func:`~repro.core.routing.best_first_leaf_scan`) seeded by the anchor
+  distance — every exactly measured clustroid tightens the lower bounds
+  of its unmeasured siblings through the cached matrix, and the scan
+  stops as soon as the smallest open bound strictly exceeds the current
+  ``tau`` (the radius, for a range query);
+* every clustroid is measured through a one-row slice of its leaf's
+  prepared batch (``LeafGeometry.batch``, built with the geometry), so a
+  vector metric reads a ready float64 row instead of re-stacking the
+  object on every call; the per-query memo, the bound-cache lookup and
+  the ``query-knn``/``query-range`` charging are those of every backend.
 
 Results are exact and bit-identical to brute force (ties resolve to the
 lowest index; pruning requires a *strictly* larger lower bound), and the
@@ -25,10 +32,11 @@ indexed objects are the tree's leaf clustroids in
 :meth:`~repro.core.cftree.CFTree.leaves` order — the same order as
 ``PreClusterer.clustroids_``.
 
-The index snapshots the tree shape it was built over; querying after the
-tree inserted objects or rebuilt raises
+The index remembers the tree's :attr:`~repro.core.cftree.CFTree.version`,
+which every insertion (of an object or a feature) and every rebuild bumps;
+querying after the tree changed raises
 :class:`~repro.exceptions.StaleIndexError` instead of silently answering
-from stale geometry.
+from stale geometry. The check is one integer comparison per query.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.routing import PruningStats, ensure_leaf_geometry
+from repro.core.routing import PruningStats, best_first_leaf_scan, ensure_leaf_geometry
 from repro.exceptions import EmptyDatasetError, NotFittedError, StaleIndexError
 from repro.index.base import (
     QUERY_BUILD_SITE,
@@ -60,15 +68,27 @@ _AnchorRows = dict[int, tuple[Any, dict[int, tuple[Any, float]]]]
 class _AnchorNode:
     """One ball of the anchor hierarchy mirrored off the CF*-tree.
 
-    A leaf wrapper keeps the leaf's cached pairwise matrix (``pair``) and
-    the global offset of its first clustroid; an internal wrapper keeps
+    A leaf wrapper keeps the leaf's cached pairwise matrix (``pair``), its
+    prepared clustroid batch (``batch``, which the scan measures through)
+    and the global offset of its first clustroid; an internal wrapper keeps
     its children plus the anchor-to-child-anchor distances measured at
     index-build time. ``anchor`` is always a global clustroid index, and
     an internal node shares its anchor with its first child, so one
-    measured distance serves every level it anchors.
+    measured distance serves every level it anchors; ``anchor_row`` is the
+    anchor's one-row slice of its leaf's batch.
     """
 
-    __slots__ = ("anchor", "radius", "children", "child_dists", "offset", "pair", "size")
+    __slots__ = (
+        "anchor",
+        "anchor_row",
+        "radius",
+        "children",
+        "child_dists",
+        "offset",
+        "pair",
+        "batch",
+        "size",
+    )
 
     def __init__(self) -> None:
         self.anchor = 0
@@ -77,6 +97,8 @@ class _AnchorNode:
         self.child_dists: np.ndarray | None = None
         self.offset = 0
         self.pair: np.ndarray | None = None
+        self.batch: Any = None
+        self.anchor_row: Any = None
         self.size = 0
 
 
@@ -101,7 +123,8 @@ class CFTreeIndex(MetricIndex):
         self._objects: list[Any] = []
         self._root: _AnchorNode | None = None
         self._tree: Any = None
-        self._fingerprint: tuple[int, int, int, int] | None = None
+        #: :attr:`~repro.core.cftree.CFTree.version` of the adopted tree.
+        self._version = 0
         #: Geometry-maintenance counters of the index build (NCD-neutral
         #: work re-measuring stale leaf rows; zero when the tree was built
         #: with pruning enabled and its caches are fresh).
@@ -174,7 +197,7 @@ class CFTreeIndex(MetricIndex):
         self._count_build(start_calls)
         self.bound_cache.anchor_rows = fresh
         self._tree = tree
-        self._fingerprint = self._tree_fingerprint(tree)
+        self._version = tree.version
         self.stats.extras["maintenance_evals"] = self.build_stats.maintenance_evals
         self.stats.extras["geometry_builds"] = self.build_stats.geometry_builds
 
@@ -188,7 +211,9 @@ class CFTreeIndex(MetricIndex):
             self._objects.extend(clustroids)
             out.size = len(clustroids)
             out.pair = geom.pair
+            out.batch = geom.batch
             out.anchor = out.offset
+            out.anchor_row = geom.batch[0:1]
             out.radius = float(geom.pair[0].max()) if out.size else 0.0
             return out
         children = [self._wrap(entry.child, held, fresh) for entry in node.entries]
@@ -204,6 +229,7 @@ class CFTreeIndex(MetricIndex):
         out.children = children
         out.child_dists = child_dists
         out.anchor = children[0].anchor
+        out.anchor_row = children[0].anchor_row
         out.size = sum(c.size for c in children)
         out.radius = float(
             max(d + c.radius for d, c in zip(child_dists, children))
@@ -241,10 +267,6 @@ class CFTreeIndex(MetricIndex):
         row.update(zip(keys, zip(others, dists.tolist())))
         return dists
 
-    @staticmethod
-    def _tree_fingerprint(tree: Any) -> tuple[int, int, int, int]:
-        return (tree.n_objects, tree.n_rebuilds, tree.n_nodes, tree.n_clusters)
-
     # ------------------------------------------------------------------
     # MetricIndex protocol
     # ------------------------------------------------------------------
@@ -258,15 +280,11 @@ class CFTreeIndex(MetricIndex):
     def _check_ready(self) -> None:
         if self._root is None:
             raise NotFittedError("CFTreeIndex queried before from_tree/build")
-        if (
-            self._tree is not None
-            and self._tree_fingerprint(self._tree) != self._fingerprint
-        ):
+        if self._tree is not None and self._tree.version != self._version:
             raise StaleIndexError(
                 "the CF*-tree changed since this index was built "
-                f"(was {self._fingerprint}, now "
-                f"{self._tree_fingerprint(self._tree)}); rebuild with "
-                "CFTreeIndex.from_tree"
+                f"(was version {self._version}, now {self._tree.version}); "
+                "rebuild with CFTreeIndex.from_tree"
             )
 
     def _scan_leaf(
@@ -277,30 +295,24 @@ class CFTreeIndex(MetricIndex):
         tau: Callable[[], float],
         offer: Callable[[int, float], None],
     ) -> None:
-        """AESA refinement over one leaf, seeded by the anchor distance.
+        """Offer every clustroid of one leaf that the best-first walk
+        (:func:`~repro.core.routing.best_first_leaf_scan`, seeded by the
+        anchor distance) cannot prune against ``tau()``.
 
-        Measures candidates best-first by cached-matrix lower bound; every
-        measurement tightens the remaining bounds; stops when the smallest
-        open bound strictly exceeds ``tau()`` (ties are always measured,
-        preserving bit-identical results).
+        Each candidate is measured through a one-row slice of the leaf's
+        prepared batch; ties with ``tau()`` are always measured, preserving
+        bit-identical results.
         """
-        n = node.size
-        pair = node.pair
+        offset, batch, pair = node.offset, node.batch, node.pair
         assert pair is not None
-        lb = np.abs(pair[0] - d_anchor)
-        known = np.zeros(n, dtype=bool)
-        known[0] = True
-        offer(node.offset, d_anchor)
-        while not known.all():
-            open_lb = np.where(known, np.inf, lb)
-            i = int(np.argmin(open_lb))
-            session.bound_checks += int(n - known.sum())
-            if open_lb[i] > tau():
-                break
-            d = session.measure(node.offset + i)
-            known[i] = True
-            np.maximum(lb, np.abs(pair[i] - d), out=lb)
-            offer(node.offset + i, d)
+
+        def measure(i: int) -> float:
+            d = session.measure(offset + i, batch[i : i + 1])
+            offer(offset + i, d)
+            return d
+
+        offer(offset, d_anchor)
+        session.bound_checks += best_first_leaf_scan(pair, d_anchor, measure, tau)[1]
 
     def _knn(
         self, session: QuerySession, obj: Any, k: int
@@ -316,7 +328,7 @@ class CFTreeIndex(MetricIndex):
             session.bound_checks += 1
             if lower > heap.tau:
                 break
-            d_anchor = session.measure(node.anchor)
+            d_anchor = session.measure(node.anchor, node.anchor_row)
             if node.children is None:
                 self._scan_leaf(
                     session, node, d_anchor, lambda: heap.tau, heap.offer
@@ -344,7 +356,7 @@ class CFTreeIndex(MetricIndex):
         stack: list[tuple[float, _AnchorNode]] = [(0.0, self._root)]
         while stack:
             lower, node = stack.pop()
-            d_anchor = session.measure(node.anchor)
+            d_anchor = session.measure(node.anchor, node.anchor_row)
             collect(node.anchor, d_anchor)
             if node.children is None:
                 self._scan_leaf(session, node, d_anchor, lambda: radius, collect)

@@ -79,8 +79,16 @@ class MinkowskiDistance(_VectorMetric):
         return float((diff**self.p).sum() ** (1.0 / self.p))
 
     def _one_to_many(self, obj: Any, objects: Sequence) -> np.ndarray:
-        mat = as_matrix(objects)
-        vec = np.asarray(obj, dtype=np.float64)
+        # A batch ``prepare`` stacked, and a float64 query vector, are used
+        # as they are: re-coercing them costs more than a short row.
+        if isinstance(objects, np.ndarray) and objects.ndim == 2 and objects.dtype == np.float64:
+            mat = objects
+        else:
+            mat = as_matrix(objects)
+        if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+            vec = obj
+        else:
+            vec = np.asarray(obj, dtype=np.float64)
         if vec.ndim != 1:
             raise MetricError(f"vector metric expects a 1-d vector, got shape {vec.shape}")
         if vec.shape[-1] != mat.shape[1]:

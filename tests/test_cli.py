@@ -259,6 +259,47 @@ class TestStatsVerb:
         assert main(["stats", str(path), "--type", "vectors", "--metric", "cosine"]) == 2
 
 
+class TestQueryVerb:
+    def test_knn_json_matches_brute_force(self, tmp_path, capsys):
+        import json
+
+        from repro.metrics import EuclideanDistance
+        from repro.persistence import load_checkpoint
+
+        data = tmp_path / "pts.csv"
+        main(["generate", "cell", str(data), "--n-points", "300",
+              "--n-clusters", "3", "--dim", "2"])
+        ckpt = tmp_path / "scan.ckpt"
+        assert main([
+            "cluster", str(data), "--type", "vectors", "--n-clusters", "3",
+            "--max-nodes", "10", "--checkpoint", str(ckpt),
+            "--checkpoint-every", "100",
+        ]) == 0
+        capsys.readouterr()
+        queries = ["0,0", "5.5,-2", "12,7.25"]
+        args = ["query", str(ckpt), "--type", "vectors", "--k", "3"]
+        for q in queries:
+            args += ["--query", q]
+        assert main(args + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        clustroids = [
+            f.clustroid
+            for f in load_checkpoint(ckpt, metric=EuclideanDistance()).tree.leaf_features()
+        ]
+        assert doc["backend"] == "cftree" and doc["n_indexed"] == len(clustroids)
+        reference = EuclideanDistance()
+        for q, result in zip(queries, doc["results"]):
+            row = reference.one_to_many(np.array(q.split(","), dtype=float), clustroids)
+            want = sorted((float(v), i) for i, v in enumerate(row))[:3]
+            assert [(d, i) for i, d in result["neighbors"]] == want
+        held = doc["query"]["bound_cache"]
+        assert held["misses"] > 0 and held["queries"] == len(queries)
+        # The text report prints the bound-cache rows.
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "bound cache " in out and "bound cache held" in out
+
+
 class TestTraceOption:
     def test_cluster_trace_writes_jsonl_and_summary(self, tmp_path, capsys):
         import json

@@ -20,7 +20,9 @@ from repro.index import (
     CFTreeIndex,
     NeighborHeap,
     QueryBoundCache,
+    QuerySession,
     available_backends,
+    brute_force_reference,
     make_index,
 )
 from repro.metrics import EditDistance, EuclideanDistance
@@ -356,6 +358,85 @@ class TestRepeatedQueriesAreFree:
         assert result.n_calls == 0  # vp-tree serves entirely from the cache
 
 
+def _clustroid_copy(tree):
+    """An object equal to, but not identical with, a leaf clustroid."""
+    return np.array(tree.leaf_features()[0].clustroid, copy=True)
+
+
+def _shape_counters(tree):
+    return (tree.n_objects, tree.n_rebuilds, tree.n_nodes, tree.n_clusters)
+
+
+def _near_full_leaf(tree):
+    """An object a threshold-0 tree places in a full leaf (branching 4)."""
+    full = next(leaf for leaf in tree.leaves() if len(leaf.entries) == 4)
+    return full.entries[0].clustroid + 1e-3
+
+
+class _RecordingEuclidean(EuclideanDistance):
+    """Euclidean distance that records the identity of every object its
+    batch hook measures."""
+
+    def __init__(self):
+        super().__init__()
+        self.measured: list[int] = []
+
+    def _one_to_many(self, obj, objects):
+        self.measured.extend(map(id, objects))
+        return super()._one_to_many(obj, objects)
+
+
+class TestDuplicateObjects:
+    """An object held at several positions is measured once per query."""
+
+    @staticmethod
+    def _objects():
+        points = _points(30, seed=6)
+        # Positions 30-33 repeat objects 0, 3, 3 and 7 (by identity).
+        return points + [points[0], points[3], points[3], points[7]]
+
+    @pytest.mark.parametrize("backend", ["brute", "vptree"])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_each_distinct_object_measured_once(self, backend, cached):
+        objects = self._objects()
+        metric = _RecordingEuclidean()
+        # A key that is never hashable makes every query bypass the cache.
+        cache = QueryBoundCache() if cached else QueryBoundCache(key=lambda q: [q])
+        kwargs = {"seed": 0} if backend == "vptree" else {}
+        index = make_index(backend, metric, bound_cache=cache, **kwargs).build(objects)
+        reference = EuclideanDistance()
+        for q in _points(6, seed=7):
+            metric.measured.clear()
+            got = index.nearest(q, k=4)
+            assert [(n.distance, n.index) for n in got] == brute_force_reference(
+                reference, objects, q, 4
+            )
+            assert len(set(metric.measured)) == len(metric.measured) == got.n_calls
+            if backend == "brute" and not cached:
+                assert got.n_calls == 30  # every distinct object, once
+            metric.measured.clear()
+            radius = 1.5
+            within = index.within(q, radius)
+            row = reference.one_to_many(q, objects)
+            assert [(n.distance, n.index) for n in within] == sorted(
+                (float(v), i) for i, v in enumerate(row) if v <= radius
+            )
+            assert len(set(metric.measured)) == len(metric.measured) == within.n_calls
+
+    def test_session_measures_a_repeated_object_once(self):
+        objects = self._objects()
+        metric = EuclideanDistance()
+        session = QuerySession(metric, np.zeros(3), objects, None)
+        values = session.measure_many(range(len(objects)))
+        assert metric.n_calls == 30
+        assert values[30] == values[0] and values[31] == values[32] == values[3]
+        fresh = QuerySession(metric, np.zeros(3), objects, None)
+        assert [fresh.measure(i) for i in range(len(objects))] == values.tolist()
+        assert metric.n_calls == 60
+        # Without a bound cache nothing counts as a cache hit.
+        assert session.cache_hits == fresh.cache_hits == 0
+
+
 class TestCFTreeIndex:
     def test_from_tree_queries_match_brute(self):
         metric = EuclideanDistance()
@@ -367,13 +448,52 @@ class TestCFTreeIndex:
         got = [(n.distance, n.index) for n in index.nearest(query, k=4)]
         assert got == expected
 
+    #: name -> (mutation, which of (n_objects, n_rebuilds, n_nodes,
+    #: n_clusters) it moves). Each covers one path that changes the tree.
+    MUTATIONS = {
+        "absorbing insert": (
+            lambda t: t.insert(_clustroid_copy(t)),
+            (True, False, False, False),
+        ),
+        "new leaf entry": (
+            lambda t: t.insert(_points(1, seed=9)[0]),
+            (True, False, False, True),
+        ),
+        "leaf split": (
+            lambda t: t.insert(_near_full_leaf(t)),
+            (True, False, True, True),
+        ),
+        "rebuild": (lambda t: t.rebuild(5.0), (False, True, True, True)),
+        "insert_feature, new entry": (
+            lambda t: t.insert_feature(t.policy.new_leaf_feature(np.full(3, 0.01))),
+            (False, False, False, True),
+        ),
+        "insert_feature, merge": (
+            lambda t: t.insert_feature(t.policy.new_leaf_feature(_clustroid_copy(t))),
+            (False, False, False, False),
+        ),
+        "insert_feature_batch": (
+            lambda t: t.insert_feature_batch(
+                [t.policy.new_leaf_feature(np.full(3, 0.02 * i)) for i in range(3)]
+            ),
+            (True, False, True, True),
+        ),
+    }
+
     def test_stale_after_tree_mutation(self):
-        model = _fit_bubble(_points(30, seed=2))
-        index = CFTreeIndex.from_tree(model.tree_)
-        index.nearest(np.zeros(3))  # fine while fresh
-        model.tree_.insert(np.full(3, 50.0))
-        with pytest.raises(StaleIndexError):
-            index.nearest(np.zeros(3))
+        for path, (mutate, moved) in self.MUTATIONS.items():
+            tree = _fit_bubble(_points(30, seed=2)).tree_
+            index = CFTreeIndex.from_tree(tree)
+            index.nearest(np.zeros(3))  # fine while fresh
+            before = _shape_counters(tree)
+            mutate(tree)
+            # The path moves exactly the counters it claims; a merging
+            # insert_feature moves none of them, only the tree's version.
+            after = _shape_counters(tree)
+            assert tuple(a != b for a, b in zip(before, after)) == moved, path
+            with pytest.raises(StaleIndexError):
+                index.nearest(np.zeros(3))
+            assert CFTreeIndex.from_tree(tree).nearest(np.zeros(3)).neighbors, path
 
     def test_empty_tree_rejected(self):
         metric = EuclideanDistance()

@@ -161,6 +161,32 @@ class TestPreparedBatches:
         assert on_list.n_calls == on_batch.n_calls
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_minkowski_prepared_inputs_match_coerced_ones(self, p, objs):
+        # A prepared float64 batch and a float64 query skip coercion; the
+        # rows must still equal those of list and tuple inputs bit for bit.
+        metric = MinkowskiDistance(p)
+        batch = metric.prepare(objs)
+        query = objs[0] + 0.25
+        want = metric.one_to_many(list(query), [list(o) for o in objs]).tobytes()
+        assert metric.one_to_many(query, batch).tobytes() == want
+        assert metric.one_to_many(tuple(query), objs).tobytes() == want
+        for i in range(len(objs)):
+            assert (
+                metric.one_to_many(query, batch[i : i + 1]).tobytes()
+                == metric.one_to_many(list(query), [objs[i]]).tobytes()
+            )
+        # The same error, whichever form the inputs take.
+        for bad_query in (np.zeros(3), [0.0, 0.0, 0.0]):
+            errors = []
+            for others in (batch, objs):
+                with pytest.raises(MetricError) as info:
+                    metric.one_to_many(bad_query, others)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+        with pytest.raises(MetricError, match="1-d vector"):
+            metric.one_to_many(batch[:2], batch)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_cross_rows_equal_one_to_many(self, p, objs):
         metric = MinkowskiDistance(p)
         block = metric.cross(objs[:4], objs)

@@ -25,6 +25,7 @@ from repro.core.routing import (
     LeafGeometry,
     PruningStats,
     SampleGeometry,
+    best_first_leaf_scan,
     ensure_leaf_geometry,
     ensure_sample_geometry,
     geometry_donor,
@@ -164,6 +165,35 @@ class TestFeatureBatch:
         tree.insert_feature_batch([])
         assert metric.n_calls == before
         assert tree.n_objects == 1
+
+
+class TestBestFirstLeafScan:
+    """The one leaf walk routing and the cf-tree index share."""
+
+    # Clustroids at 0, 1 and 3 on a line; the query sits on clustroid 0.
+    PAIR = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+
+    def _scan(self, limit):
+        measured = []
+
+        def measure(i):
+            measured.append(i)
+            return float(self.PAIR[0, i])
+
+        return best_first_leaf_scan(self.PAIR, 0.0, measure, lambda: limit), measured
+
+    def test_a_bound_equal_to_the_limit_is_measured(self):
+        # Bounds open as [1, 3]: 1 is not past the limit, 3 is.
+        assert self._scan(1.0) == ((1, 3), [1])
+
+    def test_stops_at_the_first_bound_past_the_limit(self):
+        assert self._scan(np.nextafter(1.0, 0.0)) == ((0, 2), [])
+
+    def test_measures_everything_under_an_infinite_limit(self):
+        assert self._scan(np.inf) == ((2, 3), [1, 2])
+
+    def test_a_lone_candidate_opens_nothing(self):
+        assert best_first_leaf_scan(np.zeros((1, 1)), 0.0, None, None) == (0, 0)
 
 
 class TestPruningStats:
