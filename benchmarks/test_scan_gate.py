@@ -55,22 +55,22 @@ MIN_BYTES_REDUCTION = 0.30
 
 #: (workload, algorithm) -> (exhaustive NCD, pruned NCD, sub-clusters).
 PINNED = {
-    ("fig4_cells", "bubble"): (110_571, 58_344, 60),
-    ("fig4_cells", "bubble-fm"): (150_714, 136_859, 55),
-    ("fig5_cells", "bubble"): (121_280, 64_565, 63),
-    ("fig5_cells", "bubble-fm"): (149_835, 134_498, 60),
-    ("fig6_cells", "bubble"): (62_198, 38_651, 18),
-    ("fig6_cells", "bubble-fm"): (79_145, 59_500, 18),
+    ("fig4_cells", "bubble"): (109_210, 53_786, 60),
+    ("fig4_cells", "bubble-fm"): (149_344, 134_963, 55),
+    ("fig5_cells", "bubble"): (119_918, 60_199, 63),
+    ("fig5_cells", "bubble-fm"): (148_462, 132_523, 60),
+    ("fig6_cells", "bubble"): (60_810, 34_162, 18),
+    ("fig6_cells", "bubble-fm"): (77_754, 57_532, 18),
 }
 
 #: (workload, algorithm) -> pruned scan's maintenance_evals.
 PINNED_MAINTENANCE = {
-    ("fig4_cells", "bubble"): 13_161,
-    ("fig4_cells", "bubble-fm"): 5_160,
-    ("fig5_cells", "bubble"): 13_625,
-    ("fig5_cells", "bubble-fm"): 4_975,
-    ("fig6_cells", "bubble"): 7_154,
-    ("fig6_cells", "bubble-fm"): 3_054,
+    ("fig4_cells", "bubble"): 12_314,
+    ("fig4_cells", "bubble-fm"): 4_977,
+    ("fig5_cells", "bubble"): 12_785,
+    ("fig5_cells", "bubble-fm"): 4_764,
+    ("fig6_cells", "bubble"): 6_664,
+    ("fig6_cells", "bubble-fm"): 2_801,
 }
 
 ALGORITHMS = {

@@ -35,6 +35,7 @@ from repro.core.routing import (
     pruned_leaf_distances,
     pruned_segment_distances,
     remember_leaf_walk,
+    segment_seeds,
 )
 from repro.exceptions import ParameterError, TreeInvariantError
 from repro.metrics.base import DistanceFunction, site
@@ -47,6 +48,24 @@ __all__ = ["BubblePolicy"]
 #: Below this many leaf entries, pruning cannot beat the exhaustive gather
 #: (pivot + seed measurements already cover most of the node).
 _MIN_PRUNE_LEAF_ENTRIES = 4
+
+
+def _segment_rms(sq: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``sqrt(mean(sq[offsets[i]:offsets[i + 1]]))`` for every segment ``i``,
+    bit-identical to one ``np.mean`` per segment.
+
+    ``np.mean`` is ``np.add.reduce`` divided by the count, so each segment
+    takes that sum and division without ``np.mean``'s dispatch, and one
+    ``np.sqrt`` covers them all. Gathering the segments of each length
+    into one ``(k, length)`` block reduces in the same order too, but
+    segment lengths are mostly distinct (about 6 lengths per 7.5 entries
+    on the vec-bubble inputs), so the blocks cost more than they save.
+    """
+    bounds = offsets.tolist()
+    add = np.add.reduce
+    return np.sqrt(
+        np.array([add(sq[a:b]) / (b - a) for a, b in zip(bounds[:-1], bounds[1:])])
+    )
 
 
 class _SampleCache:
@@ -99,6 +118,11 @@ class BubblePolicy(BirchStarPolicy):
         default.
     """
 
+    #: ``(obj, samples, distances)`` of the entry the last pruned non-leaf
+    #: walk chose, consumed by the leaf walk that follows for the same
+    #: object. Never pickled.
+    _handoff: tuple[Any, list, np.ndarray] | None = None
+
     def __init__(
         self,
         metric: DistanceFunction,
@@ -123,6 +147,11 @@ class BubblePolicy(BirchStarPolicy):
         #: (RowSums + Neumaier compensations + representative handles in
         #: contiguous ndarrays; see :mod:`repro.core.arena`).
         self.arena = FeatureArena(self.representation_number)
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_handoff", None)
+        return state
 
     # ------------------------------------------------------------------
     # Leaf level (D0 everywhere)
@@ -151,11 +180,30 @@ class BubblePolicy(BirchStarPolicy):
             old_arena.release(old_row)
 
     def leaf_distances(self, node: LeafNode, obj: Any) -> np.ndarray:
+        # The last non-leaf walk's chosen segment, if it routed this object.
+        segment, self._handoff = self._handoff, None
+        if segment is not None:
+            segment = segment[1:] if segment[0] is obj else None
         if self.prune and len(node.entries) >= _MIN_PRUNE_LEAF_ENTRIES:
-            return pruned_leaf_distances(self.metric, node, obj, self.pruning_stats)
+            return pruned_leaf_distances(
+                self.metric, node, obj, self.pruning_stats, segment
+            )
         clustroids = [feature.clustroid for feature in node.entries]
+        seeded = None if segment is None else segment_seeds(segment, clustroids)
         with site("leaf-d0"):
-            dists = self.metric.one_to_many(obj, clustroids)
+            if seeded is None:
+                dists = self.metric.one_to_many(obj, clustroids)
+            else:
+                at, values = seeded
+                dists = np.empty(len(clustroids), dtype=np.float64)
+                dists[at] = values
+                unknown = np.ones(len(clustroids), dtype=bool)
+                unknown[at] = False
+                rest = np.flatnonzero(unknown)
+                if len(rest):
+                    dists[rest] = self.metric.one_to_many(
+                        obj, [clustroids[i] for i in rest]
+                    )
         if self.prune:
             remember_leaf_walk(node, obj, clustroids, dists)
         return dists
@@ -174,18 +222,13 @@ class BubblePolicy(BirchStarPolicy):
         # Pruning needs two entries (something to prune) and two samples (a
         # pivot plus something it can bound).
         if self.prune and len(node.entries) >= 2 and len(cache.flat) >= 2:
-            return pruned_segment_distances(
+            out, self._handoff = pruned_segment_distances(
                 self.metric, cache, len(node.entries), obj, self.pruning_stats
             )
+            return out
         with site("nonleaf-d2"):
             dists = self.metric.one_to_many(obj, cache.batch)
-        sq = dists**2
-        offsets = cache.offsets
-        out = np.empty(len(node.entries), dtype=np.float64)
-        for i in range(len(out)):
-            seg = sq[offsets[i] : offsets[i + 1]]
-            out[i] = np.sqrt(seg.mean())
-        return out
+        return _segment_rms(dists**2, cache.offsets)
 
     def nonleaf_entry_distances(self, node: NonLeafNode) -> np.ndarray:
         entries = node.entries

@@ -277,20 +277,29 @@ class BubbleClusterFeature(ClusterFeature):
     def absorb(self, obj: Any, dist_to_clustroid: float | None = None) -> None:
         """Insert a single object (Section 4.1.2, Type I).
 
-        ``dist_to_clustroid`` is accepted for interface symmetry; the batch
-        update below measures the clustroid with the other representatives
-        in a single ``one_to_many`` call, so a precomputed value is not
-        reused.
+        ``dist_to_clustroid`` is ``d(obj, clustroid)`` when the caller has
+        measured it, as the tree has when it picked this cluster. Then only
+        the other representatives are measured, in one ``one_to_many``
+        gather; without it the clustroid is measured with them.
         """
         reps = self._reps
+        c = self._clustroid_idx
         with site("leaf-update"):
-            dists = self.metric.one_to_many(obj, reps)
-        sq = np.asarray(dists, dtype=np.float64) ** 2
+            if dist_to_clustroid is None:
+                dists = np.asarray(self.metric.one_to_many(obj, reps), dtype=np.float64)
+            else:
+                dists = np.empty(len(reps), dtype=np.float64)
+                dists[c] = dist_to_clustroid
+                if len(reps) > 1:
+                    others = self.metric.one_to_many(obj, reps[:c] + reps[c + 1 :])
+                    dists[:c] = others[:c]
+                    dists[c + 1 :] = others[c:]
+        sq = dists**2
         if self.exact:
             rowsum_new = float(sq.sum())
         else:
             # Observation 1 estimate against the *current* cluster of size n.
-            d0 = float(dists[self._clustroid_idx])
+            d0 = float(dists[c])
             rowsum_new = self.n * (self.radius**2 + d0**2)
         row, a = self._row, self.arena
         k = len(reps)

@@ -26,7 +26,8 @@ One leaf loop, :func:`best_first_leaf_scan`, runs this walk both for
 routing, which stops past ``best * (1 + TIE_RTOL)`` (see below), and for
 the query scan of the cf-tree index (:mod:`repro.index.cftree`), which
 stops past the k-NN radius ``tau`` or the range radius. The caller hands
-it the counted measurement of a candidate and the stop limit.
+it the candidates whose distances are already known (its seeds), the
+counted measurement of a candidate and the stop limit.
 
 Non-leaf nodes seed the walk with up to ``_MAX_SEGMENT_PIVOTS`` pivots
 spread across their sample segments — in clustered data a single reference
@@ -90,6 +91,18 @@ counted public API under the same call site (``leaf-d0`` / ``nonleaf-d2``)
 as the exhaustive path. Upkeep reuses what the walks measured, though: a
 counted walk distance that lands in the geometry is not measured again.
 
+One insertion measures each routing distance once. The descent's last
+non-leaf walk hands the leaf walk that follows the entry it chose, as
+``(obj, samples, distances)``; that segment is always measured in full.
+A leaf entry's samples are clustroids of its leaf child, so the leaf walk
+starts from the distances of those that are still clustroids (matched by
+identity) instead of measuring them again, in the pruned and in the
+small-leaf branch alike. The absorb that may follow takes the clustroid
+distance from the leaf walk and measures only the other
+representatives. Only counted distances of the same insertion, for the
+same object, are reused: the handoff is consumed by the next leaf walk,
+is never pickled, and nothing is read off the ledger.
+
 Each pair is measured at most once per geometry lineage, carried forward
 by object identity (never by a bare ``id()`` without a live reference,
 never through a process-global memo). One routine assembles every matrix:
@@ -111,6 +124,7 @@ it copies the pairs its donors hold, then measures each unknown pair once.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from typing import Any
@@ -129,6 +143,7 @@ __all__ = [
     "geometry_donor",
     "ensure_sample_geometry",
     "best_first_leaf_scan",
+    "segment_seeds",
     "pruned_leaf_distances",
     "pruned_segment_distances",
 ]
@@ -460,29 +475,36 @@ TIE_RTOL = 1e-9
 
 def best_first_leaf_scan(
     pair: np.ndarray,
-    first: float,
+    seeds: Any,
+    values: Any,
     measure: Callable[[int], float],
     limit: Callable[[], float],
 ) -> tuple[int, int]:
     """The best-first (AESA) walk over one leaf's candidates.
 
-    ``pair`` is the leaf's cached ``d(c_i, c_j)`` matrix and ``first`` the
-    exact distance from the query to candidate 0, which seeds every lower
-    bound. Each round picks the open candidate with the smallest bound
-    (lowest index on ties) and stops when that bound strictly exceeds
-    ``limit()``; otherwise ``measure(i)`` returns the candidate's counted
-    exact distance, which tightens every remaining bound. Routing stops
-    past ``best * (1 + TIE_RTOL)``, query serving past the k-NN radius
-    ``tau`` or the range radius.
+    ``pair`` is the leaf's cached ``d(c_i, c_j)`` matrix. ``seeds`` are the
+    candidates whose exact distances from the query, ``values``, are
+    already known: candidate 0 measured by the caller when nothing else
+    is, or the clustroids a routing descent's non-leaf walk measured. All
+    seeds tighten the lower bounds in one step. Each round then picks the
+    open candidate with the smallest bound (lowest index on ties) and
+    stops when that bound strictly exceeds ``limit()``; otherwise
+    ``measure(i)`` returns the candidate's counted exact distance, which
+    tightens every remaining bound. Routing stops past ``best * (1 +
+    TIE_RTOL)``, query serving past the k-NN radius ``tau`` or the range
+    radius.
 
-    Returns ``(measured, bound_checks)``: the candidates measured after
-    candidate 0, and one bound check per open candidate per round.
+    Returns ``(measured, bound_checks)``: the candidates measured besides
+    the seeds, and one bound check per open candidate per round.
     """
     # Open lower bounds; measured slots hold +inf, so the best-first pick
     # is a plain argmin.
-    bounds = np.abs(pair[0] - first)
-    bounds[0] = np.inf
-    n_open = len(bounds) - 1
+    if len(seeds) == 1:
+        bounds = np.abs(pair[seeds[0]] - values[0])
+    else:
+        bounds = np.maximum.reduce(np.abs(pair[seeds] - values[:, None]))
+    bounds[seeds] = np.inf
+    n_open = start = len(bounds) - len(seeds)
     checks = 0
     while n_open:
         i = int(bounds.argmin())
@@ -493,26 +515,70 @@ def best_first_leaf_scan(
         np.maximum(bounds, np.abs(pair[i] - value), out=bounds)
         bounds[i] = np.inf
         n_open -= 1
-    return len(bounds) - 1 - n_open, checks
+    return start - n_open, checks
+
+
+def segment_seeds(
+    segment: tuple[list[Any], np.ndarray], clustroids: list[Any]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The clustroids a non-leaf walk already measured, as ``(indices,
+    distances)`` into ``clustroids``, or ``None`` if it measured none.
+
+    ``segment`` is the ``(samples, distances)`` part of the chosen entry
+    :func:`pruned_segment_distances` hands on. A leaf entry's samples are
+    clustroids of its leaf child, matched here by identity (the segment
+    holds its samples, so the ids are live); a sample that has since
+    stopped being a clustroid simply matches nothing.
+    """
+    samples, distances = segment
+    where = {id(obj): j for j, obj in enumerate(samples)}
+    at: list[int] = []
+    src: list[int] = []
+    for i, obj in enumerate(clustroids):
+        j = where.get(id(obj))
+        if j is not None:
+            at.append(i)
+            src.append(j)
+    if not at:
+        return None
+    return np.asarray(at, dtype=np.intp), distances[src]
+
+
+#: The seed of a leaf walk that knows nothing yet: candidate 0.
+_FIRST = np.zeros(1, dtype=np.intp)
 
 
 def pruned_leaf_distances(
-    metric: DistanceFunction, node: Any, obj: Any, stats: PruningStats
+    metric: DistanceFunction,
+    node: Any,
+    obj: Any,
+    stats: PruningStats,
+    segment: tuple[list[Any], np.ndarray] | None = None,
 ) -> np.ndarray:
     """D0 distances from ``obj`` to every entry of leaf ``node``, with
     triangle-inequality pruning.
 
-    Pruned slots hold ``+inf``; measured slots are bit-identical to the
-    exhaustive ``one_to_many`` gather, and ``argmin`` over the result equals
-    the exhaustive ``argmin`` (see module docstring). Never issues more
-    counted calls than the exhaustive gather would.
+    ``segment`` is what the descent's last non-leaf walk measured from
+    ``obj`` (see :func:`segment_seeds`); the clustroids it holds seed the
+    walk at no counted cost. Without a match the walk measures candidate
+    0 first. Pruned slots hold ``+inf``; measured slots are bit-identical
+    to the exhaustive ``one_to_many`` gather, and ``argmin`` over the
+    result equals the exhaustive ``argmin`` (see module docstring). Never
+    issues more counted calls than the exhaustive gather would.
     """
     geom, clustroids = ensure_leaf_geometry(metric, node, stats)
     n = len(clustroids)
     batch = geom.batch
     with site("leaf-d0"):
         out = np.full(n, np.inf, dtype=np.float64)
-        best = out[0] = float(metric.one_to_many(obj, batch[0:1])[0])
+        seeded = None if segment is None else segment_seeds(segment, clustroids)
+        if seeded is None:
+            seeds: Any = _FIRST
+            best = out[0] = float(metric.one_to_many(obj, batch[0:1])[0])
+        else:
+            seeds, values = seeded
+            out[seeds] = values
+            best = float(values.min())
         stop = best * (1.0 + TIE_RTOL)
 
         def measure(i: int) -> float:
@@ -523,12 +589,15 @@ def pruned_leaf_distances(
                 stop = best * (1.0 + TIE_RTOL)
             return value
 
-        measured, checks = best_first_leaf_scan(geom.pair, best, measure, lambda: stop)
+        measured, checks = best_first_leaf_scan(
+            geom.pair, seeds, out[seeds], measure, lambda: stop
+        )
+        evaluated = len(seeds) + measured
         stats.queries += 1
         stats.bound_checks += checks
         stats.candidates_total += n
-        stats.candidates_evaluated += 1 + measured
-        stats.candidates_pruned += n - 1 - measured
+        stats.candidates_evaluated += evaluated
+        stats.candidates_pruned += n - evaluated
         geom.walk = (obj, clustroids, out)
         return out
 
@@ -539,13 +608,18 @@ def pruned_segment_distances(
     n_entries: int,
     obj: Any,
     stats: PruningStats,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple[Any, list[Any], np.ndarray]]:
     """D2 distances from ``obj`` to every entry of a non-leaf node, with
     per-segment triangle-inequality pruning over the node's sample cache.
 
     Pruned entries hold ``+inf``; measured entries are bit-identical
     to the exhaustive computation. Never issues more counted calls than the
     exhaustive gather (``len(flat)``) would.
+
+    Returns ``(out, segment)``. ``segment`` is ``(obj, samples,
+    distances)`` for the chosen entry, ``argmin(out)``, which is always
+    measured in full, so a leaf walk that follows for the same object can
+    start from those distances (:func:`pruned_leaf_distances`).
     """
     batch = cache.batch
     offsets = cache.offsets
@@ -566,7 +640,7 @@ def pruned_segment_distances(
             # inside a segment's RMS.
             d_full[positions] = values
             np.maximum(
-                lb, np.abs(pair[positions] - values[:, None]).max(axis=0), out=lb
+                lb, np.maximum.reduce(np.abs(pair[positions] - values[:, None])), out=lb
             )
 
         dq = np.asarray(metric.one_to_many(obj, geom.pivots), dtype=np.float64)
@@ -579,6 +653,7 @@ def pruned_segment_distances(
         # it masks measured entries out of the argmin.
         closed = np.zeros(n_entries, dtype=np.float64)
         n_open = n_entries
+        checks = 0
         best = stop = np.inf
         # Best-first walk: measure the open entry with the smallest RMS
         # lower bound (one batched gather per entry), let its samples
@@ -590,15 +665,16 @@ def pruned_segment_distances(
             np.divide(entry_lb, geom.counts, out=entry_lb)
             np.sqrt(entry_lb, out=entry_lb)
             np.add(entry_lb, closed, out=entry_lb)
-            stats.bound_checks += n_open
+            checks += n_open
             i = int(entry_lb.argmin())
             bound = float(entry_lb[i])
             window = bound * TIE_RTOL
-            near = entry_lb <= bound + window
-            if abs(bound - stop) <= window or np.count_nonzero(near) > 1:
+            if abs(bound - stop) <= window or (
+                n_open > 1 and np.count_nonzero(entry_lb <= bound + window) > 1
+            ):
                 # Near a tie or the stopping bound: decide on the bounds as
                 # the scalar walk reduces them (see module docstring).
-                candidates = np.flatnonzero(near & (closed == 0.0))
+                candidates = np.flatnonzero((entry_lb <= bound + window) & (closed == 0.0))
                 exact = [
                     float(np.sqrt(lb_sq[offsets[j] : offsets[j + 1]].mean()))
                     for j in candidates
@@ -615,12 +691,17 @@ def pruned_segment_distances(
                 # unmeasured samples are one contiguous run.
                 admit(slice(first, hi), metric.one_to_many(obj, batch[first:hi]))
             seg = d_full[lo:hi]
-            out[i] = float(np.sqrt((seg**2).mean()))
-            if out[i] < best:
-                best = float(out[i])
+            # Bit-identical to ``np.sqrt((seg**2).mean())``: the same
+            # pairwise sum, divided by the count, correctly rounded root.
+            value = out[i] = math.sqrt(np.add.reduce(seg * seg) / (hi - lo))
+            if value < best:
+                best = value
                 stop = best * (1.0 + TIE_RTOL)
         stats.queries += 1
+        stats.bound_checks += checks
         stats.candidates_total += n_entries
         stats.candidates_evaluated += n_entries - n_open
         stats.candidates_pruned += n_open
-        return out
+        i = int(out.argmin())
+        lo, hi = int(offsets[i]), int(offsets[i + 1])
+        return out, (obj, cache.flat[lo:hi], d_full[lo:hi])

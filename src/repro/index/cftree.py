@@ -186,7 +186,9 @@ class CFTreeIndex(MetricIndex):
         return self
 
     def _adopt(self, tree: Any) -> None:
-        if tree is None or tree.n_clusters == 0:
+        # A tree with no clusters is a leaf root with no entries: every
+        # other node holds at least one entry below it.
+        if tree is None or (tree.root.is_leaf and not tree.root.entries):
             raise EmptyDatasetError("cannot index an empty CF*-tree")
         self._objects = []
         held: _AnchorRows = self.bound_cache.anchor_rows
@@ -312,7 +314,8 @@ class CFTreeIndex(MetricIndex):
             return d
 
         offer(offset, d_anchor)
-        session.bound_checks += best_first_leaf_scan(pair, d_anchor, measure, tau)[1]
+        # The anchor, clustroid 0, seeds the walk.
+        session.bound_checks += best_first_leaf_scan(pair, [0], [d_anchor], measure, tau)[1]
 
     def _knn(
         self, session: QuerySession, obj: Any, k: int

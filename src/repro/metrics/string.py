@@ -23,10 +23,11 @@ run one exact kernel instead: Myers' bit-parallel algorithm (J. ACM 46(3),
 built once; each target character then advances a whole DP column with a
 fixed number of word operations on Python ints, so there is no 64-character
 limit. :func:`levenshtein_block` is the one row function: masks once, the
-kernel per target. ``EditDistance``'s ``one_to_many`` runs it, ``pairwise``
-fills the upper triangle one row at a time, and ``cross`` stacks rows. The
-integer distances equal the scalar DP's; counting stays in the public
-wrappers, so counted calls are unchanged.
+kernel per target. ``EditDistance``'s ``one_to_many`` runs its kernel and
+keeps the last query's masks, so consecutive gathers for one object build
+them once; ``pairwise`` fills the upper triangle one row at a time, and
+``cross`` stacks rows. The integer distances equal the scalar DP's;
+counting stays in the public wrappers, so counted calls are unchanged.
 """
 
 from __future__ import annotations
@@ -203,7 +204,11 @@ def levenshtein_block(query: str, targets: Sequence[str]) -> np.ndarray:
     on ``w``-bit words per pair. Exact — integral distances, equal to
     :func:`edit_distance` per pair.
     """
-    masks, m = _match_masks(query), len(query)
+    return _levenshtein_row(_match_masks(query), len(query), targets)
+
+
+def _levenshtein_row(masks: dict[str, int], m: int, targets: Sequence[str]) -> np.ndarray:
+    """The kernel of :func:`levenshtein_block` over prepared match masks."""
     return np.fromiter(
         (_myers(masks, m, t) for t in targets), dtype=np.float64, count=len(targets)
     )
@@ -219,15 +224,22 @@ class EditDistance(DistanceFunction):
     """Unit-cost Levenshtein distance — the paper's canonical expensive metric.
 
     Every hook runs the bit-parallel kernel: ``one_to_many`` is one
-    :func:`levenshtein_block` row, ``pairwise`` fills its upper triangle
-    row by row and mirrors it, and the inherited ``cross`` stacks rows. The
-    public wrappers charge by batch size before dispatch, so counted calls
-    do not depend on the hook. With ``upper_bound`` every distance is
-    capped at it (``min(d, upper_bound)``), which keeps the capped function
-    symmetric.
+    :func:`levenshtein_block` row (reusing the masks of the previous
+    call's query when it is the same object), ``pairwise`` fills its
+    upper triangle row by row and mirrors it, and the inherited ``cross``
+    stacks rows. The public wrappers charge by batch size before dispatch,
+    so counted calls do not depend on the hook. With ``upper_bound`` every
+    distance is capped at it (``min(d, upper_bound)``), which keeps the
+    capped function symmetric.
     """
 
     name = "edit-distance"
+
+    #: The last ``one_to_many`` query and its match masks. A routing
+    #: descent gathers for one object several times in a row, so the masks
+    #: are built once per run of gathers. Keyed by identity; never pickled.
+    _last_query: str | None = None
+    _last_masks: dict[str, int] = {}
 
     def __init__(self, upper_bound: float | None = None):
         super().__init__()
@@ -235,12 +247,23 @@ class EditDistance(DistanceFunction):
             raise ParameterError(f"upper_bound must be > 0, got {upper_bound}")
         self.upper_bound = None if upper_bound is None else float(upper_bound)
 
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_last_query", None)
+        state.pop("_last_masks", None)
+        return state
+
     def _distance(self, a: Any, b: Any) -> float:
         d = float(levenshtein(_require_str(a), _require_str(b)))
         return d if self.upper_bound is None else min(d, self.upper_bound)
 
     def _one_to_many(self, obj: Any, objects: Sequence) -> np.ndarray:
-        row = levenshtein_block(_require_str(obj), [_require_str(t) for t in objects])
+        if obj is not self._last_query:
+            self._last_masks = _match_masks(_require_str(obj))
+            self._last_query = obj
+        row = _levenshtein_row(
+            self._last_masks, len(obj), [_require_str(t) for t in objects]
+        )
         return row if self.upper_bound is None else np.minimum(row, self.upper_bound)
 
     def _pairwise(self, objects: Sequence) -> np.ndarray:

@@ -3,8 +3,10 @@ refresh behaviour, FastMap fallback."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.bubble import BubblePolicy
+from repro.core.bubble import BubblePolicy, _segment_rms
 from repro.core.bubble_fm import BubbleFMPolicy
 from repro.core.cftree import CFTree
 from repro.core.features import object_to_set_distance
@@ -209,3 +211,23 @@ class TestBubbleFMPolicy:
         assert metric.n_calls == before  # zero calls to d
         assert dm.shape == (len(node.entries), len(node.entries))
         np.testing.assert_allclose(dm, dm.T)
+
+
+class TestSegmentRMS:
+    """The exhaustive D2 reduction groups segments by length; it must
+    equal one ``np.mean`` per segment bit for bit."""
+
+    @given(
+        lengths=st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 1e3, 1e9]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_entry_mean(self, lengths, seed, scale):
+        rng = np.random.default_rng(seed)
+        offsets = np.cumsum([0] + lengths).astype(np.intp)
+        sq = (rng.uniform(0, scale, size=int(offsets[-1]))) ** 2
+        expected = np.array(
+            [np.sqrt(sq[a:b].mean()) for a, b in zip(offsets[:-1], offsets[1:])]
+        )
+        assert _segment_rms(sq, offsets).tobytes() == expected.tobytes()

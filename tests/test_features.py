@@ -93,6 +93,36 @@ class TestHeuristicMode:
         assert f.n == 51
 
 
+class TestAbsorbReusesClustroidDistance:
+    """The tree hands ``absorb`` the clustroid distance it measured; only
+    the other ``k - 1`` representatives are measured."""
+
+    @pytest.mark.parametrize("n_before", [1, 2, 3, 5, 9])
+    def test_pays_k_minus_one_and_matches_a_full_gather(self, inner_euclidean, n_before):
+        rng = np.random.default_rng(n_before)
+        objs = list(rng.normal(size=(n_before + 1, 3)))
+        metric = inner_euclidean()
+        reused = BubbleClusterFeature(metric, objs[0], representation_number=4)
+        full = BubbleClusterFeature(EuclideanDistance(), objs[0], representation_number=4)
+        for o in objs[1:-1]:
+            d = EuclideanDistance().one_to_many(o, [reused.clustroid])[0]
+            reused.absorb(o, d)
+            full.absorb(o)
+        k = len(reused.representatives)
+        q = objs[-1]
+        d = EuclideanDistance().one_to_many(q, [reused.clustroid])[0]
+        before = (metric.evals, metric.n_calls)
+        reused.absorb(q, d)
+        assert (metric.evals - before[0], metric.n_calls - before[1]) == (k - 1, k - 1)
+        full.absorb(q)
+        assert reused.n == full.n
+        assert np.array_equal(reused.clustroid, full.clustroid)
+        assert [r.tobytes() for r in reused.representatives] == [
+            r.tobytes() for r in full.representatives
+        ]
+        assert np.asarray(reused.rowsums).tobytes() == np.asarray(full.rowsums).tobytes()
+
+
 class TestMerge:
     def test_exact_merge_preserves_brute_force_clustroid(self, euclidean):
         objs_a = [np.array([0.0]), np.array([0.5])]

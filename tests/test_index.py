@@ -501,6 +501,16 @@ class TestCFTreeIndex:
         with pytest.raises((EmptyDatasetError, NotFittedError)):
             model.index()
 
+    def test_adopting_an_empty_tree_raises(self):
+        from repro.core.bubble import BubblePolicy
+        from repro.core.cftree import CFTree
+
+        tree = CFTree(BubblePolicy(EuclideanDistance()))
+        with pytest.raises(EmptyDatasetError):
+            CFTreeIndex.from_tree(tree)
+        tree.insert(np.zeros(3))
+        assert len(CFTreeIndex.from_tree(tree)) == 1
+
     def test_build_grows_private_tree(self):
         index = make_index("cftree", EuclideanDistance())
         index.build(_points(25, seed=4))

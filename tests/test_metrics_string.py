@@ -201,6 +201,37 @@ class TestLevenshteinBlock:
         ]
 
 
+class TestEditDistanceMaskMemo:
+    """``EditDistance`` keeps the last query's match masks, by identity."""
+
+    def test_rows_equal_fresh_block_rows(self):
+        rng = random.Random(3)
+        words = ["".join(rng.choice("abcd") for _ in range(rng.randrange(0, 9))) for _ in range(40)]
+        same = "".join(["ab", "cd"])
+        equal = "".join(["a", "bcd"])
+        queries = [words[0], words[0], same, same, equal, words[1], same, words[0]]
+        for bound in (None, 2.0):
+            metric = EditDistance(upper_bound=bound)
+            for q in queries:
+                targets = rng.sample(words, 7)
+                fresh = levenshtein_block(q, targets)
+                if bound is not None:
+                    fresh = np.minimum(fresh, bound)
+                assert metric.one_to_many(q, targets).tobytes() == fresh.tobytes()
+
+    def test_pickled_metric_holds_no_memo(self):
+        import pickle
+
+        metric = EditDistance()
+        query = "".join(["query", "-memo"])
+        metric.one_to_many(query, ["q"])
+        assert metric._last_query is query
+        clone = pickle.loads(pickle.dumps(metric))
+        assert clone._last_query is None
+        assert "query-memo" not in pickle.dumps(metric).decode("latin-1")
+        assert clone.one_to_many("abc", ["abd", ""]).tolist() == [1.0, 3.0]
+
+
 #: Strings that stress the kernel: any code point (astral ones included),
 #: a tiny alphabet with heavy repeats, and lengths past one 64-bit word.
 texts = st.one_of(

@@ -528,8 +528,8 @@ class TestFig4ShardedBaseline:
     MIN_SPEEDUP = 1.5
 
     #: (NCD total, tree fingerprint) per build.
-    SEQUENTIAL = (65_300, "f2e256c39fa08af8d19a146837953000d58ac8ce263681c0b33f20ad5b82a5ca")
-    PARALLEL = (102_781, "faf759f5317c97032951422b8fb735d7480a90fdfe4ad039fbfbad132a426d8f")
+    SEQUENTIAL = (60_742, "f2e256c39fa08af8d19a146837953000d58ac8ce263681c0b33f20ad5b82a5ca")
+    PARALLEL = (95_036, "faf759f5317c97032951422b8fb735d7480a90fdfe4ad039fbfbad132a426d8f")
 
     @classmethod
     def build(cls, ds, n_jobs):

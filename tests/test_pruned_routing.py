@@ -180,7 +180,7 @@ class TestBestFirstLeafScan:
             measured.append(i)
             return float(self.PAIR[0, i])
 
-        return best_first_leaf_scan(self.PAIR, 0.0, measure, lambda: limit), measured
+        return best_first_leaf_scan(self.PAIR, [0], [0.0], measure, lambda: limit), measured
 
     def test_a_bound_equal_to_the_limit_is_measured(self):
         # Bounds open as [1, 3]: 1 is not past the limit, 3 is.
@@ -193,7 +193,22 @@ class TestBestFirstLeafScan:
         assert self._scan(np.inf) == ((2, 3), [1, 2])
 
     def test_a_lone_candidate_opens_nothing(self):
-        assert best_first_leaf_scan(np.zeros((1, 1)), 0.0, None, None) == (0, 0)
+        assert best_first_leaf_scan(np.zeros((1, 1)), [0], [0.0], None, None) == (0, 0)
+
+    def test_seeds_tighten_the_bounds_together(self):
+        # Seeds 0 and 2 bound candidate 1 by max(|1 - 0|, |2 - 3|) = 1.
+        measured = []
+
+        def measure(i):
+            measured.append(i)
+            return float(self.PAIR[0, i])
+
+        seeds, values = np.array([0, 2]), np.array([0.0, 3.0])
+        assert best_first_leaf_scan(self.PAIR, seeds, values, measure, lambda: 1.0) == (1, 1)
+        assert best_first_leaf_scan(
+            self.PAIR, seeds, values, measure, lambda: np.nextafter(1.0, 0.0)
+        ) == (0, 1)
+        assert measured == [1]
 
 
 class TestPruningStats:
@@ -262,9 +277,12 @@ class TestConservationLaw:
 # ----------------------------------------------------------------------
 # The vectorised walks against their scalar reference
 # ----------------------------------------------------------------------
-def scalar_leaf_distances(metric, node, obj, stats):
+def scalar_leaf_distances(metric, node, obj, stats, segment=None):
     """Reference leaf walk: one Python-level bound mask per round, one
-    re-stacked clustroid list per measurement, the engine's stop margin."""
+    re-stacked clustroid list per measurement, the engine's stop margin.
+    The clustroids ``segment = (samples, distances)`` holds, matched by
+    identity one at a time, are admitted before the walk; with none,
+    clustroid 0 is measured first."""
     geom, clustroids = ensure_leaf_geometry(metric, node, stats)
     n = len(clustroids)
     pair = geom.pair
@@ -278,9 +296,17 @@ def scalar_leaf_distances(metric, node, obj, stats):
             known[i] = True
             np.maximum(lb, np.abs(pair[i] - value), out=lb)
 
-        admit(0, float(metric.one_to_many(obj, [clustroids[0]])[0]))
-        best = float(out[0])
-        n_evaluated = 1
+        n_evaluated = 0
+        for i, c in enumerate(clustroids):
+            for sample, value in zip(*segment) if segment is not None else ():
+                if sample is c:
+                    admit(i, float(value))
+                    n_evaluated += 1
+                    break
+        if not n_evaluated:
+            admit(0, float(metric.one_to_many(obj, [clustroids[0]])[0]))
+            n_evaluated = 1
+        best = float(out[known].min())
         while not known.all():
             open_lb = np.where(known, np.inf, lb)
             i = int(np.argmin(open_lb))
@@ -385,7 +411,7 @@ class TestVectorisedWalkExactness:
         segments = [self.TIE_POINTS[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         metric = EuclideanDistance()
         stats = PruningStats()
-        out = pruned_segment_distances(
+        out, _ = pruned_segment_distances(
             metric, sample_cache(metric, segments), 6, np.array([-2.0, 3.0]), stats
         )
         assert out[1] == out[4] == np.sqrt(21.0)
@@ -403,7 +429,10 @@ class TestVectorisedWalkExactness:
     @settings(max_examples=150, deadline=None)
     def test_segment_walk_matches_scalar_reference(self, segments, queries):
         runs = []
-        for walk in (scalar_segment_distances, pruned_segment_distances):
+        def pruned_walk(*args):
+            return pruned_segment_distances(*args)[0]
+
+        for walk in (scalar_segment_distances, pruned_walk):
             metric, stats = EuclideanDistance(), PruningStats()
             cache = sample_cache(metric, segments)
             outs = [
@@ -415,7 +444,11 @@ class TestVectorisedWalkExactness:
 
     @given(
         clustroids=st.lists(int_points, min_size=4, max_size=24),
-        queries=st.lists(st.tuples(int_points, int_points), min_size=1, max_size=3),
+        queries=st.lists(
+            st.tuples(int_points, int_points, st.lists(st.booleans(), max_size=24)),
+            min_size=1,
+            max_size=3,
+        ),
     )
     @settings(max_examples=150, deadline=None)
     def test_leaf_walk_matches_scalar_reference(self, clustroids, queries):
@@ -424,8 +457,16 @@ class TestVectorisedWalkExactness:
             metric, stats = EuclideanDistance(), PruningStats()
             node = leaf_node(clustroids)
             outs = []
-            for k, (q, moved) in enumerate(queries):
-                outs.append(walk(metric, node, np.asarray(q, dtype=float), stats).tobytes())
+            for k, (q, moved, seeded) in enumerate(queries):
+                q = np.asarray(q, dtype=float)
+                # A random seed set, measured the way a non-leaf walk
+                # measures its chosen segment, plus a stale sample that is
+                # no longer a clustroid and must match nothing.
+                samples = [e.clustroid for e, s in zip(node.entries, seeded) if s]
+                samples.append(np.asarray(moved, dtype=float))
+                values = EuclideanDistance().one_to_many(q, samples)
+                segment = (samples, values) if seeded else None
+                outs.append(walk(metric, node, q, stats, segment).tobytes())
                 # A clustroid drifts between queries: its geometry row and
                 # its slot of the prepared batch go stale.
                 node.entries[k % len(clustroids)].clustroid = np.asarray(moved, dtype=float)
@@ -436,17 +477,138 @@ class TestVectorisedWalkExactness:
         cells = make_cell_dataset(dim=20, n_clusters=20, n_points=800, seed=3)
         model = BUBBLE(EuclideanDistance(), threshold=0.0, max_nodes=None, seed=0)
         model.fit(list(cells.points))
-        assert model.metric.n_calls == 71_661
+        assert model.metric.n_calls == 66_928
         stats = model.tree_.policy.pruning_stats.as_dict()
         assert stats == {
-            "bound_checks": 68_995,
+            "bound_checks": 37_712,
             "candidates_total": 19_525,
-            "candidates_evaluated": 10_151,
-            "candidates_pruned": 9_374,
-            "maintenance_evals": 116_666,
+            "candidates_evaluated": 10_814,
+            "candidates_pruned": 8_711,
+            "maintenance_evals": 116_101,
             "geometry_builds": 89,
             "queries": 2_212,
         }
+
+
+# ----------------------------------------------------------------------
+# The descent hands the non-leaf walk's distances to the leaf walk
+# ----------------------------------------------------------------------
+def _two_level_tree(metric, objects, sample_size):
+    """A height-2 BUBBLE tree over ``objects`` whose root samples were
+    redrawn after the last insert, so they are current clustroids."""
+    policy = BubblePolicy(
+        metric, representation_number=4, sample_size=sample_size, seed=0
+    )
+    tree = CFTree(policy, branching_factor=6, threshold=0.0, seed=0)
+    for obj in objects:
+        tree.insert(obj)
+    assert tree.height == 2
+    policy.refresh_node(tree.root)
+    for leaf in tree.leaves():
+        ensure_leaf_geometry(metric, leaf, policy.pruning_stats)
+    return tree, policy
+
+
+def _descend(tree, policy, q):
+    """The root walk for ``q``: the chosen leaf and the handed-on segment."""
+    leaf = tree.root.entries[int(np.argmin(policy.nonleaf_distances(tree.root, q)))].child
+    return leaf, policy._handoff
+
+
+class TestDescentHandoff:
+    #: Leaves of 3, 4, 5 and 6 clustroids: both leaf branches run.
+    POINTS = np.random.default_rng(5).uniform(0, 100, size=(18, 2))
+
+    def test_leaf_walk_pays_nothing_for_a_sampled_leaf(self, inner_euclidean):
+        # Every clustroid is a sample: each leaf walk after the root walk
+        # is free, in the pruned and in the small-leaf branch alike.
+        metric = inner_euclidean()
+        tree, policy = _two_level_tree(metric, list(self.POINTS), sample_size=100)
+        sizes = set()
+        for q in np.random.default_rng(6).uniform(0, 100, size=(20, 2)):
+            leaf, _ = _descend(tree, policy, q)
+            before = (metric.evals, metric.n_calls)
+            out = policy.leaf_distances(leaf, q)
+            assert (metric.evals, metric.n_calls) == before
+            fresh = EuclideanDistance().one_to_many(q, [f.clustroid for f in leaf.entries])
+            assert out.tobytes() == fresh.tobytes()
+            sizes.add(len(leaf.entries) >= 4)
+        assert sizes == {False, True}
+
+    def test_leaf_walk_measures_only_unseeded_clustroids(self, inner_euclidean):
+        metric = inner_euclidean()
+        tree, policy = _two_level_tree(metric, list(self.POINTS), sample_size=8)
+        stats = policy.pruning_stats
+        seeded_total = 0
+        for q in np.random.default_rng(7).uniform(0, 100, size=(20, 2)):
+            leaf, (obj, samples, values) = _descend(tree, policy, q)
+            assert obj is q
+            clustroids = [f.clustroid for f in leaf.entries]
+            seeded = sum(any(s is c for s in samples) for c in clustroids)
+            evaluated = stats.candidates_evaluated
+            before = (metric.evals, metric.n_calls)
+            policy.leaf_distances(leaf, q)
+            paid = metric.n_calls - before[1]
+            assert metric.evals - before[0] == paid
+            if len(clustroids) >= 4:
+                assert paid == stats.candidates_evaluated - evaluated - seeded
+            else:
+                assert paid == len(clustroids) - seeded
+            assert policy._handoff is None
+            seeded_total += seeded
+        assert seeded_total > 0
+
+    def test_handoff_is_for_the_routed_object_only(self, inner_euclidean):
+        metric = inner_euclidean()
+        tree, policy = _two_level_tree(metric, list(self.POINTS), sample_size=100)
+        q = np.array([50.0, 50.0])
+        leaf, _ = _descend(tree, policy, q)
+        other = q + 7.0
+        before = metric.n_calls
+        out = policy.leaf_distances(leaf, other)
+        assert metric.n_calls > before
+        assert policy._handoff is None
+        fresh = EuclideanDistance().one_to_many(other, [f.clustroid for f in leaf.entries])
+        measured = np.isfinite(out)
+        assert out[measured].tobytes() == fresh[measured].tobytes()
+
+    @pytest.mark.parametrize(
+        "metric_factory, make_objects",
+        [
+            (EuclideanDistance, lambda rng: list(rng.normal(size=(18, 5)) * 10.0)),
+            (
+                EditDistance,
+                lambda rng: ["".join(rng.choice(list("abcdef"), size=rng.integers(2, 10)))
+                             for _ in range(18)],
+            ),
+        ],
+        ids=["euclidean", "edit"],
+    )
+    def test_seeded_values_equal_fresh_one_row_measurements(
+        self, metric_factory, make_objects
+    ):
+        rng = np.random.default_rng(8)
+        metric = metric_factory()
+        objects = make_objects(rng)
+        tree, policy = _two_level_tree(metric, objects, sample_size=100)
+        for q in make_objects(rng)[:10]:
+            leaf, (_, samples, values) = _descend(tree, policy, q)
+            geom = leaf.aux
+            for sample, value in zip(samples, values):
+                fresh = metric.one_to_many(q, metric.prepare([sample]))
+                assert value.tobytes() == fresh[0].tobytes()
+                i = next(i for i, c in enumerate(geom.clustroids) if c is sample)
+                row = metric.one_to_many(q, geom.batch[i : i + 1])
+                assert value.tobytes() == row[0].tobytes()
+            policy.leaf_distances(leaf, q)
+
+    def test_policy_pickles_without_handoff(self):
+        import pickle
+
+        tree, policy = _two_level_tree(EuclideanDistance(), list(self.POINTS), 100)
+        _descend(tree, policy, np.array([1.0, 2.0]))
+        assert policy._handoff is not None
+        assert pickle.loads(pickle.dumps(policy))._handoff is None
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +723,7 @@ class TestMirroredTies:
                 signs = rng.choice([-1.0, 1.0], size=dim)
                 segments.append([q + signs * v[perm] for v in base])
             cache = sample_cache(metric, segments)
-            out = pruned_segment_distances(
+            out, _ = pruned_segment_distances(
                 metric, cache, len(segments), q, PruningStats()
             )
             sq = metric.one_to_many(q, cache.flat) ** 2
