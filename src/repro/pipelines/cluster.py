@@ -75,8 +75,9 @@ def _weighted_medoid(
     """The member minimizing the weighted sum of squared distances."""
     best_obj, best_cost = None, np.inf
     w = np.asarray(weights, dtype=np.float64)
+    batch = metric.prepare(objects)
     for obj in objects:
-        dists = metric.one_to_many(obj, objects)
+        dists = metric.one_to_many(obj, batch)
         cost = float(np.dot(w, dists**2))
         if cost < best_cost:
             best_obj, best_cost = obj, cost

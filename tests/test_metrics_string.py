@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import InnerCounting
+from repro.core.preclusterer import BUBBLE
+from repro.core.routing import _take
+from repro.datasets import make_authority_dataset
 from repro.exceptions import MetricError, ParameterError
 from repro.metrics import (
     DamerauLevenshteinDistance,
@@ -15,7 +19,14 @@ from repro.metrics import (
     WeightedEditDistance,
     edit_distance,
 )
-from repro.metrics.string import damerau_levenshtein, levenshtein, levenshtein_block
+from repro.metrics.string import (
+    _PACKED_MIN,
+    StringBatch,
+    _Lanes,
+    damerau_levenshtein,
+    levenshtein,
+    levenshtein_block,
+)
 from repro.robustness import GuardedMetric
 
 
@@ -173,8 +184,8 @@ class TestLevenshteinBlock:
         assert list(levenshtein_block("abc", ["", ""])) == [3.0, 3.0]
 
     def test_unicode_and_padding_mix(self):
-        targets = ["", "á", "ábç∂", "😀x", "a" * 40, "ábç∂éf"]
-        for query in ["ábç", "😀", "aaaa"]:
+        targets = ["", "á", "ábç∂", "😀x", "a" * 40, "ábç∂éf", "", "日本語テキスト"]
+        for query in ["ábç", "😀", "aaaa", "", "日本"]:
             got = levenshtein_block(query, targets)
             assert list(got) == [edit_distance(query, t) for t in targets]
 
@@ -292,3 +303,165 @@ class TestBitParallelKernelProperties:
         guard = GuardedMetric(EditDistance())
         assert guard.pairwise(objs).tolist() == EditDistance().pairwise(objs).tolist()
         assert guard.n_calls == n * (n - 1) // 2
+
+
+#: Lengths on both sides of every lane-width step: 32-bit lanes hold up to
+#: 31 characters, 64-bit ones up to 63, then 128 and 192 bits.
+_LANE_EDGES = [0, 1, 31, 32, 33, 63, 64, 65, 130]
+
+
+def _word(rng, n, alphabet="abcá😀 "):
+    return "".join(rng.choice(alphabet) for _ in range(n))
+
+
+class TestPackedKernel:
+    """Gathers of ``_PACKED_MIN`` or more targets run one lane-packed pass;
+    the scalar :func:`edit_distance` DP is the oracle for every hook."""
+
+    def test_lane_edges_match_scalar_dp(self):
+        rng = random.Random(11)
+        targets = [_word(rng, n) for n in _LANE_EDGES] + ["", "ab"]
+        for query in ["", "a", "ábç😀", _word(rng, 31), _word(rng, 64), _word(rng, 130)]:
+            got = levenshtein_block(query, targets)
+            assert got.tolist() == [edit_distance(query, t) for t in targets]
+
+    @pytest.mark.parametrize("width", [32, 64, 128])
+    def test_full_lanes_keep_their_one_spare_bit(self, width):
+        # Targets of ``width - 1`` characters leave one spare bit per lane,
+        # so a carry out of the lane below lands right under the next
+        # target: row 0 must still enter there.
+        rng = random.Random(width)
+        targets = [_word(rng, width - 1, "ab") for _ in range(5)]
+        targets[2] = "a" * (width - 1)
+        for query in ["a", "b" * 3, "a" * width, _word(rng, width + 7, "ab")]:
+            got = levenshtein_block(query, targets)
+            assert got.tolist() == [edit_distance(query, t) for t in targets]
+
+    def test_lane_widths(self):
+        for longest, width in [(0, 32), (31, 32), (32, 64), (63, 64), (64, 128), (130, 192)]:
+            assert _Lanes(["a", "b" * longest]).width == width
+
+    @given(query=texts, targets=st.lists(texts, min_size=_PACKED_MIN, max_size=12))
+    @settings(max_examples=75, deadline=None)
+    def test_packed_rows_match_scalar_dp(self, query, targets):
+        expected = [edit_distance(query, t) for t in targets]
+        metric = EditDistance()
+        batch = metric.prepare(targets)
+        assert isinstance(batch, StringBatch)
+        assert levenshtein_block(query, targets).tolist() == expected
+        assert metric.one_to_many(query, batch).tolist() == expected
+        # Slices read ranges of the batch's lanes, packed once.
+        assert metric.one_to_many(query, batch[1:]).tolist() == expected[1:]
+        assert metric.one_to_many(query, batch[1:][1:-1]).tolist() == expected[2:-1]
+        assert metric.one_to_many(query, batch[2:3]).tolist() == expected[2:3]
+        picks = list(range(len(targets) - 1, -1, -2))
+        taken = _take(batch, picks)
+        assert metric.one_to_many(query, taken).tolist() == [expected[j] for j in picks]
+
+    @given(
+        objs=st.lists(texts, min_size=1, max_size=9),
+        others=st.lists(texts, min_size=1, max_size=9),
+        bound=st.sampled_from([None, 1.0, 7.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_hook_matches_scalar_dp(self, objs, others, bound):
+        def ref(a, b):
+            d = edit_distance(a, b)
+            return d if bound is None else min(d, bound)
+
+        metric = EditDistance(upper_bound=bound)
+        for a_side, b_side in [(objs, others), (others, objs)]:
+            expected = [[ref(a, b) for b in b_side] for a in a_side]
+            assert metric.cross(a_side, b_side).tolist() == expected
+            assert metric.cross(metric.prepare(a_side), metric.prepare(b_side)).tolist() == expected
+        matrix = [[ref(a, b) for b in objs] for a in objs]
+        assert metric.pairwise(objs).tolist() == matrix
+        assert metric.pairwise(metric.prepare(objs)).tolist() == matrix
+        assert metric.one_to_many(others[0], objs).tolist() == [ref(others[0], b) for b in objs]
+
+    def test_relative_gathers_equal_scalar_quotients(self):
+        rng = random.Random(9)
+        metric = RelativeEditDistance()
+        words = [_word(rng, rng.randrange(0, 40), "abcd ") for _ in range(30)] + ["", ""]
+        for query in ["", "abcd", words[3], words[7]]:
+            for targets in (words, words[:3], metric.prepare(words)[5:20]):
+                row = metric.one_to_many(query, targets)
+                scalar = np.array([metric._distance(query, t) for t in targets])
+                assert row.tobytes() == scalar.tobytes()
+
+    def test_relative_gather_builds_the_query_masks_once(self, monkeypatch):
+        import repro.metrics.string as string_module
+
+        built = []
+        real = string_module._match_masks
+        monkeypatch.setattr(
+            string_module, "_match_masks", lambda q: built.append(q) or real(q)
+        )
+        RelativeEditDistance().one_to_many("abc", ["abd", "xbc", "abcd"])
+        assert built == ["abc"]
+
+    def test_batch_indexes_like_a_list(self):
+        words = ["a", "bb", "ccc", "dddd", "eeeee", "f", "gg", "hhh"]
+        batch = EditDistance().prepare(words)
+        assert len(batch) == 8 and list(batch) == words
+        view = batch[1:7]
+        assert isinstance(view, StringBatch) and list(view) == words[1:7]
+        assert view[0] == "bb" and view[-1] == "gg" and list(view[1:-1]) == words[2:6]
+        with pytest.raises(IndexError):
+            view[6]
+        # A view reads its range of the lanes its root packs, once.
+        lanes, start = view[1:].lanes()
+        assert start == 2 and batch.lanes() == (lanes, 0)
+        # Slices too short for a packed pass, or strided, are plain lists.
+        assert view[2:4] == words[3:5] and view[4:2] == []
+        assert batch[::3] == words[::3]
+        assert EditDistance().prepare([]) == []
+
+
+class TestPackedAccounting:
+    """The packed pass changes what a hook costs, never what it counts."""
+
+    def test_oracle_totals_for_center_gathers_and_pairwise(self, inner_edit_distance):
+        rng = random.Random(2)
+        words = [_word(rng, rng.randrange(1, 25), "abcde") for _ in range(12)]
+        metric = inner_edit_distance()
+        batch = metric.prepare(words)
+        metric.cross(words, batch[3:4])
+        metric.cross(batch[:2], batch[5:6])
+        assert (InnerCounting.evals, InnerCounting.dispatches) == (14, 2)
+        metric.pairwise(words)
+        assert (InnerCounting.evals, InnerCounting.dispatches) == (14 + 66, 3)
+        assert metric.n_calls == InnerCounting.evals
+
+    def test_batch_pickles_to_its_own_strings(self):
+        import pickle
+
+        metric = EditDistance()
+        words = ["alpha-one", "beta-two", "gamma-three", "delta-four", "eps-five", "zeta-six"]
+        batch = metric.prepare(words)
+        row = metric.one_to_many("alphabet", batch[1:5])  # packs the lanes
+        blob = pickle.dumps(batch[1:5])
+        for absent in (b"alpha-one", b"zeta-six", b"StringBatch", b"_Lanes"):
+            assert absent not in blob
+        clone = pickle.loads(blob)
+        assert clone == words[1:5]
+        assert metric.one_to_many("alphabet", clone).tobytes() == row.tobytes()
+
+    def test_checkpoint_resume_stays_bit_identical(self, tmp_path):
+        records = make_authority_dataset(n_classes=6, n_strings=150, seed=4).strings
+        path = tmp_path / "scan.ckpt"
+        ref = BUBBLE(EditDistance(), max_nodes=8, seed=2).fit(records)
+        interrupted = BUBBLE(EditDistance(), max_nodes=8, seed=2)
+        interrupted.fit(records[:90], checkpoint_path=path, checkpoint_every=45)
+        # The saved tree held prepared batches; the file holds plain lists.
+        assert any(
+            isinstance(getattr(leaf.aux, "batch", None), StringBatch)
+            for leaf in interrupted.tree_.leaves()
+        )
+        assert b"StringBatch" not in path.read_bytes()
+        resumed = BUBBLE(EditDistance(), max_nodes=8, seed=2).fit(records, resume_from=path)
+
+        def leaves(model):
+            return [(f.n, f.radius, f.clustroid) for f in model.tree_.leaf_features()]
+
+        assert leaves(resumed) == leaves(ref)
