@@ -6,8 +6,9 @@ each, then writes ``BENCH_birchstar.json`` — one record per experiment with
 
 * ``ncd_total`` and ``ncd_by_site`` — where the distance calls went
   (disjoint attribution; the sites sum to the total);
-* ``spans`` — inclusive per-phase wall time and NCD;
-* ``wall_seconds`` — harness-measured wall time of the whole experiment;
+* ``spans`` — inclusive per-site count and NCD;
+* ``wall_seconds`` — harness-measured wall time of the whole experiment
+  (the document records ``cpu_count`` and ``usable_cpus`` beside it);
 * ``quality`` — the experiment's own result table (columns + rows), i.e.
   the numbers the paper reports.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -61,8 +63,8 @@ def _run_one(name: str, runner: Callable[..., Any], scale: str) -> dict[str, Any
     tracer = Tracer()
     start = time.perf_counter()
     # The activation makes every metric the experiment creates internally
-    # charge this tracer's ledger; the tracer= argument additionally threads
-    # phase spans through the drivers.
+    # charge this tracer, so every site the library opens is booked and
+    # timed here; the tracer= argument only lets the drivers re-activate it.
     with tracer:
         result = runner(scale=scale, tracer=tracer)
     wall = time.perf_counter() - start
@@ -120,6 +122,10 @@ def run_harness(
     doc = {
         "format": "repro-bench-v1",
         "scale": scale,
+        "cpu_count": os.cpu_count(),
+        "usable_cpus": len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
         "experiments": records,
     }
     output = Path(output)

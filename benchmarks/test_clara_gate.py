@@ -28,6 +28,7 @@ from benchmarks.workloads import TREE_PARAMS, cell_workloads
 from repro.core.preclusterer import BUBBLE
 from repro.evaluation.metrics import distortion
 from repro.metrics import EuclideanDistance
+from repro.metrics.base import site
 from repro.observability import Tracer
 from repro.pipelines.labeling import nearest_assignment
 
@@ -68,7 +69,7 @@ def _leg(workload, ds, method):
         search = model.global_phase(
             workload.n_clusters, method=method, global_samples=CLARA_SAMPLES, seed=0
         )
-        with tracer.span("redistribute"):
+        with site("redistribute"):
             labels = nearest_assignment(metric, objects, search.medoids_)
     tracer.close()
     summary = tracer.summary()

@@ -14,11 +14,11 @@ from the root seed via ``SeedSequence.spawn``, and candidates are scored
 in sample order with a strict ``<`` best — so the fitted medoids are a
 pure function of ``(objects, weights, seed, n_samples, sample_size)``.
 
-Accounting: each sample search runs under a ``global-sample`` span with
-the ``global-sample`` site open, and candidates are scored with batched
-``cross()`` gathers under a ``global-assign`` span — so
-``sum(by_site) == n_calls`` keeps holding through the sampled global
-phase. A sample's ``n_calls`` is the metric's NCD delta across its search.
+Accounting: each sample search runs under a ``global-sample`` site, and
+candidates are scored with batched ``cross()`` gathers under a
+``global-assign`` site — so ``sum(by_site) == n_calls`` keeps holding
+through the sampled global phase on whatever ledger is active. A sample's
+``n_calls`` is the metric's NCD delta across its search.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ import numpy as np
 from repro.clarans.clarans import CLARANS
 from repro.exceptions import EmptyDatasetError, NotFittedError, ParameterError
 from repro.metrics.base import DistanceFunction, site
-from repro.observability.tracer import NULL_TRACER, NullTracer
 
 __all__ = ["CLARA"]
 
-#: Site/span label for the per-sample medoid searches.
+#: Site label for the per-sample medoid searches.
 SAMPLE_SITE = "global-sample"
-#: Span label for the full-dataset candidate scoring.
+#: Site label for the full-dataset candidate scoring.
 ASSIGN_SITE = "global-assign"
 
 
@@ -63,10 +62,6 @@ class CLARA:
         Root seed. Must be an int or ``None`` — per-sample draw and search
         seeds are spawned from it, so a ``Generator`` (whose state the
         spawn cannot reproduce) is rejected.
-    tracer:
-        Observability tracer; each sample search runs under a
-        ``global-sample`` span, full-dataset scoring under
-        ``global-assign``.
 
     Attributes
     ----------
@@ -96,7 +91,6 @@ class CLARA:
         num_local: int = 2,
         max_neighbors: int | None = None,
         seed: int | None = None,
-        tracer: NullTracer = NULL_TRACER,
     ) -> None:
         if n_clusters < 1:
             raise ParameterError(f"n_clusters must be >= 1, got {n_clusters}")
@@ -117,7 +111,6 @@ class CLARA:
         self.num_local = int(num_local)
         self.max_neighbors = max_neighbors
         self.seed = seed if seed is None else int(seed)
-        self.tracer = tracer
         self.medoids_: list[Any] | None = None
         self.medoid_indices_: list[int] | None = None
         self.labels_: np.ndarray | None = None
@@ -182,58 +175,54 @@ class CLARA:
         size = self.sample_size if self.sample_size is not None else 40 + 2 * k
         size = min(n, max(k, size))
         seeds = self._sample_seeds()
-        tracer = self.tracer
         metric = self.metric
 
-        with tracer.activation():
-            candidates: list[list[int]] = []
-            summaries: list[dict[str, Any]] = []
-            for sample_id, (draw_seed, search_seed) in enumerate(seeds):
-                indices = self._draw_indices(n, size, w, draw_seed)
-                search = CLARANS(
-                    k,
-                    metric,
-                    num_local=self.num_local,
-                    max_neighbors=self.max_neighbors,
-                    seed=search_seed,
-                )
-                start = time.perf_counter()
-                calls_before = metric.n_calls
-                # The span times the search on a tracer; the site books its
-                # calls on whatever ledger is active, tracer or not.
-                with tracer.span(SAMPLE_SITE), site(SAMPLE_SITE):
-                    search.fit([objs[int(i)] for i in indices])
-                assert search.medoid_indices_ is not None and search.cost_ is not None
-                candidates.append([int(indices[i]) for i in search.medoid_indices_])
-                summaries.append(
-                    {
-                        "sample_id": sample_id,
-                        "sample_size": len(indices),
-                        "n_calls": metric.n_calls - calls_before,
-                        "elapsed_seconds": time.perf_counter() - start,
-                        "sample_cost": float(search.cost_),
-                    }
-                )
+        candidates: list[list[int]] = []
+        summaries: list[dict[str, Any]] = []
+        for sample_id, (draw_seed, search_seed) in enumerate(seeds):
+            indices = self._draw_indices(n, size, w, draw_seed)
+            search = CLARANS(
+                k,
+                metric,
+                num_local=self.num_local,
+                max_neighbors=self.max_neighbors,
+                seed=search_seed,
+            )
+            start = time.perf_counter()
+            calls_before = metric.n_calls
+            with site(SAMPLE_SITE):
+                search.fit([objs[int(i)] for i in indices])
+            assert search.medoid_indices_ is not None and search.cost_ is not None
+            candidates.append([int(indices[i]) for i in search.medoid_indices_])
+            summaries.append(
+                {
+                    "sample_id": sample_id,
+                    "sample_size": len(indices),
+                    "n_calls": metric.n_calls - calls_before,
+                    "elapsed_seconds": time.perf_counter() - start,
+                    "sample_cost": float(search.cost_),
+                }
+            )
 
-            # Score every candidate on the full dataset in sample order;
-            # strict < makes ties resolve to the lowest sample id.
-            best_cost = np.inf
-            best_sample = -1
-            best_labels: np.ndarray | None = None
-            best_indices: list[int] | None = None
-            sample_costs: list[float] = []
-            with tracer.span(ASSIGN_SITE):
-                for sample_id, medoid_indices in enumerate(candidates):
-                    medoid_objs = [objs[i] for i in medoid_indices]
-                    dmat = metric.cross(medoid_objs, objs)
-                    cost = float((dmat.min(axis=0) * w).sum())
-                    sample_costs.append(cost)
-                    summaries[sample_id]["full_cost"] = cost
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_sample = sample_id
-                        best_labels = np.asarray(dmat.argmin(axis=0), dtype=np.intp)
-                        best_indices = medoid_indices
+        # Score every candidate on the full dataset in sample order;
+        # strict < makes ties resolve to the lowest sample id.
+        best_cost = np.inf
+        best_sample = -1
+        best_labels: np.ndarray | None = None
+        best_indices: list[int] | None = None
+        sample_costs: list[float] = []
+        with site(ASSIGN_SITE):
+            for sample_id, medoid_indices in enumerate(candidates):
+                medoid_objs = [objs[i] for i in medoid_indices]
+                dmat = metric.cross(medoid_objs, objs)
+                cost = float((dmat.min(axis=0) * w).sum())
+                sample_costs.append(cost)
+                summaries[sample_id]["full_cost"] = cost
+                if cost < best_cost:
+                    best_cost = cost
+                    best_sample = sample_id
+                    best_labels = np.asarray(dmat.argmin(axis=0), dtype=np.intp)
+                    best_indices = medoid_indices
 
         if best_labels is None or best_indices is None:  # pragma: no cover
             raise NotFittedError("CLARA produced no candidate medoid set")

@@ -245,7 +245,7 @@ class BubblePolicy(BirchStarPolicy):
 
     def refresh_node(self, node: NonLeafNode) -> None:
         """Redraw sample objects for every entry of ``node`` (Section 4.2.2)."""
-        with self.tracer.span("sample-refresh"):
+        with site("sample-refresh"):
             entry_sizes = [len(entry.child.entries) for entry in node.entries]
             total = sum(entry_sizes)
             flat: list = []

@@ -112,7 +112,7 @@ class BubbleFMPolicy(BubblePolicy):
         mapper = FastMap(
             self.metric, self.image_dim, iterations=self.fm_iterations, seed=self._rng
         )
-        with self.tracer.span("fastmap-refit"), site("fastmap-refit"):
+        with site("fastmap-refit"):
             images = mapper.fit(flat)
         self.n_fastmap_fits += 1
         centroids = np.empty((len(node.entries), self.image_dim), dtype=np.float64)

@@ -29,7 +29,7 @@ from repro.core.nodes import LeafNode, NonLeafEntry, NonLeafNode
 from repro.core.policy import BirchStarPolicy
 from repro.core.threshold import suggest_next_threshold
 from repro.exceptions import ParameterError, TreeInvariantError
-from repro.observability import NULL_TRACER, NullTracer
+from repro.metrics.base import site
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_integer, check_positive
 
@@ -55,10 +55,6 @@ class CFTree:
         its own cluster until the first rebuild, as in BIRCH.
     seed:
         Seed/generator for the threshold heuristic's leaf sampling.
-    tracer:
-        A :class:`repro.observability.Tracer` recording phase spans
-        (``insert``, ``split``, ``rebuild``) and NCD attribution. Defaults
-        to the no-op :data:`~repro.observability.NULL_TRACER`.
     validate:
         ``None`` (default) for no runtime checking; ``"debug"`` runs the
         full invariant sanitizer (:func:`repro.analysis.audit.audit_tree`)
@@ -82,7 +78,6 @@ class CFTree:
         threshold: float = 0.0,
         outlier_fraction: float | None = None,
         seed: int | np.random.Generator | None = None,
-        tracer: NullTracer = NULL_TRACER,
         validate: str | None = None,
     ):
         if not isinstance(policy, BirchStarPolicy):
@@ -111,7 +106,6 @@ class CFTree:
         if validate not in (None, "debug"):
             raise ParameterError(f'validate must be None or "debug", got {validate!r}')
         self.validate = validate
-        self.tracer = tracer
         self._rng = ensure_rng(seed)
         self.root: LeafNode | NonLeafNode = LeafNode()
         self.n_nodes = 1
@@ -124,7 +118,7 @@ class CFTree:
     # ------------------------------------------------------------------
     def insert(self, obj: Any) -> None:
         """Type I insertion of a single object; may trigger a rebuild."""
-        with self.tracer.span("insert"):
+        with site("insert"):
             self._insert_top(None, obj)
             self.n_objects += 1
             self._enforce_budget()
@@ -250,7 +244,7 @@ class CFTree:
         return group_a, group_b
 
     def _split_leaf(self, node: LeafNode) -> tuple[LeafNode, LeafNode]:
-        with self.tracer.span("split"):
+        with site("split"):
             dm = self.policy.leaf_entry_matrix(node.entries)
         group_a, group_b = self._partition_by_seeds(dm)
         left = LeafNode([node.entries[i] for i in group_a])
@@ -261,7 +255,7 @@ class CFTree:
         return left, right
 
     def _split_nonleaf(self, node: NonLeafNode) -> tuple[NonLeafNode, NonLeafNode]:
-        with self.tracer.span("split"):
+        with site("split"):
             dm = self.policy.nonleaf_entry_distances(node)
         group_a, group_b = self._partition_by_seeds(dm)
         left = NonLeafNode([node.entries[i] for i in group_a])
@@ -292,7 +286,7 @@ class CFTree:
                 f"rebuild threshold must exceed the current one "
                 f"({new_threshold} <= {self.threshold})"
             )
-        with self.tracer.span("rebuild"):
+        with site("rebuild"):
             self._rebuild(new_threshold)
         if self.validate is not None:
             self._audit()

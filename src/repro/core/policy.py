@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.features import ClusterFeature
 from repro.core.nodes import LeafNode, NonLeafNode
 from repro.metrics.base import DistanceFunction
-from repro.observability import NULL_TRACER, NullTracer
 
 __all__ = ["BirchStarPolicy"]
 
@@ -40,11 +39,6 @@ class BirchStarPolicy(ABC):
 
     #: The distance function of the space (used for NCD accounting).
     metric: DistanceFunction
-
-    #: Phase tracer for span-level instrumentation (``sample-refresh``,
-    #: ``fastmap-refit``). The drivers point this at their own tracer; the
-    #: default no-op singleton keeps un-traced runs free.
-    tracer: NullTracer = NULL_TRACER
 
     # ------------------------------------------------------------------
     # Leaf level

@@ -39,7 +39,7 @@ from repro.exceptions import (
     QuarantineOverflowError,
     TreeInvariantError,
 )
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, site
 from repro.observability import NULL_TRACER, NullTracer
 from repro.robustness.report import IngestReport
 from repro.robustness.quarantine import Quarantine
@@ -70,10 +70,11 @@ class PreClusterer:
     seed:
         Seed or generator for all stochastic choices (sampling, pivots).
     tracer:
-        A :class:`repro.observability.Tracer` recording phase spans and
-        per-site NCD attribution for every scan this model runs. The
-        default no-op :data:`~repro.observability.NULL_TRACER` adds no
-        overhead (and no extra distance calls).
+        A :class:`repro.observability.Tracer` this model activates around
+        every scan, global phase and second scan it runs, so the ledger
+        sites inside them are timed and their NCD attributed. The default
+        no-op :data:`~repro.observability.NULL_TRACER` activates nothing
+        (and adds no distance calls).
     **options:
         The build knobs, one keyword per field of :attr:`config_type`
         (:class:`~repro.core.config.BuildConfig` here); they become the
@@ -120,17 +121,14 @@ class PreClusterer:
 
     def _new_tree(self) -> CFTree:
         """An empty CF*-tree over a fresh policy, built from :attr:`config`."""
-        policy = self._make_policy()
-        policy.tracer = self.tracer
         config = self.config
         return CFTree(
-            policy,
+            self._make_policy(),
             branching_factor=config.branching_factor,
             max_nodes=config.max_nodes,
             threshold=config.threshold,
             outlier_fraction=config.outlier_fraction,
             seed=self._rng,
-            tracer=self.tracer,
             validate=config.validate,
         )
 
@@ -258,11 +256,6 @@ class PreClusterer:
         start = time.perf_counter()
         if self.tree_ is None:
             self.tree_ = self._new_tree()
-        elif self.tree_.tracer is not self.tracer:
-            # A tree restored from a checkpoint carries the no-op tracer;
-            # re-attach this model's so the resumed scan is traced too.
-            self.tree_.tracer = self.tracer
-            self.tree_.policy.tracer = self.tracer
         if max_quarantine is not None and self.quarantine_.max_size is None:
             self.quarantine_.max_size = max_quarantine
         tree = self.tree_
@@ -448,7 +441,7 @@ class PreClusterer:
                 max_neighbors=max_neighbors,
                 seed=seed,
             )
-            with self.tracer.activation(), self.tracer.span("global-phase"):
+            with self.tracer.activation(), site("global-phase"):
                 search.fit(clustroids)
             self.global_phase_samples_ = []
         else:
@@ -462,9 +455,9 @@ class PreClusterer:
                 num_local=num_local,
                 max_neighbors=max_neighbors,
                 seed=seed,
-                tracer=self.tracer,
             )
-            search.fit(clustroids, weights=weights)
+            with self.tracer.activation():
+                search.fit(clustroids, weights=weights)
             self.global_phase_samples_ = list(search.sample_summaries_)
             report = self.ingest_report_
             report.global_samples = len(search.sample_summaries_)
@@ -576,7 +569,7 @@ class PreClusterer:
             exact like ``"linear"``, sublinear per object like ``"tree"``.
         """
         tree = self._require_tree()
-        with self.tracer.activation(), self.tracer.span("redistribute"):
+        with self.tracer.activation(), site("redistribute"):
             if via == "linear":
                 clustroids = self.clustroids_
                 labels = [

@@ -153,6 +153,11 @@ def make_cell_dataset(
         raise ParameterError(f"n_clusters must be >= 1, got {n_clusters}")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
+    if n_clusters > 2**dim:
+        raise ParameterError(
+            f"n_clusters={n_clusters} exceeds the 2**dim={2**dim} cells of a "
+            f"{dim}-dimensional box"
+        )
     lo, hi = radius_range
     if not 0 < lo <= hi:
         raise ParameterError(f"invalid radius_range {radius_range}")

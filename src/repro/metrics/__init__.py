@@ -10,7 +10,6 @@ letting vector metrics vectorize the arithmetic with numpy.
 
 from repro.metrics.base import DistanceFunction, FunctionDistance
 from repro.metrics.cache import CachedDistance
-from repro.metrics.discrete import DiscreteMetric, HammingDistance, JaccardDistance
 from repro.metrics.string import (
     DamerauLevenshteinDistance,
     EditDistance,
@@ -42,7 +41,4 @@ __all__ = [
     "DamerauLevenshteinDistance",
     "RelativeEditDistance",
     "edit_distance",
-    "HammingDistance",
-    "JaccardDistance",
-    "DiscreteMetric",
 ]

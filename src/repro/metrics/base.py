@@ -11,10 +11,11 @@ ledger** behind :mod:`repro.observability`: while a :class:`CallLedger` is
 active, every counted call is additionally charged to the innermost *site*
 label on the ledger's stack (``leaf-d0`` leaf routing, ``nonleaf-d2`` sample
 routing, ``fastmap-map`` incremental mapping, ...; see
-``docs/observability.md`` for the taxonomy). Library code opens a site only
-as ``with site(label):``, which closes it on every path out of the block,
-raises included, so no path can leave a stale label on the stack.
-Counting and charging share one
+``docs/observability.md`` for the taxonomy). Library code opens a site,
+phases included, only as ``with site(label):``, which closes it on every
+path out of the block, raises included, so no path can leave a stale label
+on the stack. A :class:`~repro.observability.Tracer` is a ledger that also
+times each site it opens. Counting and charging share one
 code path (:meth:`DistanceFunction._count`), so the attributed totals sum
 *exactly* to ``n_calls`` — the conservation law the regression tests pin.
 With no ledger active the cost is a single ``None`` check per counted batch.
@@ -39,17 +40,18 @@ __all__ = [
     "site",
 ]
 
-#: Site label for calls counted while a ledger is active but no span or
-#: site is open (e.g. user code measuring distances between phases).
+#: Site label for calls counted while a ledger is active but no site is
+#: open (e.g. user code measuring distances between phases).
 UNATTRIBUTED_SITE = "unattributed"
 
 
 class CallLedger:
     """Site-attributed NCD accounting: who spent the distance calls.
 
-    A ledger keeps a stack of *site* labels and a ``by_site`` histogram;
-    :meth:`charge` books ``n`` calls against the innermost open site (or
-    :data:`UNATTRIBUTED_SITE` when the stack is empty). At most one ledger
+    A ledger keeps a stack of *site* labels, opened and closed by
+    :class:`site` through :meth:`enter` and :meth:`exit`, and a ``by_site``
+    histogram; :meth:`charge` books ``n`` calls against the innermost open
+    site (or :data:`UNATTRIBUTED_SITE` when the stack is empty). At most one ledger
     is active at a time (see :func:`activate_ledger`); while active, every
     :class:`DistanceFunction` in the process charges it from the same
     statement that increments its own ``n_calls`` counter, so
@@ -70,9 +72,19 @@ class CallLedger:
         #: Total calls charged (== sum of ``by_site`` values).
         self.total = 0
 
-    def charge(self, n: int) -> None:
-        """Book ``n`` distance calls against the innermost open site."""
-        site = self.stack[-1] if self.stack else UNATTRIBUTED_SITE
+    def enter(self, label: str) -> None:
+        """Open site ``label``; calls are charged to it until :meth:`exit`."""
+        self.stack.append(label)
+
+    def exit(self) -> None:
+        """Close the innermost open site."""
+        self.stack.pop()
+
+    def charge(self, n: int, site: str | None = None) -> None:
+        """Book ``n`` distance calls against ``site``, by default the
+        innermost open one."""
+        if site is None:
+            site = self.stack[-1] if self.stack else UNATTRIBUTED_SITE
         by_site = self.by_site
         by_site[site] = by_site.get(site, 0) + n
         self.total += n
@@ -121,18 +133,13 @@ class site:
     def __enter__(self) -> None:
         ledger = self._ledger = _ACTIVE_LEDGER
         if ledger is not None:
-            ledger.stack.append(self.label)
+            ledger.enter(self.label)
 
     def __exit__(self, *exc_info: object) -> None:
         ledger = self._ledger
         if ledger is not None:
             self._ledger = None
-            ledger.stack.pop()
-
-
-#: :meth:`DistanceFunction.count_external`'s ``site`` parameter shadows
-#: the class inside that method.
-_site = site
+            ledger.exit()
 
 
 class DistanceFunction(ABC):
@@ -169,9 +176,10 @@ class DistanceFunction(ABC):
         """Reset the NCD counter to zero (e.g. between experiment phases)."""
         self._n_calls = 0
 
-    def _count(self, n: int) -> None:
+    def _count(self, n: int, site: str | None = None) -> None:
         """Book ``n`` true evaluations: the NCD counter plus, when a
-        :class:`CallLedger` is active, site attribution.
+        :class:`CallLedger` is active, site attribution (to ``site``, by
+        default the innermost open one).
 
         Every counted path — here and in wrappers that own their counting,
         like :class:`~repro.robustness.GuardedMetric` — must go through
@@ -181,7 +189,7 @@ class DistanceFunction(ABC):
         self._n_calls += n
         ledger = _ACTIVE_LEDGER
         if ledger is not None:
-            ledger.charge(n)
+            ledger.charge(n, site)
 
     def count_external(self, n: int, site: str | None = None) -> None:
         """Book ``n`` evaluations performed *outside* this process or object.
@@ -192,20 +200,16 @@ class DistanceFunction(ABC):
         single metric keeps the authoritative NCD total and, via
         :meth:`_count`, the active :class:`CallLedger` keeps partitioning
         ``n_calls`` exactly. ``site`` attributes the absorbed calls to the
-        worker's original site label (``leaf-d0``, ``nonleaf-d2``, ...);
-        ``None`` books them against the innermost open site.
+        worker's original site label (``leaf-d0``, ``nonleaf-d2``, ...)
+        without opening it, so no phase is timed; ``None`` books them
+        against the innermost open site.
 
         No distance values flow through this method — only accounting.
         """
         if n < 0:
             raise ValueError(f"cannot absorb a negative call count ({n})")
-        if n == 0:
-            return
-        if site is None:
-            self._count(n)
-            return
-        with _site(site):
-            self._count(n)
+        if n:
+            self._count(n, site)
 
     # ------------------------------------------------------------------
     # Public measuring API (counted)

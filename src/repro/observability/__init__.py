@@ -2,17 +2,16 @@
 
 The paper evaluates everything in NCD — the number of calls to the
 distance function — so this package makes NCD *legible*: a
-:class:`Tracer` records nestable phase spans (wall time + NCD deltas)
-and charges every counted distance call to the innermost open site via
-the :class:`~repro.metrics.base.CallLedger` living in
-:mod:`repro.metrics.base`; sinks stream the span events as JSON lines or
-render an end-of-run table; :class:`StatsSnapshot` packages tree shape,
-cache behaviour, and the attribution histogram into one record.
+:class:`Tracer` is a :class:`~repro.metrics.base.CallLedger` (from
+:mod:`repro.metrics.base`) that charges every counted distance call to the
+innermost open site and also times each site (wall time + NCD deltas);
+sinks stream the site events as JSON lines or render an end-of-run table;
+:class:`StatsSnapshot` packages tree shape, cache behaviour, and the
+attribution histogram into one record.
 
-Tracing is opt-in: every tree, policy, and driver defaults to the
-:data:`NULL_TRACER` singleton, whose spans are one shared no-op context
-manager — the disabled path allocates nothing and performs no extra
-distance calls (the overhead regression test pins this).
+Tracing is opt-in: every driver defaults to the :data:`NULL_TRACER`
+singleton, which activates no ledger, so the disabled path performs no
+extra distance calls (the overhead regression test pins this).
 
 See ``docs/observability.md`` for the site taxonomy and trace schema.
 """

@@ -1,6 +1,7 @@
 """Trace sinks: where :class:`~repro.observability.Tracer` events go.
 
-Events are flat dicts (see ``docs/observability.md`` for the schema):
+Events are flat dicts, an enter/exit pair per ledger site the tracer
+opens (see ``docs/observability.md`` for the schema):
 
 * ``{"ev": "enter", "span": ..., "seq": ..., "depth": ..., "t": ..., "ncd": ...}``
 * ``{"ev": "exit", ...same..., "dt": ..., "dncd": ...}``
@@ -83,7 +84,7 @@ def format_summary(summary: dict[str, Any]) -> str:
     spans = summary.get("spans") or {}
     if spans:
         width = max(len(name) for name in spans)
-        lines.append("spans (inclusive; nested spans double-count):")
+        lines.append("time by site (inclusive; nested sites double-count):")
         for name, agg in sorted(spans.items(), key=lambda kv: -kv[1]["seconds"]):
             lines.append(
                 f"  {name:<{width}}  x{int(agg['count']):<8} "

@@ -1,36 +1,35 @@
-"""Phase tracing: nestable spans with wall-time and per-span NCD deltas.
+"""Phase tracing: every ledger site timed, with per-site NCD deltas.
 
 The paper's cost model is NCD — the number of calls to the (expensive)
 distance function — so the first question about any run is *where the calls
 went*: leaf ``D0`` threshold tests, non-leaf ``D2`` sample routing,
-FastMap's ``2k`` incremental mapping, rebuilds. A :class:`Tracer` answers it
-two ways at once:
+FastMap's ``2k`` incremental mapping, rebuilds. Library code names every
+phase the same way, ``with site(label):`` (:class:`~repro.metrics.base.site`),
+on whatever :class:`~repro.metrics.base.CallLedger` is active. A
+:class:`Tracer` is such a ledger, so it answers two questions about one
+set of labels:
 
-* **spans** — nestable phases (``insert``, ``split``, ``rebuild``,
-  ``sample-refresh``, ``fastmap-refit``, ``redistribute``, ...) recording
-  wall time and the NCD delta between enter and exit. Spans nest, so their
-  aggregates are *inclusive* (a rebuild triggered inside an insert is
-  counted in both);
-* **sites** — the disjoint attribution of every counted call to the
-  innermost open span/site on the shared
-  :class:`~repro.metrics.base.CallLedger` stack. Site totals partition NCD
-  exactly: their sum equals the global counter of
-  :class:`~repro.metrics.base.DistanceFunction`.
+* **calls by site** — every counted call is booked once, against the
+  innermost open site. Site totals partition NCD exactly: their sum equals
+  the global counter of :class:`~repro.metrics.base.DistanceFunction`;
+* **span aggregates** — each time a site closes, the tracer adds its wall
+  time and its NCD delta to that label's ``{count, seconds, ncd}``. Sites
+  nest, so these totals are *inclusive* (a rebuild triggered inside an
+  insert is counted in both).
 
-Entering a span pushes its name as a site, so un-instrumented calls inside
-a phase are charged to the phase itself; instrumented call sites (the
-policies push ``leaf-d0``, ``nonleaf-d2``, ``fastmap-map``, ...) win by
-being innermost.
+Sinks receive one ``enter``/``exit`` event pair per site.
 
-The default tracer everywhere is the :data:`NULL_TRACER` singleton whose
-``span()`` returns one shared no-op context manager — the disabled hot
-insert loop allocates nothing and performs no extra distance calls.
+The default tracer of every driver is the :data:`NULL_TRACER` singleton:
+its activation is one shared no-op context manager, so with tracing off no
+ledger is active, each site costs one ``None`` check, and no extra
+distance call is made.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
+from contextlib import AbstractContextManager
 from types import TracebackType
 from typing import Any
 
@@ -61,11 +60,10 @@ _NULL_CONTEXT = _NullContext()
 
 
 class NullTracer:
-    """The do-nothing tracer: the default on every tree, policy, and driver.
+    """The do-nothing tracer: the default of every driver.
 
-    All methods return shared singletons; tracing code paths stay on the
-    hot loop unconditionally, and this class is what makes them free when
-    tracing is off.
+    Its activation is a shared no-op context, so an untraced run activates
+    no ledger.
     """
 
     __slots__ = ()
@@ -74,11 +72,7 @@ class NullTracer:
     #: work that only matters when a trace is actually recorded.
     enabled = False
 
-    def span(self, name: str) -> _NullContext:
-        """A no-op span context."""
-        return _NULL_CONTEXT
-
-    def activation(self) -> _NullContext:
+    def activation(self) -> AbstractContextManager[Any]:
         """A no-op ledger-activation context."""
         return _NULL_CONTEXT
 
@@ -90,65 +84,16 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _Span:
-    """One open span; a context manager handed out by :meth:`Tracer.span`."""
-
-    __slots__ = ("tracer", "name", "seq", "depth", "t0", "ncd0")
-
-    def __init__(self, tracer: "Tracer", name: str):
-        self.tracer = tracer
-        self.name = name
-        self.seq = -1
-        self.depth = -1
-        self.t0 = 0.0
-        self.ncd0 = 0
-
-    def __enter__(self) -> "_Span":
-        self.tracer._enter_span(self)
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        self.tracer._exit_span(self)
-        return False
-
-
-class _Activation:
-    """Re-entrant activation context binding the tracer's ledger."""
-
-    __slots__ = ("tracer",)
-
-    def __init__(self, tracer: "Tracer"):
-        self.tracer = tracer
-
-    def __enter__(self) -> "_Activation":
-        self.tracer._activate()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        self.tracer._deactivate()
-        return False
-
-
-class Tracer(NullTracer):
-    """Records phase spans and site-attributed NCD, feeding zero or more sinks.
+class Tracer(CallLedger, NullTracer):
+    """A :class:`~repro.metrics.base.CallLedger` that also times its sites.
 
     Parameters
     ----------
     sinks:
         :class:`~repro.observability.sinks.TraceSink` instances receiving
-        one event dict per span enter/exit (and a final ``summary`` event
+        one event dict per site enter/exit (and a final ``summary`` event
         on :meth:`close`). No sinks is fine — span aggregates and the site
-        ledger are kept in memory regardless.
+        histogram are kept in memory regardless.
     clock:
         Monotonic time source (injectable for deterministic tests).
 
@@ -167,7 +112,6 @@ class Tracer(NullTracer):
     """
 
     __slots__ = (
-        "ledger",
         "sinks",
         "_clock",
         "_t0",
@@ -186,13 +130,13 @@ class Tracer(NullTracer):
         sinks: Iterable[Any] = (),
         clock: Callable[[], float] = time.perf_counter,
     ):
-        #: The site-attribution ledger this tracer activates.
-        self.ledger = CallLedger()
+        super().__init__()
         self.sinks = list(sinks)
         self._clock = clock
         self._t0 = clock()
         self._seq = 0
-        self._open: list[_Span] = []
+        #: ``(seq, t, ncd)`` at entry of each open site, parallel to ``stack``.
+        self._open: list[tuple[int, float, int]] = []
         self._aggregates: dict[str, dict[str, float]] = {}
         self._activation_depth = 0
         self._previous_ledger: CallLedger | None = None
@@ -201,16 +145,18 @@ class Tracer(NullTracer):
     # ------------------------------------------------------------------
     # Activation (ledger binding)
     # ------------------------------------------------------------------
-    def activation(self) -> _Activation:
-        """Context manager binding this tracer's ledger for attribution.
+    def activation(self) -> "Tracer":
+        """This tracer, whose ``with`` block makes it the active ledger.
 
         Re-entrant: the drivers wrap their scans in it, and a user-level
         ``with tracer:`` around a whole pipeline nests harmlessly.
         """
-        return _Activation(self)
+        return self
 
     def __enter__(self) -> "Tracer":
-        self._activate()
+        if self._activation_depth == 0:
+            self._previous_ledger = activate_ledger(self)
+        self._activation_depth += 1
         return self
 
     def __exit__(
@@ -219,84 +165,47 @@ class Tracer(NullTracer):
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> bool:
-        self._deactivate()
-        return False
-
-    def _activate(self) -> None:
-        if self._activation_depth == 0:
-            self._previous_ledger = activate_ledger(self.ledger)
-        self._activation_depth += 1
-
-    def _deactivate(self) -> None:
         if self._activation_depth == 0:
             raise ParameterError("tracer deactivated more times than activated")
         self._activation_depth -= 1
         if self._activation_depth == 0:
             deactivate_ledger(self._previous_ledger)
             self._previous_ledger = None
+        return False
 
     # ------------------------------------------------------------------
-    # Spans
+    # Sites
     # ------------------------------------------------------------------
-    def span(self, name: str) -> _Span:
-        """Open a span named ``name`` (use as a context manager)."""
-        return _Span(self, name)
-
-    def _enter_span(self, span: _Span) -> None:
-        span.seq = self._seq
+    def enter(self, label: str) -> None:
+        """Open site ``label`` and start timing it."""
+        seq = self._seq
         self._seq += 1
-        span.depth = len(self._open)
-        span.t0 = self._clock() - self._t0
-        span.ncd0 = self.ledger.total
-        self._open.append(span)
-        self.ledger.stack.append(span.name)
+        depth = len(self._open)
+        t = self._clock() - self._t0
+        self.stack.append(label)
+        self._open.append((seq, t, self.total))
         if self.sinks:
             self._emit(
-                {
-                    "ev": "enter",
-                    "span": span.name,
-                    "seq": span.seq,
-                    "depth": span.depth,
-                    "t": span.t0,
-                    "ncd": span.ncd0,
-                }
+                {"ev": "enter", "span": label, "seq": seq, "depth": depth,
+                 "t": t, "ncd": self.total}
             )
 
-    def _exit_span(self, span: _Span) -> None:
-        if not self._open or self._open[-1] is not span:
-            raise ParameterError(
-                f"span {span.name!r} exited out of order; spans must nest"
-            )
-        stack = self.ledger.stack
-        if not stack or stack[-1] != span.name:
-            leaked = stack[-1] if stack else None
-            raise ParameterError(
-                f"span {span.name!r} exited while ledger site {leaked!r} is "
-                "still open; sites must close inside the span that opened them"
-            )
-        self._open.pop()
-        stack.pop()
+    def exit(self) -> None:
+        """Close the innermost site and add it to its label's totals."""
+        label = self.stack.pop()
+        seq, t0, ncd0 = self._open.pop()
         t1 = self._clock() - self._t0
-        ncd1 = self.ledger.total
-        agg = self._aggregates.get(span.name)
+        ncd1 = self.total
+        agg = self._aggregates.get(label)
         if agg is None:
-            agg = {"count": 0, "seconds": 0.0, "ncd": 0}
-            self._aggregates[span.name] = agg
+            agg = self._aggregates[label] = {"count": 0, "seconds": 0.0, "ncd": 0}
         agg["count"] += 1
-        agg["seconds"] += t1 - span.t0
-        agg["ncd"] += ncd1 - span.ncd0
+        agg["seconds"] += t1 - t0
+        agg["ncd"] += ncd1 - ncd0
         if self.sinks:
             self._emit(
-                {
-                    "ev": "exit",
-                    "span": span.name,
-                    "seq": span.seq,
-                    "depth": span.depth,
-                    "t": t1,
-                    "ncd": ncd1,
-                    "dt": t1 - span.t0,
-                    "dncd": ncd1 - span.ncd0,
-                }
+                {"ev": "exit", "span": label, "seq": seq, "depth": len(self._open),
+                 "t": t1, "ncd": ncd1, "dt": t1 - t0, "dncd": ncd1 - ncd0}
             )
 
     def _emit(self, event: dict[str, Any]) -> None:
@@ -309,22 +218,17 @@ class Tracer(NullTracer):
     @property
     def calls_by_site(self) -> dict[str, int]:
         """Distance calls charged per site (a copy; sums to ``total_calls``)."""
-        return dict(self.ledger.by_site)
+        return dict(self.by_site)
 
     @property
     def total_calls(self) -> int:
         """Total distance calls charged while this tracer was active."""
-        return self.ledger.total
-
-    @property
-    def open_spans(self) -> list[str]:
-        """Names of currently open spans, outermost first."""
-        return [span.name for span in self._open]
+        return self.total
 
     def span_aggregates(self) -> dict[str, dict[str, float]]:
-        """Per-span-name totals: ``{name: {count, seconds, ncd}}``.
+        """Per-label totals of the closed sites: ``{label: {count, seconds, ncd}}``.
 
-        Spans nest, so these are inclusive totals — unlike
+        Sites nest, so these are inclusive totals — unlike
         :attr:`calls_by_site`, they do not partition NCD.
         """
         return {name: dict(agg) for name, agg in self._aggregates.items()}
@@ -333,8 +237,8 @@ class Tracer(NullTracer):
         """Everything measured so far, as one JSON-compatible dict."""
         return {
             "elapsed_seconds": self._clock() - self._t0,
-            "ncd_total": self.ledger.total,
-            "ncd_by_site": dict(self.ledger.by_site),
+            "ncd_total": self.total,
+            "ncd_by_site": dict(self.by_site),
             "spans": self.span_aggregates(),
         }
 

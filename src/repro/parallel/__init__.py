@@ -3,7 +3,7 @@
 Sharding multiplies scan throughput on the same NCD budget: the input
 stream is split round-robin across worker processes, each runs the
 existing fault-tolerant ``fit`` path on its shard with its own CF*-tree,
-tracer, and pruning geometry, and the shard trees' leaf CF*s are merged
+call ledger, and pruning geometry, and the shard trees' leaf CF*s are merged
 deterministically into one final tree (summaries compose — the global
 phase only ever needed one set of leaf clusters, not one tree).
 

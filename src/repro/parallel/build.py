@@ -36,7 +36,7 @@ Accounting: each worker counts NCD on its own metric copy under its own
 :class:`~repro.metrics.base.CallLedger`; the parent re-books every
 *successful* attempt's calls on its metric via
 :meth:`~repro.metrics.base.DistanceFunction.count_external`, per original
-site label, under a ``shard-ingest`` span (``shard-resume`` for shards
+site label, under a ``shard-ingest`` site (``shard-resume`` for shards
 restored from a checkpoint) — so one metric still carries the
 authoritative total and the per-site ledger still partitions ``n_calls``
 exactly. Calls spent by crashed or failed attempts die with the attempt
@@ -67,6 +67,7 @@ from repro.exceptions import (
     ParameterError,
     QuarantineOverflowError,
 )
+from repro.metrics.base import site
 from repro.parallel.pool import ShardFailure, ShardSupervisor
 from repro.parallel.shard import global_index, shard_objects
 from repro.parallel.worker import ShardResult, ShardTask
@@ -91,10 +92,10 @@ def rebook_worker_calls(metric: Any, by_site: dict[str, int], n_calls: int) -> N
     original site label, keeps the parent's per-site ledger partitioning
     its ``n_calls`` exactly. The unconditional residual booking at the end
     charges any calls the worker ledger did not attribute to the caller's
-    innermost open span — ``count_external(0)`` is a no-op, and an
+    innermost open site — ``count_external(0)`` is a no-op, and an
     over-attributed worker (negative residual) raises rather than silently
     skewing ``sum(by_site)`` vs ``n_calls``. This is the one sanctioned
-    absorb path for the sharded build; call it inside the span the calls
+    absorb path for the sharded build; call it inside the site the calls
     belong to.
     """
     attributed = 0
@@ -315,12 +316,12 @@ def parallel_fit(
         # preserving the workers' site labels so the ledger's per-site
         # totals keep partitioning n_calls exactly. Booking re-checks the
         # global budget: a breach aborts the pool mid-build.
-        span = "shard-resume" if result.resumed_at is not None else "shard-ingest"
-        with tracer.span(span):
+        label = "shard-resume" if result.resumed_at is not None else "shard-ingest"
+        with site(label):
             rebook_worker_calls(metric, result.by_site, result.n_calls)
 
     def on_retry(task: ShardTask, failure: ShardFailure, delay: float) -> None:
-        with tracer.span("shard-retry"):
+        with site("shard-retry"):
             if chaos is not None:
                 chaos.before_retry(
                     task.shard_id, failure.attempt + 1, task.checkpoint_path
@@ -403,7 +404,7 @@ def parallel_fit(
         # would only shatter them and rebuild straight back here.
         tree.threshold = max(start_threshold, tree.threshold)
         model.tree_ = tree
-        with tracer.span("merge"):
+        with site("merge"):
             tree.insert_feature_batch(features)
             if config.outlier_fraction is not None:
                 tree.reabsorb_outliers()

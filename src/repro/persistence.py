@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.features import SubCluster
 from repro.exceptions import CheckpointError, ParameterError
 from repro.metrics.base import DistanceFunction
-from repro.observability import NULL_TRACER, NullTracer
 
 __all__ = [
     "save_subclusters",
@@ -142,9 +141,8 @@ def load_subclusters(
 # Scan checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 5
+_CHECKPOINT_VERSION = 6
 _METRIC_PID = "repro.metric"
-_TRACER_PID = "repro.tracer"
 
 
 class _MetricStrippingPickler(pickle.Pickler):
@@ -154,12 +152,6 @@ class _MetricStrippingPickler(pickle.Pickler):
     the loader substitutes a live metric, preserving the shared-identity
     invariant that ties the tree, its policy, features, and per-node
     mappers to one NCD counter.
-
-    Tracers are stripped the same way: a live
-    :class:`~repro.observability.Tracer` may hold open sink streams, so
-    every tracer reference becomes a persistent id that the loader resolves
-    to the no-op :data:`~repro.observability.NULL_TRACER` (re-attach a real
-    tracer explicitly after resuming if the new scan should be traced).
     """
 
     def __init__(self, file):
@@ -175,8 +167,6 @@ class _MetricStrippingPickler(pickle.Pickler):
                     "instance shared across the tree; found more than one"
                 )
             return _METRIC_PID
-        if isinstance(obj, NullTracer):
-            return _TRACER_PID
         return None
 
 
@@ -188,8 +178,6 @@ class _MetricRestoringUnpickler(pickle.Unpickler):
     def persistent_load(self, pid):
         if pid == _METRIC_PID:
             return self._metric
-        if pid == _TRACER_PID:
-            return NULL_TRACER
         raise CheckpointError(f"unknown persistent id {pid!r} in checkpoint")
 
 

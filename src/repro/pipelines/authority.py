@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.preclusterer import BUBBLEFM
 from repro.exceptions import EmptyDatasetError, ParameterError
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, site
 from repro.metrics.cache import CachedDistance
 from repro.metrics.string import EditDistance
 from repro.observability import NULL_TRACER, NullTracer
@@ -102,8 +102,9 @@ def build_authority_file(
     cache:
         Dedupe exact repeats so each distinct pair is measured once.
     tracer:
-        Optional :class:`repro.observability.Tracer`; spans and per-site
-        NCD then cover the scan, the assignment pass, and canonicalization.
+        Optional :class:`repro.observability.Tracer`, activated around the
+        scan, the assignment pass, and canonicalization, so its site
+        timings and per-site NCD cover all three.
     **options:
         Further BUBBLE-FM build knobs (``max_nodes``, ``branching_factor``,
         ...; see :class:`~repro.core.config.BUBBLEFMConfig`).
@@ -149,7 +150,7 @@ def build_authority_file(
     members = [group for _, group in kept]
     labels = np.asarray([remap[int(c)] for c in labels], dtype=np.intp)
 
-    with tracer.activation(), tracer.span("global-phase"):
+    with tracer.activation(), site("global-phase"):
         canonical = [_canonical_form(effective, group, frequency) for group in members]
     return AuthorityFile(
         canonical=canonical,

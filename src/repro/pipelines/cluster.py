@@ -25,7 +25,7 @@ from repro.core.features import SubCluster
 from repro.core.preclusterer import BUBBLE, BUBBLEFM, PreClusterer
 from repro.exceptions import ParameterError
 from repro.hac import AgglomerativeClusterer
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, site
 from repro.observability import NULL_TRACER, NullTracer
 from repro.pipelines.labeling import nearest_assignment
 
@@ -140,10 +140,12 @@ def cluster_dataset(
     their nearest center in the second scan (labeling is read-only, so a
     previously failing object simply fails again and would raise there).
 
-    ``tracer`` threads a :class:`repro.observability.Tracer` through every
-    phase: the scan's spans come from the pre-clusterer, the global phase
-    runs under a ``global-phase`` span, and the second scan under
-    ``redistribute`` — so per-site NCD covers the whole pipeline.
+    ``tracer`` is a :class:`repro.observability.Tracer` activated around
+    every phase: the scan's sites come from the pre-clusterer, the global
+    phase runs under a ``global-phase`` site, and the second scan under
+    ``redistribute`` — so per-site NCD and timings cover the whole
+    pipeline. The same sites are booked on any other active
+    :class:`~repro.metrics.base.CallLedger`.
 
     ``n_jobs`` parallelizes the pre-clustering scan only: it becomes a
     sharded build (see :mod:`repro.parallel`), which requires a picklable
@@ -186,30 +188,29 @@ def cluster_dataset(
     clustroids = [s.clustroid for s in subclusters]
     weights = [s.n for s in subclusters]
     k = min(n_clusters, len(subclusters))
-    with tracer.activation():
-        if global_method == "hac":
-            with tracer.span("global-phase"):
-                hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
-                hac.fit(objects=clustroids, metric=metric, weights=weights)
-            sub_labels = hac.labels_
-            n_final = hac.n_clusters_
-        else:
-            # The driver owns the medoid global phase: exact CLARANS runs
-            # under a "global-phase" span, CLARA under its own
-            # "global-sample"/"global-assign" spans, and CLARA sample
-            # diagnostics land in the model's report.
-            search = model.global_phase(
-                k,
-                method=global_method,
-                num_local=2,
-                global_samples=global_samples,
-                global_sample_size=global_sample_size,
-                seed=seed,
-            )
-            sub_labels = search.labels_
-            n_final = search.n_clusters_
+    if global_method == "hac":
+        with tracer.activation(), site("global-phase"):
+            hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
+            hac.fit(objects=clustroids, metric=metric, weights=weights)
+        sub_labels = hac.labels_
+        n_final = hac.n_clusters_
+    else:
+        # The driver owns the medoid global phase: exact CLARANS runs
+        # under a "global-phase" site, CLARA under its own
+        # "global-sample"/"global-assign" sites, and CLARA sample
+        # diagnostics land in the model's report.
+        search = model.global_phase(
+            k,
+            method=global_method,
+            num_local=2,
+            global_samples=global_samples,
+            global_sample_size=global_sample_size,
+            seed=seed,
+        )
+        sub_labels = search.labels_
+        n_final = search.n_clusters_
 
-    with tracer.activation(), tracer.span("global-phase"):
+    with tracer.activation(), site("global-phase"):
         if center_method == "auto":
             center_method = "centroid" if _is_vector(clustroids[0]) else "medoid"
         centers: list = []
@@ -229,7 +230,7 @@ def cluster_dataset(
     sub_labels = np.asarray([remap[int(c)] for c in sub_labels], dtype=np.intp)
 
     if assign:
-        with tracer.activation(), tracer.span("redistribute"):
+        with tracer.activation(), site("redistribute"):
             labels = nearest_assignment(metric, objects, centers)
     else:
         labels = None

@@ -25,7 +25,7 @@ from repro.birch import BIRCH
 from repro.exceptions import ParameterError
 from repro.fastmap import FastMap
 from repro.hac import AgglomerativeClusterer
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, site
 from repro.metrics.vector import EuclideanDistance
 
 __all__ = ["MapFirstResult", "map_first_cluster"]
@@ -68,30 +68,33 @@ def map_first_cluster(
     start = time.perf_counter()
     calls_before = metric.n_calls
 
-    fastmap = FastMap(metric, image_dim, iterations=fm_iterations, seed=seed)
-    images = fastmap.fit(list(objects))
+    # Opened here, not in FastMap.fit: BUBBLE-FM's refits call that under
+    # their own ``fastmap-refit`` site.
+    with site("map-first"):
+        fastmap = FastMap(metric, image_dim, iterations=fm_iterations, seed=seed)
+        images = fastmap.fit(list(objects))
 
-    birch = BIRCH(
-        branching_factor=branching_factor, max_nodes=max_nodes, seed=seed
-    ).fit(list(images))
-    subclusters = birch.subclusters_
-    centroids = [np.asarray(s.clustroid) for s in subclusters]
-    weights = [s.n for s in subclusters]
+        birch = BIRCH(
+            branching_factor=branching_factor, max_nodes=max_nodes, seed=seed
+        ).fit(list(images))
+        subclusters = birch.subclusters_
+        centroids = [np.asarray(s.clustroid) for s in subclusters]
+        weights = [s.n for s in subclusters]
 
-    k = min(n_clusters, len(centroids))
-    hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
-    hac.fit(objects=centroids, metric=EuclideanDistance(), weights=weights)
+        k = min(n_clusters, len(centroids))
+        hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
+        hac.fit(objects=centroids, metric=EuclideanDistance(), weights=weights)
 
-    centers = np.vstack(
-        [
-            np.average(
-                np.asarray([centroids[i] for i in np.flatnonzero(hac.labels_ == c)]),
-                axis=0,
-                weights=[weights[i] for i in np.flatnonzero(hac.labels_ == c)],
-            )
-            for c in range(hac.n_clusters_)
-        ]
-    )
+        centers = np.vstack(
+            [
+                np.average(
+                    np.asarray([centroids[i] for i in np.flatnonzero(hac.labels_ == c)]),
+                    axis=0,
+                    weights=[weights[i] for i in np.flatnonzero(hac.labels_ == c)],
+                )
+                for c in range(hac.n_clusters_)
+            ]
+        )
 
     # Label in the image space: no further calls to the (expensive) metric.
     # Gram-matrix form keeps memory at O(N * K) instead of O(N * K * dim).

@@ -70,7 +70,7 @@ class TestCheckpointPrimitives:
 
     # Routing caches travel in the pickle and gain fields between versions,
     # so any other version must be refused up front, not fail mid-resume.
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6, "5", None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7, "6", None])
     def test_other_format_version_raises_checkpoint_error(
         self, points, tmp_path, monkeypatch, version
     ):

@@ -8,6 +8,8 @@ metric. These properties are pinned here; the benchmark gate
 (``benchmarks/test_clara_gate.py``) re-checks (a) and (b) at paper scale.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,9 +41,9 @@ def _fit_clara(objects, *, seed=7, n_samples=3, tracer=None):
         num_local=1,
         max_neighbors=20,
         seed=seed,
-        **({"tracer": tracer} if tracer is not None else {}),
     )
-    model.fit(objects)
+    with tracer if tracer is not None else nullcontext():
+        model.fit(objects)
     return model, metric
 
 
@@ -89,6 +91,10 @@ class TestAccounting:
         assert by_site["global-sample"] == sum(
             s["n_calls"] for s in model.sample_summaries_
         )
+        spans = tracer.span_aggregates()
+        assert spans["global-sample"]["count"] == 3
+        assert spans["global-assign"]["count"] == 1
+        assert spans["global-assign"]["ncd"] == by_site["global-assign"]
 
     def test_sample_summaries_shape(self, blob_data):
         points, _, _ = blob_data

@@ -102,6 +102,10 @@ class TestCellDataset:
             make_cell_dataset(n_clusters=0)
         with pytest.raises(ParameterError):
             make_cell_dataset(radius_range=(1.0, 0.5))
+        # Only 2**dim distinct cells exist; asking for more must not loop.
+        with pytest.raises(ParameterError, match="2\\*\\*dim=4"):
+            make_cell_dataset(dim=2, n_clusters=10, n_points=600, seed=3)
+        assert len(make_cell_dataset(dim=2, n_clusters=4, n_points=40, seed=3).centers) == 4
 
     def test_deterministic(self):
         a = make_cell_dataset(dim=3, n_clusters=4, n_points=100, seed=9)

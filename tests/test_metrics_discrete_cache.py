@@ -1,49 +1,10 @@
-"""Unit tests for discrete metrics and the caching wrapper."""
+"""Unit tests for the caching wrapper."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import MetricError, ParameterError
-from repro.metrics import (
-    CachedDistance,
-    DiscreteMetric,
-    EditDistance,
-    HammingDistance,
-    JaccardDistance,
-)
-
-
-class TestHamming:
-    def test_known(self):
-        assert HammingDistance().distance("karolin", "kathrin") == 3
-
-    def test_equal_length_required(self):
-        with pytest.raises(MetricError):
-            HammingDistance().distance("ab", "abc")
-
-    def test_works_on_tuples(self):
-        assert HammingDistance().distance((1, 2, 3), (1, 0, 3)) == 1
-
-
-class TestJaccard:
-    def test_known(self):
-        assert JaccardDistance().distance({1, 2, 3}, {2, 3, 4}) == pytest.approx(0.5)
-
-    def test_disjoint(self):
-        assert JaccardDistance().distance({1}, {2}) == 1.0
-
-    def test_both_empty(self):
-        assert JaccardDistance().distance(set(), set()) == 0.0
-
-    def test_accepts_iterables(self):
-        assert JaccardDistance().distance("abc", "abd") == pytest.approx(0.5)
-
-
-class TestDiscrete:
-    def test_zero_one(self):
-        m = DiscreteMetric()
-        assert m.distance("x", "x") == 0.0
-        assert m.distance("x", "y") == 1.0
+from repro.exceptions import ParameterError
+from repro.metrics import CachedDistance, EditDistance
 
 
 class TestCachedDistance:

@@ -11,7 +11,6 @@ from repro.metrics import (
     DamerauLevenshteinDistance,
     EditDistance,
     EuclideanDistance,
-    JaccardDistance,
     ManhattanDistance,
     MinkowskiDistance,
     RelativeEditDistance,
@@ -23,7 +22,6 @@ vectors = st.lists(
 
 words = st.text(alphabet="abcdef ,.", min_size=0, max_size=12)
 
-small_sets = st.frozensets(st.integers(min_value=0, max_value=9), max_size=6)
 
 VECTOR_METRICS = [EuclideanDistance(), ManhattanDistance(), ChebyshevDistance(), MinkowskiDistance(3)]
 STRING_METRICS = [EditDistance(), DamerauLevenshteinDistance(), RelativeEditDistance()]
@@ -84,9 +82,3 @@ class TestStringMetricAxioms:
             <= EditDistance().distance(a, b)
         )
 
-
-class TestJaccardAxioms:
-    @given(a=small_sets, b=small_sets, c=small_sets)
-    @settings(max_examples=150, deadline=None)
-    def test_axioms(self, a, b, c):
-        assert_metric_axioms(JaccardDistance(), a, b, c)

@@ -22,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.preclusterer import BUBBLE, BUBBLEFM
-from repro.datasets import make_ds2
+from repro.datasets import make_authority_dataset, make_ds2
 from repro.exceptions import MetricBudgetExceededError, ParameterError
 from repro.index import BruteForceIndex, VPTree
 from repro.index.base import QUERY_KNN_SITE, QUERY_RANGE_SITE
-from repro.metrics import EuclideanDistance
+from repro.metrics import EditDistance, EuclideanDistance
 from repro.metrics.base import (
+    UNATTRIBUTED_SITE,
     CallLedger,
     activate_ledger,
     active_ledger,
@@ -46,6 +47,7 @@ from repro.observability import (
     Tracer,
     format_summary,
 )
+from repro.pipelines import build_authority_file, cluster_dataset, map_first_cluster
 from repro.robustness import FlakyMetric, GuardedMetric
 
 
@@ -183,6 +185,100 @@ class TestOverheadGuard:
 
 
 # ----------------------------------------------------------------------
+# Every library entry point names its phases on any ledger
+# ----------------------------------------------------------------------
+def _cluster(algorithm, global_method):
+    def run():
+        metric = EuclideanDistance()
+        cluster_dataset(
+            _ds2_objects(n=300, seed=41), metric, n_clusters=5, algorithm=algorithm,
+            global_method=global_method, image_dim=2, max_nodes=12, seed=0,
+        )
+        return metric
+
+    return run
+
+
+def _map_first():
+    # BIRCH and the HAC over image centroids count on metrics of their
+    # own, so the ledger total is more than this metric's NCD.
+    map_first_cluster(
+        _ds2_objects(n=300, seed=41), EuclideanDistance(), 5, image_dim=2,
+        max_nodes=12, seed=0,
+    )
+
+
+def _authority():
+    metric = EditDistance()
+    records = make_authority_dataset(n_classes=6, n_strings=60, seed=3).strings
+    build_authority_file(records, metric, max_nodes=12, seed=0)
+    return metric
+
+
+def _sharded_fit():
+    metric = EuclideanDistance()
+    BUBBLE(metric, max_nodes=12, seed=1, n_shards=3).fit(_ds2_objects(n=300, seed=41))
+    return metric
+
+
+def _index_queries():
+    metric = EuclideanDistance()
+    objs = _ds2_objects(n=300, seed=41)
+    index = BUBBLE(metric, max_nodes=12, seed=0).fit(objs).index()
+    for query in objs[:10]:
+        index.nearest(query, k=3)
+        index.within(query, radius=5.0)
+    return metric
+
+
+_ENTRY_POINTS = {
+    **{
+        f"cluster-{algorithm}-{method}": _cluster(algorithm, method)
+        for algorithm in ("bubble", "bubble-fm")
+        for method in ("hac", "clarans", "clara")
+    },
+    "map-first": _map_first,
+    "authority": _authority,
+    "sharded-fit": _sharded_fit,
+    "index-queries": _index_queries,
+}
+
+
+def _on_ledger(ledger, run):
+    previous = activate_ledger(ledger)
+    try:
+        return run()
+    finally:
+        deactivate_ledger(previous)
+
+
+class TestEntryPointAttribution:
+    """Without a tracer, a bare :class:`CallLedger` still books every call
+    of every library entry point to a named site."""
+
+    @pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+    def test_bare_ledger_books_no_unattributed_calls(self, name):
+        ledger = CallLedger()
+        metric = _on_ledger(ledger, _ENTRY_POINTS[name])
+        assert UNATTRIBUTED_SITE not in ledger.by_site
+        assert sum(ledger.by_site.values()) == ledger.total > 0
+        if metric is not None:
+            assert ledger.total == metric.n_calls
+
+    @pytest.mark.parametrize("name", ["cluster-bubble-hac", "cluster-bubble-fm-clara"])
+    def test_tracer_books_what_a_bare_ledger_books(self, name):
+        ledger, tracer = CallLedger(), Tracer()
+        _on_ledger(ledger, _ENTRY_POINTS[name])
+        _on_ledger(tracer, _ENTRY_POINTS[name])
+        assert tracer.calls_by_site == ledger.by_site
+        assert tracer.stack == ledger.stack == []
+        # Every site is timed, routing sites included.
+        spans = tracer.span_aggregates()
+        assert spans.keys() >= ledger.by_site.keys()
+        assert spans["leaf-d0"]["count"] > 0 and spans["leaf-d0"]["seconds"] > 0
+
+
+# ----------------------------------------------------------------------
 # Tracer / ledger mechanics
 # ----------------------------------------------------------------------
 class TestLedger:
@@ -245,19 +341,19 @@ class TestLedger:
         second = Tracer()
         with first:
             with second:
-                assert active_ledger() is second.ledger
-            assert active_ledger() is first.ledger
+                assert active_ledger() is second
+            assert active_ledger() is first
         assert active_ledger() is None
 
     def test_over_deactivation_raises(self):
         tracer = Tracer()
         with pytest.raises(ParameterError):
-            tracer._deactivate()
+            tracer.__exit__(None, None, None)
 
 
 class _LedgerStackSink(TraceSink):
-    """Records every span event at which the tracer's ledger stack is not
-    exactly the spans still open: a leaked site shows up as an extra label."""
+    """Records every site event at which the tracer's stack is not exactly
+    the sites its events left open: a leaked site shows up as an extra label."""
 
     def __init__(self) -> None:
         self.tracer: Tracer | None = None
@@ -273,14 +369,14 @@ class _LedgerStackSink(TraceSink):
         else:
             return
         self.n_events += 1
-        stack = self.tracer.ledger.stack
+        stack = self.tracer.stack
         if stack != self.open:
             self.mismatches.append((event["ev"], event["span"], list(stack)))
 
 
 class TestSitesUnderFaults:
     """A fault raised inside a ledger site must close the site on its way
-    out: afterwards the ledger stack holds only the spans still open, and
+    out: afterwards the ledger stack holds only the sites still open, and
     the next counted call is charged to its own site."""
 
     @pytest.mark.parametrize("backend", [BruteForceIndex, VPTree])
@@ -295,18 +391,18 @@ class TestSitesUnderFaults:
         index = backend(metric).build(objs)
         probe = EuclideanDistance()
         tracer = Tracer()
-        with tracer, tracer.span("serve"):
+        with tracer, site("serve"):
             with pytest.raises(MetricBudgetExceededError):
                 if query == "nearest":
                     index.nearest(objs[0], k=5)
                 else:
                     index.within(objs[0], radius=50.0)
-            assert tracer.ledger.stack == ["serve"]
+            assert tracer.stack == ["serve"]
             charged = dict(tracer.calls_by_site)
             probe.distance(objs[0], objs[1])
             with site("probe"):
                 probe.distance(objs[0], objs[1])
-        assert tracer.ledger.stack == []
+        assert tracer.stack == []
         by_site = tracer.calls_by_site
         assert by_site["serve"] == charged.get("serve", 0) + 1
         assert by_site["probe"] == 1
@@ -333,7 +429,7 @@ class TestSitesUnderFaults:
         assert [r.index for r in model.quarantine_] == list(poisoned)
         assert sink.n_events > 0
         assert sink.mismatches == []
-        assert tracer.ledger.stack == []
+        assert tracer.stack == []
         assert sum(tracer.calls_by_site.values()) == metric.n_calls
         with tracer:
             charged = tracer.calls_by_site.get("unattributed", 0)
@@ -342,39 +438,14 @@ class TestSitesUnderFaults:
 
 
 class TestTracer:
-    def test_out_of_order_span_exit_raises(self):
-        tracer = Tracer()
-        outer = tracer.span("outer")
-        inner = tracer.span("inner")
-        outer.__enter__()
-        inner.__enter__()
-        with pytest.raises(ParameterError):
-            outer.__exit__(None, None, None)
-
-    def test_span_exit_over_a_leaked_site_raises(self):
-        tracer = Tracer()
-        leak = site("leaked")
-        with tracer:
-            span = tracer.span("outer")
-            span.__enter__()
-            leak.__enter__()
-            with pytest.raises(ParameterError, match="'leaked'"):
-                span.__exit__(None, None, None)
-            # Nothing was popped: closing the site lets the span exit.
-            assert tracer.ledger.stack == ["outer", "leaked"]
-            leak.__exit__(None, None, None)
-            span.__exit__(None, None, None)
-        assert tracer.ledger.stack == []
-        assert tracer.span_aggregates()["outer"]["count"] == 1
-
     def test_span_aggregates_are_inclusive(self):
         tracer = Tracer()
         metric = EuclideanDistance()
         a, b = np.zeros(2), np.ones(2)
         with tracer:
-            with tracer.span("outer"):
+            with site("outer"):
                 metric.distance(a, b)
-                with tracer.span("inner"):
+                with site("inner"):
                     metric.distance(a, b)
         spans = tracer.span_aggregates()
         assert spans["outer"]["ncd"] == 2  # includes the nested span's call
@@ -384,7 +455,7 @@ class TestTracer:
     def test_close_is_idempotent_and_emits_summary(self):
         sink = ListSink()
         tracer = Tracer(sinks=[sink])
-        with tracer, tracer.span("phase"):
+        with tracer, site("phase"):
             pass
         tracer.close()
         tracer.close()
@@ -393,8 +464,7 @@ class TestTracer:
         assert summaries[0]["spans"]["phase"]["count"] == 1
 
     def test_null_tracer_contexts_are_shared_singletons(self):
-        assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
-        assert NULL_TRACER.activation() is NULL_TRACER.span("c")
+        assert NULL_TRACER.activation() is NULL_TRACER.activation()
         assert NULL_TRACER.enabled is False
         NULL_TRACER.close()
 
@@ -404,7 +474,7 @@ class TestSinks:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(sinks=[JsonlSink(str(path))])
         metric = EuclideanDistance()
-        with tracer, tracer.span("work"):
+        with tracer, site("work"):
             metric.distance(np.zeros(2), np.ones(2))
         tracer.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
@@ -424,7 +494,7 @@ class TestSinks:
         stream = io.StringIO()
         tracer = Tracer(sinks=[SummarySink(stream)])
         metric = EuclideanDistance()
-        with tracer, tracer.span("scan"):
+        with tracer, site("scan"):
             metric.distance(np.zeros(2), np.ones(2))
         tracer.close()
         text = stream.getvalue()
@@ -463,6 +533,8 @@ class TestStatsSnapshot:
         assert snap.cache_hits == metric.n_hits
 
     def test_checkpoint_strips_live_tracer(self, tmp_path):
+        # Trees and policies never hold a tracer, so a checkpoint of a
+        # traced scan carries none.
         from repro.persistence import load_checkpoint, save_checkpoint
 
         tracer = Tracer(sinks=[JsonlSink(str(tmp_path / "t.jsonl"))])
@@ -473,5 +545,5 @@ class TestStatsSnapshot:
         save_checkpoint(path, model.tree_, cursor=150)
         tracer.close()
         ck = load_checkpoint(path, metric=EuclideanDistance())
-        assert ck.tree.tracer is NULL_TRACER
-        assert ck.tree.policy.tracer is NULL_TRACER
+        assert not hasattr(ck.tree, "tracer")
+        assert not hasattr(ck.tree.policy, "tracer")

@@ -211,7 +211,7 @@ class TestAccounting:
         BUBBLE(metric, max_nodes=12, seed=1, n_shards=3, tracer=tracer).fit(points)
         by_site = tracer.calls_by_site
         assert sum(by_site.values()) == metric.n_calls
-        assert tracer.ledger.total == metric.n_calls
+        assert tracer.total == metric.n_calls
 
     def test_shard_ingest_and_merge_spans_present(self):
         points = make_blobs(n=150)
@@ -268,7 +268,7 @@ class TestRebookWorkerCalls:
 
     def _rebook(self, by_site, n_calls):
         metric, tracer = EuclideanDistance(), Tracer()
-        with tracer, tracer.span("merge"), site("absorb"):
+        with tracer, site("merge"), site("absorb"):
             rebook_worker_calls(metric, by_site, n_calls)
         return metric, tracer
 
