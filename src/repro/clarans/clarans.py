@@ -99,11 +99,14 @@ class CLARANS:
         if max_neighbors is None:
             max_neighbors = max(250, int(0.0125 * k * (n - k)))
 
+        # Every gather of the search reads the same collection: prepare it
+        # once (a stacked matrix, packed string lanes) for the whole fit.
+        batch = self.metric.prepare(objs)
         best_cost = np.inf
         best: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         for _ in range(self.num_local):
             medoids = np.asarray(self._rng.choice(n, size=k, replace=False))
-            nearest, second, near_lab = self._distances_to_medoids(objs, medoids)
+            nearest, second, near_lab = self._distances_to_medoids(objs, batch, medoids)
             cost = float(nearest.sum())
             examined = 0
             while examined < max_neighbors:
@@ -113,12 +116,12 @@ class CLARANS:
                     examined += 1
                     continue
                 delta, d_new = self._swap_delta(
-                    objs, swap_out, swap_in, nearest, second, near_lab
+                    objs, batch, swap_out, swap_in, nearest, second, near_lab
                 )
                 if delta < -1e-12:
                     medoids[swap_out] = swap_in
                     nearest, second, near_lab = self._apply_swap(
-                        objs, medoids, swap_out, d_new
+                        objs, batch, medoids, swap_out, d_new
                     )
                     cost += delta
                     examined = 0
@@ -143,11 +146,12 @@ class CLARANS:
 
     # ------------------------------------------------------------------
     def _distances_to_medoids(
-        self, objects: list[Any], medoids: np.ndarray
+        self, objects: list[Any], batch: Sequence[Any], medoids: np.ndarray
     ) -> _Caches:
         """Nearest and second-nearest medoid distance (and nearest label)
-        for every object."""
-        cols = [self.metric.one_to_many(objects[int(m)], objects) for m in medoids]
+        for every object; ``batch`` is ``objects`` as the metric prepared
+        them."""
+        cols = [self.metric.one_to_many(objects[int(m)], batch) for m in medoids]
         return self._caches_from_columns(cols)
 
     def _caches_from_columns(self, cols: list[np.ndarray]) -> _Caches:
@@ -165,6 +169,7 @@ class CLARANS:
     def _swap_delta(
         self,
         objects: list[Any],
+        batch: Sequence[Any],
         swap_out: int,
         swap_in: int,
         nearest: np.ndarray,
@@ -173,7 +178,7 @@ class CLARANS:
     ) -> tuple[float, np.ndarray]:
         """Cost change of replacing medoid ``swap_out`` with object
         ``swap_in`` — O(N) distance calls."""
-        d_new = self.metric.one_to_many(objects[swap_in], objects)
+        d_new = self.metric.one_to_many(objects[swap_in], batch)
         lost = near_lab == swap_out
         # Objects losing their medoid go to min(second-best, new); the rest
         # may only improve by switching to the new medoid.
@@ -183,6 +188,7 @@ class CLARANS:
     def _apply_swap(
         self,
         objects: list[Any],
+        batch: Sequence[Any],
         medoids: np.ndarray,
         swap_out: int,
         d_new: np.ndarray,
@@ -197,7 +203,7 @@ class CLARANS:
             if j == swap_out:
                 cols.append(d_new)
             else:
-                cols.append(self.metric.one_to_many(objects[int(m)], objects))
+                cols.append(self.metric.one_to_many(objects[int(m)], batch))
         return self._caches_from_columns(cols)
 
     # ------------------------------------------------------------------

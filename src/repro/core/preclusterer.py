@@ -571,7 +571,7 @@ class PreClusterer:
         tree = self._require_tree()
         with self.tracer.activation(), site("redistribute"):
             if via == "linear":
-                clustroids = self.clustroids_
+                clustroids = self.metric.prepare(self.clustroids_)
                 labels = [
                     int(np.argmin(self.metric.one_to_many(obj, clustroids)))
                     for obj in objects

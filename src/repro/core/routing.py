@@ -131,7 +131,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.metrics.base import DistanceFunction, site
+from repro.metrics.base import DistanceFunction, site, take
 
 __all__ = [
     "TIE_RTOL",
@@ -269,13 +269,6 @@ class SampleGeometry:
         self.counts = counts
 
 
-def _take(batch: Any, positions: Any) -> Any:
-    """The items of a prepared batch at ``positions``."""
-    if isinstance(batch, np.ndarray):
-        return batch[positions]
-    return [batch[j] for j in positions]
-
-
 def _assemble_pairs(
     metric: DistanceFunction,
     objects: list[Any],
@@ -335,12 +328,12 @@ def _assemble_pairs(
         kept = [i for i, j in enumerate(src) if j >= 0] if src is not None else []
         if kept:
             across = np.asarray(
-                metric._cross(fresh_objects, _take(batch, kept)), dtype=np.float64
+                metric._cross(fresh_objects, take(batch, kept)), dtype=np.float64
             )
             stats.maintenance_evals += across.size
             pair[rows, kept] = across
             pair[np.asarray(kept, dtype=np.intp)[:, None], fresh] = across.T
-            fresh_batch = _take(batch, fresh)
+            fresh_batch = take(batch, fresh)
         f = len(fresh)
         among = np.zeros((f, f), dtype=np.float64)
         for r in range(f - 1):
@@ -364,7 +357,7 @@ def _assemble_pairs(
         values[i] = 0.0
         cols = np.flatnonzero(np.isinf(values))
         if len(cols):
-            values[cols] = metric._one_to_many(objects[i], _take(batch, cols))
+            values[cols] = metric._one_to_many(objects[i], take(batch, cols))
             stats.maintenance_evals += len(cols)
         pair[i] = values
         pair[:, i] = values

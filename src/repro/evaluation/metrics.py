@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.evaluation.matching import _check_labels, majority_mapping
 from repro.exceptions import ParameterError
+from repro.metrics.base import take
 
 __all__ = [
     "distortion",
@@ -168,20 +169,22 @@ def silhouette_score(
     if sample_size is not None and sample_size < len(objects):
         indices = rng.choice(len(objects), size=sample_size, replace=False)
 
+    # Every gather reads a member subset of the same objects: prepare them
+    # once and take the subsets from the prepared batch.
+    batch = metric.prepare(objects)
     total, counted = 0.0, 0
     for i in indices:
         own = int(labs[i])
         own_members = [j for j in clusters[own] if j != i]
         if not own_members:
             continue  # singleton clusters have no defined silhouette
-        a = float(np.mean(metric.one_to_many(objects[int(i)], [objects[j] for j in own_members])))
+        obj = objects[int(i)]
+        a = float(np.mean(metric.one_to_many(obj, take(batch, own_members))))
         b = np.inf
         for other, members in clusters.items():
             if other == own:
                 continue
-            mean_d = float(
-                np.mean(metric.one_to_many(objects[int(i)], [objects[j] for j in members]))
-            )
+            mean_d = float(np.mean(metric.one_to_many(obj, take(batch, members))))
             b = min(b, mean_d)
         denom = max(a, b)
         total += 0.0 if denom == 0 else (b - a) / denom

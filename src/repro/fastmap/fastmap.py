@@ -105,6 +105,9 @@ class FastMap:
         if n == 0:
             raise EmptyDatasetError("FastMap.fit requires at least one object")
         objects = list(objects)
+        # Every scan of the fit gathers over the same objects: prepare them
+        # once (a stacked matrix, packed string lanes) for all of them.
+        batch = self.metric.prepare(objects)
         coords = np.zeros((n, self.k), dtype=np.float64)
         self.pivot_objects_ = []
         self.axis_lengths_ = []
@@ -112,7 +115,7 @@ class FastMap:
         self._pivot_coords_b = []
 
         for axis in range(self.k):
-            ia, ib, dist_ab2, dists_a2 = self._choose_pivots(objects, coords, axis)
+            ia, ib, dist_ab2, dists_a2 = self._choose_pivots(objects, batch, coords, axis)
             self.pivot_objects_.append((objects[ia], objects[ib]))
             self._pivot_coords_a.append(coords[ia, :axis].copy())
             self._pivot_coords_b.append(coords[ib, :axis].copy())
@@ -123,7 +126,7 @@ class FastMap:
                 continue
             dist_ab = float(np.sqrt(dist_ab2))
             self.axis_lengths_.append(dist_ab)
-            dists_b2 = self._reduced_sq_to_all(objects[ib], coords[ib, :axis], objects, coords, axis)
+            dists_b2 = self._reduced_sq_to_all(objects[ib], coords[ib, :axis], batch, coords, axis)
             # FastMap's projection (Eq. 3) is *defined* on squared residual
             # distances; it is a single-shot cosine-law evaluation, not an
             # accumulation, so there is no stable incremental form to rewrite
@@ -135,10 +138,12 @@ class FastMap:
     def _choose_pivots(
         self,
         objects: list,
+        batch: Sequence,
         coords: np.ndarray,
         axis: int,
     ) -> tuple[int, int, float, np.ndarray]:
-        """Choose-distant-objects heuristic for axis ``axis``.
+        """Choose-distant-objects heuristic for axis ``axis``; ``batch`` is
+        ``objects`` as the metric prepared them.
 
         Returns ``(index_a, index_b, d'^2(a, b), d'^2(a, *))`` where the last
         element is reused for the projection step (saving a scan).
@@ -149,11 +154,11 @@ class FastMap:
         dists_from_a = np.zeros(n)
         for _ in range(self.iterations):
             dists_from_b = self._reduced_sq_to_all(
-                objects[ib], coords[ib, :axis], objects, coords, axis
+                objects[ib], coords[ib, :axis], batch, coords, axis
             )
             ia_new = int(np.argmax(dists_from_b))
             dists_from_a = self._reduced_sq_to_all(
-                objects[ia_new], coords[ia_new, :axis], objects, coords, axis
+                objects[ia_new], coords[ia_new, :axis], batch, coords, axis
             )
             ib_new = int(np.argmax(dists_from_a))
             ia, ib = ia_new, ib_new
@@ -166,12 +171,13 @@ class FastMap:
         self,
         obj,
         obj_coords: np.ndarray,
-        objects: list,
+        batch: Sequence,
         coords: np.ndarray,
         axis: int,
     ) -> np.ndarray:
-        """``d'^2`` from ``obj`` to every fitted object in the residual space."""
-        orig = self.metric.one_to_many(obj, objects)
+        """``d'^2`` from ``obj`` to every fitted object in the residual space;
+        ``batch`` is the fitted objects as the metric prepared them."""
+        orig = self.metric.one_to_many(obj, batch)
         reduced = orig**2
         if axis > 0:
             diffs = coords[:, :axis] - obj_coords

@@ -19,7 +19,9 @@ Hierarchy idea of cached sufficient statistics):
   distance — every exactly measured clustroid tightens the lower bounds
   of its unmeasured siblings through the cached matrix, and the scan
   stops as soon as the smallest open bound strictly exceeds the current
-  ``tau`` (the radius, for a range query);
+  ``tau`` (the radius, for a range query). A leaf whose covering radius
+  and nearest off-anchor clustroid already prove that stop is pruned
+  whole in O(1), before the loop starts;
 * every clustroid is measured through a one-row slice of its leaf's
   prepared batch (``LeafGeometry.batch``, built with the geometry), so a
   vector metric reads a ready float64 row instead of re-stacking the
@@ -82,6 +84,7 @@ class _AnchorNode:
         "anchor",
         "anchor_row",
         "radius",
+        "near",
         "children",
         "child_dists",
         "offset",
@@ -93,6 +96,7 @@ class _AnchorNode:
     def __init__(self) -> None:
         self.anchor = 0
         self.radius = 0.0
+        self.near = np.inf
         self.children: list["_AnchorNode"] | None = None
         self.child_dists: np.ndarray | None = None
         self.offset = 0
@@ -216,7 +220,12 @@ class CFTreeIndex(MetricIndex):
             out.batch = geom.batch
             out.anchor = out.offset
             out.anchor_row = geom.batch[0:1]
-            out.radius = float(geom.pair[0].max()) if out.size else 0.0
+            if out.size:
+                # Python's max/min over a short row cost less than numpy's
+                # reductions, and pick the same float.
+                row = geom.pair[0].tolist()
+                out.radius = max(row)
+                out.near = min(row[1:], default=np.inf)
             return out
         children = [self._wrap(entry.child, held, fresh) for entry in node.entries]
         child_dists = np.zeros(len(children), dtype=np.float64)
@@ -304,6 +313,13 @@ class CFTreeIndex(MetricIndex):
         Each candidate is measured through a one-row slice of the leaf's
         prepared batch; ties with ``tau()`` are always measured, preserving
         bit-identical results.
+
+        A leaf whose every off-anchor bound ``|d_anchor - D[0, i]|``
+        exceeds ``tau()`` is pruned whole in O(1), before the walk: every
+        ``D[0, i]`` lies in ``[near, radius]`` and rounding is monotone,
+        so ``d_anchor - radius > tau()`` or ``near - d_anchor > tau()``
+        says exactly that. It books the ``size - 1`` bound checks of the
+        walk's one stopping round.
         """
         offset, batch, pair = node.offset, node.batch, node.pair
         assert pair is not None
@@ -314,6 +330,10 @@ class CFTreeIndex(MetricIndex):
             return d
 
         offer(offset, d_anchor)
+        limit = tau()
+        if d_anchor - node.radius > limit or node.near - d_anchor > limit:
+            session.bound_checks += node.size - 1
+            return
         # The anchor, clustroid 0, seeds the walk.
         session.bound_checks += best_first_leaf_scan(pair, [0], [d_anchor], measure, tau)[1]
 

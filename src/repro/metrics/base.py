@@ -38,6 +38,7 @@ __all__ = [
     "deactivate_ledger",
     "active_ledger",
     "site",
+    "take",
 ]
 
 #: Site label for calls counted while a ledger is active but no site is
@@ -310,6 +311,19 @@ class DistanceFunction(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_calls={self._n_calls})"
+
+
+def take(batch: Any, positions: Any) -> Any:
+    """The items of ``batch`` at ``positions``: a fancy-indexed slice of a
+    prepared matrix, else a list.
+
+    This is how a caller hands a subset of a prepared collection to a
+    gather without preparing it again; a vector metric reads the rows as
+    they are.
+    """
+    if isinstance(batch, np.ndarray):
+        return batch[positions]
+    return [batch[j] for j in positions]
 
 
 class FunctionDistance(DistanceFunction):

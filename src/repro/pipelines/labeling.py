@@ -33,13 +33,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import islice
-from typing import Any
 
 import numpy as np
 
 from repro.core.routing import TIE_RTOL
 from repro.exceptions import ParameterError
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, take
 
 __all__ = ["nearest_assignment"]
 
@@ -139,13 +138,5 @@ def _gather(
     values = np.empty(len(rows), dtype=np.float64)
     for group in np.split(order, starts[1:]):
         j = int(picks[group[0]])
-        values[group] = metric.cross(_take(queries, rows[group]), batch[j : j + 1])[:, 0]
+        values[group] = metric.cross(take(queries, rows[group]), batch[j : j + 1])[:, 0]
     return values
-
-
-def _take(objects: Any, index: np.ndarray) -> Any:
-    """``objects`` at ``index``: a fancy-indexed slice of a prepared
-    matrix, or a list."""
-    if isinstance(objects, np.ndarray):
-        return objects[index]
-    return [objects[i] for i in index]

@@ -25,7 +25,7 @@ from repro.birch import BIRCH
 from repro.exceptions import ParameterError
 from repro.fastmap import FastMap
 from repro.hac import AgglomerativeClusterer
-from repro.metrics.base import DistanceFunction, site
+from repro.metrics.base import DistanceFunction, active_ledger, deactivate_ledger, site
 from repro.metrics.vector import EuclideanDistance
 
 __all__ = ["MapFirstResult", "map_first_cluster"]
@@ -74,27 +74,17 @@ def map_first_cluster(
         fastmap = FastMap(metric, image_dim, iterations=fm_iterations, seed=seed)
         images = fastmap.fit(list(objects))
 
-        birch = BIRCH(
-            branching_factor=branching_factor, max_nodes=max_nodes, seed=seed
-        ).fit(list(images))
-        subclusters = birch.subclusters_
-        centroids = [np.asarray(s.clustroid) for s in subclusters]
-        weights = [s.n for s in subclusters]
-
-        k = min(n_clusters, len(centroids))
-        hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
-        hac.fit(objects=centroids, metric=EuclideanDistance(), weights=weights)
-
-        centers = np.vstack(
-            [
-                np.average(
-                    np.asarray([centroids[i] for i in np.flatnonzero(hac.labels_ == c)]),
-                    axis=0,
-                    weights=[weights[i] for i in np.flatnonzero(hac.labels_ == c)],
-                )
-                for c in range(hac.n_clusters_)
-            ]
-        )
+        # BIRCH and HAC measure the images with Euclidean metrics of their
+        # own: image-space arithmetic, not calls to ``metric``. The ledger
+        # is detached around them so it books only the caller's metric.
+        ledger = active_ledger()
+        deactivate_ledger()
+        try:
+            centers = _cluster_images(
+                images, n_clusters, max_nodes, branching_factor, linkage, seed
+            )
+        finally:
+            deactivate_ledger(ledger)
 
     # Label in the image space: no further calls to the (expensive) metric.
     # Gram-matrix form keeps memory at O(N * K) instead of O(N * K * dim).
@@ -109,4 +99,37 @@ def map_first_cluster(
         images=images,
         n_distance_calls=metric.n_calls - calls_before,
         total_seconds=time.perf_counter() - start,
+    )
+
+
+def _cluster_images(
+    images: np.ndarray,
+    n_clusters: int,
+    max_nodes: int | None,
+    branching_factor: int,
+    linkage: str,
+    seed,
+) -> np.ndarray:
+    """Vector BIRCH over the image vectors, then HAC of its sub-cluster
+    centroids down to ``n_clusters``; returns the weighted cluster centers."""
+    birch = BIRCH(
+        branching_factor=branching_factor, max_nodes=max_nodes, seed=seed
+    ).fit(list(images))
+    subclusters = birch.subclusters_
+    centroids = [np.asarray(s.clustroid) for s in subclusters]
+    weights = [s.n for s in subclusters]
+
+    k = min(n_clusters, len(centroids))
+    hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
+    hac.fit(objects=centroids, metric=EuclideanDistance(), weights=weights)
+
+    return np.vstack(
+        [
+            np.average(
+                np.asarray([centroids[i] for i in np.flatnonzero(hac.labels_ == c)]),
+                axis=0,
+                weights=[weights[i] for i in np.flatnonzero(hac.labels_ == c)],
+            )
+            for c in range(hac.n_clusters_)
+        ]
     )

@@ -1,7 +1,6 @@
 """Checkpoint/resume: a scan killed mid-flight restarts from its last
 snapshot and converges to the same result as an uninterrupted run."""
 
-import numpy as np
 import pytest
 
 from repro import BUBBLE, BUBBLEFM, EuclideanDistance, persistence

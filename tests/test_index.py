@@ -528,6 +528,102 @@ class TestCFTreeIndex:
         assert len(vp) == len(model.clustroids_)
 
 
+def _largest_leaf(node):
+    if node.children is None:
+        return node
+    return max((_largest_leaf(c) for c in node.children), key=lambda leaf: leaf.size)
+
+
+def _clustered_points():
+    rng = np.random.default_rng(11)
+    centers = rng.normal(scale=6.0, size=(8, 3))
+    return centers, [centers[i % 8] + rng.normal(size=3) for i in range(240)]
+
+
+class TestWholeLeafPrune:
+    """A leaf every off-anchor bound of which exceeds ``tau`` is pruned in
+    O(1): only its anchor is measured and offered."""
+
+    def _leaf_session(self, monkeypatch, offset):
+        import repro.index.cftree as cftree_module
+
+        def no_walk(*args):
+            raise AssertionError("the whole-leaf prune should skip the walk")
+
+        monkeypatch.setattr(cftree_module, "best_first_leaf_scan", no_walk)
+        metric = EuclideanDistance()
+        index = CFTreeIndex.from_tree(
+            _fit_bubble(_points(60, seed=1), metric).tree_, metric=metric
+        )
+        leaf = _largest_leaf(index._root)
+        assert leaf.size > 2
+        query = index.objects[leaf.anchor] + offset
+        session = QuerySession(metric, query, index.objects, None)
+        d_anchor = session.measure(leaf.anchor, leaf.anchor_row)
+        return metric, index, leaf, session, d_anchor
+
+    def _scan(self, index, leaf, session, d_anchor, tau):
+        offered = []
+        index._scan_leaf(
+            session, leaf, d_anchor, lambda: tau, lambda i, d: offered.append(i)
+        )
+        return offered
+
+    def test_far_query_beyond_the_leaf_radius(self, monkeypatch):
+        metric, index, leaf, session, d_anchor = self._leaf_session(
+            monkeypatch, np.full(3, 50.0)
+        )
+        calls = metric.n_calls
+        tau = (d_anchor - leaf.radius) / 2
+        assert self._scan(index, leaf, session, d_anchor, tau) == [leaf.anchor]
+        assert metric.n_calls == calls
+        assert session.bound_checks == leaf.size - 1
+
+    def test_query_at_the_anchor_inside_the_nearest_sibling(self, monkeypatch):
+        metric, index, leaf, session, d_anchor = self._leaf_session(
+            monkeypatch, np.zeros(3)
+        )
+        assert d_anchor == 0.0
+        calls = metric.n_calls
+        assert self._scan(index, leaf, session, d_anchor, leaf.near / 2) == [leaf.anchor]
+        assert metric.n_calls == calls
+        assert session.bound_checks == leaf.size - 1
+
+    def test_fixed_query_script_is_unchanged(self, monkeypatch):
+        import repro.index.cftree as cftree_module
+
+        centers, objects = _clustered_points()
+        metric = EuclideanDistance()
+        model = _fit_bubble(objects, metric)
+        index = CFTreeIndex.from_tree(model.tree_, metric=metric)
+        walks = []
+        walk = cftree_module.best_first_leaf_scan
+
+        def counted_walk(*args):
+            walks.append(1)
+            return walk(*args)
+
+        monkeypatch.setattr(cftree_module, "best_first_leaf_scan", counted_walk)
+        rng = np.random.default_rng(5)
+        queries = [centers[i % 8] + rng.normal(size=3) for i in range(30)]
+        start, checks = metric.n_calls, 0
+        reference = EuclideanDistance()
+        for j, query in enumerate(queries):
+            knn = index.nearest(query, k=1 + j % 4)
+            expected = brute_force_reference(reference, index.objects, query, 1 + j % 4)
+            assert [(n.distance, n.index) for n in knn] == expected
+            hits = index.within(query, radius=1.5)
+            row = reference.one_to_many(query, list(index.objects))
+            assert sorted((n.index, n.distance) for n in hits) == [
+                (i, float(v)) for i, v in enumerate(row) if v <= 1.5
+            ]
+            checks += knn.bound_checks + hits.bound_checks
+        # Counts measured before the prune existed: it changes neither.
+        assert (metric.n_calls - start, checks) == (1244, 7099)
+        # Some of the script's 701 leaf scans were pruned whole, without a walk.
+        assert 0 < len(walks) < 701
+
+
 class TestCheckpointRoundTrip:
     def test_restored_checkpoint_serves_queries(self, tmp_path):
         metric = EuclideanDistance()

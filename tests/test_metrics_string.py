@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import InnerCounting
 from repro.core.preclusterer import BUBBLE
-from repro.core.routing import _take
 from repro.datasets import make_authority_dataset
 from repro.exceptions import MetricError, ParameterError
 from repro.metrics import (
@@ -19,6 +18,7 @@ from repro.metrics import (
     WeightedEditDistance,
     edit_distance,
 )
+from repro.metrics.base import take
 from repro.metrics.string import (
     _PACKED_MIN,
     StringBatch,
@@ -355,7 +355,7 @@ class TestPackedKernel:
         assert metric.one_to_many(query, batch[1:][1:-1]).tolist() == expected[2:-1]
         assert metric.one_to_many(query, batch[2:3]).tolist() == expected[2:3]
         picks = list(range(len(targets) - 1, -1, -2))
-        taken = _take(batch, picks)
+        taken = take(batch, picks)
         assert metric.one_to_many(query, taken).tolist() == [expected[j] for j in picks]
 
     @given(
