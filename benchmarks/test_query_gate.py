@@ -129,7 +129,7 @@ def _serve(backend, metric, tree, indexed, queries, radius):
     summary = tracer.summary()
     return {
         "answers": answers,
-        "build_calls": index.stats.build_calls,
+        "build_calls": index.build_calls,
         "knn_mean_ncd": knn_calls / len(queries),
         "repeat_query_calls": repeat_calls,
         "ncd_total": summary["ncd_total"],
@@ -253,7 +253,7 @@ def script_record():
     )]
     start = metric.n_calls
     index = model.index()
-    adoptions = [index.stats.build_calls]
+    adoptions = [index.build_calls]
     # The 5th-nearest distance of a probe: a few answers per range query.
     radius = float(np.partition(reference.one_to_many(points[-1], list(index.objects)), 4)[4])
     recent: list = []
@@ -265,7 +265,7 @@ def script_record():
             continue
         if stale:
             index = model.index()
-            adoptions.append(index.stats.build_calls)
+            adoptions.append(index.build_calls)
             stale = False
         if recent and rng.random() < SCRIPT_REPEAT:
             query = recent[int(rng.integers(len(recent)))]

@@ -561,9 +561,11 @@ def _load_snapshot(path: str, metric):
     snapshot = StatsSnapshot.from_tree(ck.tree, metric=metric)
     # The freshly attached metric has counted nothing; the scan's NCD lives
     # in the checkpointed ingest report.
-    report = ck.state.get("report") or {}
-    snapshot.ncd_total = int(report.get("n_distance_calls", snapshot.ncd_total))
-    snapshot.apply_report(report)
+    snapshot.report = ck.state.get("report")
+    if snapshot.report:
+        snapshot.ncd_total = int(
+            snapshot.report.get("n_distance_calls", snapshot.ncd_total)
+        )
     return snapshot, ck.metadata.get("algorithm", "?"), ck.cursor
 
 
@@ -712,7 +714,7 @@ def _cmd_query(args) -> int:
                 results.append(index.nearest(q, args.k if args.k else 1))
 
     snapshot = StatsSnapshot.from_tree(ck.tree, metric=metric, tracer=tracer)
-    snapshot.apply_index(index)
+    snapshot.apply_index(index, results)
     if args.json:
         doc = {
             "backend": index.backend,
@@ -724,7 +726,7 @@ def _cmd_query(args) -> int:
         return 0
     print(
         f"{args.backend} index over {len(index)} clustroids "
-        f"(build NCD {index.stats.build_calls})"
+        f"(build NCD {index.build_calls})"
     )
     for q, result in zip(queries, results):
         label = repr(q) if args.type == "strings" else f"vector[{len(q)}]"

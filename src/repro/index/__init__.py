@@ -1,4 +1,4 @@
-"""Unified metric-index layer (ROADMAP item 2).
+"""Unified metric-index layer.
 
 One protocol — :class:`MetricIndex` — over every triangle-inequality
 engine in the repository:
@@ -16,11 +16,13 @@ cftree    :class:`CFTreeIndex` — the clustroid hierarchy of a fitted
 ========  ==============================================================
 
 All backends answer ``nearest(obj, k)`` / ``within(obj, r)`` with exact,
-bit-identical results (ordered by ``(distance, index)``), report the
-per-query NCD in a typed :class:`QueryResult`, charge query traffic to
-dedicated :class:`~repro.metrics.base.CallLedger` sites, and share exact
-distances across successive queries through a bounded
-:class:`QueryBoundCache`. The cache keys distances by indexed object, so
+bit-identical results (ordered by ``(distance, index)``), report each
+query's costs in its typed :class:`QueryResult` (the index itself keeps
+only :attr:`MetricIndex.build_calls`, and
+:meth:`~repro.observability.StatsSnapshot.apply_index` totals the
+results), charge query traffic to dedicated
+:class:`~repro.metrics.base.CallLedger` sites, and share exact distances
+across successive queries through a bounded :class:`QueryBoundCache`. The cache keys distances by indexed object, so
 a model's one cache (``PreClusterer.index()`` passes it to every index)
 keeps serving repeated queries, and the cf-tree's anchor pairs, after an
 insert forces a re-adoption.
@@ -33,7 +35,6 @@ from repro.index.base import (
     QUERY_BUILD_SITE,
     QUERY_KNN_SITE,
     QUERY_RANGE_SITE,
-    IndexQueryStats,
     MetricIndex,
     Neighbor,
     NeighborHeap,
@@ -56,7 +57,6 @@ __all__ = [
     "QueryResult",
     "QueryBoundCache",
     "QuerySession",
-    "IndexQueryStats",
     "MetricIndex",
     "BruteForceIndex",
     "CFTreeIndex",

@@ -48,7 +48,7 @@ import heapq
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -67,7 +67,6 @@ __all__ = [
     "QueryBoundCache",
     "QuerySession",
     "NeighborHeap",
-    "IndexQueryStats",
     "MetricIndex",
 ]
 
@@ -404,68 +403,16 @@ class NeighborHeap:
         return sorted((-nv, -ni) for nv, ni in self._heap)
 
 
-@dataclass
-class IndexQueryStats:
-    """Cumulative query counters of one :class:`MetricIndex` instance."""
-
-    #: Queries answered (kNN + range).
-    n_queries: int = 0
-    #: kNN queries answered.
-    n_knn: int = 0
-    #: Range queries answered.
-    n_range: int = 0
-    #: Counted distance calls across all queries.
-    query_calls: int = 0
-    #: Counted distance calls paid building the index.
-    build_calls: int = 0
-    #: Candidates across all queries (``n_queries * len(index)``).
-    candidates_total: int = 0
-    #: Candidates measured exactly.
-    candidates_evaluated: int = 0
-    #: Candidates never measured.
-    candidates_pruned: int = 0
-    #: Lower-bound evaluations across all queries.
-    bound_checks: int = 0
-    #: Cross-query bound-cache hits across all queries.
-    cache_hits: int = 0
-    #: Per-query NCD of the most recent query.
-    last_query_calls: int = 0
-    #: Extra per-backend counters (e.g. geometry maintenance).
-    extras: dict[str, int] = field(default_factory=dict)
-
-    def record(self, result: QueryResult) -> None:
-        self.n_queries += 1
-        if result.kind == "knn":
-            self.n_knn += 1
-        else:
-            self.n_range += 1
-        self.query_calls += result.n_calls
-        self.candidates_total += result.n_candidates
-        self.candidates_evaluated += result.n_evaluated
-        self.candidates_pruned += result.n_pruned
-        self.bound_checks += result.bound_checks
-        self.cache_hits += result.cache_hits
-        self.last_query_calls = result.n_calls
-
-    @property
-    def mean_query_calls(self) -> float:
-        return self.query_calls / self.n_queries if self.n_queries else 0.0
-
-    def as_dict(self) -> dict[str, Any]:
-        doc = asdict(self)
-        doc["mean_query_calls"] = round(self.mean_query_calls, 3)
-        return doc
-
-
 class MetricIndex(ABC):
     """Protocol base: an exact similarity index over an arbitrary metric.
 
     Subclasses implement :meth:`build`, :meth:`_knn`, :meth:`_range`,
     :meth:`_check_ready`, ``__len__``, and the :attr:`objects` sequence;
     this base provides the public :meth:`nearest`/:meth:`within` wrappers
-    that open the query ledger sites, run a :class:`QuerySession`, order
-    the answers by ``(distance, index)``, and fold per-query counters
-    into :attr:`stats`.
+    that open the query ledger sites, run a :class:`QuerySession`, and
+    order the answers by ``(distance, index)``. Each query's costs stay in
+    the :class:`QueryResult` it returns;
+    :meth:`~repro.observability.StatsSnapshot.apply_index` totals them.
     """
 
     #: Registry name of the backend (``"brute"``, ``"vptree"``, ...).
@@ -482,8 +429,8 @@ class MetricIndex(ABC):
         #: Cross-query distance cache; pass an explicit instance to share
         #: one cache between several indexes over the same objects.
         self.bound_cache = bound_cache if bound_cache is not None else QueryBoundCache()
-        #: Cumulative query statistics.
-        self.stats = IndexQueryStats()
+        #: Counted distance calls paid building (or adopting) the index.
+        self.build_calls = 0
 
     # ------------------------------------------------------------------
     # Protocol surface
@@ -562,7 +509,6 @@ class MetricIndex(ABC):
             bound_checks=session.bound_checks,
             cache_hits=session.cache_hits,
         )
-        self.stats.record(result)
         self.bound_cache.n_hits += session.cache_hits
         self.bound_cache.n_misses += session.cache_misses
         return result
@@ -572,7 +518,7 @@ class MetricIndex(ABC):
     # ------------------------------------------------------------------
     def _count_build(self, start_calls: int) -> None:
         """Fold the NCD paid since ``start_calls`` into build accounting."""
-        self.stats.build_calls += self.metric.n_calls - start_calls
+        self.build_calls += self.metric.n_calls - start_calls
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(backend={self.backend!r}, size={len(self)})"

@@ -204,8 +204,6 @@ class CFTreeIndex(MetricIndex):
         self.bound_cache.anchor_rows = fresh
         self._tree = tree
         self._version = tree.version
-        self.stats.extras["maintenance_evals"] = self.build_stats.maintenance_evals
-        self.stats.extras["geometry_builds"] = self.build_stats.geometry_builds
 
     def _wrap(self, node: Any, held: _AnchorRows, fresh: _AnchorRows) -> _AnchorNode:
         out = _AnchorNode()

@@ -3,10 +3,14 @@
 The CF*-tree, the distance function, the cache, and the tracer each hold a
 piece of the run's story; :class:`StatsSnapshot` collects them into a
 single JSON-compatible record — what ``repro stats <checkpoint>`` prints.
+Each owner's counters appear once, as that owner's own record (``cache``,
+``query``, ``pruning``, ``slab``, ``report``), never copied into fields
+of the snapshot.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -14,6 +18,16 @@ from repro.metrics.base import DistanceFunction
 from repro.metrics.cache import CachedDistance
 
 __all__ = ["StatsSnapshot"]
+
+#: ``query`` keys that total a :class:`~repro.index.QueryResult` field.
+_QUERY_TOTALS = (
+    ("query_calls", "n_calls"),
+    ("candidates_total", "n_candidates"),
+    ("candidates_evaluated", "n_evaluated"),
+    ("candidates_pruned", "n_pruned"),
+    ("bound_checks", "bound_checks"),
+    ("cache_hits", "cache_hits"),
+)
 
 
 def _find_cache(metric: Any) -> CachedDistance | None:
@@ -55,21 +69,17 @@ class StatsSnapshot:
     ncd_total: int = 0
     #: Site-attributed NCD (empty unless a tracer/ledger was supplied).
     ncd_by_site: dict[str, int] = field(default_factory=dict)
-    #: Cache hits (``None`` when no :class:`CachedDistance` is in the chain).
-    cache_hits: int | None = None
-    #: Cache misses == true evaluations through the cache.
-    cache_misses: int | None = None
-    #: Full LRU cache counters (hits/misses/evictions/size/maxsize/
+    #: LRU cache counters (hits/misses/evictions/size/maxsize/
     #: hit_rate; ``None`` when no :class:`CachedDistance` is in the chain).
     cache: dict[str, Any] | None = None
-    #: Query-serving counters of a :class:`repro.index.MetricIndex`
-    #: (:meth:`~repro.index.IndexQueryStats.as_dict` plus, under
-    #: ``"bound_cache"``, :meth:`~repro.index.QueryBoundCache.as_dict`:
-    #: hits, misses, queries evicted, queries and pairs held, and anchor
-    #: pairs reused; ``None`` until :meth:`apply_index` runs). The
-    #: bound-cache counters are cumulative over every index sharing the
-    #: cache, which for ``model.index()`` means over all of the model's
-    #: adoptions; the other counters cover this index only.
+    #: Query-serving totals of a :class:`repro.index.MetricIndex`: its
+    #: build NCD, the :class:`~repro.index.QueryResult` counters summed
+    #: over the queries passed to :meth:`apply_index`, and, under
+    #: ``"bound_cache"``, :meth:`~repro.index.QueryBoundCache.as_dict`
+    #: (hits, misses, queries evicted, queries and pairs held, anchor
+    #: pairs reused; cumulative over every index sharing the cache, which
+    #: for ``model.index()`` means over all of the model's adoptions).
+    #: ``None`` until :meth:`apply_index` runs.
     query: dict[str, Any] | None = None
     #: Pruned-routing counters (:class:`repro.core.routing.PruningStats`
     #: as a dict; ``None`` when the policy has no pruning engine).
@@ -78,20 +88,11 @@ class StatsSnapshot:
     #: (:meth:`repro.core.arena.FeatureArena.snapshot`; ``None`` when the
     #: policy keeps no slab arena).
     slab: dict[str, Any] | None = None
-    #: Shard attempts retried during a fault-tolerant parallel build.
-    shards_retried: int = 0
-    #: Worker processes that crashed or were killed for timing out.
-    workers_crashed: int = 0
-    #: Shards that resumed from a per-shard checkpoint.
-    shards_resumed: int = 0
-    #: Total exponential-backoff delay scheduled between shard retries.
-    backoff_seconds_total: float = 0.0
-    #: Subsamples searched by a CLARA-style sampled global phase.
-    global_samples: int = 0
-    #: Distance calls spent inside those sample searches.
-    global_sample_ncd: int = 0
-    #: Aggregate wall-clock seconds across the sample searches.
-    global_sample_seconds: float = 0.0
+    #: The run's :class:`~repro.robustness.report.IngestReport` as a dict
+    #: (``to_dict()``; ingestion, shard-recovery and sampled-global-phase
+    #: counters), from the model or the checkpoint; ``None`` when neither
+    #: carries one.
+    report: dict[str, Any] | None = None
     #: Per-sample diagnostics of the sampled global phase (size, NCD,
     #: wall, costs), in sample order.
     global_phase_samples: list[dict] = field(default_factory=list)
@@ -128,8 +129,6 @@ class StatsSnapshot:
             snapshot.ncd_total = metric.n_calls
             cache = _find_cache(metric)
             if cache is not None:
-                snapshot.cache_hits = cache.n_hits
-                snapshot.cache_misses = cache.n_calls
                 snapshot.cache = cache.counters()
         if tracer is not None and getattr(tracer, "enabled", False):
             snapshot.ncd_by_site = dict(tracer.calls_by_site)
@@ -149,39 +148,35 @@ class StatsSnapshot:
         snapshot = cls.from_tree(model.tree_, metric=model.metric, tracer=tracer)
         report = getattr(model, "ingest_report_", None)
         if report is not None:
-            snapshot.apply_report(report)
+            snapshot.report = report.to_dict()
         snapshot.global_phase_samples = [
             dict(s) for s in getattr(model, "global_phase_samples_", [])
         ]
         return snapshot
 
-    def apply_report(self, report: Any) -> None:
-        """Pull fault-tolerance counters from an ingest report (object or
-        ``to_dict()`` payload)."""
-        if isinstance(report, dict):
-            get = report.get
-        else:
-            def get(name: str, default: Any = 0) -> Any:
-                return getattr(report, name, default)
-        self.shards_retried = int(get("shards_retried", 0) or 0)
-        self.workers_crashed = int(get("workers_crashed", 0) or 0)
-        self.shards_resumed = int(get("shards_resumed", 0) or 0)
-        self.backoff_seconds_total = float(get("backoff_seconds_total", 0.0) or 0.0)
-        self.global_samples = int(get("global_samples", 0) or 0)
-        self.global_sample_ncd = int(get("global_sample_ncd", 0) or 0)
-        self.global_sample_seconds = float(get("global_sample_seconds", 0.0) or 0.0)
-
-    def apply_index(self, index: Any) -> None:
-        """Fold a :class:`repro.index.MetricIndex`'s query counters in.
-
-        Populates :attr:`query` with the cumulative
-        :class:`~repro.index.IndexQueryStats` record plus the cross-query
-        bound cache's record (cumulative over every index sharing it).
-        """
-        self.query = dict(index.stats.as_dict())
-        self.query["backend"] = getattr(index, "backend", "?")
-        self.query["n_indexed"] = len(index)
-        self.query["bound_cache"] = index.bound_cache.as_dict()
+    def apply_index(self, index: Any, results: Iterable[Any]) -> None:
+        """Fold a :class:`repro.index.MetricIndex` and the
+        :class:`~repro.index.QueryResult` records of the queries it served
+        into :attr:`query`."""
+        results = list(results)
+        n_queries = len(results)
+        n_knn = sum(1 for r in results if r.kind == "knn")
+        self.query = {
+            key: sum(getattr(r, attr) for r in results)
+            for key, attr in _QUERY_TOTALS
+        }
+        calls = self.query["query_calls"]
+        self.query.update(
+            backend=index.backend,
+            n_indexed=len(index),
+            build_calls=index.build_calls,
+            n_queries=n_queries,
+            n_knn=n_knn,
+            n_range=n_queries - n_knn,
+            mean_query_calls=round(calls / n_queries, 3) if n_queries else 0.0,
+            last_query_calls=results[-1].n_calls if results else 0,
+            bound_cache=index.bound_cache.as_dict(),
+        )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-compatible dict (what ``repro stats --json`` prints)."""
@@ -198,19 +193,11 @@ class StatsSnapshot:
             "n_outliers_parked": self.n_outliers_parked,
             "ncd_total": self.ncd_total,
             "ncd_by_site": dict(self.ncd_by_site),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "cache": dict(self.cache) if self.cache is not None else None,
             "query": dict(self.query) if self.query is not None else None,
             "pruning": dict(self.pruning) if self.pruning is not None else None,
             "slab": dict(self.slab) if self.slab is not None else None,
-            "shards_retried": self.shards_retried,
-            "workers_crashed": self.workers_crashed,
-            "shards_resumed": self.shards_resumed,
-            "backoff_seconds_total": self.backoff_seconds_total,
-            "global_samples": self.global_samples,
-            "global_sample_ncd": self.global_sample_ncd,
-            "global_sample_seconds": self.global_sample_seconds,
+            "report": dict(self.report) if self.report is not None else None,
             "global_phase_samples": [dict(s) for s in self.global_phase_samples],
         }
 
@@ -231,10 +218,9 @@ class StatsSnapshot:
         if self.n_outliers_parked:
             rows.append(("outliers parked", str(self.n_outliers_parked)))
         rows.append(("distance calls", str(self.ncd_total)))
-        if self.cache_hits is not None:
-            rows.append(("cache hits", str(self.cache_hits)))
-            rows.append(("cache misses", str(self.cache_misses)))
         if self.cache is not None:
+            rows.append(("cache hits", str(self.cache.get("hits"))))
+            rows.append(("cache misses", str(self.cache.get("misses"))))
             rows.append(("cache evictions", str(self.cache.get("evictions", 0))))
             rows.append(
                 (
@@ -309,15 +295,25 @@ class StatsSnapshot:
                     f"{-float(self.slab.get('bytes_reduction', 0.0)):+.1%})",
                 )
             )
-        if self.shards_retried or self.workers_crashed or self.shards_resumed:
-            rows.append(("shard retries", str(self.shards_retried)))
-            rows.append(("worker crashes", str(self.workers_crashed)))
-            rows.append(("shards resumed", str(self.shards_resumed)))
-            rows.append(("retry backoff", f"{self.backoff_seconds_total:.2f}s"))
-        if self.global_samples:
-            rows.append(("global samples", str(self.global_samples)))
-            rows.append(("sample search NCD", str(self.global_sample_ncd)))
-            rows.append(("sample search wall", f"{self.global_sample_seconds:.2f}s"))
+        report = self.report or {}
+        retried = report.get("shards_retried", 0)
+        crashed = report.get("workers_crashed", 0)
+        resumed = report.get("shards_resumed", 0)
+        if retried or crashed or resumed:
+            backoff = float(report.get("backoff_seconds_total", 0.0))
+            rows.append(("shard retries", str(retried)))
+            rows.append(("worker crashes", str(crashed)))
+            rows.append(("shards resumed", str(resumed)))
+            rows.append(("retry backoff", f"{backoff:.2f}s"))
+        if report.get("global_samples"):
+            rows.append(("global samples", str(report["global_samples"])))
+            rows.append(("sample search NCD", str(report.get("global_sample_ncd", 0))))
+            rows.append(
+                (
+                    "sample search wall",
+                    f"{float(report.get('global_sample_seconds', 0.0)):.2f}s",
+                )
+            )
         width = max(len(k) for k, _ in rows)
         lines = [f"{k:<{width}}  {v}" for k, v in rows]
         if self.ncd_by_site:

@@ -23,7 +23,7 @@ parallel builds").
 from __future__ import annotations
 
 from repro.parallel.build import parallel_fit, resolve_n_shards
-from repro.parallel.pool import ShardFailure, ShardSupervisor, SupervisorStats
+from repro.parallel.pool import ShardFailure, ShardSupervisor
 from repro.parallel.shard import global_index, shard_objects
 from repro.parallel.worker import ShardResult, ShardTask, run_shard
 
@@ -36,6 +36,5 @@ __all__ = [
     "ShardResult",
     "ShardFailure",
     "ShardSupervisor",
-    "SupervisorStats",
     "run_shard",
 ]

@@ -141,12 +141,6 @@ def _metric_blob(metric: Any) -> bytes:
         ) from exc
 
 
-def _metric_copies(metric: Any, n: int) -> list[Any]:
-    """``n`` private metric copies via the pickle round trip."""
-    blob = _metric_blob(metric)
-    return [pickle.loads(blob) for _ in range(n)]
-
-
 def _shard_budgets(metric: Any, n_shards: int) -> int | None:
     """Each shard's slice of a guarded metric's NCD budget.
 
@@ -343,7 +337,7 @@ def parallel_fit(
     with tracer.activation():
         results = supervisor.run()
 
-        failures_by_shard = Counter(f.shard_id for f in supervisor.stats.failures)
+        failures_by_shard = Counter(f.shard_id for f in supervisor.failures)
         model.shard_summaries_ = [
             {
                 "shard_id": result.shard_id,
@@ -367,7 +361,7 @@ def parallel_fit(
             # as a sequential scan would have at the same global count.
             model.tree_ = None
             model.ingest_report_ = _merge_reports(
-                model, results, start, supervisor.stats
+                model, results, start, supervisor.report
             )
             raise QuarantineOverflowError(
                 f"merged quarantine holds {len(model.quarantine_)} objects, "
@@ -388,7 +382,7 @@ def parallel_fit(
         if not features:
             model.tree_ = None
             model.ingest_report_ = _merge_reports(
-                model, results, start, supervisor.stats
+                model, results, start, supervisor.report
             )
             n_parked = len(model.quarantine_)
             if n_parked:
@@ -414,7 +408,7 @@ def parallel_fit(
             for result in results:
                 stats.absorb(result.pruning)
 
-    model.ingest_report_ = _merge_reports(model, results, start, supervisor.stats)
+    model.ingest_report_ = _merge_reports(model, results, start, supervisor.report)
     return model
 
 
@@ -444,11 +438,12 @@ def _merge_reports(
     model: Any,
     results: list[ShardResult],
     start: float,
-    stats: Any = None,
+    recovery: IngestReport,
 ) -> IngestReport:
-    """Fold shard reports into the model's build-wide report."""
+    """Fold the shard reports and the supervisor's ``recovery`` report
+    into the model's build-wide report."""
     report = IngestReport.merged(
-        [IngestReport.from_dict(result.report) for result in results]
+        [IngestReport.from_dict(result.report) for result in results] + [recovery]
     )
     report.elapsed_seconds = time.perf_counter() - start
     report.n_distance_calls = model.metric.n_calls
@@ -460,9 +455,4 @@ def _merge_reports(
     report.n_retries += getattr(metric, "n_retries", 0)
     report.n_substitutions += getattr(metric, "n_substitutions", 0)
     report.n_metric_faults += getattr(metric, "n_faults", 0)
-    if stats is not None:
-        report.shards_retried = stats.shards_retried
-        report.workers_crashed = stats.workers_crashed
-        report.shards_resumed = stats.shards_resumed
-        report.backoff_seconds_total = stats.backoff_seconds_total
     return report

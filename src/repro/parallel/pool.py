@@ -25,7 +25,9 @@ Failures that retrying cannot fix — invalid parameters, the quarantine
 circuit breaker, tree-invariant violations, a global deadline — propagate
 immediately. Each attempt runs :func:`repro.parallel.worker.run_shard`
 over its :class:`~repro.parallel.worker.ShardTask`, and the supervisor
-reports :class:`SupervisorStats` that the caller folds into its report.
+books its recovery counters into an
+:class:`~repro.robustness.report.IngestReport` of its own
+(:attr:`ShardSupervisor.report`) that the caller merges into the build's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import multiprocessing
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any
 
@@ -48,8 +50,9 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.parallel.worker import run_shard
+from repro.robustness.report import IngestReport
 
-__all__ = ["ShardFailure", "ShardSupervisor", "SupervisorStats"]
+__all__ = ["ShardFailure", "ShardSupervisor"]
 
 #: Failures no retry can fix: bad configuration, circuit breakers, and the
 #: global wall-clock deadline (a rescan cannot run the clock backwards; the
@@ -82,24 +85,6 @@ class ShardFailure:
     kind: str
     #: Exception repr or exit-code description.
     detail: str
-
-
-@dataclass
-class SupervisorStats:
-    """Aggregate fault-tolerance counters of one supervised build."""
-
-    #: Shard attempts re-queued after a recoverable failure.
-    shards_retried: int = 0
-    #: Worker processes that died or were killed for overrunning a timeout.
-    workers_crashed: int = 0
-    #: Shards whose (final) result restored state from a checkpoint.
-    shards_resumed: int = 0
-    #: Shards that fell back to in-parent execution after retries ran out.
-    inline_fallbacks: int = 0
-    #: Total backoff delay scheduled between retries.
-    backoff_seconds_total: float = 0.0
-    #: Every failed attempt, in observation order.
-    failures: list[ShardFailure] = field(default_factory=list)
 
 
 @dataclass
@@ -215,7 +200,11 @@ class ShardSupervisor:
         self._sleep = sleep
         self._clock = clock
         self._deadline_at: float | None = None
-        self.stats = SupervisorStats()
+        #: Recovery counters (``shards_retried``, ``workers_crashed``,
+        #: ``shards_resumed``, ``backoff_seconds_total``); the rest stay 0.
+        self.report = IngestReport()
+        #: Every failed attempt, in observation order.
+        self.failures: list[ShardFailure] = []
 
     # ------------------------------------------------------------------
     def run(self) -> list[Any]:
@@ -251,7 +240,7 @@ class ShardSupervisor:
         self, state: _ShardState, result: Any, results: dict[int, Any]
     ) -> None:
         if result.resumed_at is not None:
-            self.stats.shards_resumed += 1
+            self.report.shards_resumed += 1
         results[state.task.shard_id] = result
         if self.on_result is not None:
             self.on_result(result)
@@ -262,15 +251,15 @@ class ShardSupervisor:
         """Record a failed attempt; decide ``("retry", delay)`` or
         ``("fallback", 0)``."""
         if kind in ("crash", "timeout"):
-            self.stats.workers_crashed += 1
+            self.report.workers_crashed += 1
         failure = ShardFailure(state.task.shard_id, state.attempt, kind, detail)
-        self.stats.failures.append(failure)
+        self.failures.append(failure)
         if state.attempt < self.max_retries:
             delay = self.backoff * (self.backoff_multiplier**state.attempt)
             state.attempt += 1
             state.not_before = self._clock() + delay
-            self.stats.shards_retried += 1
-            self.stats.backoff_seconds_total += delay
+            self.report.shards_retried += 1
+            self.report.backoff_seconds_total += delay
             if self.on_retry is not None:
                 self.on_retry(state.task, failure, delay)
             return ("retry", delay)
@@ -283,7 +272,6 @@ class ShardSupervisor:
 
     def _fallback(self, state: _ShardState, results: dict[int, Any]) -> None:
         """Graceful degradation: the shard's last stand, in-parent."""
-        self.stats.inline_fallbacks += 1
         task = self._prepare(state)
         self._complete(state, run_shard(task), results)
 

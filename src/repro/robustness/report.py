@@ -79,29 +79,15 @@ class IngestReport:
         here but re-synced by the caller once the merge and any later
         phases have spent their own calls on the parent metric.
         ``resumed_at`` stays ``None`` (it is a sequential-scan cursor);
-        parallel resumes are counted in ``shards_resumed``, and the other
-        fault-tolerance counters (``shards_retried``, ``workers_crashed``,
-        ``backoff_seconds_total``) are filled in by the shard supervisor.
+        parallel resumes are counted in ``shards_resumed``, which, like
+        the other recovery counters, the shard supervisor books into a
+        report of its own that the caller merges in with the shards'.
         """
         out = cls()
-        for report in reports:
-            out.n_seen += report.n_seen
-            out.n_inserted += report.n_inserted
-            out.n_quarantined += report.n_quarantined
-            out.n_retries += report.n_retries
-            out.n_substitutions += report.n_substitutions
-            out.n_metric_faults += report.n_metric_faults
-            out.n_distance_calls += report.n_distance_calls
-            out.n_rebuilds += report.n_rebuilds
-            out.n_checkpoints += report.n_checkpoints
-            out.shards_retried += report.shards_retried
-            out.workers_crashed += report.workers_crashed
-            out.shards_resumed += report.shards_resumed
-            out.backoff_seconds_total += report.backoff_seconds_total
-            out.global_samples += report.global_samples
-            out.global_sample_ncd += report.global_sample_ncd
-            out.global_sample_seconds += report.global_sample_seconds
-            out.elapsed_seconds += report.elapsed_seconds
+        for f in fields(cls):
+            if f.name != "resumed_at":
+                total = sum((getattr(r, f.name) for r in reports), f.default)
+                setattr(out, f.name, total)
         return out
 
     def format(self) -> str:

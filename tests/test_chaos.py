@@ -24,11 +24,11 @@ from repro.core.config import BuildConfig
 from repro.core.preclusterer import BUBBLE
 from repro.exceptions import WorkerCrashError
 from repro.metrics import EuclideanDistance
-from repro.observability import Tracer
+from repro.observability import StatsSnapshot, Tracer
 from repro.parallel import parallel_fit
 from repro.parallel.pool import ShardSupervisor
 from repro.parallel.worker import ShardTask
-from repro.robustness import ChaosPolicy, FlakyMetric
+from repro.robustness import ChaosPolicy, FaultInjector, FlakyMetric
 
 __all__: list[str] = []
 
@@ -136,6 +136,12 @@ class TestKillRecovery:
         # max_shard_retries=2 → attempts 0,1,2 killed, then the fallback.
         assert model.ingest_report_.workers_crashed == 3
         assert model.ingest_report_.shards_retried == 2
+        # The snapshot carries the build's report as its own record.
+        snapshot = StatsSnapshot.from_model(model)
+        doc = snapshot.to_dict()["report"]
+        assert doc["workers_crashed"] == 3 and doc["shards_retried"] == 2
+        assert doc["backoff_seconds_total"] == model.ingest_report_.backoff_seconds_total
+        assert "worker crashes" in snapshot.format()
 
 
 class TestMetricFaults:
@@ -202,7 +208,40 @@ class TestCorruptCheckpoint:
         assert summary["resumed_at"] is None
 
 
+class _FirstCallFails(FaultInjector):
+    """Fails the first decision of its stream and no other."""
+
+    def should_fail(self) -> bool:
+        self.n_calls += 1
+        return self.n_calls == 1
+
+
 class TestSupervisorEdges:
+    def test_inline_retry_books_recovery_counters(self):
+        # The first attempt hits the one injected fault; the retry runs
+        # clean. The supervisor's own report holds the recovery counters.
+        task = ShardTask(
+            shard_id=0,
+            n_shards=1,
+            objects=[np.zeros(2), np.ones(2), np.full(2, 2.0), np.full(2, 3.0)],
+            driver=BUBBLE,
+            config=BuildConfig(),
+            metric=FlakyMetric(EuclideanDistance(), _FirstCallFails()),
+            seed=0,
+        )
+        supervisor = ShardSupervisor(
+            [task], n_jobs=1, max_retries=2, backoff=0.5, sleep=lambda s: None
+        )
+        (result,) = supervisor.run()
+        assert result.n_objects == 4
+        assert supervisor.report.shards_retried == 1
+        assert supervisor.report.workers_crashed == 0
+        assert supervisor.report.shards_resumed == 0
+        assert supervisor.report.backoff_seconds_total == 0.5
+        assert [(f.shard_id, f.attempt, f.kind) for f in supervisor.failures] == [
+            (0, 0, "error")
+        ]
+
     def test_no_fallback_raises_worker_crash_error(self):
         # inline_fallback=False is the strict mode: exhausted retries
         # surface as a typed error instead of degrading. A permanently
@@ -226,7 +265,7 @@ class TestSupervisorEdges:
         )
         with pytest.raises(WorkerCrashError, match="2 attempt"):
             supervisor.run()
-        assert supervisor.stats.shards_retried == 1
+        assert supervisor.report.shards_retried == 1
 
     def test_unarmed_policy_never_kills_inline(self):
         # Safety property: running a kill schedule inline (parent PID ==

@@ -188,10 +188,10 @@ class TestDriverIntegration:
         model.global_phase(3, method="clara", global_samples=2,
                            global_sample_size=25, max_neighbors=20)
         snapshot = StatsSnapshot.from_model(model)
-        assert snapshot.global_samples == 2
+        assert snapshot.report["global_samples"] == 2
         assert len(snapshot.global_phase_samples) == 2
         assert "global samples" in snapshot.format()
-        assert snapshot.to_dict()["global_samples"] == 2
+        assert snapshot.to_dict()["report"]["global_samples"] == 2
 
 
 class TestValidation:

@@ -299,6 +299,37 @@ class TestQueryVerb:
         out = capsys.readouterr().out
         assert "bound cache " in out and "bound cache held" in out
 
+    @pytest.mark.parametrize("backend", ["cftree", "vptree"])
+    def test_json_query_record_is_the_fold_of_its_results(
+        self, tmp_path, capsys, backend
+    ):
+        import json
+
+        data = tmp_path / "pts.csv"
+        main(["generate", "cell", str(data), "--n-points", "300",
+              "--n-clusters", "3", "--dim", "2"])
+        ckpt = tmp_path / "scan.ckpt"
+        assert main([
+            "cluster", str(data), "--type", "vectors", "--n-clusters", "3",
+            "--max-nodes", "10", "--checkpoint", str(ckpt),
+            "--checkpoint-every", "100",
+        ]) == 0
+        capsys.readouterr()
+        args = ["query", str(ckpt), "--type", "vectors", "--radius", "2.5",
+                "--backend", backend, "--json"]
+        for q in ["0,0", "5.5,-2", "12,7.25", "0,0"]:
+            args += ["--query", q]
+        assert main(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        results, query = doc["results"], doc["query"]
+        assert query["n_queries"] == len(results) == 4
+        assert query["n_range"] == 4 and query["n_knn"] == 0
+        assert query["query_calls"] == sum(r["n_calls"] for r in results)
+        assert query["candidates_pruned"] == sum(r["n_pruned"] for r in results)
+        assert query["last_query_calls"] == results[-1]["n_calls"]
+        assert query["build_calls"] == doc["ncd_by_site"].get("query-build", 0)
+        assert query["build_calls"] > 0
+
 
 class TestTraceOption:
     def test_cluster_trace_writes_jsonl_and_summary(self, tmp_path, capsys):

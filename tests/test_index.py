@@ -186,7 +186,7 @@ class TestCacheSurvivesReadoption:
         first = model.index()
         before = _anchor_pairs(model.tree_)
         assert len(before) > 2  # the tree has non-leaf levels
-        assert first.stats.build_calls == len(before)
+        assert first.build_calls == len(before)
         held = {(id(a), id(b)) for a, b in before}
         reused = first.bound_cache.n_anchor_reused
         for x in (np.full(3, 25.0), np.full(3, -25.0), np.array([25.0, -25.0, 0.0])):
@@ -196,10 +196,10 @@ class TestCacheSurvivesReadoption:
         InnerCounting.reset()
         second = model.index()
         assert second.bound_cache is first.bound_cache
-        assert second.stats.build_calls == len(unheld) < len(after)
+        assert second.build_calls == len(unheld) < len(after)
         assert (
             InnerCounting.evals
-            == second.stats.build_calls + second.build_stats.maintenance_evals
+            == second.build_calls + second.build_stats.maintenance_evals
         )
         assert second.bound_cache.n_anchor_reused - reused == len(after) - len(unheld)
         # Copied pairs equal what a fresh adoption measures.
@@ -214,7 +214,7 @@ class TestCacheSurvivesReadoption:
         # adoption pays nothing.
         cache = second.bound_cache
         assert sum(len(row) for _, row in cache.anchor_rows.values()) == len(after)
-        assert model.index().stats.build_calls == 0
+        assert model.index().build_calls == 0
         # Adopting another tree drops every pair of this one.
         other = _fit_bubble(_points(30, seed=12))
         CFTreeIndex.from_tree(other.tree_, bound_cache=cache)
@@ -232,7 +232,7 @@ class TestCacheSurvivesReadoption:
         assert restored.bound_cache is not index.bound_cache
         assert len(restored.bound_cache) == 0
         assert restored.bound_cache.n_anchor_reused == 0
-        assert restored.stats.build_calls == len(_anchor_pairs(clone.tree_))
+        assert restored.build_calls == len(_anchor_pairs(clone.tree_))
         result = restored.nearest(query, k=3)
         assert result.cache_hits == 0
         objects = list(restored.objects)
@@ -516,7 +516,7 @@ class TestCFTreeIndex:
         index.build(_points(25, seed=4))
         result = index.nearest(np.zeros(3), k=2)
         assert result.neighbors
-        assert index.stats.build_calls > 0
+        assert index.build_calls > 0
 
     def test_model_index_accessor(self):
         model = _fit_bubble(_points(40, seed=5))
@@ -635,7 +635,7 @@ class TestCheckpointRoundTrip:
         index = ck.index()
         # Leaf geometry travels in the pickle: building the index costs
         # only the non-leaf anchor gathers, far below one brute scan.
-        assert index.stats.build_calls < len(index)
+        assert index.build_calls < len(index)
         query = np.zeros(3)
         row = fresh_metric.one_to_many(query, list(index.objects))
         expected = sorted((float(v), i) for i, v in enumerate(row))[:3]
@@ -646,10 +646,14 @@ class TestCheckpointRoundTrip:
         model = _fit_bubble(_points(30, seed=7), metric)
         path = tmp_path / "scan.ckpt"
         save_checkpoint(path, model.tree_, cursor=30)
+        from repro.observability.stats import StatsSnapshot
+
         ck = load_checkpoint(path, EuclideanDistance())
         index = ck.index()
-        index.nearest(np.zeros(3), k=2)
-        doc = index.stats.as_dict()
+        result = index.nearest(np.zeros(3), k=2)
+        snapshot = StatsSnapshot.from_tree(ck.tree, metric=index.metric)
+        snapshot.apply_index(index, [result])
+        doc = snapshot.query
         assert doc["n_queries"] == 1 and doc["n_knn"] == 1
         assert doc["query_calls"] == doc["last_query_calls"] > 0
 
@@ -661,10 +665,9 @@ class TestStatsSnapshotIntegration:
         metric = EuclideanDistance()
         model = _fit_bubble(_points(40, seed=8), metric)
         index = model.index()
-        index.nearest(np.zeros(3), k=2)
-        index.within(np.zeros(3), 1.0)
+        results = [index.nearest(np.zeros(3), k=2), index.within(np.zeros(3), 1.0)]
         snapshot = StatsSnapshot.from_tree(model.tree_, metric=metric)
-        snapshot.apply_index(index)
+        snapshot.apply_index(index, results)
         assert snapshot.query is not None
         assert snapshot.query["n_queries"] == 2
         assert snapshot.query["backend"] == "cftree"
@@ -679,7 +682,7 @@ class TestStatsSnapshotIntegration:
         # The counters are cumulative over the model's adoptions.
         model.partial_fit([np.full(3, 9.0)])
         readopted = model.index()
-        snapshot.apply_index(readopted)
+        snapshot.apply_index(readopted, [])
         again = snapshot.query["bound_cache"]
         assert again["misses"] == bound["misses"]
         assert again["anchor_pairs_reused"] > 0

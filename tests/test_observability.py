@@ -387,7 +387,7 @@ class TestSitesUnderFaults:
     )
     def test_budget_fault_inside_a_query(self, backend, query, fault_site):
         objs = _ds2_objects(n=200)
-        build_calls = backend(EuclideanDistance()).build(objs).stats.build_calls
+        build_calls = backend(EuclideanDistance()).build(objs).build_calls
         metric = GuardedMetric(EuclideanDistance(), max_calls=build_calls + 1)
         index = backend(metric).build(objs)
         probe = EuclideanDistance()
@@ -530,8 +530,8 @@ class TestStatsSnapshot:
         model = BUBBLE(metric, max_nodes=20, seed=2)
         model.fit(_ds2_objects(n=200, seed=29))
         snap = StatsSnapshot.from_model(model)
-        assert snap.cache_misses == metric.n_calls
-        assert snap.cache_hits == metric.n_hits
+        assert snap.cache["misses"] == metric.n_calls
+        assert snap.cache["hits"] == metric.n_hits
 
     def test_checkpoint_strips_live_tracer(self, tmp_path):
         # Trees and policies never hold a tracer, so a checkpoint of a

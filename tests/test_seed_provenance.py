@@ -128,7 +128,7 @@ def _vptree_build(seed):
         if node is not None and not isinstance(node, list):
             vantage.append(node.index)
             stack += [node.outside, node.inside]
-    return (*vantage, index.stats.build_calls)
+    return (*vantage, index.build_calls)
 
 
 def _bubble_fm_fit(seed):
