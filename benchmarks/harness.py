@@ -49,7 +49,7 @@ __all__ = ["run_harness", "main"]
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_birchstar.json"
 
-#: The experiments the harness drives: name -> callable(scale, tracer).
+#: The experiments the harness drives: name -> callable(scale).
 EXPERIMENTS: dict[str, Callable[..., Any]] = {
     "fig4_time_vs_points": run_fig4_time_vs_points,
     "fig5_ncd_vs_points": run_fig5_ncd_vs_points,
@@ -64,9 +64,9 @@ def _run_one(name: str, runner: Callable[..., Any], scale: str) -> dict[str, Any
     start = time.perf_counter()
     # The activation makes every metric the experiment creates internally
     # charge this tracer, so every site the library opens is booked and
-    # timed here; the tracer= argument only lets the drivers re-activate it.
+    # timed here.
     with tracer:
-        result = runner(scale=scale, tracer=tracer)
+        result = runner(scale=scale)
     wall = time.perf_counter() - start
     tracer.close()
     summary = tracer.summary()

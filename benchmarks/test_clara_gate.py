@@ -63,7 +63,7 @@ def _leg(workload, ds, method):
     tracer = Tracer()
     with tracer:
         model = BUBBLE(
-            metric, max_nodes=MAX_NODES[workload.name], seed=0, tracer=tracer,
+            metric, max_nodes=MAX_NODES[workload.name], seed=0,
             **TREE_PARAMS,
         ).fit(objects)
         search = model.global_phase(

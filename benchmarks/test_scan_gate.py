@@ -90,7 +90,7 @@ def _scan(algorithm, objects, max_nodes, prune):
     tracer = Tracer()
     with tracer:
         model = cls(
-            EuclideanDistance(), max_nodes=max_nodes, seed=0, tracer=tracer,
+            EuclideanDistance(), max_nodes=max_nodes, seed=0,
             prune=prune, **options, **TREE_PARAMS,
         ).fit(objects)
     tracer.close()

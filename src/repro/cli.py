@@ -35,6 +35,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from repro.datasets import (
     write_string_file,
     write_vector_file,
 )
+from repro.exceptions import ParameterError
 from repro.index import available_backends
 from repro.metrics import (
     DamerauLevenshteinDistance,
@@ -272,26 +275,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_tracer(trace_path: str | None):
-    """A JSONL-streaming tracer for ``--trace PATH``, or the no-op default."""
-    from repro.observability import NULL_TRACER, JsonlSink, Tracer
-
+@contextmanager
+def _tracing(trace_path: str | None) -> Iterator:
+    """``with tracer:`` around the block for ``--trace PATH`` (yields the
+    tracer, or ``None`` without the flag). The trace is closed, and so
+    ends with its ``summary`` event, on every way out of the block."""
     if trace_path is None:
-        return NULL_TRACER
-    return Tracer(sinks=[JsonlSink(trace_path)])
+        yield None
+        return
+    from repro.observability import JsonlSink, Tracer
+
+    tracer = Tracer(sinks=[JsonlSink(trace_path)])
+    try:
+        with tracer:
+            yield tracer
+    finally:
+        tracer.close()
 
 
-def _finish_trace(tracer, trace_path: str | None) -> None:
-    """Flush the trace file and print the NCD-by-site summary table."""
+def _print_trace(tracer, trace_path: str) -> None:
+    """Print the NCD-by-site summary table of a finished trace."""
     from repro.observability import format_summary
 
-    if not tracer.enabled:
-        return
-    summary = tracer.summary()
-    tracer.close()
     print("--- trace summary ---")
-    print(format_summary(summary))
+    print(format_summary(tracer.summary()))
     print(f"trace written to {trace_path}")
+
+
+def _read_objects(kind: str, path: str) -> list | None:
+    """Every object of a vector or string file, or None + stderr note."""
+    try:
+        if kind == "vectors":
+            return list(stream_vectors(path))
+        return list(stream_strings(path))
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
+    return None
 
 
 def _make_metric(kind: str, name: str | None):
@@ -341,10 +362,9 @@ def _cmd_cluster(args) -> int:
     metric = _make_metric(args.type, args.metric)
     if metric is None:
         return 2
-    if args.type == "vectors":
-        objects = list(stream_vectors(args.input))
-    else:
-        objects = list(stream_strings(args.input))
+    objects = _read_objects(args.type, args.input)
+    if objects is None:
+        return 2
     if not objects:
         print("error: input file holds no objects", file=sys.stderr)
         return 2
@@ -365,7 +385,6 @@ def _cmd_cluster(args) -> int:
         CheckpointError,
         DeadlineExceededError,
         MetricBudgetExceededError,
-        ParameterError,
         QuarantineOverflowError,
     )
 
@@ -378,40 +397,36 @@ def _cmd_cluster(args) -> int:
         for f in dataclasses.fields(config_type)
         if hasattr(args, f.name)
     }
-    tracer = _make_tracer(args.trace)
-    try:
-        result = cluster_dataset(
-            objects,
-            metric,
-            n_clusters=n_clusters if n_clusters > 0 else max(1, len(objects)),
-            algorithm=args.algorithm,
-            global_method=args.global_phase,
-            global_samples=args.global_samples,
-            global_sample_size=args.global_sample_size,
-            assign=True,
-            seed=args.seed,
-            on_error=args.on_error,
-            max_quarantine=args.quarantine_limit,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume_from=args.resume_from,
-            tracer=tracer,
-            **options,
-        )
-    except (MetricBudgetExceededError, DeadlineExceededError, QuarantineOverflowError) as exc:
-        tracer.close()
-        print(f"error: scan aborted: {exc}", file=sys.stderr)
-        if args.checkpoint:
-            print(f"resume with --resume-from {args.checkpoint}", file=sys.stderr)
-        return 3
-    except (CheckpointError, ParameterError) as exc:
-        tracer.close()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        tracer.close()
-        print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return 2
+    with _tracing(args.trace) as tracer:
+        try:
+            result = cluster_dataset(
+                objects,
+                metric,
+                n_clusters=n_clusters if n_clusters > 0 else max(1, len(objects)),
+                algorithm=args.algorithm,
+                global_method=args.global_phase,
+                global_samples=args.global_samples,
+                global_sample_size=args.global_sample_size,
+                assign=True,
+                seed=args.seed,
+                on_error=args.on_error,
+                max_quarantine=args.quarantine_limit,
+                checkpoint_path=args.checkpoint,
+                checkpoint_every=args.checkpoint_every,
+                resume_from=args.resume_from,
+                **options,
+            )
+        except (MetricBudgetExceededError, DeadlineExceededError, QuarantineOverflowError) as exc:
+            print(f"error: scan aborted: {exc}", file=sys.stderr)
+            if args.checkpoint:
+                print(f"resume with --resume-from {args.checkpoint}", file=sys.stderr)
+            return 3
+        except (CheckpointError, ParameterError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except FileNotFoundError as exc:
+            print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
+            return 2
     labels = result.labels
     print(f"{len(objects)} objects -> {len(result.subclusters)} sub-clusters"
           f" -> {result.n_clusters} clusters")
@@ -436,7 +451,8 @@ def _cmd_cluster(args) -> int:
                 f"{name}: {n}" for name, n in sorted(quarantine.counts_by_error().items())
             )
             print(f"quarantine by error: {counts}")
-    _finish_trace(tracer, args.trace)
+    if tracer is not None:
+        _print_trace(tracer, args.trace)
     if args.output:
         with open(args.output, "w", encoding="ascii") as f:
             for lab in labels:
@@ -446,37 +462,43 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_authority(args) -> int:
-    records = list(stream_strings(args.input))
+    records = _read_objects("strings", args.input)
+    if records is None:
+        return 2
     if not records:
         print("error: input file holds no records", file=sys.stderr)
         return 2
-    tracer = _make_tracer(args.trace)
-    try:
+    with _tracing(args.trace) as tracer:
         af = build_authority_file(
             records,
             threshold=args.threshold,
             image_dim=args.image_dim,
             assignment=args.assignment,
             seed=args.seed,
-            tracer=tracer,
         )
-    except Exception:
-        tracer.close()
-        raise
     with open(args.output, "w", encoding="utf-8") as f:
         for canonical, members in zip(af.canonical, af.members):
             for member in members:
                 f.write(f"{canonical}\t{member}\n")
     print(f"{len(records)} records -> {af.n_classes} classes "
           f"({af.n_distance_calls} distance calls, {af.seconds:.2f}s)")
-    _finish_trace(tracer, args.trace)
+    if tracer is not None:
+        _print_trace(tracer, args.trace)
     print(f"authority file written to {args.output}")
     return 0
 
 
 def _read_labels(path: str) -> np.ndarray:
+    labels = []
     with open(path, "r", encoding="ascii") as f:
-        return np.asarray([int(line) for line in f if line.strip()], dtype=np.intp)
+        for line_no, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                labels.append(int(line))
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{line_no}: malformed label line") from exc
+    return np.asarray(labels, dtype=np.intp)
 
 
 def _cmd_evaluate(args) -> int:
@@ -487,8 +509,12 @@ def _cmd_evaluate(args) -> int:
         rand_index,
     )
 
-    predicted = _read_labels(args.predicted)
-    truth = _read_labels(args.truth)
+    try:
+        predicted = _read_labels(args.predicted)
+        truth = _read_labels(args.truth)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if predicted.shape != truth.shape:
         print(
             f"error: {len(predicted)} predictions vs {len(truth)} truth labels",
@@ -648,10 +674,10 @@ def _parse_queries(args) -> list | None:
             else:
                 queries.append(raw)
     if args.query_file:
-        if args.type == "vectors":
-            queries.extend(stream_vectors(args.query_file))
-        else:
-            queries.extend(stream_strings(args.query_file))
+        from_file = _read_objects(args.type, args.query_file)
+        if from_file is None:
+            return None
+        queries.extend(from_file)
     if not queries:
         print("error: no queries given (use --query and/or --query-file)",
               file=sys.stderr)
@@ -662,9 +688,10 @@ def _parse_queries(args) -> list | None:
 def _cmd_query(args) -> int:
     import json as _json
 
-    from repro.exceptions import CheckpointError, ParameterError
+    from repro.exceptions import CheckpointError
     from repro.index import make_index
-    from repro.observability import StatsSnapshot, Tracer
+    from repro.metrics.base import CallLedger
+    from repro.observability import StatsSnapshot
     from repro.persistence import is_sharded_checkpoint, load_checkpoint
 
     metric = _make_metric(args.type, args.metric)
@@ -692,8 +719,8 @@ def _cmd_query(args) -> int:
         print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
         return 2
 
-    tracer = Tracer()
-    with tracer.activation():
+    ledger = CallLedger()
+    with ledger:
         try:
             if args.backend == "cftree":
                 index = ck.index(metric=metric)
@@ -713,7 +740,7 @@ def _cmd_query(args) -> int:
             else:
                 results.append(index.nearest(q, args.k if args.k else 1))
 
-    snapshot = StatsSnapshot.from_tree(ck.tree, metric=metric, tracer=tracer)
+    snapshot = StatsSnapshot.from_tree(ck.tree, metric=metric, ledger=ledger)
     snapshot.apply_index(index, results)
     if args.json:
         doc = {

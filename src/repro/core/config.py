@@ -11,9 +11,10 @@ worker runs ``replace(config, n_jobs=1, n_shards=None)``, checkpoints
 record ``asdict(config)``, and :func:`~repro.pipelines.cluster_dataset` and
 the CLI forward options instead of re-listing them.
 
-The seed and the tracer are runtime arguments of a driver, not part of its
-configuration: they choose *which* random stream and *which* observer, not
-what tree the knobs describe.
+The seed is a runtime argument of a driver, not part of its
+configuration: it chooses *which* random stream, not what tree the knobs
+describe. Observation is not a driver argument at all: the caller
+activates a ledger (``with tracer:``) around whatever it measures.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ from repro.exceptions import (
     TreeInvariantError,
 )
 from repro.metrics.base import DistanceFunction, site
-from repro.observability import NULL_TRACER, NullTracer
 from repro.robustness.report import IngestReport
 from repro.robustness.quarantine import Quarantine
 from repro.utils.rng import ensure_rng
@@ -69,12 +68,6 @@ class PreClusterer:
         The distance function defining the space.
     seed:
         Seed or generator for all stochastic choices (sampling, pivots).
-    tracer:
-        A :class:`repro.observability.Tracer` this model activates around
-        every scan, global phase and second scan it runs, so the ledger
-        sites inside them are timed and their NCD attributed. The default
-        no-op :data:`~repro.observability.NULL_TRACER` activates nothing
-        (and adds no distance calls).
     **options:
         The build knobs, one keyword per field of :attr:`config_type`
         (:class:`~repro.core.config.BuildConfig` here); they become the
@@ -91,11 +84,9 @@ class PreClusterer:
         metric: DistanceFunction,
         *,
         seed: int | np.random.Generator | None = None,
-        tracer: NullTracer = NULL_TRACER,
         **options: Any,
     ):
         self.metric = metric
-        self.tracer = tracer
         self.config = self.config_type(**options)
         #: The raw seed argument, kept so a sharded build can derive
         #: independent, reproducible per-shard seeds from it.
@@ -214,8 +205,7 @@ class PreClusterer:
             raise EmptyDatasetError("fit requires at least one object")
         if self.config.outlier_fraction is not None:
             finish = time.perf_counter()
-            with self.tracer.activation():
-                self.tree_.reabsorb_outliers()
+            self.tree_.reabsorb_outliers()
             self.ingest_report_.elapsed_seconds += time.perf_counter() - finish
         self._sync_report()
         return self
@@ -261,18 +251,17 @@ class PreClusterer:
         tree = self.tree_
         report = self.ingest_report_
         try:
-            with self.tracer.activation():
-                for obj in objects:
-                    index = self._cursor
-                    self._cursor += 1
-                    report.n_seen += 1
-                    if on_error == "raise":
-                        tree.insert(obj)
-                        report.n_inserted += 1
-                    else:
-                        self._insert_or_quarantine(obj, index)
-                    if checkpoint_path is not None and self._cursor % checkpoint_every == 0:
-                        self._write_checkpoint(checkpoint_path)
+            for obj in objects:
+                index = self._cursor
+                self._cursor += 1
+                report.n_seen += 1
+                if on_error == "raise":
+                    tree.insert(obj)
+                    report.n_inserted += 1
+                else:
+                    self._insert_or_quarantine(obj, index)
+                if checkpoint_path is not None and self._cursor % checkpoint_every == 0:
+                    self._write_checkpoint(checkpoint_path)
         finally:
             report.elapsed_seconds += time.perf_counter() - start
             self._sync_report()
@@ -367,8 +356,7 @@ class PreClusterer:
         """End a :meth:`partial_fit` stream: re-absorb parked outliers."""
         tree = self._require_tree()
         if self.config.outlier_fraction is not None:
-            with self.tracer.activation():
-                tree.reabsorb_outliers()
+            tree.reabsorb_outliers()
         return self
 
     def summary(self) -> dict:
@@ -441,7 +429,7 @@ class PreClusterer:
                 max_neighbors=max_neighbors,
                 seed=seed,
             )
-            with self.tracer.activation(), site("global-phase"):
+            with site("global-phase"):
                 search.fit(clustroids)
             self.global_phase_samples_ = []
         else:
@@ -456,8 +444,7 @@ class PreClusterer:
                 max_neighbors=max_neighbors,
                 seed=seed,
             )
-            with self.tracer.activation():
-                search.fit(clustroids, weights=weights)
+            search.fit(clustroids, weights=weights)
             self.global_phase_samples_ = list(search.sample_summaries_)
             report = self.ingest_report_
             report.global_samples = len(search.sample_summaries_)
@@ -569,7 +556,7 @@ class PreClusterer:
             exact like ``"linear"``, sublinear per object like ``"tree"``.
         """
         tree = self._require_tree()
-        with self.tracer.activation(), site("redistribute"):
+        with site("redistribute"):
             if via == "linear":
                 clustroids = self.metric.prepare(self.clustroids_)
                 labels = [

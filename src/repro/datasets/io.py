@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from pathlib import Path
 
 import numpy as np
 
@@ -49,16 +48,30 @@ def write_vector_file(path: str | os.PathLike, points) -> int:
 
 
 def stream_vectors(path: str | os.PathLike) -> Iterator[np.ndarray]:
-    """Yield one point per line of a file written by :func:`write_vector_file`."""
+    """Yield one point per line of a file written by :func:`write_vector_file`.
+
+    Every row must have the first row's coordinate count; a malformed or
+    ragged row raises :class:`~repro.exceptions.ParameterError` naming the
+    file and line.
+    """
+    dim = None
     with open(path, "r", encoding="ascii") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield np.asarray([float(x) for x in line.split(",")])
+                point = np.asarray([float(x) for x in line.split(",")])
             except ValueError as exc:
                 raise ParameterError(f"{path}:{line_no}: malformed vector line") from exc
+            if dim is None:
+                dim = len(point)
+            elif len(point) != dim:
+                raise ParameterError(
+                    f"{path}:{line_no}: {len(point)} coordinates, but the "
+                    f"first row has {dim}"
+                )
+            yield point
 
 
 def write_string_file(path: str | os.PathLike, strings) -> int:

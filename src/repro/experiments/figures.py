@@ -12,7 +12,6 @@ from repro.evaluation import clustroid_quality
 from repro.experiments.config import Scale, paper_max_nodes, resolve_scale
 from repro.experiments.results import TableResult
 from repro.metrics import EuclideanDistance
-from repro.observability import NULL_TRACER, NullTracer
 from repro.pipelines import cluster_dataset, map_first_cluster
 
 __all__ = [
@@ -82,11 +81,10 @@ def _scan(
     objs,
     max_nodes: int,
     seed: int,
-    tracer: NullTracer = NULL_TRACER,
     prune: bool = True,
 ) -> tuple[float, int]:
     metric = EuclideanDistance()
-    params = dict(_PARAMS, max_nodes=max_nodes, seed=seed, tracer=tracer, prune=prune)
+    params = dict(_PARAMS, max_nodes=max_nodes, seed=seed, prune=prune)
     if algorithm == "bubble":
         model = BUBBLE(metric, **params)
     else:
@@ -97,7 +95,7 @@ def _scan(
 
 
 def run_fig4_time_vs_points(
-    scale: str | Scale = "laptop", seed: int = 5, tracer: NullTracer = NULL_TRACER
+    scale: str | Scale = "laptop", seed: int = 5
 ) -> TableResult:
     """Scan wall time vs number of points on DS20d.50c."""
     scale = resolve_scale(scale)
@@ -106,8 +104,8 @@ def run_fig4_time_vs_points(
     for n in scale.sweep_points:
         ds = make_cell_dataset(dim=20, n_clusters=50, n_points=n, seed=50)
         objs = ds.as_objects()
-        t_b, _ = _scan("bubble", objs, max_nodes, seed, tracer)
-        t_fm, _ = _scan("bubble-fm", objs, max_nodes, seed, tracer)
+        t_b, _ = _scan("bubble", objs, max_nodes, seed)
+        t_fm, _ = _scan("bubble-fm", objs, max_nodes, seed)
         rows.append([n, t_b, t_fm])
     return TableResult(
         experiment="Figure 4",
@@ -124,7 +122,6 @@ def run_fig4_time_vs_points(
 def run_fig5_ncd_vs_points(
     scale: str | Scale = "laptop",
     seeds: tuple[int, ...] = (6, 7, 8),
-    tracer: NullTracer = NULL_TRACER,
 ) -> TableResult:
     """NCD vs number of points, averaged over seeds (tree evolution is
     discrete, so single runs are noisy at reduced scale).
@@ -140,7 +137,7 @@ def run_fig5_ncd_vs_points(
     def mean_ncd(algorithm: str, objs, prune: bool) -> float:
         return float(
             np.mean(
-                [_scan(algorithm, objs, max_nodes, s, tracer, prune)[1] for s in seeds]
+                [_scan(algorithm, objs, max_nodes, s, prune)[1] for s in seeds]
             )
         )
 
@@ -166,7 +163,7 @@ def run_fig5_ncd_vs_points(
 
 
 def run_fig6_time_vs_clusters(
-    scale: str | Scale = "laptop", seed: int = 7, tracer: NullTracer = NULL_TRACER
+    scale: str | Scale = "laptop", seed: int = 7
 ) -> TableResult:
     """Scan wall time vs number of clusters at fixed N."""
     scale = resolve_scale(scale)
@@ -175,8 +172,8 @@ def run_fig6_time_vs_clusters(
         ds = make_cell_dataset(dim=20, n_clusters=k, n_points=scale.fig6_points, seed=70)
         objs = ds.as_objects()
         max_nodes = paper_max_nodes(k)
-        t_b, _ = _scan("bubble", objs, max_nodes, seed, tracer)
-        t_fm, _ = _scan("bubble-fm", objs, max_nodes, seed, tracer)
+        t_b, _ = _scan("bubble", objs, max_nodes, seed)
+        t_fm, _ = _scan("bubble-fm", objs, max_nodes, seed)
         rows.append([k, t_b, t_fm])
     return TableResult(
         experiment="Figure 6",

@@ -7,7 +7,6 @@ from repro.evaluation import adjusted_rand_index, distortion
 from repro.experiments.config import Scale, paper_max_nodes, resolve_scale
 from repro.experiments.results import TableResult
 from repro.metrics import EditDistance, EuclideanDistance
-from repro.observability import NULL_TRACER, NullTracer
 from repro.pipelines import cluster_dataset, map_first_cluster
 
 __all__ = ["run_table1", "run_table1b_strings", "PAPER_TABLE1"]
@@ -30,7 +29,7 @@ def _datasets(scale: Scale):
 
 
 def run_table1(
-    scale: str | Scale = "laptop", seed: int = 1, tracer: NullTracer = NULL_TRACER
+    scale: str | Scale = "laptop", seed: int = 1
 ) -> TableResult:
     """Distortion of the three pipelines on DS1, DS2 and DS20d.50c."""
     scale = resolve_scale(scale)
@@ -40,11 +39,11 @@ def run_table1(
         objs = ds.as_objects()
         res_b = cluster_dataset(
             objs, EuclideanDistance(), k, algorithm="bubble",
-            max_nodes=max_nodes, seed=seed, tracer=tracer,
+            max_nodes=max_nodes, seed=seed,
         )
         res_fm = cluster_dataset(
             objs, EuclideanDistance(), k, algorithm="bubble-fm",
-            image_dim=dim, max_nodes=max_nodes, seed=seed, tracer=tracer,
+            image_dim=dim, max_nodes=max_nodes, seed=seed,
         )
         res_mf = map_first_cluster(
             objs, EuclideanDistance(), k, image_dim=dim,

@@ -8,9 +8,10 @@ the public wrappers maintain the call counter that the paper reports as NCD
 
 Besides the per-metric total, this module hosts the **site-attribution
 ledger** behind :mod:`repro.observability`: while a :class:`CallLedger` is
-active, every counted call is additionally charged to the innermost *site*
-label on the ledger's stack (``leaf-d0`` leaf routing, ``nonleaf-d2`` sample
-routing, ``fastmap-map`` incremental mapping, ...; see
+active (``with ledger:``, the one way to activate one), every counted call
+is additionally charged to the innermost *site* label on the ledger's
+stack (``leaf-d0`` leaf routing, ``nonleaf-d2`` sample routing,
+``fastmap-map`` incremental mapping, ...; see
 ``docs/observability.md`` for the taxonomy). Library code opens a site,
 phases included, only as ``with site(label):``, which closes it on every
 path out of the block, raises included, so no path can leave a stale label
@@ -29,13 +30,13 @@ from typing import Any
 
 import numpy as np
 
+from repro.exceptions import ParameterError
+
 __all__ = [
     "DistanceFunction",
     "FunctionDistance",
     "CallLedger",
     "UNATTRIBUTED_SITE",
-    "activate_ledger",
-    "deactivate_ledger",
     "active_ledger",
     "site",
     "take",
@@ -52,18 +53,22 @@ class CallLedger:
     A ledger keeps a stack of *site* labels, opened and closed by
     :class:`site` through :meth:`enter` and :meth:`exit`, and a ``by_site``
     histogram; :meth:`charge` books ``n`` calls against the innermost open
-    site (or :data:`UNATTRIBUTED_SITE` when the stack is empty). At most one ledger
-    is active at a time (see :func:`activate_ledger`); while active, every
-    :class:`DistanceFunction` in the process charges it from the same
-    statement that increments its own ``n_calls`` counter, so
+    site (or :data:`UNATTRIBUTED_SITE` when the stack is empty).
+
+    ``with ledger:`` is the one way to activate a ledger. At most one is
+    active at a time; while it is, every :class:`DistanceFunction` in the
+    process charges it from the same statement that increments its own
+    ``n_calls`` counter, so
 
     ``sum(ledger.by_site.values()) == ledger.total``
 
     always holds, and equals the per-metric NCD delta whenever a single
-    metric is in play for the whole activation window.
+    metric is in play for the whole activation window. Activation is
+    re-entrant: a nested ``with ledger:`` on the active ledger is a no-op,
+    and the outermost exit restores whichever ledger was active before.
     """
 
-    __slots__ = ("stack", "by_site", "total")
+    __slots__ = ("stack", "by_site", "total", "_depth", "_previous")
 
     def __init__(self) -> None:
         #: Innermost-last stack of open site labels.
@@ -72,6 +77,25 @@ class CallLedger:
         self.by_site: dict[str, int] = {}
         #: Total calls charged (== sum of ``by_site`` values).
         self.total = 0
+        self._depth = 0
+        self._previous: CallLedger | None = None
+
+    def __enter__(self) -> "CallLedger":
+        global _ACTIVE_LEDGER
+        if self._depth == 0:
+            self._previous = _ACTIVE_LEDGER
+            _ACTIVE_LEDGER = self
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        global _ACTIVE_LEDGER
+        if self._depth == 0:
+            raise ParameterError("ledger deactivated more times than activated")
+        self._depth -= 1
+        if self._depth == 0:
+            _ACTIVE_LEDGER = self._previous
+            self._previous = None
 
     def enter(self, label: str) -> None:
         """Open site ``label``; calls are charged to it until :meth:`exit`."""
@@ -93,21 +117,6 @@ class CallLedger:
 
 #: The process-wide active ledger (``None`` = attribution disabled).
 _ACTIVE_LEDGER: CallLedger | None = None
-
-
-def activate_ledger(ledger: CallLedger) -> CallLedger | None:
-    """Make ``ledger`` the active attribution target; returns the previous
-    one (re-activate it via :func:`deactivate_ledger` when done)."""
-    global _ACTIVE_LEDGER
-    previous = _ACTIVE_LEDGER
-    _ACTIVE_LEDGER = ledger
-    return previous
-
-
-def deactivate_ledger(previous: CallLedger | None = None) -> None:
-    """Deactivate the active ledger, restoring ``previous`` (if given)."""
-    global _ACTIVE_LEDGER
-    _ACTIVE_LEDGER = previous
 
 
 def active_ledger() -> CallLedger | None:

@@ -9,9 +9,10 @@ sinks stream the site events as JSON lines or render an end-of-run table;
 :class:`StatsSnapshot` packages tree shape, cache behaviour, and the
 attribution histogram into one record.
 
-Tracing is opt-in: every driver defaults to the :data:`NULL_TRACER`
-singleton, which activates no ledger, so the disabled path performs no
-extra distance calls (the overhead regression test pins this).
+Tracing is opt-in and owned by the caller: ``with tracer:`` activates
+attribution around whatever it wraps. With no ledger active the disabled
+path performs no extra distance calls (the overhead regression test pins
+this).
 
 See ``docs/observability.md`` for the site taxonomy and trace schema.
 """
@@ -26,12 +27,14 @@ from repro.observability.sinks import (
     format_summary,
 )
 from repro.observability.stats import StatsSnapshot
-from repro.observability.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.observability.tracer import Tracer
+
+#: Kept importable for older callers that pass ``tracer=NULL_TRACER`` to
+#: :func:`repro.pipelines.cluster_dataset`; ``None`` means "no tracer".
+NULL_TRACER = None
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "TraceSink",
     "JsonlSink",
     "SummarySink",

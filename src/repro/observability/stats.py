@@ -1,6 +1,6 @@
 """StatsSnapshot: one structured picture of a tree, its metric, and a trace.
 
-The CF*-tree, the distance function, the cache, and the tracer each hold a
+The CF*-tree, the distance function, the cache, and the ledger each hold a
 piece of the run's story; :class:`StatsSnapshot` collects them into a
 single JSON-compatible record — what ``repro stats <checkpoint>`` prints.
 Each owner's counters appear once, as that owner's own record (``cache``,
@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import CallLedger, DistanceFunction
 from repro.metrics.cache import CachedDistance
 
 __all__ = ["StatsSnapshot"]
@@ -67,7 +67,7 @@ class StatsSnapshot:
     n_outliers_parked: int = 0
     #: The metric's NCD counter (true evaluations).
     ncd_total: int = 0
-    #: Site-attributed NCD (empty unless a tracer/ledger was supplied).
+    #: Site-attributed NCD (empty unless a ledger was supplied).
     ncd_by_site: dict[str, int] = field(default_factory=dict)
     #: LRU cache counters (hits/misses/evictions/size/maxsize/
     #: hit_rate; ``None`` when no :class:`CachedDistance` is in the chain).
@@ -102,12 +102,14 @@ class StatsSnapshot:
         cls,
         tree: Any,
         metric: DistanceFunction | None = None,
-        tracer: Any = None,
+        ledger: CallLedger | None = None,
     ) -> "StatsSnapshot":
         """Snapshot a CF*-tree (anything with the tree's introspection API).
 
-        ``metric`` defaults to the tree policy's metric; ``tracer`` (a
-        :class:`~repro.observability.Tracer`) contributes per-site NCD.
+        ``metric`` defaults to the tree policy's metric; ``ledger`` (any
+        :class:`~repro.metrics.base.CallLedger`, a
+        :class:`~repro.observability.Tracer` included) contributes its
+        per-site NCD.
         """
         if metric is None:
             metric = getattr(getattr(tree, "policy", None), "metric", None)
@@ -130,8 +132,8 @@ class StatsSnapshot:
             cache = _find_cache(metric)
             if cache is not None:
                 snapshot.cache = cache.counters()
-        if tracer is not None and getattr(tracer, "enabled", False):
-            snapshot.ncd_by_site = dict(tracer.calls_by_site)
+        if ledger is not None:
+            snapshot.ncd_by_site = dict(ledger.by_site)
         pruning_stats = getattr(getattr(tree, "policy", None), "pruning_stats", None)
         if pruning_stats is not None:
             snapshot.pruning = pruning_stats.as_dict()
@@ -141,11 +143,10 @@ class StatsSnapshot:
         return snapshot
 
     @classmethod
-    def from_model(cls, model: Any, tracer: Any = None) -> "StatsSnapshot":
-        """Snapshot a fitted driver (``BUBBLE``/``BUBBLEFM``)."""
-        if tracer is None:
-            tracer = getattr(model, "tracer", None)
-        snapshot = cls.from_tree(model.tree_, metric=model.metric, tracer=tracer)
+    def from_model(cls, model: Any, ledger: CallLedger | None = None) -> "StatsSnapshot":
+        """Snapshot a fitted driver (``BUBBLE``/``BUBBLEFM``); ``ledger`` as
+        in :meth:`from_tree`."""
+        snapshot = cls.from_tree(model.tree_, metric=model.metric, ledger=ledger)
         report = getattr(model, "ingest_report_", None)
         if report is not None:
             snapshot.report = report.to_dict()

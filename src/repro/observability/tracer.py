@@ -19,72 +19,25 @@ set of labels:
 
 Sinks receive one ``enter``/``exit`` event pair per site.
 
-The default tracer of every driver is the :data:`NULL_TRACER` singleton:
-its activation is one shared no-op context manager, so with tracing off no
-ledger is active, each site costs one ``None`` check, and no extra
-distance call is made.
+Tracing is opt-in and owned by the caller: ``with tracer:`` activates it
+(a tracer is a ledger, so activation is re-entrant like any other's). Only
+:func:`repro.pipelines.cluster_dataset` takes a tracer, and it wraps its
+whole run in that one block. With no ledger active each site costs one
+``None`` check and no extra distance call is made.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable
-from contextlib import AbstractContextManager
-from types import TracebackType
 from typing import Any
 
-from repro.exceptions import ParameterError
-from repro.metrics.base import CallLedger, activate_ledger, deactivate_ledger
+from repro.metrics.base import CallLedger
 
-__all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
-
-
-class _NullContext:
-    """A reusable, allocation-free no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        return False
+__all__ = ["Tracer"]
 
 
-_NULL_CONTEXT = _NullContext()
-
-
-class NullTracer:
-    """The do-nothing tracer: the default of every driver.
-
-    Its activation is a shared no-op context, so an untraced run activates
-    no ledger.
-    """
-
-    __slots__ = ()
-
-    #: False on the null tracer, True on :class:`Tracer`; lets callers skip
-    #: work that only matters when a trace is actually recorded.
-    enabled = False
-
-    def activation(self) -> AbstractContextManager[Any]:
-        """A no-op ledger-activation context."""
-        return _NULL_CONTEXT
-
-    def close(self) -> None:
-        """Nothing to flush."""
-
-
-#: Process-wide shared no-op tracer (stateless, safe to share).
-NULL_TRACER = NullTracer()
-
-
-class Tracer(CallLedger, NullTracer):
+class Tracer(CallLedger):
     """A :class:`~repro.metrics.base.CallLedger` that also times its sites.
 
     Parameters
@@ -100,15 +53,11 @@ class Tracer(CallLedger, NullTracer):
     Usage::
 
         tracer = Tracer(sinks=[JsonlSink("trace.jsonl")])
-        model = BUBBLE(metric, max_nodes=50, seed=0, tracer=tracer)
+        model = BUBBLE(metric, max_nodes=50, seed=0)
         with tracer:                      # activates site attribution
             model.fit(objects)
         tracer.close()                    # flush sinks
-        tracer.calls_by_site              # {'leaf-d0': ..., 'nonleaf-d2': ...}
-
-    The drivers also activate the tracer around their own scans, so the
-    explicit ``with tracer:`` is only needed when measuring user code
-    outside ``fit``/``assign``.
+        tracer.by_site                    # {'leaf-d0': ..., 'nonleaf-d2': ...}
     """
 
     __slots__ = (
@@ -118,12 +67,8 @@ class Tracer(CallLedger, NullTracer):
         "_seq",
         "_open",
         "_aggregates",
-        "_activation_depth",
-        "_previous_ledger",
         "_closed",
     )
-
-    enabled = True
 
     def __init__(
         self,
@@ -138,40 +83,7 @@ class Tracer(CallLedger, NullTracer):
         #: ``(seq, t, ncd)`` at entry of each open site, parallel to ``stack``.
         self._open: list[tuple[int, float, int]] = []
         self._aggregates: dict[str, dict[str, float]] = {}
-        self._activation_depth = 0
-        self._previous_ledger: CallLedger | None = None
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Activation (ledger binding)
-    # ------------------------------------------------------------------
-    def activation(self) -> "Tracer":
-        """This tracer, whose ``with`` block makes it the active ledger.
-
-        Re-entrant: the drivers wrap their scans in it, and a user-level
-        ``with tracer:`` around a whole pipeline nests harmlessly.
-        """
-        return self
-
-    def __enter__(self) -> "Tracer":
-        if self._activation_depth == 0:
-            self._previous_ledger = activate_ledger(self)
-        self._activation_depth += 1
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        if self._activation_depth == 0:
-            raise ParameterError("tracer deactivated more times than activated")
-        self._activation_depth -= 1
-        if self._activation_depth == 0:
-            deactivate_ledger(self._previous_ledger)
-            self._previous_ledger = None
-        return False
 
     # ------------------------------------------------------------------
     # Sites
@@ -215,21 +127,11 @@ class Tracer(CallLedger, NullTracer):
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
-    @property
-    def calls_by_site(self) -> dict[str, int]:
-        """Distance calls charged per site (a copy; sums to ``total_calls``)."""
-        return dict(self.by_site)
-
-    @property
-    def total_calls(self) -> int:
-        """Total distance calls charged while this tracer was active."""
-        return self.total
-
     def span_aggregates(self) -> dict[str, dict[str, float]]:
         """Per-label totals of the closed sites: ``{label: {count, seconds, ncd}}``.
 
         Sites nest, so these are inclusive totals — unlike
-        :attr:`calls_by_site`, they do not partition NCD.
+        :attr:`by_site`, they do not partition NCD.
         """
         return {name: dict(agg) for name, agg in self._aggregates.items()}
 

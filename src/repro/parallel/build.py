@@ -290,7 +290,6 @@ def parallel_fit(
         for shard_id, shard in enumerate(shards)
     ]
 
-    tracer = model.tracer
     metric = model.metric
 
     def prepare_attempt(task: ShardTask, attempt: int) -> ShardTask:
@@ -334,79 +333,78 @@ def parallel_fit(
         on_retry=on_retry,
     )
 
-    with tracer.activation():
-        results = supervisor.run()
+    results = supervisor.run()
 
-        failures_by_shard = Counter(f.shard_id for f in supervisor.failures)
-        model.shard_summaries_ = [
-            {
-                "shard_id": result.shard_id,
-                "n_objects": result.n_objects,
-                "n_subclusters": result.n_subclusters,
-                "n_calls": result.n_calls,
-                "elapsed_seconds": result.elapsed_seconds,
-                "peak_rss_kb": result.peak_rss_kb,
-                "n_attempts": failures_by_shard.get(result.shard_id, 0) + 1,
-                "resumed_at": result.resumed_at,
-                "checkpoint_discarded": result.checkpoint_discarded,
-            }
-            for result in results
-        ]
+    failures_by_shard = Counter(f.shard_id for f in supervisor.failures)
+    model.shard_summaries_ = [
+        {
+            "shard_id": result.shard_id,
+            "n_objects": result.n_objects,
+            "n_subclusters": result.n_subclusters,
+            "n_calls": result.n_calls,
+            "elapsed_seconds": result.elapsed_seconds,
+            "peak_rss_kb": result.peak_rss_kb,
+            "n_attempts": failures_by_shard.get(result.shard_id, 0) + 1,
+            "resumed_at": result.resumed_at,
+            "checkpoint_discarded": result.checkpoint_discarded,
+        }
+        for result in results
+    ]
 
-        model.quarantine_ = _merge_quarantines(results, n_shards, max_quarantine)
-        model._cursor = len(items)
-        if max_quarantine is not None and len(model.quarantine_) > max_quarantine:
-            # Each shard stayed under the cap on its own, but the build as
-            # a whole crossed the circuit-breaker threshold: abort, exactly
-            # as a sequential scan would have at the same global count.
-            model.tree_ = None
-            model.ingest_report_ = _merge_reports(
-                model, results, start, supervisor.report
+    model.quarantine_ = _merge_quarantines(results, n_shards, max_quarantine)
+    model._cursor = len(items)
+    if max_quarantine is not None and len(model.quarantine_) > max_quarantine:
+        # Each shard stayed under the cap on its own, but the build as
+        # a whole crossed the circuit-breaker threshold: abort, exactly
+        # as a sequential scan would have at the same global count.
+        model.tree_ = None
+        model.ingest_report_ = _merge_reports(
+            model, results, start, supervisor.report
+        )
+        raise QuarantineOverflowError(
+            f"merged quarantine holds {len(model.quarantine_)} objects, "
+            f"over the global cap of {max_quarantine}; the metric or the "
+            "data feed looks systematically broken"
+        )
+
+    # Deterministic merge: shard order, then leaf order, fixed seed.
+    features: list[Any] = []
+    start_threshold = float(config.threshold)
+    for result in results:
+        payload = _MetricRestoringUnpickler(
+            io.BytesIO(result.payload), metric
+        ).load()
+        features.extend(payload["features"])
+        start_threshold = max(start_threshold, float(payload["threshold"]))
+
+    if not features:
+        model.tree_ = None
+        model.ingest_report_ = _merge_reports(
+            model, results, start, supervisor.report
+        )
+        n_parked = len(model.quarantine_)
+        if n_parked:
+            raise EmptyDatasetError(
+                f"every one of the {n_parked} scanned objects was "
+                "quarantined; nothing to cluster"
             )
-            raise QuarantineOverflowError(
-                f"merged quarantine holds {len(model.quarantine_)} objects, "
-                f"over the global cap of {max_quarantine}; the metric or the "
-                "data feed looks systematically broken"
-            )
+        raise EmptyDatasetError("fit requires at least one object")
 
-        # Deterministic merge: shard order, then leaf order, fixed seed.
-        features: list[Any] = []
-        start_threshold = float(config.threshold)
+    tree = model._new_tree()
+    # Start the merge at the most mature shard threshold: every shard
+    # cluster already satisfies its own shard's T, so a tighter start
+    # would only shatter them and rebuild straight back here.
+    tree.threshold = max(start_threshold, tree.threshold)
+    model.tree_ = tree
+    with site("merge"):
+        tree.insert_feature_batch(features)
+        if config.outlier_fraction is not None:
+            tree.reabsorb_outliers()
+
+    stats = getattr(tree.policy, "pruning_stats", None)
+    if stats is not None:
         for result in results:
-            payload = _MetricRestoringUnpickler(
-                io.BytesIO(result.payload), metric
-            ).load()
-            features.extend(payload["features"])
-            start_threshold = max(start_threshold, float(payload["threshold"]))
-
-        if not features:
-            model.tree_ = None
-            model.ingest_report_ = _merge_reports(
-                model, results, start, supervisor.report
-            )
-            n_parked = len(model.quarantine_)
-            if n_parked:
-                raise EmptyDatasetError(
-                    f"every one of the {n_parked} scanned objects was "
-                    "quarantined; nothing to cluster"
-                )
-            raise EmptyDatasetError("fit requires at least one object")
-
-        tree = model._new_tree()
-        # Start the merge at the most mature shard threshold: every shard
-        # cluster already satisfies its own shard's T, so a tighter start
-        # would only shatter them and rebuild straight back here.
-        tree.threshold = max(start_threshold, tree.threshold)
-        model.tree_ = tree
-        with site("merge"):
-            tree.insert_feature_batch(features)
-            if config.outlier_fraction is not None:
-                tree.reabsorb_outliers()
-
-        stats = getattr(tree.policy, "pruning_stats", None)
-        if stats is not None:
-            for result in results:
-                stats.absorb(result.pruning)
+            stats.absorb(result.pruning)
 
     model.ingest_report_ = _merge_reports(model, results, start, supervisor.report)
     return model

@@ -24,12 +24,7 @@ from typing import Any
 
 from repro.core.config import BuildConfig
 from repro.exceptions import CheckpointError, EmptyDatasetError
-from repro.metrics.base import (
-    CallLedger,
-    DistanceFunction,
-    activate_ledger,
-    deactivate_ledger,
-)
+from repro.metrics.base import CallLedger, DistanceFunction
 from repro.persistence import _MetricStrippingPickler
 from repro.robustness.injection import ChaosPolicy
 from repro.utils.proc import peak_rss_kb
@@ -140,8 +135,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     model = task.driver(metric, seed=task.seed, **asdict(task.config))
     checkpoint_discarded = False
     ledger = CallLedger()
-    previous = activate_ledger(ledger)
-    try:
+    with ledger:
         try:
             try:
                 model.fit(
@@ -176,8 +170,6 @@ def run_shard(task: ShardTask) -> ShardResult:
             # contribute no clusters, but do report what happened.
             features = []
             threshold = model.config.threshold
-    finally:
-        deactivate_ledger(previous)
     buf = io.BytesIO()
     _MetricStrippingPickler(buf).dump(
         {"features": features, "threshold": threshold}

@@ -30,7 +30,6 @@ from repro.exceptions import EmptyDatasetError, ParameterError
 from repro.metrics.base import DistanceFunction, site
 from repro.metrics.cache import CachedDistance
 from repro.metrics.string import EditDistance
-from repro.observability import NULL_TRACER, NullTracer
 
 __all__ = ["AuthorityFile", "build_authority_file"]
 
@@ -80,7 +79,6 @@ def build_authority_file(
     assignment: str = "tree",
     cache: bool = True,
     seed=None,
-    tracer: NullTracer = NULL_TRACER,
     **options,
 ) -> AuthorityFile:
     """Cluster variant strings into an authority file with BUBBLE-FM.
@@ -101,10 +99,6 @@ def build_authority_file(
         ``"tree"`` (fast, approximate) or ``"linear"`` (exact) second scan.
     cache:
         Dedupe exact repeats so each distinct pair is measured once.
-    tracer:
-        Optional :class:`repro.observability.Tracer`, activated around the
-        scan, the assignment pass, and canonicalization, so its site
-        timings and per-site NCD cover all three.
     **options:
         Further BUBBLE-FM build knobs (``max_nodes``, ``branching_factor``,
         ...; see :class:`~repro.core.config.BUBBLEFMConfig`).
@@ -127,7 +121,6 @@ def build_authority_file(
     model = BUBBLEFM(
         effective,
         seed=seed,
-        tracer=tracer,
         threshold=threshold,
         image_dim=image_dim,
         **options,
@@ -150,7 +143,7 @@ def build_authority_file(
     members = [group for _, group in kept]
     labels = np.asarray([remap[int(c)] for c in labels], dtype=np.intp)
 
-    with tracer.activation(), site("global-phase"):
+    with site("global-phase"):
         canonical = [_canonical_form(effective, group, frequency) for group in members]
     return AuthorityFile(
         canonical=canonical,

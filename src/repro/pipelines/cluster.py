@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,7 @@ from repro.core.features import SubCluster
 from repro.core.preclusterer import BUBBLE, BUBBLEFM, PreClusterer
 from repro.exceptions import ParameterError
 from repro.hac import AgglomerativeClusterer
-from repro.metrics.base import DistanceFunction, site
-from repro.observability import NULL_TRACER, NullTracer
+from repro.metrics.base import CallLedger, DistanceFunction, site
 from repro.pipelines.labeling import nearest_assignment
 
 __all__ = ["ClusteringResult", "cluster_dataset"]
@@ -101,7 +101,7 @@ def cluster_dataset(
     checkpoint_path=None,
     checkpoint_every: int = 1000,
     resume_from=None,
-    tracer: NullTracer = NULL_TRACER,
+    tracer: CallLedger | None = None,
     **options,
 ) -> ClusteringResult:
     """Run the complete pre-cluster → global-phase → label pipeline.
@@ -140,12 +140,13 @@ def cluster_dataset(
     their nearest center in the second scan (labeling is read-only, so a
     previously failing object simply fails again and would raise there).
 
-    ``tracer`` is a :class:`repro.observability.Tracer` activated around
-    every phase: the scan's sites come from the pre-clusterer, the global
-    phase runs under a ``global-phase`` site, and the second scan under
-    ``redistribute`` — so per-site NCD and timings cover the whole
-    pipeline. The same sites are booked on any other active
-    :class:`~repro.metrics.base.CallLedger`.
+    ``tracer`` (a :class:`repro.observability.Tracer`, or any
+    :class:`~repro.metrics.base.CallLedger`) is activated once around the
+    whole run, the same as wrapping the call in ``with tracer:``: the
+    scan's sites come from the pre-clusterer, the global phase runs under
+    a ``global-phase`` site, and the second scan under ``redistribute`` —
+    so per-site NCD and timings cover the whole pipeline. Without it the
+    sites are booked on whichever ledger the caller has active.
 
     ``n_jobs`` parallelizes the pre-clustering scan only: it becomes a
     sharded build (see :mod:`repro.parallel`), which requires a picklable
@@ -166,84 +167,85 @@ def cluster_dataset(
         raise ParameterError(
             f"global_method must be one of {_GLOBAL_METHODS}, got {global_method!r}"
         )
-    start = time.perf_counter()
-    calls_before = metric.n_calls
+    with tracer if tracer is not None else nullcontext():
+        start = time.perf_counter()
+        calls_before = metric.n_calls
 
-    if algorithm == "bubble":
-        options.pop("image_dim", None)
-        model: PreClusterer = BUBBLE(metric, seed=seed, tracer=tracer, **options)
-    else:
-        model = BUBBLEFM(metric, seed=seed, tracer=tracer, **options)
-    model.fit(
-        objects,
-        on_error=on_error,
-        max_quarantine=max_quarantine,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        resume_from=resume_from,
-    )
-    scan_seconds = time.perf_counter() - start
-
-    subclusters = model.subclusters_
-    clustroids = [s.clustroid for s in subclusters]
-    weights = [s.n for s in subclusters]
-    k = min(n_clusters, len(subclusters))
-    if global_method == "hac":
-        with tracer.activation(), site("global-phase"):
-            hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
-            hac.fit(objects=clustroids, metric=metric, weights=weights)
-        sub_labels = hac.labels_
-        n_final = hac.n_clusters_
-    else:
-        # The driver owns the medoid global phase: exact CLARANS runs
-        # under a "global-phase" site, CLARA under its own
-        # "global-sample"/"global-assign" sites, and CLARA sample
-        # diagnostics land in the model's report.
-        search = model.global_phase(
-            k,
-            method=global_method,
-            num_local=2,
-            global_samples=global_samples,
-            global_sample_size=global_sample_size,
-            seed=seed,
+        if algorithm == "bubble":
+            options.pop("image_dim", None)
+            model: PreClusterer = BUBBLE(metric, seed=seed, **options)
+        else:
+            model = BUBBLEFM(metric, seed=seed, **options)
+        model.fit(
+            objects,
+            on_error=on_error,
+            max_quarantine=max_quarantine,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            resume_from=resume_from,
         )
-        sub_labels = search.labels_
-        n_final = search.n_clusters_
+        scan_seconds = time.perf_counter() - start
 
-    with tracer.activation(), site("global-phase"):
-        if center_method == "auto":
-            center_method = "centroid" if _is_vector(clustroids[0]) else "medoid"
-        centers: list = []
-        remap = {}
-        for cluster in range(n_final):
-            idx = np.flatnonzero(sub_labels == cluster)
-            if len(idx) == 0:  # possible only under duplicate-medoid ties
-                continue
-            remap[cluster] = len(centers)
-            group = [clustroids[i] for i in idx]
-            group_w = np.asarray([weights[i] for i in idx], dtype=np.float64)
-            if center_method == "centroid":
-                mat = np.asarray(group, dtype=np.float64)
-                centers.append(mat.mean(axis=0))
-            else:
-                centers.append(_weighted_medoid(metric, group, group_w))
-    sub_labels = np.asarray([remap[int(c)] for c in sub_labels], dtype=np.intp)
+        subclusters = model.subclusters_
+        clustroids = [s.clustroid for s in subclusters]
+        weights = [s.n for s in subclusters]
+        k = min(n_clusters, len(subclusters))
+        if global_method == "hac":
+            with site("global-phase"):
+                hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
+                hac.fit(objects=clustroids, metric=metric, weights=weights)
+            sub_labels = hac.labels_
+            n_final = hac.n_clusters_
+        else:
+            # The driver owns the medoid global phase: exact CLARANS runs
+            # under a "global-phase" site, CLARA under its own
+            # "global-sample"/"global-assign" sites, and CLARA sample
+            # diagnostics land in the model's report.
+            search = model.global_phase(
+                k,
+                method=global_method,
+                num_local=2,
+                global_samples=global_samples,
+                global_sample_size=global_sample_size,
+                seed=seed,
+            )
+            sub_labels = search.labels_
+            n_final = search.n_clusters_
 
-    if assign:
-        with tracer.activation(), site("redistribute"):
-            labels = nearest_assignment(metric, objects, centers)
-    else:
-        labels = None
-    return ClusteringResult(
-        centers=centers,
-        subclusters=subclusters,
-        subcluster_labels=sub_labels,
-        labels=labels,
-        n_distance_calls=metric.n_calls - calls_before,
-        scan_seconds=scan_seconds,
-        total_seconds=time.perf_counter() - start,
-        model=model,
-    )
+        with site("global-phase"):
+            if center_method == "auto":
+                center_method = "centroid" if _is_vector(clustroids[0]) else "medoid"
+            centers: list = []
+            remap = {}
+            for cluster in range(n_final):
+                idx = np.flatnonzero(sub_labels == cluster)
+                if len(idx) == 0:  # possible only under duplicate-medoid ties
+                    continue
+                remap[cluster] = len(centers)
+                group = [clustroids[i] for i in idx]
+                group_w = np.asarray([weights[i] for i in idx], dtype=np.float64)
+                if center_method == "centroid":
+                    mat = np.asarray(group, dtype=np.float64)
+                    centers.append(mat.mean(axis=0))
+                else:
+                    centers.append(_weighted_medoid(metric, group, group_w))
+        sub_labels = np.asarray([remap[int(c)] for c in sub_labels], dtype=np.intp)
+
+        if assign:
+            with site("redistribute"):
+                labels = nearest_assignment(metric, objects, centers)
+        else:
+            labels = None
+        return ClusteringResult(
+            centers=centers,
+            subclusters=subclusters,
+            subcluster_labels=sub_labels,
+            labels=labels,
+            n_distance_calls=metric.n_calls - calls_before,
+            scan_seconds=scan_seconds,
+            total_seconds=time.perf_counter() - start,
+            model=model,
+        )
 
 
 def _is_vector(obj) -> bool:

@@ -25,7 +25,7 @@ from repro.birch import BIRCH
 from repro.exceptions import ParameterError
 from repro.fastmap import FastMap
 from repro.hac import AgglomerativeClusterer
-from repro.metrics.base import DistanceFunction, active_ledger, deactivate_ledger, site
+from repro.metrics.base import CallLedger, DistanceFunction, site
 from repro.metrics.vector import EuclideanDistance
 
 __all__ = ["MapFirstResult", "map_first_cluster"]
@@ -75,16 +75,12 @@ def map_first_cluster(
         images = fastmap.fit(list(objects))
 
         # BIRCH and HAC measure the images with Euclidean metrics of their
-        # own: image-space arithmetic, not calls to ``metric``. The ledger
-        # is detached around them so it books only the caller's metric.
-        ledger = active_ledger()
-        deactivate_ledger()
-        try:
+        # own: image-space arithmetic, not calls to ``metric``. A private
+        # ledger takes those calls so the caller's books only ``metric``.
+        with CallLedger():
             centers = _cluster_images(
                 images, n_clusters, max_nodes, branching_factor, linkage, seed
             )
-        finally:
-            deactivate_ledger(ledger)
 
     # Label in the image space: no further calls to the (expensive) metric.
     # Gram-matrix form keeps memory at O(N * K) instead of O(N * K * dim).

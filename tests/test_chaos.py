@@ -24,7 +24,8 @@ from repro.core.config import BuildConfig
 from repro.core.preclusterer import BUBBLE
 from repro.exceptions import WorkerCrashError
 from repro.metrics import EuclideanDistance
-from repro.observability import StatsSnapshot, Tracer
+from repro.metrics.base import CallLedger
+from repro.observability import StatsSnapshot
 from repro.parallel import parallel_fit
 from repro.parallel.pool import ShardSupervisor
 from repro.parallel.worker import ShardTask
@@ -59,8 +60,9 @@ def make_blobs(n=120, seed=3, n_centers=5, dim=2):
     ]
 
 
-def build(points, *, n_shards=3, n_jobs=1, tracer=None, **fit_kwargs):
-    """One parallel build with fast retry backoff; returns the model."""
+def build(points, *, n_shards=3, n_jobs=1, **fit_kwargs):
+    """One parallel build with fast retry backoff, on a fresh ledger;
+    returns the model and the ledger."""
     model = BUBBLE(
         EuclideanDistance(),
         max_nodes=12,
@@ -68,15 +70,16 @@ def build(points, *, n_shards=3, n_jobs=1, tracer=None, **fit_kwargs):
         n_shards=n_shards,
         n_jobs=n_jobs,
         shard_retry_backoff=0.01,
-        tracer=tracer if tracer is not None else Tracer(),
     )
-    return parallel_fit(model, points, **fit_kwargs)
+    ledger = CallLedger()
+    with ledger:
+        parallel_fit(model, points, **fit_kwargs)
+    return model, ledger
 
 
-def assert_conserved(model):
+def assert_conserved(model, ledger):
     """The site-attributed ledger must partition the metric's NCD exactly."""
-    by_site = model.tracer.calls_by_site
-    assert sum(by_site.values()) == model.metric.n_calls
+    assert sum(ledger.by_site.values()) == ledger.total == model.metric.n_calls
 
 
 class TestKillRecovery:
@@ -85,10 +88,10 @@ class TestKillRecovery:
         # resumes from the shard's atomic checkpoint, and the merged tree
         # is byte-identical to the uninterrupted run.
         points = make_blobs(n=120)
-        clean = build(points)
+        clean, _ = build(points)
 
         chaos = ChaosPolicy(kill_at={1: 35}, seed=7)
-        model = build(
+        model, ledger = build(
             points,
             n_jobs=2,
             checkpoint_path=tmp_path / "ck",
@@ -97,7 +100,7 @@ class TestKillRecovery:
         )
         assert tree_signature(model.tree_) == tree_signature(clean.tree_)
         audit(model.tree_)
-        assert_conserved(model)
+        assert_conserved(model, ledger)
 
         report = model.ingest_report_
         assert report.workers_crashed >= 1
@@ -111,13 +114,13 @@ class TestKillRecovery:
         # No checkpoint directory: recovery degrades to a deterministic
         # full rescan of the lost shard, still bit-identical.
         points = make_blobs(n=120)
-        clean = build(points)
+        clean, _ = build(points)
 
         chaos = ChaosPolicy(kill_at={0: 25}, seed=11)
-        model = build(points, n_jobs=2, chaos=chaos)
+        model, ledger = build(points, n_jobs=2, chaos=chaos)
         assert tree_signature(model.tree_) == tree_signature(clean.tree_)
         audit(model.tree_)
-        assert_conserved(model)
+        assert_conserved(model, ledger)
         assert model.ingest_report_.workers_crashed >= 1
         assert model.ingest_report_.shards_resumed == 0
 
@@ -126,13 +129,13 @@ class TestKillRecovery:
         # retries; the supervisor's last stand runs the shard in-parent,
         # where an armed policy never kills — graceful degradation.
         points = make_blobs(n=90)
-        clean = build(points)
+        clean, _ = build(points)
 
         chaos = ChaosPolicy(kill_at={2: 10}, kill_attempts=99, seed=13)
-        model = build(points, n_jobs=2, chaos=chaos)
+        model, ledger = build(points, n_jobs=2, chaos=chaos)
         assert tree_signature(model.tree_) == tree_signature(clean.tree_)
         audit(model.tree_)
-        assert_conserved(model)
+        assert_conserved(model, ledger)
         # max_shard_retries=2 → attempts 0,1,2 killed, then the fallback.
         assert model.ingest_report_.workers_crashed == 3
         assert model.ingest_report_.shards_retried == 2
@@ -147,13 +150,13 @@ class TestKillRecovery:
 class TestMetricFaults:
     def test_flaky_shard_retried_to_identical_tree(self, audit):
         points = make_blobs(n=90)
-        clean = build(points)
+        clean, _ = build(points)
 
         chaos = ChaosPolicy(flaky_shards=(1,), flaky_rate=1.0, seed=3)
-        model = build(points, chaos=chaos)
+        model, ledger = build(points, chaos=chaos)
         assert tree_signature(model.tree_) == tree_signature(clean.tree_)
         audit(model.tree_)
-        assert_conserved(model)
+        assert_conserved(model, ledger)
         assert model.ingest_report_.shards_retried >= 1
         assert model.ingest_report_.workers_crashed == 0
 
@@ -162,7 +165,7 @@ class TestMetricFaults:
         # timeout; the straggler is killed individually and the clean
         # retry still merges bit-identically.
         points = make_blobs(n=40)
-        clean = build(points, n_shards=2)
+        clean, _ = build(points, n_shards=2)
 
         chaos = ChaosPolicy(slow_shards=(1,), slow_seconds=0.05, seed=5)
         model = BUBBLE(
@@ -173,12 +176,13 @@ class TestMetricFaults:
             n_jobs=2,
             shard_retry_backoff=0.01,
             shard_timeout_seconds=1.0,
-            tracer=Tracer(),
         )
-        parallel_fit(model, points, chaos=chaos)
+        ledger = CallLedger()
+        with ledger:
+            parallel_fit(model, points, chaos=chaos)
         assert tree_signature(model.tree_) == tree_signature(clean.tree_)
         audit(model.tree_)
-        assert_conserved(model)
+        assert_conserved(model, ledger)
         assert model.ingest_report_.workers_crashed >= 1
         assert model.ingest_report_.shards_retried >= 1
 
@@ -190,10 +194,10 @@ class TestCorruptCheckpoint:
         # discard it, and rescan the shard from zero — not crash, not
         # resume into garbage.
         points = make_blobs(n=120)
-        clean = build(points)
+        clean, _ = build(points)
 
         chaos = ChaosPolicy(kill_at={0: 25}, corrupt_checkpoints=(0,), seed=17)
-        model = build(
+        model, ledger = build(
             points,
             n_jobs=2,
             checkpoint_path=tmp_path / "ck",
@@ -202,7 +206,7 @@ class TestCorruptCheckpoint:
         )
         assert tree_signature(model.tree_) == tree_signature(clean.tree_)
         audit(model.tree_)
-        assert_conserved(model)
+        assert_conserved(model, ledger)
         summary = next(s for s in model.shard_summaries_ if s["shard_id"] == 0)
         assert summary["checkpoint_discarded"]
         assert summary["resumed_at"] is None
@@ -272,7 +276,7 @@ class TestSupervisorEdges:
         # armed PID) must never take down the calling process.
         points = make_blobs(n=60)
         chaos = ChaosPolicy(kill_at={0: 1, 1: 1, 2: 1}, kill_attempts=99, seed=1)
-        model = build(points, n_jobs=1, chaos=chaos)
+        model, _ = build(points, n_jobs=1, chaos=chaos)
         assert model.tree_ is not None
         assert model.ingest_report_.workers_crashed == 0
 
@@ -291,11 +295,11 @@ class TestChaosSweep:
         # converges to the exact tree the clean run produces (the retry
         # replays the shard deterministically), and conservation holds.
         points = make_blobs(n=60)
-        clean = build(points)
+        clean, _ = build(points)
 
         chaos = ChaosPolicy(
             flaky_shards=(flaky_shard,), flaky_rate=flaky_rate, seed=chaos_seed
         )
-        model = build(points, chaos=chaos)
+        model, ledger = build(points, chaos=chaos)
         assert tree_signature(model.tree_) == tree_signature(clean.tree_)
-        assert_conserved(model)
+        assert_conserved(model, ledger)

@@ -84,8 +84,8 @@ class TestAccounting:
         points, _, _ = blob_data
         tracer = Tracer()
         model, metric = _fit_clara(points, tracer=tracer)
-        by_site = dict(tracer.calls_by_site)
-        assert sum(by_site.values()) == tracer.total_calls == metric.n_calls
+        by_site = dict(tracer.by_site)
+        assert sum(by_site.values()) == tracer.total == metric.n_calls
         assert by_site["global-sample"] > 0
         assert by_site["global-assign"] == 3 * 3 * len(points)
         assert by_site["global-sample"] == sum(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets import stream_strings, stream_vectors
+from repro.metrics import EuclideanDistance
 
 
 class TestGenerate:
@@ -81,6 +82,29 @@ class TestCluster:
         data.write_text("")
         assert main(["cluster", str(data), "--type", "vectors"]) == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1,2\n3,4\n5,6,7\n", "bad.csv:3: 3 coordinates"),
+         ("1,2\nnot,a,number\n", "bad.csv:2: malformed vector line")],
+        ids=["ragged", "unparsable"],
+    )
+    def test_malformed_vector_file_fails_cleanly(self, tmp_path, capsys, text, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        assert main(["cluster", str(data), "--type", "vectors"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["cluster", "authority"])
+    def test_missing_input_file_fails_cleanly(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.txt")
+        argv = (
+            ["cluster", missing, "--type", "strings"] if command == "cluster"
+            else ["authority", missing, str(tmp_path / "o.tsv")]
+        )
+        assert main(argv) == 2
+        assert "error: cannot read" in capsys.readouterr().err
+
 
 class TestAuthority:
     def test_builds_file(self, tmp_path, capsys):
@@ -137,6 +161,12 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert code == 0
         assert "adjusted Rand index: 1.0000" in out
+
+    def test_malformed_label_file_fails_cleanly(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("0\nzero\n")
+        assert main(["evaluate", str(a), str(a)]) == 2
+        assert "a.txt:2: malformed label line" in capsys.readouterr().err
 
     def test_length_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.txt"
@@ -359,8 +389,8 @@ class TestTraceOption:
         assert any(e["ev"] == "enter" and e["span"] == "redistribute" for e in events)
 
     def test_trace_with_checkpoint_keeps_checkpoint_loadable(self, tmp_path, capsys):
-        # A live tracer holds an open trace-file handle; the checkpoint
-        # pickler must strip it or mid-scan snapshots would crash.
+        # The trace file stays open while the scan writes checkpoints; the
+        # model never holds the tracer, so the snapshots pickle cleanly.
         data = tmp_path / "pts.csv"
         main(["generate", "cell", str(data), "--n-points", "300",
               "--n-clusters", "3", "--dim", "2"])
@@ -396,6 +426,38 @@ class TestTraceOption:
         assert events[-1]["ev"] == "summary"
         assert sum(events[-1]["ncd_by_site"].values()) == events[-1]["ncd_total"] > 0
         assert any(e["ev"] == "enter" and e["span"] == "global-phase" for e in events)
+
+    @pytest.mark.parametrize("command", ["cluster", "authority"])
+    def test_trace_ends_with_summary_when_the_run_raises(
+        self, tmp_path, monkeypatch, command
+    ):
+        import json
+
+        from repro.exceptions import MetricError
+        from repro.metrics.base import site
+
+        def fail(objects, metric=None, *args, **kwargs):
+            with site("insert"):
+                EuclideanDistance().distance(np.zeros(2), np.ones(2))
+            raise MetricError("dimension mismatch")
+
+        monkeypatch.setattr(
+            "repro.cli.cluster_dataset" if command == "cluster"
+            else "repro.cli.build_authority_file",
+            fail,
+        )
+        data = tmp_path / "input.txt"
+        data.write_text("1,2\n3,4\n")
+        trace = tmp_path / "t.jsonl"
+        argv = (
+            ["cluster", str(data), "--type", "vectors"] if command == "cluster"
+            else ["authority", str(data), str(tmp_path / "o.tsv")]
+        )
+        with pytest.raises(MetricError):
+            main([*argv, "--trace", str(trace)])
+        events = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [e["ev"] for e in events] == ["enter", "exit", "summary"]
+        assert events[-1]["ncd_by_site"] == {"insert": 1}
 
 
 def _cluster_config_actions():

@@ -35,6 +35,12 @@ class TestVectorIO:
         with pytest.raises(ParameterError):
             list(stream_vectors(path))
 
+    def test_ragged_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1.0,2.0\n\n3.0,4.0\n5.0,6.0,7.0\n")
+        with pytest.raises(ParameterError, match=r"ragged\.csv:4: 3 coordinates.* 2"):
+            list(stream_vectors(path))
+
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("1.0,2.0\n\n3.0,4.0\n")

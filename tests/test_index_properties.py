@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.preclusterer import BUBBLE
 from repro.index import CFTreeIndex, brute_force_reference, make_index
 from repro.metrics import EditDistance, EuclideanDistance
-from repro.metrics.base import CallLedger, activate_ledger, deactivate_ledger
+from repro.metrics.base import CallLedger
 from repro.metrics.cache import CachedDistance
 from repro.robustness import GuardedMetric
 
@@ -153,26 +153,13 @@ class TestQueryCostNeverExceedsBrute:
             assert result.n_evaluated + result.n_pruned == len(objects)
 
 
-class _ledger:
-    """Context manager activating a fresh :class:`CallLedger`."""
-
-    def __enter__(self):
-        self.ledger = CallLedger()
-        self.previous = activate_ledger(self.ledger)
-        return self.ledger
-
-    def __exit__(self, *exc):
-        deactivate_ledger(self.previous)
-        return False
-
-
 class TestLedgerConservationWithQueryTraffic:
     @given(points=point_lists)
     @settings(max_examples=15, deadline=None)
     def test_sites_partition_total_under_guard(self, points):
         metric = GuardedMetric(EuclideanDistance())
         objects = _vectors(points)
-        with _ledger() as ledger:
+        with CallLedger() as ledger:
             index = make_index("vptree", metric, leaf_size=4, seed=0)
             index.build(objects)
             index.nearest(np.zeros(3), k=2)
@@ -186,7 +173,7 @@ class TestLedgerConservationWithQueryTraffic:
     @settings(max_examples=15, deadline=None)
     def test_sites_partition_total_under_cache(self, words):
         metric = CachedDistance(EditDistance())
-        with _ledger() as ledger:
+        with CallLedger() as ledger:
             index = make_index("vptree", metric, leaf_size=4, seed=0)
             index.build(words)
             index.nearest("ab", k=2)
@@ -198,7 +185,7 @@ class TestLedgerConservationWithQueryTraffic:
     def test_cftree_query_sites_conserve_with_build_traffic(self, points):
         metric = EuclideanDistance()
         objects = _vectors(points)
-        with _ledger() as ledger:
+        with CallLedger() as ledger:
             index = _cftree_index(metric, objects)
             index.nearest(np.zeros(3), k=2)
             index.within(np.zeros(3), 25.0)
@@ -227,7 +214,7 @@ def _serve_across_inserts(metric_factory, fit, extra, queries, ops, radius):
     """
     metric = GuardedMetric(metric_factory())
     served = []
-    with _ledger() as ledger:
+    with CallLedger() as ledger:
         model = BUBBLE(
             metric,
             threshold=0.0,

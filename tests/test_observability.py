@@ -5,9 +5,9 @@ The two load-bearing guarantees, each pinned by a regression test here:
 * **conservation** — the site-attributed NCD histogram partitions the
   metric's global counter *exactly* (sum over sites == ``n_calls``), for
   BUBBLE, BUBBLE-FM, and wrapped metrics alike;
-* **zero disabled-path overhead** — the default :data:`NULL_TRACER`
-  changes neither the distance-call count nor (beyond a loose factor) the
-  wall time of a scan.
+* **zero disabled-path overhead** — a scan with no ledger active makes
+  exactly the distance calls a traced scan books, and (beyond a loose
+  factor) takes no longer than a traced one.
 """
 
 from __future__ import annotations
@@ -30,17 +30,13 @@ from repro.metrics import EditDistance, EuclideanDistance
 from repro.metrics.base import (
     UNATTRIBUTED_SITE,
     CallLedger,
-    activate_ledger,
     active_ledger,
-    deactivate_ledger,
     site,
 )
 from repro.metrics.cache import CachedDistance
 from repro.observability import (
-    NULL_TRACER,
     JsonlSink,
     ListSink,
-    NullTracer,
     StatsSnapshot,
     SummarySink,
     TraceSink,
@@ -89,11 +85,12 @@ class TestConservation:
     def test_sites_sum_to_metric_counter(self, cls):
         metric = EuclideanDistance()
         tracer = Tracer()
-        model = cls(metric, max_nodes=25, seed=3, tracer=tracer)
-        model.fit(_ds2_objects())
-        model.assign(_ds2_objects(n=100, seed=14))
-        by_site = tracer.calls_by_site
-        assert sum(by_site.values()) == tracer.total_calls == metric.n_calls
+        model = cls(metric, max_nodes=25, seed=3)
+        with tracer:
+            model.fit(_ds2_objects())
+            model.assign(_ds2_objects(n=100, seed=14))
+        by_site = tracer.by_site
+        assert sum(by_site.values()) == tracer.total == metric.n_calls
         # The taxonomy actually fired: routing and maintenance sites exist.
         assert by_site["leaf-d0"] > 0
         assert by_site["redistribute"] > 0
@@ -105,9 +102,10 @@ class TestConservation:
         # attribution must conserve against the *wrapper's* counter too.
         metric = CachedDistance(EuclideanDistance(), key=lambda v: v.tobytes())
         tracer = Tracer()
-        model = BUBBLE(metric, max_nodes=20, seed=5, tracer=tracer)
-        model.fit(_ds2_objects(n=300, seed=21))
-        assert sum(tracer.calls_by_site.values()) == metric.n_calls
+        model = BUBBLE(metric, max_nodes=20, seed=5)
+        with tracer:
+            model.fit(_ds2_objects(n=300, seed=21))
+        assert sum(tracer.by_site.values()) == metric.n_calls
 
     def test_untraced_metrics_do_not_leak_into_ledger(self):
         tracer = Tracer()
@@ -115,7 +113,7 @@ class TestConservation:
         with tracer:
             pass  # nothing measured while active
         outside.distance(np.zeros(2), np.ones(2))
-        assert tracer.total_calls == 0
+        assert tracer.total == 0
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +134,12 @@ class TestTraceProperties:
         sink = ListSink()
         tracer = Tracer(sinks=[sink])
         metric = EuclideanDistance()
-        model = BUBBLE(
-            metric, branching_factor=3, max_nodes=max_nodes, seed=seed, tracer=tracer
-        )
-        model.fit(objs)
+        model = BUBBLE(metric, branching_factor=3, max_nodes=max_nodes, seed=seed)
+        with tracer:
+            model.fit(objs)
         tracer.close()
         _check_event_stream(sink.events)
-        assert sum(tracer.calls_by_site.values()) == metric.n_calls
+        assert sum(tracer.by_site.values()) == metric.n_calls
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -151,10 +148,9 @@ class TestTraceProperties:
         objs = list(rng.normal(size=(120, 2)))
         sink = ListSink()
         tracer = Tracer(sinks=[sink])
-        model = BUBBLEFM(
-            EuclideanDistance(), branching_factor=4, max_nodes=8, seed=seed, tracer=tracer
-        )
-        model.fit(objs)
+        model = BUBBLEFM(EuclideanDistance(), branching_factor=4, max_nodes=8, seed=seed)
+        with tracer:
+            model.fit(objs)
         tracer.close()
         _check_event_stream(sink.events)
 
@@ -165,23 +161,24 @@ class TestTraceProperties:
 class TestOverheadGuard:
     def _build(self, tracer):
         metric = EuclideanDistance()
-        model = BUBBLE(metric, max_nodes=30, seed=9, tracer=tracer)
+        model = BUBBLE(metric, max_nodes=30, seed=9)
         start = time.perf_counter()
-        model.fit(_ds2_objects(n=2_000, seed=17))
+        if tracer is None:
+            model.fit(_ds2_objects(n=2_000, seed=17))
+        else:
+            with tracer:
+                model.fit(_ds2_objects(n=2_000, seed=17))
         return metric.n_calls, time.perf_counter() - start
 
-    def test_null_tracer_adds_zero_distance_calls(self):
-        untraced, t_plain = self._build(NULL_TRACER)
-        nulled, t_null = self._build(NullTracer())
-        traced_tracer = Tracer()
-        metric = EuclideanDistance()
-        model = BUBBLE(metric, max_nodes=30, seed=9, tracer=traced_tracer)
-        model.fit(_ds2_objects(n=2_000, seed=17))
-        assert untraced == nulled == metric.n_calls
-        assert sum(traced_tracer.calls_by_site.values()) == metric.n_calls
-        # Loose wall-clock guard only: the null path must not be pathologically
-        # slower than itself run twice (catches accidental O(n) tracer work).
-        assert t_null < 10 * max(t_plain, 1e-3)
+    def test_untraced_scan_makes_exactly_the_traced_calls(self):
+        untraced, t_plain = self._build(None)
+        tracer = Tracer()
+        traced, t_traced = self._build(tracer)
+        assert untraced == traced == tracer.total == sum(tracer.by_site.values())
+        # Loose wall-clock guard only: the untraced path must not be
+        # pathologically slower than the traced one (catches accidental
+        # O(n) work on the path with no ledger active).
+        assert t_plain < 10 * max(t_traced, 1e-3)
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +197,8 @@ def _cluster(algorithm, global_method):
 
 
 def _map_first():
-    # The image-space BIRCH and HAC run with the ledger detached, so the
-    # ledger books only this metric's FastMap calls.
+    # The image-space BIRCH and HAC run on a private ledger, so the
+    # caller's ledger books only this metric's FastMap calls.
     metric = EuclideanDistance()
     map_first_cluster(
         _ds2_objects(n=300, seed=41), metric, 5, image_dim=2, max_nodes=12, seed=0,
@@ -246,11 +243,8 @@ _ENTRY_POINTS = {
 
 
 def _on_ledger(ledger, run):
-    previous = activate_ledger(ledger)
-    try:
+    with ledger:
         return run()
-    finally:
-        deactivate_ledger(previous)
 
 
 class TestEntryPointAttribution:
@@ -271,7 +265,7 @@ class TestEntryPointAttribution:
         ledger, tracer = CallLedger(), Tracer()
         _on_ledger(ledger, _ENTRY_POINTS[name])
         _on_ledger(tracer, _ENTRY_POINTS[name])
-        assert tracer.calls_by_site == ledger.by_site
+        assert tracer.by_site == ledger.by_site
         assert tracer.stack == ledger.stack == []
         # Every site is timed, routing sites included.
         spans = tracer.span_aggregates()
@@ -295,37 +289,34 @@ class TestLedger:
         ledger = CallLedger()
         ledger.stack.append("phase")
         with site("anywhere"):
-            previous = activate_ledger(ledger)
+            ledger.__enter__()
         try:
             assert ledger.stack == ["phase"]
         finally:
-            deactivate_ledger(previous)
+            ledger.__exit__(None, None, None)
 
     def test_ledger_switched_inside_a_site_leaves_both_stacks_clean(self):
         first, second = CallLedger(), CallLedger()
         second.stack.append("phase")  # a span open on the second ledger
-        previous = activate_ledger(first)
-        try:
+        with first:
             with site("outer"):
                 assert first.stack == ["outer"]
-                activate_ledger(second)
-            assert first.stack == []
-            assert second.stack == ["phase"]
-        finally:
-            deactivate_ledger(previous)
+                second.__enter__()
+            try:
+                assert first.stack == []
+                assert second.stack == ["phase"]
+            finally:
+                second.__exit__(None, None, None)
 
     def test_site_closes_when_its_block_raises(self):
         ledger = CallLedger()
-        previous = activate_ledger(ledger)
-        try:
+        with ledger:
             with site("outer"):
                 with pytest.raises(RuntimeError):
                     with site("inner"):
                         raise RuntimeError("fault inside the site")
                 assert ledger.stack == ["outer"]
             assert ledger.stack == []
-        finally:
-            deactivate_ledger(previous)
 
     def test_charge_books_to_innermost_site(self):
         ledger = CallLedger()
@@ -338,18 +329,35 @@ class TestLedger:
         assert ledger.total == 10
 
     def test_activation_nests_and_restores_previous(self):
-        first = Tracer()
-        second = Tracer()
+        first = CallLedger()
+        second = CallLedger()
         with first:
             with second:
                 assert active_ledger() is second
             assert active_ledger() is first
         assert active_ledger() is None
 
+    def test_activation_is_reentrant(self):
+        outer, ledger = CallLedger(), CallLedger()
+        metric = EuclideanDistance()
+        with outer:
+            with ledger:
+                with ledger:
+                    assert active_ledger() is ledger
+                # The inner exit was not the outermost: still active.
+                assert active_ledger() is ledger
+                metric.distance(np.zeros(2), np.ones(2))
+            assert active_ledger() is outer
+        assert active_ledger() is None
+        assert ledger.total == 1 and outer.total == 0
+
     def test_over_deactivation_raises(self):
-        tracer = Tracer()
+        ledger = CallLedger()
+        with ledger:
+            pass
         with pytest.raises(ParameterError):
-            tracer.__exit__(None, None, None)
+            ledger.__exit__(None, None, None)
+        assert active_ledger() is None
 
 
 class _LedgerStackSink(TraceSink):
@@ -357,7 +365,7 @@ class _LedgerStackSink(TraceSink):
     the sites its events left open: a leaked site shows up as an extra label."""
 
     def __init__(self) -> None:
-        self.tracer: Tracer | None = None
+        self.ledger: CallLedger | None = None
         self.open: list[str] = []
         self.n_events = 0
         self.mismatches: list[tuple[str, str, list[str]]] = []
@@ -370,7 +378,7 @@ class _LedgerStackSink(TraceSink):
         else:
             return
         self.n_events += 1
-        stack = self.tracer.stack
+        stack = self.ledger.stack
         if stack != self.open:
             self.mismatches.append((event["ev"], event["span"], list(stack)))
 
@@ -399,12 +407,12 @@ class TestSitesUnderFaults:
                 else:
                     index.within(objs[0], radius=50.0)
             assert tracer.stack == ["serve"]
-            charged = dict(tracer.calls_by_site)
+            charged = dict(tracer.by_site)
             probe.distance(objs[0], objs[1])
             with site("probe"):
                 probe.distance(objs[0], objs[1])
         assert tracer.stack == []
-        by_site = tracer.calls_by_site
+        by_site = tracer.by_site
         assert by_site["serve"] == charged.get("serve", 0) + 1
         assert by_site["probe"] == 1
         assert by_site.get(fault_site, 0) == charged.get(fault_site, 0)
@@ -424,18 +432,19 @@ class TestSitesUnderFaults:
         )
         sink = _LedgerStackSink()
         tracer = Tracer(sinks=[sink])
-        sink.tracer = tracer
-        model = model_cls(metric, max_nodes=20, seed=0, tracer=tracer)
-        model.fit(objs, on_error="quarantine")
+        sink.ledger = tracer
+        model = model_cls(metric, max_nodes=20, seed=0)
+        with tracer:
+            model.fit(objs, on_error="quarantine")
         assert [r.index for r in model.quarantine_] == list(poisoned)
         assert sink.n_events > 0
         assert sink.mismatches == []
         assert tracer.stack == []
-        assert sum(tracer.calls_by_site.values()) == metric.n_calls
+        assert sum(tracer.by_site.values()) == metric.n_calls
         with tracer:
-            charged = tracer.calls_by_site.get("unattributed", 0)
+            charged = tracer.by_site.get("unattributed", 0)
             EuclideanDistance().distance(objs[0], objs[1])
-        assert tracer.calls_by_site["unattributed"] == charged + 1
+        assert tracer.by_site["unattributed"] == charged + 1
 
 
 class TestTracer:
@@ -451,7 +460,7 @@ class TestTracer:
         spans = tracer.span_aggregates()
         assert spans["outer"]["ncd"] == 2  # includes the nested span's call
         assert spans["inner"]["ncd"] == 1
-        assert tracer.calls_by_site == {"outer": 1, "inner": 1}  # disjoint
+        assert tracer.by_site == {"outer": 1, "inner": 1}  # disjoint
 
     def test_close_is_idempotent_and_emits_summary(self):
         sink = ListSink()
@@ -463,11 +472,6 @@ class TestTracer:
         summaries = [e for e in sink.events if e["ev"] == "summary"]
         assert len(summaries) == 1
         assert summaries[0]["spans"]["phase"]["count"] == 1
-
-    def test_null_tracer_contexts_are_shared_singletons(self):
-        assert NULL_TRACER.activation() is NULL_TRACER.activation()
-        assert NULL_TRACER.enabled is False
-        NULL_TRACER.close()
 
 
 class TestSinks:
@@ -510,9 +514,10 @@ class TestStatsSnapshot:
     def test_from_model_reports_tree_and_sites(self):
         tracer = Tracer()
         metric = EuclideanDistance()
-        model = BUBBLE(metric, max_nodes=20, seed=2, tracer=tracer)
-        model.fit(_ds2_objects(n=300, seed=23))
-        snap = StatsSnapshot.from_model(model)
+        model = BUBBLE(metric, max_nodes=20, seed=2)
+        with tracer:
+            model.fit(_ds2_objects(n=300, seed=23))
+        snap = StatsSnapshot.from_model(model, ledger=tracer)
         assert snap.n_objects == 300
         assert snap.n_nodes == model.tree_.n_nodes
         assert snap.n_leaves >= 1
@@ -540,11 +545,42 @@ class TestStatsSnapshot:
 
         tracer = Tracer(sinks=[JsonlSink(str(tmp_path / "t.jsonl"))])
         metric = EuclideanDistance()
-        model = BUBBLE(metric, max_nodes=15, seed=6, tracer=tracer)
-        model.partial_fit(_ds2_objects(n=150, seed=31))
+        model = BUBBLE(metric, max_nodes=15, seed=6)
+        with tracer:
+            model.partial_fit(_ds2_objects(n=150, seed=31))
         path = tmp_path / "scan.ckpt"
         save_checkpoint(path, model.tree_, cursor=150)
         tracer.close()
         ck = load_checkpoint(path, metric=EuclideanDistance())
         assert not hasattr(ck.tree, "tracer")
         assert not hasattr(ck.tree.policy, "tracer")
+
+    def test_snapshot_reads_any_ledger(self):
+        ledger = CallLedger()
+        metric = EuclideanDistance()
+        model = BUBBLE(metric, max_nodes=20, seed=2)
+        with ledger:
+            model.fit(_ds2_objects(n=300, seed=23))
+        snap = StatsSnapshot.from_model(model, ledger=ledger)
+        assert snap.ncd_by_site == ledger.by_site
+        assert snap.ncd_by_site["leaf-d0"] > 0
+        assert sum(snap.ncd_by_site.values()) == metric.n_calls
+        tree_snap = StatsSnapshot.from_tree(model.tree_, ledger=ledger)
+        assert tree_snap.ncd_by_site == ledger.by_site
+        # No ledger, no attribution.
+        assert StatsSnapshot.from_model(model).ncd_by_site == {}
+
+    def test_model_fitted_under_a_streaming_tracer_pickles(self, tmp_path):
+        # The caller owns the tracer and its open trace file; the model
+        # never holds either, so it pickles like an untraced one.
+        import pickle
+
+        tracer = Tracer(sinks=[JsonlSink(str(tmp_path / "t.jsonl"))])
+        model = BUBBLE(EuclideanDistance(), max_nodes=15, seed=6)
+        objs = _ds2_objects(n=150, seed=31)
+        with tracer:
+            model.fit(objs)
+        clone = pickle.loads(pickle.dumps(model))
+        tracer.close()
+        assert clone.summary()["n_subclusters"] == model.summary()["n_subclusters"]
+        assert list(clone.assign(objs[:20])) == list(model.assign(objs[:20]))

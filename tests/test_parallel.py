@@ -191,9 +191,8 @@ class TestMergeEfficiency:
         the raw stream — so its NCD must undercut a fresh sequential scan."""
         points = make_blobs(n=800, seed=9)
         tracer = Tracer()
-        model = BUBBLE(
-            EuclideanDistance(), max_nodes=12, seed=2, n_shards=4, tracer=tracer
-        ).fit(points)
+        with tracer:
+            model = BUBBLE(EuclideanDistance(), max_nodes=12, seed=2, n_shards=4).fit(points)
         merge_ncd = tracer.span_aggregates()["merge"]["ncd"]
         n_merged = sum(s.n for s in model.subclusters_)
         assert n_merged == len(points)
@@ -208,17 +207,17 @@ class TestAccounting:
         points = make_blobs(n=150)
         tracer = Tracer()
         metric = EuclideanDistance()
-        BUBBLE(metric, max_nodes=12, seed=1, n_shards=3, tracer=tracer).fit(points)
-        by_site = tracer.calls_by_site
+        with tracer:
+            BUBBLE(metric, max_nodes=12, seed=1, n_shards=3).fit(points)
+        by_site = tracer.by_site
         assert sum(by_site.values()) == metric.n_calls
         assert tracer.total == metric.n_calls
 
     def test_shard_ingest_and_merge_spans_present(self):
         points = make_blobs(n=150)
         tracer = Tracer()
-        BUBBLE(
-            EuclideanDistance(), max_nodes=12, seed=1, n_shards=3, tracer=tracer
-        ).fit(points)
+        with tracer:
+            BUBBLE(EuclideanDistance(), max_nodes=12, seed=1, n_shards=3).fit(points)
         aggregates = tracer.span_aggregates()
         assert "shard-ingest" in aggregates
         assert "merge" in aggregates
@@ -274,7 +273,7 @@ class TestRebookWorkerCalls:
 
     def test_residual_is_charged_to_the_innermost_open_site(self):
         metric, tracer = self._rebook({"leaf-d0": 5, "nonleaf-d2": 3}, 10)
-        assert tracer.calls_by_site == {"leaf-d0": 5, "nonleaf-d2": 3, "absorb": 2}
+        assert tracer.by_site == {"leaf-d0": 5, "nonleaf-d2": 3, "absorb": 2}
         assert metric.n_calls == 10
 
     @pytest.mark.parametrize(
@@ -283,7 +282,7 @@ class TestRebookWorkerCalls:
     )
     def test_sites_partition_the_booked_calls(self, by_site, n_calls):
         metric, tracer = self._rebook(by_site, n_calls)
-        assert sum(tracer.calls_by_site.values()) == metric.n_calls == n_calls
+        assert sum(tracer.by_site.values()) == metric.n_calls == n_calls
 
     def test_negative_residual_raises(self):
         with pytest.raises(ValueError, match="negative"):
@@ -538,7 +537,7 @@ class TestFig4ShardedBaseline:
         with tracer:
             result = cluster_dataset(
                 list(ds.points), EuclideanDistance(), n_clusters=50,
-                max_nodes=paper_max_nodes(50), seed=0, assign=True, tracer=tracer,
+                max_nodes=paper_max_nodes(50), seed=0, assign=True,
                 n_jobs=n_jobs, n_shards=cls.SHARDS if n_jobs > 1 else None,
             )
         tracer.close()

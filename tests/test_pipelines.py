@@ -12,7 +12,7 @@ from repro.datasets import make_authority_dataset, make_cell_dataset
 from repro.evaluation import adjusted_rand_index, distortion
 from repro.exceptions import ParameterError
 from repro.metrics import CachedDistance, EditDistance, EuclideanDistance
-from repro.metrics.base import CallLedger, activate_ledger, deactivate_ledger, site
+from repro.metrics.base import CallLedger, site
 from repro.pipelines import (
     cluster_dataset,
     labeling,
@@ -58,14 +58,10 @@ def _check_walk(make_metric, objects, centers, as_generator=False):
     want = exhaustive_assignment(make_metric(), objects, centers)
     metric = make_metric()
     ledger = CallLedger()
-    previous = activate_ledger(ledger)
-    try:
-        with site("redistribute"):
-            got = nearest_assignment(
-                metric, (o for o in objects) if as_generator else objects, centers
-            )
-    finally:
-        deactivate_ledger(previous)
+    with ledger, site("redistribute"):
+        got = nearest_assignment(
+            metric, (o for o in objects) if as_generator else objects, centers
+        )
     np.testing.assert_array_equal(got, want)
     assert got.dtype == np.intp
     n, k = len(objects), len(centers)

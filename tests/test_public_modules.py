@@ -10,6 +10,7 @@ imported, so they are only compiled.
 from __future__ import annotations
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,33 @@ def test_module_declares_its_public_surface(name):
 @pytest.mark.parametrize("path", ENTRY_POINTS, ids=lambda p: _module_name(p))
 def test_entry_point_compiles(path):
     compile(path.read_text(), str(path), "exec")
+
+
+def _callables(module_name):
+    """``(qualified name, callable)`` for every callable a module exports,
+    and for every public method of the classes among them."""
+    module = importlib.import_module(module_name)
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if not callable(obj):
+            continue
+        yield f"{module_name}.{name}", obj
+        if inspect.isclass(obj):
+            for attr, member in inspect.getmembers(obj, inspect.isfunction):
+                if not attr.startswith("_"):
+                    yield f"{module_name}.{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module_name", ["repro", "repro.pipelines", "repro.experiments"])
+def test_only_cluster_dataset_takes_a_tracer(module_name):
+    # The caller owns the ledger and activates it with ``with tracer:``;
+    # cluster_dataset keeps its tracer= as shorthand for that one block.
+    takers = []
+    for qualname, obj in _callables(module_name):
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # builtins without a signature
+            continue
+        if "tracer" in parameters and not qualname.endswith(".cluster_dataset"):
+            takers.append(qualname)
+    assert takers == []
