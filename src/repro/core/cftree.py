@@ -176,7 +176,13 @@ class CFTree:
     def _insert_into(
         self, node: Any, feature: Any, routing_obj: Any
     ) -> tuple[Any, Any] | None:
-        """Insert below ``node``; return ``(left, right)`` if it split."""
+        """Insert below ``node``; return ``(left, right)`` if it split.
+
+        Every node on the insertion path gets its
+        :attr:`~repro.core.nodes.LeafNode.version` bumped; split products
+        are new nodes.
+        """
+        node.version += 1
         if node.is_leaf:
             return self._insert_into_leaf(node, feature, routing_obj)
 

@@ -18,7 +18,35 @@ from repro.core.features import ClusterFeature
 __all__ = ["LeafNode", "NonLeafNode", "NonLeafEntry"]
 
 
-class LeafNode:
+class _Node:
+    """What both node kinds share: their ``entries``, policy-owned ``aux``
+    state, and a ``version``.
+
+    ``version`` counts the insertions that passed through this node (see
+    :meth:`~repro.core.cftree.CFTree._insert_into`). It is node-local, not
+    a copy of the tree's counter, so an index that remembered a node at
+    some version knows the node and everything below it are unchanged
+    while the two still match. A node from a pickle written before nodes
+    carried a version restores at 0.
+    """
+
+    __slots__ = ("entries", "aux", "version")
+
+    def __init__(self, entries: list[Any] | None = None) -> None:
+        self.entries = entries if entries is not None else []
+        self.aux: Any = None
+        self.version = 0
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
+        self.version = 0
+        for name, value in state[1].items():
+            setattr(self, name, value)
+
+
+class LeafNode(_Node):
     """A leaf node: a list of leaf-level cluster features.
 
     ``aux`` is policy-owned acceleration state (the pruned routing engine
@@ -26,15 +54,9 @@ class LeafNode:
     ``None`` value is always legal — caches are rebuilt lazily.
     """
 
-    __slots__ = ("entries", "aux")
+    __slots__ = ()
     is_leaf = True
-
-    def __init__(self, entries: list[ClusterFeature] | None = None):
-        self.entries: list[ClusterFeature] = entries if entries is not None else []
-        self.aux = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    entries: list[ClusterFeature]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LeafNode({len(self.entries)} entries)"
@@ -58,20 +80,14 @@ class NonLeafEntry:
         return f"NonLeafEntry({kind} child, {len(self.child.entries)} entries)"
 
 
-class NonLeafNode:
+class NonLeafNode(_Node):
     """A non-leaf node: entries guiding descent, plus policy-owned ``aux``
     state shared by the whole node (BUBBLE-FM stores its per-node FastMap
     there)."""
 
-    __slots__ = ("entries", "aux")
+    __slots__ = ()
     is_leaf = False
-
-    def __init__(self, entries: list[NonLeafEntry] | None = None):
-        self.entries: list[NonLeafEntry] = entries if entries is not None else []
-        self.aux = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    entries: list[NonLeafEntry]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NonLeafNode({len(self.entries)} entries)"

@@ -51,19 +51,26 @@ def stream_vectors(path: str | os.PathLike) -> Iterator[np.ndarray]:
     """Yield one point per line of a file written by :func:`write_vector_file`.
 
     Every row must have the first row's coordinate count; a malformed or
-    ragged row raises :class:`~repro.exceptions.ParameterError` naming the
+    ragged row, a row holding a non-ASCII byte, or a ``nan``/``inf``
+    coordinate raises :class:`~repro.exceptions.ParameterError` naming the
     file and line.
     """
     dim = None
-    with open(path, "r", encoding="ascii") as f:
+    # Undecodable bytes become lone surrogates, which no ASCII line holds,
+    # so the line that carries them can be named.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not line.isascii():
+                raise ParameterError(f"{path}:{line_no}: non-ASCII byte in a vector line")
             try:
                 point = np.asarray([float(x) for x in line.split(",")])
             except ValueError as exc:
                 raise ParameterError(f"{path}:{line_no}: malformed vector line") from exc
+            if not np.isfinite(point).all():
+                raise ParameterError(f"{path}:{line_no}: non-finite coordinate")
             if dim is None:
                 dim = len(point)
             elif len(point) != dim:
@@ -88,7 +95,18 @@ def write_string_file(path: str | os.PathLike, strings) -> int:
 
 
 def stream_strings(path: str | os.PathLike) -> Iterator[str]:
-    """Yield one record per line of a file written by :func:`write_string_file`."""
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+    """Yield one record per line of a file written by :func:`write_string_file`.
+
+    A line that is not valid UTF-8 raises
+    :class:`~repro.exceptions.ParameterError` naming the file and line.
+    """
+    # As in stream_vectors: invalid bytes decode to lone surrogates, which
+    # valid UTF-8 never yields and which cannot be encoded back.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ParameterError(f"{path}:{line_no}: not valid UTF-8") from exc
             yield line.rstrip("\n")

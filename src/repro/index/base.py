@@ -169,12 +169,15 @@ class QueryBoundCache:
     eviction runs only when a query starts, so a running query never
     loses its own row (the newest row is never evicted).
 
-    The cache also keeps the anchor pairs of the last cf-tree adoption
-    (:attr:`anchor_rows`, see
-    :meth:`~repro.index.cftree.CFTreeIndex.from_tree`), keyed the same
-    way, so a re-adoption copies the pairs whose objects are unchanged.
-    They are replaced wholesale at each adoption, so they stay bounded by
-    the current tree and do not count against ``maxsize``.
+    The cache also keeps the wrappers of the last cf-tree adoption
+    (:attr:`anchor_nodes`, see
+    :meth:`~repro.index.cftree.CFTreeIndex.from_tree`), keyed by node
+    identity with the node held, so a re-adoption keeps the wrapper of
+    every node that has not changed and copies the anchor pairs
+    (:attr:`anchor_rows`) whose objects are unchanged. They are replaced
+    wholesale at each adoption, so they stay bounded by the current tree
+    and do not count against ``maxsize``, and they are never pickled: an
+    unpickled cache, like a fresh one, reuses nothing.
 
     Every counter is cumulative over the cache's life, which for the cache
     a model owns spans all of its :meth:`~repro.core.PreClusterer.index`
@@ -191,9 +194,8 @@ class QueryBoundCache:
         self.maxsize = maxsize
         self._key = key if key is not None else _default_key
         self._rows: OrderedDict[Any, dict[int, tuple[Any, float]]] = OrderedDict()
-        #: ``id(anchor) -> (anchor, {id(child anchor): (child anchor, d)})``
-        #: of the last cf-tree adoption.
-        self.anchor_rows: dict[int, tuple[Any, dict[int, tuple[Any, float]]]] = {}
+        #: ``node -> wrapper`` of every node of the last cf-tree adoption.
+        self.anchor_nodes: dict[Any, Any] = {}
         self.n_hits = 0
         self.n_misses = 0
         #: Whole query rows evicted.
@@ -204,6 +206,23 @@ class QueryBoundCache:
     def __len__(self) -> int:
         """Query→object pairs held."""
         return sum(map(len, self._rows.values()))
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state["anchor_nodes"] = {}
+        return state
+
+    @property
+    def anchor_rows(self) -> dict[int, tuple[Any, dict[int, tuple[Any, float]]]]:
+        """``id(anchor) -> (anchor, {id(child anchor): (child anchor, d)})``:
+        the anchor pairs of the last cf-tree adoption, merged from its
+        non-leaf wrappers."""
+        rows: dict[int, tuple[Any, dict[int, tuple[Any, float]]]] = {}
+        for wrapper in self.anchor_nodes.values():
+            if wrapper.pairs:
+                anchor = wrapper.anchor_obj
+                rows.setdefault(id(anchor), (anchor, {}))[1].update(wrapper.pairs)
+        return rows
 
     def key_for(self, obj: Any) -> Any:
         """Hashable cache key for a query object, or ``None`` if unkeyable."""

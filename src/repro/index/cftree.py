@@ -34,11 +34,27 @@ indexed objects are the tree's leaf clustroids in
 :meth:`~repro.core.cftree.CFTree.leaves` order — the same order as
 ``PreClusterer.clustroids_``.
 
+Re-adoption after an insert follows the tree incrementally. An insertion
+touches one root-to-leaf path plus its split products, and bumps the
+node-local :attr:`~repro.core.nodes.LeafNode.version` of every node on that
+path (split products are new nodes). The wrappers of the last adoption are
+held on the model-owned :class:`~repro.index.base.QueryBoundCache`, keyed by
+node identity. A node that is the same object at the same version keeps its
+wrapper, and with it the whole subtree's leaf geometry, radii and anchor
+distances; only changed or new nodes are rewrapped, so an absorb-only insert
+re-reads one leaf's clustroids. One pass over the wrappers then renumbers
+the leaf offsets and anchors and lists the clustroids in
+:meth:`~repro.core.cftree.CFTree.leaves` order. The answers, the counted
+calls and every wrapper field equal those of an adoption from scratch.
+
 The index remembers the tree's :attr:`~repro.core.cftree.CFTree.version`,
 which every insertion (of an object or a feature) and every rebuild bumps;
 querying after the tree changed raises
 :class:`~repro.exceptions.StaleIndexError` instead of silently answering
 from stale geometry. The check is one integer comparison per query.
+Wrappers are shared only between adoptions of the same nodes, and
+renumbering an unchanged tree gives the same numbers, so a later adoption
+moves the numbering only under an index that is already stale.
 """
 
 from __future__ import annotations
@@ -70,36 +86,53 @@ _AnchorRows = dict[int, tuple[Any, dict[int, tuple[Any, float]]]]
 class _AnchorNode:
     """One ball of the anchor hierarchy mirrored off the CF*-tree.
 
-    A leaf wrapper keeps the leaf's cached pairwise matrix (``pair``), its
-    prepared clustroid batch (``batch``, which the scan measures through)
-    and the global offset of its first clustroid; an internal wrapper keeps
-    its children plus the anchor-to-child-anchor distances measured at
-    index-build time. ``anchor`` is always a global clustroid index, and
-    an internal node shares its anchor with its first child, so one
-    measured distance serves every level it anchors; ``anchor_row`` is the
-    anchor's one-row slice of its leaf's batch.
+    A leaf wrapper keeps the leaf's clustroids, its cached pairwise matrix
+    (``pair``), its prepared clustroid batch (``batch``, which the scan
+    measures through) and the global offset of its first clustroid; an
+    internal wrapper keeps its children plus the anchor-to-child-anchor
+    distances measured at index-build time (``child_dists``, and the same
+    pairs by object identity in ``pairs``). ``anchor`` is always a global
+    clustroid index, and an internal node shares its anchor (``anchor_obj``)
+    with its first child, so one measured distance serves every level it
+    anchors; ``anchor_row`` is the anchor's one-row slice of its leaf's
+    batch. ``node`` and ``version`` name the tree node wrapped and the
+    version it had; ``n_pairs`` counts the anchor pairs in the subtree.
+    ``offset`` and ``anchor`` are the only fields that depend on the rest
+    of the tree: each adoption renumbers them.
     """
 
     __slots__ = (
+        "node",
+        "version",
         "anchor",
+        "anchor_obj",
         "anchor_row",
         "radius",
         "near",
         "children",
         "child_dists",
+        "pairs",
+        "n_pairs",
         "offset",
+        "clustroids",
         "pair",
         "batch",
         "size",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, node: Any) -> None:
+        self.node = node
+        self.version = node.version
         self.anchor = 0
+        self.anchor_obj: Any = None
         self.radius = 0.0
         self.near = np.inf
         self.children: list["_AnchorNode"] | None = None
         self.child_dists: np.ndarray | None = None
+        self.pairs: dict[int, tuple[Any, float]] | None = None
+        self.n_pairs = 0
         self.offset = 0
+        self.clustroids: list[Any] = []
         self.pair: np.ndarray | None = None
         self.batch: Any = None
         self.anchor_row: Any = None
@@ -150,12 +183,20 @@ class CFTreeIndex(MetricIndex):
         comes from the build's cached pairwise matrices. The only counted
         calls are the anchor-to-child-anchor pairs of non-leaf nodes that
         ``bound_cache`` does not already hold, charged to the
-        ``query-build`` site. The cache holds the pairs of the last
-        adoption it served, keyed by object identity, so re-adopting a tree
-        after an insert pays only for the pairs whose objects changed;
-        with nothing held (a fresh cache) each non-leaf node pays one
-        gather over its child anchors. Each adoption replaces the held
-        pairs with the current tree's.
+        ``query-build`` site.
+
+        ``bound_cache`` holds the wrappers of the last adoption it served,
+        keyed by node identity. A node that is the same object at the same
+        :attr:`~repro.core.nodes.LeafNode.version` keeps its wrapper and
+        its whole subtree, so re-adopting a tree after an insert rewraps
+        only the insertion path and any split products. A rewrapped
+        non-leaf node copies the anchor pairs whose objects the last
+        adoption held (by object identity) and measures the rest in one
+        gather; with nothing held (a fresh or unpickled cache) every node
+        is wrapped and each non-leaf node pays one gather over its child
+        anchors. Each adoption replaces the held wrappers with the current
+        tree's. Every pair not measured, in a copied pair or a kept
+        subtree, counts in :attr:`QueryBoundCache.n_anchor_reused`.
         """
         resolved: Any = (
             metric
@@ -194,86 +235,103 @@ class CFTreeIndex(MetricIndex):
         # other node holds at least one entry below it.
         if tree is None or (tree.root.is_leaf and not tree.root.entries):
             raise EmptyDatasetError("cannot index an empty CF*-tree")
-        self._objects = []
-        held: _AnchorRows = self.bound_cache.anchor_rows
-        fresh: _AnchorRows = {}
+        cache = self.bound_cache
+        held = cache.anchor_nodes
+        rows = cache.anchor_rows
         start_calls = self.metric.n_calls
         with site(QUERY_BUILD_SITE):
-            self._root = self._wrap(tree.root, held, fresh)
+            root = self._wrap(tree.root, held, rows)
         self._count_build(start_calls)
-        self.bound_cache.anchor_rows = fresh
+        fresh: dict[Any, _AnchorNode] = {}
+        self._objects = []
+        self._number(root, fresh)
+        cache.anchor_nodes = fresh
+        self._root = root
         self._tree = tree
         self._version = tree.version
 
-    def _wrap(self, node: Any, held: _AnchorRows, fresh: _AnchorRows) -> _AnchorNode:
-        out = _AnchorNode()
+    def _wrap(
+        self, node: Any, held: dict[Any, _AnchorNode], rows: _AnchorRows
+    ) -> _AnchorNode:
+        """The wrapper of ``node``: the held one if ``node`` is unchanged
+        since it was wrapped, else a new one over rewrapped children."""
+        out = held.get(node)
+        if out is not None and out.version == node.version:
+            self.bound_cache.n_anchor_reused += out.n_pairs
+            return out
+        out = _AnchorNode(node)
         if node.is_leaf:
             geom, clustroids = ensure_leaf_geometry(
                 self.metric, node, self.build_stats
             )
-            out.offset = len(self._objects)
-            self._objects.extend(clustroids)
+            out.clustroids = clustroids
             out.size = len(clustroids)
             out.pair = geom.pair
             out.batch = geom.batch
-            out.anchor = out.offset
+            out.anchor_obj = clustroids[0]
             out.anchor_row = geom.batch[0:1]
-            if out.size:
-                # Python's max/min over a short row cost less than numpy's
-                # reductions, and pick the same float.
-                row = geom.pair[0].tolist()
-                out.radius = max(row)
-                out.near = min(row[1:], default=np.inf)
+            # Python's max/min over a short row cost less than numpy's
+            # reductions, and pick the same float.
+            row = geom.pair[0].tolist()
+            out.radius = max(row)
+            out.near = min(row[1:], default=np.inf)
             return out
-        children = [self._wrap(entry.child, held, fresh) for entry in node.entries]
+        children = [self._wrap(entry.child, held, rows) for entry in node.entries]
+        anchor = children[0].anchor_obj
+        others = [c.anchor_obj for c in children[1:]]
         child_dists = np.zeros(len(children), dtype=np.float64)
-        if len(children) > 1:
+        if others:
             # The first child shares this node's anchor, distance 0.
-            child_dists[1:] = self._anchor_dists(
-                self._objects[children[0].anchor],
-                [self._objects[c.anchor] for c in children[1:]],
-                held,
-                fresh,
-            )
+            child_dists[1:] = self._anchor_dists(anchor, others, rows)
+        out.pairs = dict(zip(map(id, others), zip(others, child_dists[1:].tolist())))
         out.children = children
         out.child_dists = child_dists
-        out.anchor = children[0].anchor
+        out.anchor_obj = anchor
         out.anchor_row = children[0].anchor_row
         out.size = sum(c.size for c in children)
+        out.n_pairs = len(children) - 1 + sum(c.n_pairs for c in children)
         out.radius = float(
             max(d + c.radius for d, c in zip(child_dists, children))
         )
         return out
 
+    def _number(self, out: _AnchorNode, fresh: dict[Any, _AnchorNode]) -> None:
+        """Give ``out``'s subtree its global offsets and anchors, list its
+        clustroids in leaf order, and hold its wrappers in ``fresh``."""
+        fresh[out.node] = out
+        if out.children is None:
+            out.offset = out.anchor = len(self._objects)
+            self._objects.extend(out.clustroids)
+            return
+        for child in out.children:
+            self._number(child, fresh)
+        out.anchor = out.children[0].anchor
+
     def _anchor_dists(
-        self, anchor: Any, others: list[Any], held: _AnchorRows, fresh: _AnchorRows
+        self, anchor: Any, others: list[Any], rows: _AnchorRows
     ) -> np.ndarray:
-        """``d(anchor, other)`` for each of ``others``, recorded in ``fresh``.
+        """``d(anchor, other)`` for each of ``others``.
 
         The only counted index-build calls: pairs the last adoption held
-        (``held``, both objects unchanged by identity) are copied, and the
+        (``rows``, both objects unchanged by identity) are copied, and the
         rest are measured in one gather.
         """
-        keys = list(map(id, others))
-        prior = held.get(id(anchor))
+        prior = rows.get(id(anchor))
         if prior is None:
-            dists = np.asarray(self.metric.one_to_many(anchor, others), dtype=np.float64)
-        else:
-            dists = np.empty(len(others), dtype=np.float64)
-            missing: list[int] = []
-            for j, key in enumerate(keys):
-                pair = prior[1].get(key)
-                if pair is None:
-                    missing.append(j)
-                else:
-                    dists[j] = pair[1]
-            if missing:
-                dists[missing] = self.metric.one_to_many(
-                    anchor, [others[j] for j in missing]
-                )
-            self.bound_cache.n_anchor_reused += len(others) - len(missing)
-        row = fresh.setdefault(id(anchor), (anchor, {}))[1]
-        row.update(zip(keys, zip(others, dists.tolist())))
+            return np.asarray(self.metric.one_to_many(anchor, others), dtype=np.float64)
+        dists = np.empty(len(others), dtype=np.float64)
+        missing: list[int] = []
+        for j, other in enumerate(others):
+            pair = prior[1].get(id(other))
+            if pair is None:
+                missing.append(j)
+            else:
+                dists[j] = pair[1]
+        if missing:
+            dists[missing] = self.metric.one_to_many(
+                anchor, [others[j] for j in missing]
+            )
+        self.bound_cache.n_anchor_reused += len(others) - len(missing)
         return dists
 
     # ------------------------------------------------------------------

@@ -96,6 +96,25 @@ class TestCluster:
         assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("command", ["cluster", "authority"])
+    def test_non_utf8_string_file_fails_cleanly(self, tmp_path, capsys, command):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"abc\n\xff\xfe\n")
+        argv = (
+            ["cluster", str(data), "--type", "strings"] if command == "cluster"
+            else ["authority", str(data), str(tmp_path / "o.tsv")]
+        )
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.txt:2: not valid UTF-8" in err
+
+    def test_non_finite_vector_file_fails_cleanly(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("1,2\n3,nan\n4,5\n")
+        assert main(["cluster", str(data), "--type", "vectors"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nan.csv:2: non-finite coordinate" in err
+
+    @pytest.mark.parametrize("command", ["cluster", "authority"])
     def test_missing_input_file_fails_cleanly(self, tmp_path, capsys, command):
         missing = str(tmp_path / "missing.txt")
         argv = (

@@ -41,6 +41,22 @@ class TestVectorIO:
         with pytest.raises(ParameterError, match=r"ragged\.csv:4: 3 coordinates.* 2"):
             list(stream_vectors(path))
 
+    @pytest.mark.parametrize("row", ["3.0,nan", "inf,1.0", "3.0,-inf", "NaN,1e999"])
+    def test_non_finite_coordinate_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"1.0,2.0\n{row}\n")
+        with pytest.raises(ParameterError, match=r"nan\.csv:2: non-finite coordinate"):
+            list(stream_vectors(path))
+
+    @pytest.mark.parametrize(
+        "raw", [b"\xff\xfe,1.0", "\uff13,4.0".encode("utf-8")], ids=["invalid", "fullwidth"]
+    )
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, raw):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"1.0,2.0\n" + raw + b"\n")
+        with pytest.raises(ParameterError, match=r"bytes\.csv:2: non-ASCII byte"):
+            list(stream_vectors(path))
+
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("1.0,2.0\n\n3.0,4.0\n")
@@ -72,3 +88,14 @@ class TestStringIO:
         path = tmp_path / "records.txt"
         write_string_file(path, ["", "x", ""])
         assert list(stream_strings(path)) == ["", "x", ""]
+
+    def test_non_utf8_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "records.txt"
+        path.write_bytes(b"abc\n\xff\xfe\n")
+        with pytest.raises(ParameterError, match=r"records\.txt:2: not valid UTF-8"):
+            list(stream_strings(path))
+
+    def test_non_ascii_utf8_and_crlf_read_back(self, tmp_path):
+        path = tmp_path / "records.txt"
+        path.write_bytes("café\r\n\u6771\u4eac\n".encode("utf-8"))
+        assert list(stream_strings(path)) == ["café", "\u6771\u4eac"]

@@ -253,6 +253,244 @@ class TestCacheSurvivesReadoption:
         assert index.bound_cache is not cache and index.metric is model.metric
         assert index.bound_cache.n_anchor_reused == 0
 
+def _same_index(got, want):
+    """Assert two cf-tree indexes agree in objects (identity and order),
+    numbering, and every ball's radius, nearest bound and anchor
+    distances, bit for bit."""
+    assert len(got.objects) == len(want.objects)
+    assert all(a is b for a, b in zip(got.objects, want.objects))
+    stack = [(got._root, want._root)]
+    while stack:
+        g, w = stack.pop()
+        assert g.node is w.node
+        assert (g.offset, g.anchor, g.size) == (w.offset, w.anchor, w.size)
+        assert float(g.radius).hex() == float(w.radius).hex()
+        assert float(g.near).hex() == float(w.near).hex()
+        if w.children is None:
+            assert g.children is None
+            assert g.pair.tobytes() == w.pair.tobytes()
+        else:
+            assert g.child_dists.tobytes() == w.child_dists.tobytes()
+            assert len(g.children) == len(w.children)
+            stack.extend(zip(g.children, w.children))
+
+
+def _answers_match_brute(index, queries, k=3, radius=1.5):
+    reference = EuclideanDistance()
+    objects = list(index.objects)
+    for query in queries:
+        got = [(n.distance, n.index) for n in index.nearest(query, k=k)]
+        assert got == brute_force_reference(reference, objects, query, k)
+        row = reference.one_to_many(query, objects)
+        want = sorted((float(v), i) for i, v in enumerate(row) if v <= radius)
+        assert [(n.distance, n.index) for n in index.within(query, radius)] == want
+
+
+def _count_leaf_refreshes(monkeypatch):
+    """Count the index's calls to ``ensure_leaf_geometry``."""
+    import repro.index.cftree as cftree_index
+
+    calls = []
+    original = cftree_index.ensure_leaf_geometry
+
+    def counting(metric, node, stats):
+        calls.append(node)
+        return original(metric, node, stats)
+
+    monkeypatch.setattr(cftree_index, "ensure_leaf_geometry", counting)
+    return calls
+
+
+def _absorbing_copy(model):
+    """A copy of a clustroid: inserting it is an absorb at distance 0."""
+    return np.array(model.clustroids_[len(model.clustroids_) // 2], copy=True)
+
+
+class TestIncrementalReadoption:
+    """``model.index()`` rewraps only the insertion path, and equals an
+    adoption from scratch after every kind of insert."""
+
+    def _stream(self):
+        rng = np.random.default_rng(3)
+        centers = rng.normal(scale=6.0, size=(8, 3))
+        return [centers[i % 8] + rng.normal(scale=0.5, size=3) for i in range(80)]
+
+    def _model(self, objects, **options):
+        config = dict(
+            threshold=0.6, max_nodes=40, branching_factor=3,
+            sample_size=6, representation_number=4, seed=0,
+        )
+        config.update(options)
+        return BUBBLE(EuclideanDistance(), **config).fit(objects)
+
+    def test_every_insert_equals_a_fresh_adoption(self, monkeypatch):
+        from repro.core.cftree import CFTree
+
+        splits = {"leaf": 0, "nonleaf": 0}
+        for kind in splits:
+            original = getattr(CFTree, f"_split_{kind}")
+
+            def counted(self, node, kind=kind, original=original):
+                splits[kind] += 1
+                return original(self, node)
+
+            monkeypatch.setattr(CFTree, f"_split_{kind}", counted)
+        stream = self._stream()
+        queries = _points(4, seed=21)
+        model = self._model(stream[:20])
+        model.index()
+        seen = dict(absorb=0, new=0, leaf=0, nonleaf=0, root=0, rebuild=0)
+        for obj in stream[20:]:
+            tree = model.tree_
+            height, clusters, rebuilds = tree.height, tree.n_clusters, tree.n_rebuilds
+            before = dict(splits)
+            model.partial_fit([obj])
+            index = model.index()
+            fresh = CFTreeIndex.from_tree(model.tree_, bound_cache=QueryBoundCache())
+            _same_index(index, fresh)
+            _answers_match_brute(index, queries)
+            if tree.n_rebuilds > rebuilds:
+                seen["rebuild"] += 1
+                continue
+            seen["absorb" if tree.n_clusters == clusters else "new"] += 1
+            seen["root"] += tree.height > height
+            for kind in splits:
+                seen[kind] += splits[kind] > before[kind]
+        assert seen["rebuild"] == 1
+        assert all(seen.values()), seen
+
+    def test_absorb_refreshes_one_leaf(self, monkeypatch):
+        model = _fit_bubble(_points(60, seed=11))
+        model.index()
+        calls = _count_leaf_refreshes(monkeypatch)
+        model.partial_fit([_absorbing_copy(model)])
+        leaves = list(model.tree_.leaves())
+        assert len(leaves) > 1
+        index = model.index()
+        assert len(calls) == 1 and calls[0] in leaves
+        # Every anchor pair was copied from the kept wrappers or the held rows.
+        assert index.build_calls == 0
+        _same_index(index, CFTreeIndex.from_tree(model.tree_, bound_cache=QueryBoundCache()))
+
+    def test_insert_bumps_the_path_only(self):
+        model = _fit_bubble(_points(60, seed=11))
+        tree = model.tree_
+        before = {id(n): (n, n.version) for n in _nodes(tree.root)}
+        model.partial_fit([_absorbing_copy(model)])
+        moved = [n for n in _nodes(tree.root) if n.version != before[id(n)][1]]
+        # One node per level, each the parent of the next.
+        assert len(moved) == tree.height and moved[0] is tree.root
+        for parent, child in zip(moved, moved[1:]):
+            assert child in [entry.child for entry in parent.entries]
+        assert all(n.version == before[id(n)][1] + 1 for n in moved)
+
+    def test_unpickled_model_adopts_in_full_then_incrementally(self, monkeypatch):
+        model = _fit_bubble(_points(60, seed=11))
+        model.index()
+        clone = pickle.loads(pickle.dumps(model))
+        calls = _count_leaf_refreshes(monkeypatch)
+        first = clone.index()
+        assert len(calls) == sum(1 for _ in clone.tree_.leaves())
+        assert first.build_calls == len(_anchor_pairs(clone.tree_))
+        assert first.bound_cache.n_anchor_reused == 0
+        calls.clear()
+        clone.partial_fit([_absorbing_copy(clone)])
+        again = clone.index()
+        assert len(calls) == 1 and again.build_calls == 0
+        assert again.bound_cache.n_anchor_reused == len(_anchor_pairs(clone.tree_))
+
+    def test_checkpointed_model_adopts_in_full_then_incrementally(
+        self, tmp_path, monkeypatch
+    ):
+        def bubble():
+            return BUBBLE(
+                EuclideanDistance(), threshold=0.0, max_nodes=None,
+                branching_factor=4, sample_size=8, representation_number=4, seed=0,
+            )
+
+        objects = _points(60, seed=11)
+        path = tmp_path / "scan.ckpt"
+        bubble().fit(objects, checkpoint_path=path, checkpoint_every=60)
+        resumed = bubble().fit(objects, resume_from=path)
+        assert resumed.ingest_report_.resumed_at == 60
+        calls = _count_leaf_refreshes(monkeypatch)
+        first = resumed.index()
+        assert len(calls) == sum(1 for _ in resumed.tree_.leaves())
+        assert first.build_calls == len(_anchor_pairs(resumed.tree_))
+        calls.clear()
+        resumed.partial_fit([_absorbing_copy(resumed)])
+        assert len(calls) == 0
+        again = resumed.index()
+        assert len(calls) == 1 and again.build_calls == 0
+        _answers_match_brute(again, _points(3, seed=5))
+
+    def test_nodes_pickled_without_a_version_restore_at_zero(self, tmp_path):
+        model = _fit_bubble(_points(60, seed=11))
+        for node in _nodes(model.tree_.root):
+            del node.version  # the layout before nodes carried one
+        clone = pickle.loads(pickle.dumps(model))
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, model.tree_, cursor=60)
+        restored = load_checkpoint(path, EuclideanDistance()).tree
+        for tree in (clone.tree_, restored):
+            assert all(node.version == 0 for node in _nodes(tree.root))
+            tree.insert(np.full(3, 30.0))
+            assert tree.root.version == 1
+        clone.index()
+        clone.partial_fit([_absorbing_copy(clone)])
+        _answers_match_brute(clone.index(), _points(3, seed=5))
+
+    def test_later_adoption_never_renumbers_a_live_index(self):
+        model = _fit_bubble(_points(60, seed=11))
+        queries = _points(3, seed=5)
+        first = model.index()
+        numbering = [(n.offset, n.anchor) for n in _wrappers(first._root)]
+        objects = list(first.objects)
+        # Same tree, shared wrappers: the numbering is reproduced, not moved.
+        second = model.index()
+        assert second._root is first._root
+        # Another tree through the same cache shares no wrapper.
+        other = _fit_bubble(_points(30, seed=12))
+        CFTreeIndex.from_tree(other.tree_, bound_cache=first.bound_cache)
+        assert [(n.offset, n.anchor) for n in _wrappers(first._root)] == numbering
+        assert all(a is b for a, b in zip(first.objects, objects))
+        _answers_match_brute(first, queries)
+        # Once the tree moves, a later adoption renumbers shared wrappers,
+        # and the earlier index refuses to answer.
+        model.partial_fit([np.full(3, -30.0)])
+        model.index()
+        with pytest.raises(StaleIndexError):
+            first.nearest(queries[0])
+        with pytest.raises(StaleIndexError):
+            second.within(queries[0], 1.0)
+
+    def test_pickled_cache_holds_no_wrappers(self):
+        model = _fit_bubble(_points(60, seed=11))
+        cache = model.index().bound_cache
+        assert cache.anchor_nodes and cache.anchor_rows
+        clone = pickle.loads(pickle.dumps(cache))
+        assert clone.anchor_nodes == {} and clone.anchor_rows == {}
+        index = CFTreeIndex.from_tree(model.tree_, bound_cache=clone)
+        assert index.build_calls == len(_anchor_pairs(model.tree_))
+
+
+def _nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.extend(entry.child for entry in node.entries)
+
+
+def _wrappers(root):
+    stack = [root]
+    while stack:
+        wrapper = stack.pop()
+        yield wrapper
+        stack.extend(wrapper.children or ())
+
+
 class TestNeighborHeap:
     def test_keeps_k_best_with_lowest_index_ties(self):
         heap = NeighborHeap(2)
