@@ -1,4 +1,4 @@
-"""Gate for the BUBBLE / BUBBLE-FM scan: pruned routing and slab memory.
+"""Gate for the BUBBLE / BUBBLE-FM scan: pruned routing and tree health.
 
 Each Figure 4–6 cell workload is scanned at smoke scale by both
 algorithms twice, with identical data, seeds and tree parameters: once at
@@ -15,10 +15,8 @@ Pruning:
   tests pin full tree identity);
 * the pruning counters add up.
 
-Memory:
+Tree health:
 
-* the slab layout costs at least 30% fewer bytes per leaf than the
-  two-lists-of-boxed-floats layout it replaced;
 * every default tree audits clean, with the pinned sub-cluster count.
 
 Both: NCD totals stay within 2% of the pinned values, and the per-site
@@ -49,9 +47,6 @@ TOLERANCE = 0.02
 
 #: At least one workload must save this much at both routing sites.
 MIN_SITE_REDUCTION = 0.25
-
-#: Slab bytes/leaf <= (1 - this) * legacy bytes/leaf.
-MIN_BYTES_REDUCTION = 0.30
 
 #: (workload, algorithm) -> (exhaustive NCD, pruned NCD, sub-clusters).
 PINNED = {
@@ -178,16 +173,6 @@ def test_maintenance_within_tolerance_of_pins(scans):
         assert got == pytest.approx(want, rel=TOLERANCE), (
             f"{key} geometry upkeep drifted: {got} vs pinned {want}"
         )
-
-
-def test_slab_meets_bytes_reduction_bar(scans):
-    for key, legs in scans.items():
-        slab = legs["pruned"].model.tree_.policy.arena.snapshot()
-        assert slab["rows_used"] > 0, key
-        assert slab["bytes_per_leaf"] <= (1.0 - MIN_BYTES_REDUCTION) * slab[
-            "legacy_bytes_per_leaf"
-        ], f"{key}: slab layout saves < {MIN_BYTES_REDUCTION:.0%} per leaf"
-        assert slab["bytes_reduction"] >= MIN_BYTES_REDUCTION, key
 
 
 def test_default_trees_audit_clean_with_pinned_size(scans):

@@ -145,7 +145,6 @@ class _TreeAuditor:
         leaf_depths: set[int] = set()
         n_walked = 0
         total_objects = 0
-        live_features: list[ClusterFeature] = []
         stack: list[tuple[Any, str, int]] = [(tree.root, "root", 1)]
         while stack:
             node, path, depth = stack.pop()
@@ -158,7 +157,6 @@ class _TreeAuditor:
             if node.is_leaf:
                 leaf_depths.add(depth)
                 total_objects += sum(f.n for f in node.entries)
-                live_features.extend(node.entries)
                 self._audit_leaf(node, path)
             else:
                 if not node.entries:
@@ -185,64 +183,15 @@ class _TreeAuditor:
                 "node-count", "root",
                 f"tree.n_nodes={tree.n_nodes} but the walk found {n_walked} nodes",
             )
-        outliers = list(getattr(tree, "_outliers", []))
-        total_objects += sum(f.n for f in outliers)
+        total_objects += sum(f.n for f in getattr(tree, "_outliers", []))
         if total_objects != tree.n_objects:
             self._error(
                 "object-count", "root",
                 f"leaf features plus parked outliers hold {total_objects} "
                 f"objects, expected n_objects={tree.n_objects}",
             )
-        self._audit_arena(live_features + outliers)
         self.report.n_nodes = n_walked
         return self.report
-
-    # ------------------------------------------------------------------
-    # Slab arena occupancy
-    # ------------------------------------------------------------------
-    def _audit_arena(self, features: list[ClusterFeature]) -> None:
-        """Slab-backed features and arena row accounting must agree:
-        every live feature holds a distinct allocated row, and the policy
-        arena carries exactly one live row per tree-held feature (no leaks
-        from merged-away clusters, no double-assignment after recycling)."""
-        policy_arena = getattr(self.tree.policy, "arena", None)
-        rows_seen: dict[tuple[int, int], int] = {}
-        in_policy_arena = 0
-        for k, feature in enumerate(features):
-            if not isinstance(feature, BubbleClusterFeature):
-                continue
-            row = feature._row
-            if row < 0:
-                self._error(
-                    "arena", "root",
-                    f"leaf feature #{k} ({feature!r}) was released back to the "
-                    "arena but is still referenced by the tree",
-                )
-                continue
-            key = (id(feature.arena), row)
-            if key in rows_seen:
-                self._error(
-                    "arena", "root",
-                    f"slab row {row} is assigned to two live features "
-                    f"(#{rows_seen[key]} and #{k}); row recycling corrupted",
-                )
-            rows_seen[key] = k
-            count = int(feature.arena.counts[row])
-            if not 1 <= count <= feature.arena.width:
-                self._error(
-                    "arena", "root",
-                    f"slab row {row} records {count} representatives, outside "
-                    f"[1, {feature.arena.width}]",
-                )
-            if feature.arena is policy_arena:
-                in_policy_arena += 1
-        if policy_arena is not None and policy_arena.rows_used != in_policy_arena:
-            self._error(
-                "arena", "root",
-                f"policy arena holds {policy_arena.rows_used} live rows but the "
-                f"tree references {in_policy_arena} slab-backed features "
-                "(leaked or lost rows)",
-            )
 
     # ------------------------------------------------------------------
     # Leaf level
@@ -268,7 +217,7 @@ class _TreeAuditor:
     def _audit_bubble_feature(self, feature: BubbleClusterFeature, fpath: str) -> None:
         reps = feature._reps
         # Effective (compensated) RowSums — the values every maintenance
-        # decision is made against; raw slab state plus compensation.
+        # decision is made against; raw RowSum plus compensation.
         rowsums = feature.rowsums
         idx = feature._clustroid_idx
         tol = self.tolerance

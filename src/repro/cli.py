@@ -531,25 +531,36 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_audit(args) -> int:
-    from repro.analysis import audit_tree
+def _load_tree_checkpoint(path: str, metric, prefix: str = ""):
+    """The checkpoint file at ``path`` with ``metric`` attached, or ``None``
+    after an ``error:`` line (starting with ``prefix``) when it cannot be read
+    or holds no CF*-tree; callers then exit 2."""
     from repro.core.cftree import CFTree
     from repro.exceptions import CheckpointError
     from repro.persistence import load_checkpoint
 
+    try:
+        ck = load_checkpoint(path, metric=metric)
+    except CheckpointError as exc:
+        message = str(exc)
+    except FileNotFoundError as exc:
+        message = f"cannot read checkpoint: {exc}"
+    else:
+        if isinstance(ck.tree, CFTree):
+            return ck
+        message = "checkpoint does not hold a CF*-tree"
+    print(f"error: {prefix}{message}", file=sys.stderr)
+    return None
+
+
+def _cmd_audit(args) -> int:
+    from repro.analysis import audit_tree
+
     metric = _make_metric(args.type, args.metric)
     if metric is None:
         return 2
-    try:
-        ck = load_checkpoint(args.checkpoint, metric=metric)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(ck.tree, CFTree):
-        print("error: checkpoint does not hold a CF*-tree", file=sys.stderr)
+    ck = _load_tree_checkpoint(args.checkpoint, metric)
+    if ck is None:
         return 2
     report = audit_tree(
         ck.tree,
@@ -574,16 +585,10 @@ def _cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-def _load_snapshot(path: str, metric):
-    """(snapshot, algorithm, cursor) of one sequential checkpoint file."""
-    from repro.core.cftree import CFTree
-    from repro.exceptions import CheckpointError
+def _snapshot(ck, metric):
+    """The :class:`~repro.observability.StatsSnapshot` of a loaded checkpoint."""
     from repro.observability import StatsSnapshot
-    from repro.persistence import load_checkpoint
 
-    ck = load_checkpoint(path, metric=metric)
-    if not isinstance(ck.tree, CFTree):
-        raise CheckpointError("checkpoint does not hold a CF*-tree")
     snapshot = StatsSnapshot.from_tree(ck.tree, metric=metric)
     # The freshly attached metric has counted nothing; the scan's NCD lives
     # in the checkpointed ingest report.
@@ -592,7 +597,7 @@ def _load_snapshot(path: str, metric):
         snapshot.ncd_total = int(
             snapshot.report.get("n_distance_calls", snapshot.ncd_total)
         )
-    return snapshot, ck.metadata.get("algorithm", "?"), ck.cursor
+    return snapshot
 
 
 def _cmd_stats_sharded(args, metric) -> int:
@@ -616,12 +621,10 @@ def _cmd_stats_sharded(args, metric) -> int:
         if not os.path.exists(path):
             shards.append((shard_id, None, None))
             continue
-        try:
-            snapshot, _, cursor = _load_snapshot(path, metric)
-        except CheckpointError as exc:
-            print(f"error: shard {shard_id}: {exc}", file=sys.stderr)
+        ck = _load_tree_checkpoint(path, metric, prefix=f"shard {shard_id}: ")
+        if ck is None:
             return 2
-        shards.append((shard_id, snapshot, cursor))
+        shards.append((shard_id, _snapshot(ck, metric), ck.cursor))
     if args.json:
         doc = {
             "sharded": True,
@@ -692,7 +695,7 @@ def _cmd_query(args) -> int:
     from repro.index import make_index
     from repro.metrics.base import CallLedger
     from repro.observability import StatsSnapshot
-    from repro.persistence import is_sharded_checkpoint, load_checkpoint
+    from repro.persistence import is_sharded_checkpoint
 
     metric = _make_metric(args.type, args.metric)
     if metric is None:
@@ -710,13 +713,8 @@ def _cmd_query(args) -> int:
     queries = _parse_queries(args)
     if queries is None:
         return 2
-    try:
-        ck = load_checkpoint(args.checkpoint, metric=metric)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
+    ck = _load_tree_checkpoint(args.checkpoint, metric)
+    if ck is None:
         return 2
 
     ledger = CallLedger()
@@ -771,7 +769,6 @@ def _cmd_query(args) -> int:
 def _cmd_stats(args) -> int:
     import json as _json
 
-    from repro.exceptions import CheckpointError
     from repro.persistence import is_sharded_checkpoint
 
     metric = _make_metric(args.type, args.metric)
@@ -779,14 +776,11 @@ def _cmd_stats(args) -> int:
         return 2
     if is_sharded_checkpoint(args.checkpoint):
         return _cmd_stats_sharded(args, metric)
-    try:
-        snapshot, algorithm, cursor = _load_snapshot(args.checkpoint, metric)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    ck = _load_tree_checkpoint(args.checkpoint, metric)
+    if ck is None:
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: cannot read checkpoint: {exc}", file=sys.stderr)
-        return 2
+    snapshot = _snapshot(ck, metric)
+    algorithm, cursor = ck.metadata.get("algorithm", "?"), ck.cursor
     if args.json:
         doc = {"algorithm": algorithm, "cursor": cursor}
         doc.update(snapshot.to_dict())

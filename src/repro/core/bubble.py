@@ -21,7 +21,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.arena import FeatureArena
 from repro.core.features import (
     BubbleClusterFeature,
     average_inter_cluster_distance,
@@ -143,10 +142,6 @@ class BubblePolicy(BirchStarPolicy):
         #: Counters for the pruned routing engine (always present; all zero
         #: when ``prune`` is off or no node met the pruning gates).
         self.pruning_stats = PruningStats()
-        #: Per-tree slab arena backing every leaf CF* this policy creates
-        #: (RowSums + Neumaier compensations + representative handles in
-        #: contiguous ndarrays; see :mod:`repro.core.arena`).
-        self.arena = FeatureArena(self.representation_number)
 
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
@@ -157,27 +152,7 @@ class BubblePolicy(BirchStarPolicy):
     # Leaf level (D0 everywhere)
     # ------------------------------------------------------------------
     def new_leaf_feature(self, obj: Any) -> BubbleClusterFeature:
-        return BubbleClusterFeature(
-            self.metric, obj, self.representation_number, arena=self.arena
-        )
-
-    def adopt_feature(self, feature: Any) -> None:
-        """Move a foreign slab-backed feature's row into this policy's arena.
-
-        Worker-shard features come home through the merge path with their
-        own (unpickled) arenas; copying the row bit-for-bit keeps the merge
-        exactly equivalent to having built the feature here, while letting
-        the worker arena be garbage collected.
-        """
-        if (
-            isinstance(feature, BubbleClusterFeature)
-            and feature.arena is not self.arena
-            and feature.arena.width <= self.arena.width
-        ):
-            old_arena, old_row = feature.arena, feature._row
-            feature._row = self.arena.adopt_row(old_arena, old_row)
-            feature.arena = self.arena
-            old_arena.release(old_row)
+        return BubbleClusterFeature(self.metric, obj, self.representation_number)
 
     def leaf_distances(self, node: LeafNode, obj: Any) -> np.ndarray:
         # The last non-leaf walk's chosen segment, if it routed this object.

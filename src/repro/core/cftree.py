@@ -141,11 +141,6 @@ class CFTree:
         populations to :attr:`n_objects` and then enforces the node budget,
         so invariants and audits hold on the merged tree.
         """
-        # Foreign features (worker shards, checkpoints) move their slab
-        # storage into this tree's arena before routing — bit-for-bit, no
-        # distance calls, NCD-neutral.
-        for feature in features:
-            self.policy.adopt_feature(feature)
         # Sum populations before inserting: a feature absorbed into an
         # earlier one from this same batch mutates that entry's n in place,
         # so summing afterwards would double-count the absorbed objects.

@@ -36,7 +36,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.arena import FeatureArena
 from repro.exceptions import ParameterError
 from repro.metrics.base import DistanceFunction, site
 from repro.utils.numerics import compensated_add
@@ -117,17 +116,17 @@ class ClusterFeature(ABC):
 
 
 class BubbleClusterFeature(ClusterFeature):
-    """Leaf-level CF* of BUBBLE/BUBBLE-FM (Section 4.1), slab-backed.
+    """Leaf-level CF* of BUBBLE/BUBBLE-FM (Section 4.1).
 
-    The feature is a thin *view* into a :class:`~repro.core.arena.FeatureArena`
-    — ``(arena, row)`` — instead of owning Python lists: representative
-    objects, RowSums, and their Neumaier compensation terms live in the
-    arena's contiguous slabs, and every RowSum update is one vectorized
-    compensated ndarray add (see :func:`repro.utils.numerics.compensated_add`).
-    The *effective* RowSum of a slot is ``rowsum + compensation``; all
-    decisions (clustroid argmin, radius, Observation 1 estimates) use the
-    effective values, so incremental drift stays ``O(eps)`` relative
-    regardless of stream length.
+    The feature owns its state: the representative objects in a list, and
+    their RowSums with a Neumaier compensation term each in two float64
+    arrays ``2p`` wide, of which the first ``len(representatives)`` slots
+    are live. Every RowSum update is one vectorized compensated add (see
+    :func:`repro.utils.numerics.compensated_add`). The *effective* RowSum
+    of a slot is ``rowsum + compensation``; all decisions (clustroid
+    argmin, radius, Observation 1 estimates) use the effective values, so
+    incremental drift stays ``O(eps)`` relative regardless of stream
+    length.
 
     Parameters
     ----------
@@ -139,22 +138,13 @@ class BubbleClusterFeature(ClusterFeature):
     representation_number:
         The paper's ``2p``: total representative objects kept once the
         cluster outgrows exact maintenance. Must be an even integer >= 2.
-    arena:
-        Slab arena to allocate this feature's row from. Tree-built features
-        share the policy's per-tree arena; when omitted (direct
-        construction, e.g. in tests) a private single-row arena is created.
     """
 
-    __slots__ = ("metric", "n", "rep_cap", "p", "exact", "arena", "_row", "_clustroid_idx")
+    __slots__ = (
+        "metric", "n", "rep_cap", "p", "exact", "_reps", "_sums", "_comps", "_clustroid_idx",
+    )
 
-    def __init__(
-        self,
-        metric: DistanceFunction,
-        obj: Any,
-        representation_number: int = 10,
-        *,
-        arena: FeatureArena | None = None,
-    ):
+    def __init__(self, metric: DistanceFunction, obj: Any, representation_number: int = 10):
         if representation_number < 2 or representation_number % 2 != 0:
             raise ParameterError(
                 f"representation_number (2p) must be an even integer >= 2, "
@@ -163,33 +153,18 @@ class BubbleClusterFeature(ClusterFeature):
         self.metric = metric
         self.rep_cap = int(representation_number)
         self.p = self.rep_cap // 2
-        if arena is None:
-            arena = FeatureArena(self.rep_cap, capacity=1)
-        elif arena.width < self.rep_cap:
-            raise ParameterError(
-                f"arena width {arena.width} cannot hold {self.rep_cap} representatives"
-            )
         self.n = 1
         #: True while every member object is kept and RowSums are exact.
         self.exact = True
-        self.arena = arena
-        self._row = arena.alloc()
-        arena.reps[self._row, 0] = obj
-        arena.counts[self._row] = 1
+        self._reps: list = [obj]
+        #: Raw RowSum and Neumaier compensation of each representative slot.
+        self._sums = np.zeros(self.rep_cap, dtype=np.float64)
+        self._comps = np.zeros(self.rep_cap, dtype=np.float64)
         self._clustroid_idx = 0
 
     # ------------------------------------------------------------------
-    # Slab-view internals
+    # RowSum storage
     # ------------------------------------------------------------------
-    @property
-    def _count(self) -> int:
-        return int(self.arena.counts[self._row])
-
-    @property
-    def _reps(self) -> list:
-        """Live representative objects (a fresh list; objects by reference)."""
-        return list(self.arena.rep_view(self._row))
-
     @property
     def _rowsums(self) -> np.ndarray:
         """Writable view of the *raw* (uncompensated) RowSum slots.
@@ -197,60 +172,44 @@ class BubbleClusterFeature(ClusterFeature):
         Exposed for the audit layer's corruption probes; algorithmic reads
         go through :meth:`_effective_rowsums` which folds compensation in.
         """
-        return self.arena.rowsum_view(self._row)
+        return self._sums[: len(self._reps)]
 
     @_rowsums.setter
     def _rowsums(self, values: Any) -> None:
-        k = self._count
-        self.arena.rowsums[self._row, :k] = np.asarray(values, dtype=np.float64)[:k]
-        self.arena.compensations[self._row, :k] = 0.0
+        k = len(self._reps)
+        self._sums[:k] = np.asarray(values, dtype=np.float64)[:k]
+        self._comps[:k] = 0.0
 
     def _effective_rowsums(self) -> np.ndarray:
-        return self.arena.effective_rowsums(self._row)
+        k = len(self._reps)
+        return self._sums[:k] + self._comps[:k]
 
     def _store(self, objs: list, rowsums: np.ndarray, comps: np.ndarray) -> None:
-        """Overwrite this feature's row with a new representative set."""
-        row, a = self._row, self.arena
+        """Replace the representative set and its RowSum slots."""
         k = len(objs)
-        for i, o in enumerate(objs):
-            a.reps[row, i] = o
-        a.reps[row, k:] = None
-        a.rowsums[row, :k] = rowsums
-        a.rowsums[row, k:] = 0.0
-        a.compensations[row, :k] = comps
-        a.compensations[row, k:] = 0.0
-        a.counts[row] = k
-
-    def release(self) -> None:
-        """Return this feature's slab row to the arena.
-
-        Called when the feature is merged away (Type II) so the row can be
-        recycled; the feature must not be used afterwards.
-        """
-        if self._row >= 0:
-            self.arena.release(self._row)
-            self._row = -1
+        self._reps = objs
+        self._sums[:k] = rowsums
+        self._sums[k:] = 0.0
+        self._comps[:k] = comps
+        self._comps[k:] = 0.0
 
     # ------------------------------------------------------------------
     # Summary statistics
     # ------------------------------------------------------------------
     @property
     def clustroid(self) -> Any:
-        return self.arena.reps[self._row, self._clustroid_idx]
+        return self._reps[self._clustroid_idx]
 
     @property
     def radius(self) -> float:
-        row = self._row
-        rowsum = float(
-            self.arena.rowsums[row, self._clustroid_idx]
-            + self.arena.compensations[row, self._clustroid_idx]
-        )
+        c = self._clustroid_idx
+        rowsum = float(self._sums[c] + self._comps[c])
         return float(np.sqrt(max(rowsum, 0.0) / self.n))
 
     @property
     def representatives(self) -> list:
         """The representative objects currently kept (all members while exact)."""
-        return list(self.arena.rep_view(self._row))
+        return list(self._reps)
 
     @property
     def rowsums(self) -> list[float]:
@@ -261,15 +220,13 @@ class BubbleClusterFeature(ClusterFeature):
     def nearest_representatives(self) -> list:
         """The (at most) ``p`` kept members closest to the clustroid."""
         order = np.argsort(self._effective_rowsums())
-        reps = self.arena.rep_view(self._row)
-        return [reps[i] for i in order[: self.p]]
+        return [self._reps[i] for i in order[: self.p]]
 
     @property
     def peripheral_representatives(self) -> list:
         """The kept members farthest from the clustroid (cluster periphery)."""
         order = np.argsort(self._effective_rowsums())
-        reps = self.arena.rep_view(self._row)
-        return [reps[i] for i in order[self.p :]]
+        return [self._reps[i] for i in order[self.p :]]
 
     # ------------------------------------------------------------------
     # Type I insertion
@@ -301,16 +258,14 @@ class BubbleClusterFeature(ClusterFeature):
             # Observation 1 estimate against the *current* cluster of size n.
             d0 = float(dists[c])
             rowsum_new = self.n * (self.radius**2 + d0**2)
-        row, a = self._row, self.arena
         k = len(reps)
-        compensated_add(a.rowsums[row, :k], a.compensations[row, :k], sq)
+        compensated_add(self._sums[:k], self._comps[:k], sq)
         self.n += 1
 
         if k < self.rep_cap:
-            a.reps[row, k] = obj
-            a.rowsums[row, k] = rowsum_new
-            a.compensations[row, k] = 0.0
-            a.counts[row] = k + 1
+            reps.append(obj)
+            self._sums[k] = rowsum_new
+            self._comps[k] = 0.0
         else:
             if self.exact:
                 self.exact = False
@@ -320,9 +275,9 @@ class BubbleClusterFeature(ClusterFeature):
             order = np.argsort(eff)
             worst_near = int(order[self.p - 1])
             if rowsum_new < eff[worst_near]:
-                a.reps[row, worst_near] = obj
-                a.rowsums[row, worst_near] = rowsum_new
-                a.compensations[row, worst_near] = 0.0
+                reps[worst_near] = obj
+                self._sums[worst_near] = rowsum_new
+                self._comps[worst_near] = 0.0
         self._clustroid_idx = int(np.argmin(self._effective_rowsums()))
 
     # ------------------------------------------------------------------
@@ -339,8 +294,6 @@ class BubbleClusterFeature(ClusterFeature):
         and radius; the new clustroid is the candidate with the smallest
         combined estimate — in practice an object midway between the two old
         clustroids, which is why the periphery representatives are kept.
-
-        The merged-away feature's slab row is released back to the arena.
         """
         if not isinstance(other, BubbleClusterFeature):
             raise ParameterError("BubbleClusterFeature can only merge with its own kind")
@@ -360,7 +313,7 @@ class BubbleClusterFeature(ClusterFeature):
         cand_objs = reps_self + reps_other
         cand_rs = np.concatenate([self._rowsums, other._rowsums])
         cand_comp = np.concatenate(
-            [self.arena.compensation_view(self._row), other.arena.compensation_view(other._row)]
+            [self._comps[: len(reps_self)], other._comps[: len(reps_other)]]
         )
         deltas = np.concatenate(
             [
@@ -380,7 +333,6 @@ class BubbleClusterFeature(ClusterFeature):
             cand_comp = cand_comp[keep]
         self._store(cand_objs, cand_rs, cand_comp)
         self._clustroid_idx = int(np.argmin(self._effective_rowsums()))
-        other.release()
 
     def _merge_exact(self, other: "BubbleClusterFeature") -> None:
         """Exact merge: both member lists are complete, so recompute RowSums
@@ -392,13 +344,12 @@ class BubbleClusterFeature(ClusterFeature):
         cross_sq = np.asarray(cross, dtype=np.float64) ** 2
         new_rs = np.concatenate([self._rowsums, other._rowsums])
         new_comp = np.concatenate(
-            [self.arena.compensation_view(self._row), other.arena.compensation_view(other._row)]
+            [self._comps[: len(reps_self)], other._comps[: len(reps_other)]]
         )
         compensated_add(new_rs, new_comp, np.concatenate([cross_sq.sum(axis=1), cross_sq.sum(axis=0)]))
         self._store(reps_self + reps_other, new_rs, new_comp)
         self.n += other.n
         self._clustroid_idx = int(np.argmin(self._effective_rowsums()))
-        other.release()
 
     # ------------------------------------------------------------------
     # Distances
@@ -410,7 +361,7 @@ class BubbleClusterFeature(ClusterFeature):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BubbleClusterFeature(n={self.n}, radius={self.radius:.4g}, "
-            f"reps={self._count}, exact={self.exact})"
+            f"reps={len(self._reps)}, exact={self.exact})"
         )
 
 

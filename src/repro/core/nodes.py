@@ -26,8 +26,7 @@ class _Node:
     :meth:`~repro.core.cftree.CFTree._insert_into`). It is node-local, not
     a copy of the tree's counter, so an index that remembered a node at
     some version knows the node and everything below it are unchanged
-    while the two still match. A node from a pickle written before nodes
-    carried a version restores at 0.
+    while the two still match.
     """
 
     __slots__ = ("entries", "aux", "version")
@@ -39,11 +38,6 @@ class _Node:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
-        self.version = 0
-        for name, value in state[1].items():
-            setattr(self, name, value)
 
 
 class LeafNode(_Node):

@@ -47,16 +47,6 @@ class BirchStarPolicy(ABC):
     def new_leaf_feature(self, obj: Any) -> ClusterFeature:
         """Create the CF* of a brand-new cluster containing only ``obj``."""
 
-    def adopt_feature(self, feature: ClusterFeature) -> None:
-        """Take ownership of a CF* built under a different policy instance.
-
-        Called by :meth:`CFTree.insert_feature_batch` for every incoming
-        feature before routing — the hook where slab-backed policies move a
-        worker-shard or checkpointed feature's storage into their own arena
-        (bit-for-bit, no distance calls). The default is a no-op for
-        features that own their state outright.
-        """
-
     @abstractmethod
     def leaf_distances(self, node: LeafNode, obj: Any) -> np.ndarray:
         """Distances from ``obj`` to every leaf entry of ``node`` (the D0

@@ -4,7 +4,7 @@ The CF*-tree, the distance function, the cache, and the ledger each hold a
 piece of the run's story; :class:`StatsSnapshot` collects them into a
 single JSON-compatible record — what ``repro stats <checkpoint>`` prints.
 Each owner's counters appear once, as that owner's own record (``cache``,
-``query``, ``pruning``, ``slab``, ``report``), never copied into fields
+``query``, ``pruning``, ``report``), never copied into fields
 of the snapshot.
 """
 
@@ -84,10 +84,6 @@ class StatsSnapshot:
     #: Pruned-routing counters (:class:`repro.core.routing.PruningStats`
     #: as a dict; ``None`` when the policy has no pruning engine).
     pruning: dict[str, int] | None = None
-    #: CF* slab-arena occupancy and memory accounting
-    #: (:meth:`repro.core.arena.FeatureArena.snapshot`; ``None`` when the
-    #: policy keeps no slab arena).
-    slab: dict[str, Any] | None = None
     #: The run's :class:`~repro.robustness.report.IngestReport` as a dict
     #: (``to_dict()``; ingestion, shard-recovery and sampled-global-phase
     #: counters), from the model or the checkpoint; ``None`` when neither
@@ -137,9 +133,6 @@ class StatsSnapshot:
         pruning_stats = getattr(getattr(tree, "policy", None), "pruning_stats", None)
         if pruning_stats is not None:
             snapshot.pruning = pruning_stats.as_dict()
-        arena = getattr(getattr(tree, "policy", None), "arena", None)
-        if arena is not None and hasattr(arena, "snapshot"):
-            snapshot.slab = arena.snapshot()
         return snapshot
 
     @classmethod
@@ -197,7 +190,6 @@ class StatsSnapshot:
             "cache": dict(self.cache) if self.cache is not None else None,
             "query": dict(self.query) if self.query is not None else None,
             "pruning": dict(self.pruning) if self.pruning is not None else None,
-            "slab": dict(self.slab) if self.slab is not None else None,
             "report": dict(self.report) if self.report is not None else None,
             "global_phase_samples": [dict(s) for s in self.global_phase_samples],
         }
@@ -277,24 +269,6 @@ class StatsSnapshot:
             rows.append(("pruned candidates", f"{pruned}/{total} ({share:.1%})"))
             rows.append(
                 ("pruning maintenance", str(self.pruning.get("maintenance_evals", 0)))
-            )
-        if self.slab is not None and self.slab.get("rows_used"):
-            rows.append(
-                (
-                    "slab occupancy",
-                    f"{self.slab.get('rows_used')}/{self.slab.get('capacity')} rows "
-                    f"({float(self.slab.get('occupancy', 0.0)):.1%})",
-                )
-            )
-            # Negative reduction (near-singleton leaves where the fixed-width
-            # slab overallocates) renders as "+x%".
-            rows.append(
-                (
-                    "slab bytes/leaf",
-                    f"{self.slab.get('bytes_per_leaf')} "
-                    f"(legacy {self.slab.get('legacy_bytes_per_leaf')}, "
-                    f"{-float(self.slab.get('bytes_reduction', 0.0)):+.1%})",
-                )
             )
         report = self.report or {}
         retried = report.get("shards_retried", 0)

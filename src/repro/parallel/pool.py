@@ -140,9 +140,9 @@ class ShardSupervisor:
         inline (same retry semantics, no process boundary).
     max_retries:
         Recoverable-failure retries per shard before the inline fallback.
-    backoff, backoff_multiplier:
-        Retry ``i`` is scheduled ``backoff * multiplier**i`` seconds after
-        the failure. In pool mode the delay is non-blocking (other shards
+    backoff:
+        Retry ``i`` is scheduled ``backoff * 2**i`` seconds after the
+        failure. In pool mode the delay is non-blocking (other shards
         keep running); inline it sleeps.
     shard_timeout:
         Per-attempt wall-clock limit; an overrunning worker is killed and
@@ -161,12 +161,8 @@ class ShardSupervisor:
         re-books NCD here); an exception aborts the whole pool.
     on_retry:
         ``(task, failure, delay) -> None`` observability hook.
-    inline_fallback:
-        When ``False``, exhausted retries raise instead of degrading to
-        in-parent execution (crash/timeout failures surface as
-        :class:`~repro.exceptions.WorkerCrashError`).
-    sleep, clock:
-        Injectable time functions for deterministic tests.
+    sleep:
+        Injectable sleep for deterministic tests.
     """
 
     def __init__(
@@ -176,29 +172,23 @@ class ShardSupervisor:
         n_jobs: int,
         max_retries: int = 2,
         backoff: float = 0.25,
-        backoff_multiplier: float = 2.0,
         shard_timeout: float | None = None,
         deadline_seconds: float | None = None,
         prepare_attempt: Callable[[Any, int], Any] | None = None,
         on_result: Callable[[Any], None] | None = None,
         on_retry: Callable[[Any, ShardFailure, float], None] | None = None,
-        inline_fallback: bool = True,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
     ):
         self.tasks = list(tasks)
         self.n_jobs = int(n_jobs)
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
-        self.backoff_multiplier = float(backoff_multiplier)
         self.shard_timeout = shard_timeout
         self.deadline_seconds = deadline_seconds
         self.prepare_attempt = prepare_attempt
         self.on_result = on_result
         self.on_retry = on_retry
-        self.inline_fallback = bool(inline_fallback)
         self._sleep = sleep
-        self._clock = clock
         self._deadline_at: float | None = None
         #: Recovery counters (``shards_retried``, ``workers_crashed``,
         #: ``shards_resumed``, ``backoff_seconds_total``); the rest stay 0.
@@ -210,7 +200,7 @@ class ShardSupervisor:
     def run(self) -> list[Any]:
         """Execute every shard; returns results in task order."""
         if self.deadline_seconds is not None:
-            self._deadline_at = self._clock() + float(self.deadline_seconds)
+            self._deadline_at = time.monotonic() + float(self.deadline_seconds)
         states = [_ShardState(task) for task in self.tasks]
         if self.n_jobs <= 1 or len(states) <= 1:
             results = self._run_inline(states)
@@ -222,7 +212,7 @@ class ShardSupervisor:
     # Shared plumbing
     # ------------------------------------------------------------------
     def _check_deadline(self) -> None:
-        if self._deadline_at is not None and self._clock() > self._deadline_at:
+        if self._deadline_at is not None and time.monotonic() > self._deadline_at:
             raise DeadlineExceededError(
                 f"pool-wide deadline of {self.deadline_seconds:.3g}s exceeded; "
                 "live workers were cancelled cleanly"
@@ -255,19 +245,14 @@ class ShardSupervisor:
         failure = ShardFailure(state.task.shard_id, state.attempt, kind, detail)
         self.failures.append(failure)
         if state.attempt < self.max_retries:
-            delay = self.backoff * (self.backoff_multiplier**state.attempt)
+            delay = self.backoff * (2**state.attempt)
             state.attempt += 1
-            state.not_before = self._clock() + delay
+            state.not_before = time.monotonic() + delay
             self.report.shards_retried += 1
             self.report.backoff_seconds_total += delay
             if self.on_retry is not None:
                 self.on_retry(state.task, failure, delay)
             return ("retry", delay)
-        if not self.inline_fallback:
-            raise WorkerCrashError(
-                f"shard {state.task.shard_id} failed {state.attempt + 1} "
-                f"attempt(s); last failure: {kind}: {detail}"
-            )
         return ("fallback", 0.0)
 
     def _fallback(self, state: _ShardState, results: dict[int, Any]) -> None:
@@ -310,7 +295,7 @@ class ShardSupervisor:
         try:
             while pending or waiting or live:
                 self._check_deadline()
-                now = self._clock()
+                now = time.monotonic()
                 # Promote shards whose backoff elapsed.
                 still_waiting: list[_ShardState] = []
                 for state in waiting:
@@ -324,7 +309,7 @@ class ShardSupervisor:
                 if not live:
                     # Everything is backing off: sleep to the next release.
                     wake = min(state.not_before for state in waiting)
-                    self._sleep(max(wake - self._clock(), 0.0) + 0.001)
+                    self._sleep(max(wake - time.monotonic(), 0.0) + 0.001)
                     continue
                 for conn in _wait_connections(list(live), timeout=_TICK_SECONDS):
                     self._collect(conn, live.pop(conn), results, waiting)
@@ -348,7 +333,7 @@ class ShardSupervisor:
         # Close the parent's copy of the write end, so a dead worker's pipe
         # reads as EOF instead of blocking forever.
         send_conn.close()
-        live[recv_conn] = _LiveWorker(state=state, process=process, started=self._clock())
+        live[recv_conn] = _LiveWorker(state=state, process=process, started=time.monotonic())
 
     def _collect(
         self,
@@ -404,7 +389,7 @@ class ShardSupervisor:
     ) -> None:
         if self.shard_timeout is None:
             return
-        now = self._clock()
+        now = time.monotonic()
         for conn in [c for c, w in live.items() if now - w.started > self.shard_timeout]:
             worker = live.pop(conn)
             self._kill(worker.process)

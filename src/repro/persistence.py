@@ -141,7 +141,7 @@ def load_subclusters(
 # Scan checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 6
+_CHECKPOINT_VERSION = 7
 _METRIC_PID = "repro.metric"
 
 

@@ -13,15 +13,17 @@ rounding error of every addition, restoring the lost low-order bits when
 the compensated value is read back. The error of ``sum + compensation``
 is ``O(eps)`` relative, *independent of stream length and magnitude
 spread* — which is what BETULA (Lang & Schubert, PAPERS.md) exploits to
-keep BIRCH cluster features stable at scale, and what the CF* slab arena
-(:mod:`repro.core.arena`) uses for its RowSum columns.
+keep BIRCH cluster features stable at scale, and what every BUBBLE leaf
+CF* (:class:`repro.core.features.BubbleClusterFeature`) uses for its
+RowSums.
 
 Three entry points:
 
 * :func:`neumaier_sum` — one-shot compensated sum of a 1-D array;
 * :func:`compensated_add` — **vectorized** in-place Neumaier update of
   parallel ``(sums, comps)`` ndarrays, the batch RowSum primitive (one
-  fused update for a whole slab row instead of a scalar Python loop);
+  fused update for a feature's whole RowSum array instead of a scalar
+  Python loop);
 * :class:`CompensatedAccumulator` — a scalar running accumulator for
   single-value streams (the vector CF's SSE).
 """
@@ -43,7 +45,7 @@ def compensated_add(
     """Add ``deltas`` into the ``(sums, comps)`` pair in place, Neumaier-style.
 
     ``sums`` and ``comps`` are parallel float64 arrays (typically views
-    into one slab row); the represented value of slot ``i`` is
+    into one feature's RowSum storage); the represented value of slot ``i`` is
     ``sums[i] + comps[i]``. Each slot absorbs ``deltas[i]`` with its
     rounding error captured in ``comps[i]``, so a slot's drift stays
     ``O(eps)`` relative no matter how many times it is updated or how the
@@ -90,7 +92,7 @@ class CompensatedAccumulator:
     True
 
     The pair ``(total, compensation)`` is exposed so container types (the
-    CF* slab, checkpoints) can persist the exact accumulator state and
+    leaf CF*, checkpoints) can persist the exact accumulator state and
     resume bit-equivalently.
     """
 

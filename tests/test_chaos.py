@@ -16,13 +16,11 @@ which is what the hypothesis sweep exploits for speed.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import BuildConfig
 from repro.core.preclusterer import BUBBLE
-from repro.exceptions import WorkerCrashError
 from repro.metrics import EuclideanDistance
 from repro.metrics.base import CallLedger
 from repro.observability import StatsSnapshot
@@ -245,31 +243,6 @@ class TestSupervisorEdges:
         assert [(f.shard_id, f.attempt, f.kind) for f in supervisor.failures] == [
             (0, 0, "error")
         ]
-
-    def test_no_fallback_raises_worker_crash_error(self):
-        # inline_fallback=False is the strict mode: exhausted retries
-        # surface as a typed error instead of degrading. A permanently
-        # flaky metric fails every attempt.
-        task = ShardTask(
-            shard_id=0,
-            n_shards=1,
-            objects=[np.zeros(2), np.ones(2), np.full(2, 2.0), np.full(2, 3.0)],
-            driver=BUBBLE,
-            config=BuildConfig(),
-            metric=FlakyMetric(EuclideanDistance(), failure_rate=1.0, seed=0),
-            seed=0,
-        )
-        supervisor = ShardSupervisor(
-            [task],
-            n_jobs=1,
-            max_retries=1,
-            backoff=0.0,
-            inline_fallback=False,
-            sleep=lambda s: None,
-        )
-        with pytest.raises(WorkerCrashError, match="2 attempt"):
-            supervisor.run()
-        assert supervisor.report.shards_retried == 1
 
     def test_unarmed_policy_never_kills_inline(self):
         # Safety property: running a kill schedule inline (parent PID ==

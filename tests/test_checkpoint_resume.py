@@ -1,6 +1,10 @@
 """Checkpoint/resume: a scan killed mid-flight restarts from its last
 snapshot and converges to the same result as an uninterrupted run."""
 
+import pickle
+import sys
+import types
+
 import pytest
 
 from repro import BUBBLE, BUBBLEFM, EuclideanDistance, persistence
@@ -69,7 +73,7 @@ class TestCheckpointPrimitives:
 
     # Routing caches travel in the pickle and gain fields between versions,
     # so any other version must be refused up front, not fail mid-resume.
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7, "6", None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8, "7", None])
     def test_other_format_version_raises_checkpoint_error(
         self, points, tmp_path, monkeypatch, version
     ):
@@ -80,6 +84,22 @@ class TestCheckpointPrimitives:
         save_checkpoint(path, model.tree_, cursor=100)
         monkeypatch.undo()
         with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
+            load_checkpoint(path, metric=EuclideanDistance())
+
+    def test_checkpoint_naming_a_removed_class_raises_checkpoint_error(
+        self, tmp_path, monkeypatch
+    ):
+        """Version-6 checkpoints pickled each BUBBLE policy's
+        ``repro.core.arena.FeatureArena``, a module this build does not
+        have; the load must still fail as a checkpoint error."""
+        arena = types.ModuleType("repro.core.arena")
+        arena.FeatureArena = type("FeatureArena", (), {"__module__": arena.__name__})
+        monkeypatch.setitem(sys.modules, arena.__name__, arena)
+        payload = {"format_version": 6, "cursor": 0, "tree": arena.FeatureArena()}
+        path = tmp_path / "v6.ckpt"
+        path.write_bytes(pickle.dumps(payload))
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError, match="repro.core.arena"):
             load_checkpoint(path, metric=EuclideanDistance())
 
     def test_atomic_write_replaces_existing(self, points, tmp_path):

@@ -424,22 +424,6 @@ class TestIncrementalReadoption:
         assert len(calls) == 1 and again.build_calls == 0
         _answers_match_brute(again, _points(3, seed=5))
 
-    def test_nodes_pickled_without_a_version_restore_at_zero(self, tmp_path):
-        model = _fit_bubble(_points(60, seed=11))
-        for node in _nodes(model.tree_.root):
-            del node.version  # the layout before nodes carried one
-        clone = pickle.loads(pickle.dumps(model))
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(path, model.tree_, cursor=60)
-        restored = load_checkpoint(path, EuclideanDistance()).tree
-        for tree in (clone.tree_, restored):
-            assert all(node.version == 0 for node in _nodes(tree.root))
-            tree.insert(np.full(3, 30.0))
-            assert tree.root.version == 1
-        clone.index()
-        clone.partial_fit([_absorbing_copy(clone)])
-        _answers_match_brute(clone.index(), _points(3, seed=5))
-
     def test_later_adoption_never_renumbers_a_live_index(self):
         model = _fit_bubble(_points(60, seed=11))
         queries = _points(3, seed=5)

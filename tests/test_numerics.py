@@ -126,7 +126,7 @@ class TestNeumaierSum:
 
 
 # ----------------------------------------------------------------------
-# Vectorized in-place update (the slab RowSum primitive)
+# Vectorized in-place update (the leaf CF* RowSum primitive)
 # ----------------------------------------------------------------------
 class TestCompensatedAdd:
     def test_slots_update_independently(self):
