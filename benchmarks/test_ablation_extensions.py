@@ -1,7 +1,8 @@
 """Ablations A6-A8 — design choices beyond the paper's reported experiments.
 
-* A6: the three second-phase labeling strategies (exact linear scan — the
-  paper's method; CF*-tree routing; VP-tree nearest-neighbour);
+* A6: the four second-phase labeling strategies (exact linear scan — the
+  paper's method; the pipeline's exact pruned walk over the clustroids;
+  CF*-tree routing; VP-tree nearest-neighbour);
 * A7: BUBBLE vs CLARANS, the related-work medoid method of Section 2;
 * A8: exact metric indexes against the linear scan.
 """
@@ -21,6 +22,9 @@ def test_a6_labeling_strategies(benchmark, report, scale):
     report.record(result)
     by = result.row_map()
     ncd, agreement = 1, 3
+    # The pipeline's walk is exact and prunes most of the linear scan.
+    assert by["walk"][agreement] == 1.0
+    assert by["walk"][ncd] < by["linear"][ncd]
     # VP-tree is exact and cheaper than the linear scan at this cluster count.
     assert by["vptree"][agreement] == 1.0
     assert by["vptree"][ncd] < by["linear"][ncd]

@@ -283,9 +283,9 @@ def _tracing(trace_path: str | None) -> Iterator:
     if trace_path is None:
         yield None
         return
-    from repro.observability import JsonlSink, Tracer
+    from repro.observability import Tracer
 
-    tracer = Tracer(sinks=[JsonlSink(trace_path)])
+    tracer = Tracer(jsonl=trace_path)
     try:
         with tracer:
             yield tracer

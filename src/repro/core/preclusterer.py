@@ -103,6 +103,10 @@ class PreClusterer:
         #: until :meth:`global_phase` runs with ``method="clara"``).
         self.global_phase_samples_: list[dict] = []
         self._cursor = 0
+        #: Distance calls the scan made before the checkpoint it resumed
+        #: from, on an earlier run's metric; the report adds them to
+        #: :attr:`metric`'s count so it covers the whole scan.
+        self._resumed_calls = 0
         #: ``(metric, QueryBoundCache)`` shared by every :meth:`index`.
         self._serving: tuple[DistanceFunction, Any] | None = None
 
@@ -185,6 +189,7 @@ class PreClusterer:
         else:
             self.tree_ = None
             self._cursor = 0
+            self._resumed_calls = 0
             self.quarantine_ = Quarantine(max_size=max_quarantine)
             self.ingest_report_ = IngestReport()
         self.partial_fit(
@@ -302,7 +307,7 @@ class PreClusterer:
     def _sync_report(self) -> None:
         """Pull metric-side and tree-side counters into the report."""
         report = self.ingest_report_
-        report.n_distance_calls = self.metric.n_calls
+        report.n_distance_calls = self.metric.n_calls + self._resumed_calls
         if self.tree_ is not None:
             report.n_rebuilds = self.tree_.n_rebuilds
         metric = self.metric
@@ -351,6 +356,7 @@ class PreClusterer:
         self.ingest_report_ = IngestReport.from_dict(ck.state.get("report"))
         self.ingest_report_.resumed_at = ck.cursor
         self.ingest_report_.n_checkpoints = 0
+        self._resumed_calls = self.ingest_report_.n_distance_calls - self.metric.n_calls
 
     def finalize(self) -> "PreClusterer":
         """End a :meth:`partial_fit` stream: re-absorb parked outliers."""
@@ -358,22 +364,6 @@ class PreClusterer:
         if self.config.outlier_fraction is not None:
             tree.reabsorb_outliers()
         return self
-
-    def summary(self) -> dict:
-        """Diagnostics for the fitted model, ready for logging."""
-        tree = self._require_tree()
-        return {
-            "algorithm": type(self).__name__,
-            "n_objects": tree.n_objects,
-            "n_subclusters": tree.n_clusters,
-            "n_nodes": tree.n_nodes,
-            "height": tree.height,
-            "threshold": tree.threshold,
-            "n_rebuilds": tree.n_rebuilds,
-            "n_outliers_parked": tree.n_outliers_parked,
-            "n_quarantined": len(self.quarantine_),
-            "n_distance_calls": self.metric.n_calls,
-        }
 
     def _require_tree(self) -> CFTree:
         if self.tree_ is None:
@@ -454,7 +444,7 @@ class PreClusterer:
             report.global_sample_seconds = sum(
                 float(s["elapsed_seconds"]) for s in search.sample_summaries_
             )
-            report.n_distance_calls = self.metric.n_calls
+            report.n_distance_calls = self.metric.n_calls + self._resumed_calls
         return search
 
     @property

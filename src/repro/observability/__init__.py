@@ -4,10 +4,10 @@ The paper evaluates everything in NCD — the number of calls to the
 distance function — so this package makes NCD *legible*: a
 :class:`Tracer` is a :class:`~repro.metrics.base.CallLedger` (from
 :mod:`repro.metrics.base`) that charges every counted distance call to the
-innermost open site and also times each site (wall time + NCD deltas);
-sinks stream the site events as JSON lines or render an end-of-run table;
-:class:`StatsSnapshot` packages tree shape, cache behaviour, and the
-attribution histogram into one record.
+innermost open site, times each site (wall time + NCD deltas), and can
+write its site events as JSON lines; :func:`format_summary` renders the
+end-of-run table; :class:`StatsSnapshot` packages tree shape, cache
+behaviour, and the attribution histogram into one record.
 
 Tracing is opt-in and owned by the caller: ``with tracer:`` activates
 attribution around whatever it wraps. With no ledger active the disabled
@@ -19,15 +19,8 @@ See ``docs/observability.md`` for the site taxonomy and trace schema.
 
 from __future__ import annotations
 
-from repro.observability.sinks import (
-    JsonlSink,
-    ListSink,
-    SummarySink,
-    TraceSink,
-    format_summary,
-)
 from repro.observability.stats import StatsSnapshot
-from repro.observability.tracer import Tracer
+from repro.observability.tracer import Tracer, format_summary
 
 #: Kept importable for older callers that pass ``tracer=NULL_TRACER`` to
 #: :func:`repro.pipelines.cluster_dataset`; ``None`` means "no tracer".
@@ -35,10 +28,6 @@ NULL_TRACER = None
 
 __all__ = [
     "Tracer",
-    "TraceSink",
-    "JsonlSink",
-    "SummarySink",
-    "ListSink",
     "format_summary",
     "StatsSnapshot",
 ]

@@ -14,6 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.exceptions import NotFittedError
 from repro.metrics.base import CallLedger, DistanceFunction
 from repro.metrics.cache import CachedDistance
 
@@ -139,6 +140,8 @@ class StatsSnapshot:
     def from_model(cls, model: Any, ledger: CallLedger | None = None) -> "StatsSnapshot":
         """Snapshot a fitted driver (``BUBBLE``/``BUBBLEFM``); ``ledger`` as
         in :meth:`from_tree`."""
+        if model.tree_ is None:
+            raise NotFittedError(f"{type(model).__name__} has not been fitted yet")
         snapshot = cls.from_tree(model.tree_, metric=model.metric, ledger=ledger)
         report = getattr(model, "ingest_report_", None)
         if report is not None:

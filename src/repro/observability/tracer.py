@@ -17,7 +17,17 @@ set of labels:
   nest, so these totals are *inclusive* (a rebuild triggered inside an
   insert is counted in both).
 
-Sinks receive one ``enter``/``exit`` event pair per site.
+Given a ``jsonl=`` target, the tracer writes one JSON object per line:
+an ``enter``/``exit`` event pair per site, then one ``summary`` event from
+:meth:`Tracer.close` (see ``docs/observability.md`` for the schema):
+
+* ``{"ev": "enter", "span": ..., "seq": ..., "depth": ..., "t": ..., "ncd": ...}``
+* ``{"ev": "exit", ...same..., "dt": ..., "dncd": ...}``
+* ``{"ev": "summary", "elapsed_seconds": ..., "ncd_total": ...,
+  "ncd_by_site": {...}, "spans": {...}}``
+
+:func:`format_summary` renders :meth:`Tracer.summary` as the end-of-run
+table the CLI prints.
 
 Tracing is opt-in and owned by the caller: ``with tracer:`` activates it
 (a tracer is a ledger, so activation is re-entrant like any other's). Only
@@ -28,13 +38,14 @@ whole run in that one block. With no ledger active each site costs one
 
 from __future__ import annotations
 
+import json
 import time
-from collections.abc import Callable, Iterable
-from typing import Any
+from collections.abc import Callable
+from typing import IO, Any
 
 from repro.metrics.base import CallLedger
 
-__all__ = ["Tracer"]
+__all__ = ["Tracer", "format_summary"]
 
 
 class Tracer(CallLedger):
@@ -42,26 +53,39 @@ class Tracer(CallLedger):
 
     Parameters
     ----------
-    sinks:
-        :class:`~repro.observability.sinks.TraceSink` instances receiving
-        one event dict per site enter/exit (and a final ``summary`` event
-        on :meth:`close`). No sinks is fine — span aggregates and the site
-        histogram are kept in memory regardless.
+    jsonl:
+        Where the event stream goes, one JSON object per line: a path
+        (opened and owned by the tracer) or an open text stream (flushed
+        by :meth:`close`, never closed). ``None`` writes nothing — span
+        aggregates and the site histogram are kept in memory regardless.
     clock:
         Monotonic time source (injectable for deterministic tests).
 
-    Usage::
-
-        tracer = Tracer(sinks=[JsonlSink("trace.jsonl")])
-        model = BUBBLE(metric, max_nodes=50, seed=0)
-        with tracer:                      # activates site attribution
-            model.fit(objects)
-        tracer.close()                    # flush sinks
-        tracer.by_site                    # {'leaf-d0': ..., 'nonleaf-d2': ...}
+    Examples
+    --------
+    >>> import io, json
+    >>> import numpy as np
+    >>> from repro.core.preclusterer import BUBBLE
+    >>> from repro.metrics import EuclideanDistance
+    >>> data = list(np.random.default_rng(0).normal(size=(100, 2)))
+    >>> metric = EuclideanDistance()
+    >>> stream = io.StringIO()
+    >>> tracer = Tracer(jsonl=stream)
+    >>> with tracer:                      # activates site attribution
+    ...     model = BUBBLE(metric, max_nodes=10, seed=0).fit(data)
+    >>> tracer.close()                    # writes the summary event
+    >>> sum(tracer.by_site.values()) == metric.n_calls
+    True
+    >>> events = [json.loads(line) for line in stream.getvalue().splitlines()]
+    >>> events[0]["ev"], events[-1]["ev"]
+    ('enter', 'summary')
+    >>> events[-1]["ncd_total"] == metric.n_calls
+    True
     """
 
     __slots__ = (
-        "sinks",
+        "_jsonl",
+        "_owns_jsonl",
         "_clock",
         "_t0",
         "_seq",
@@ -72,11 +96,14 @@ class Tracer(CallLedger):
 
     def __init__(
         self,
-        sinks: Iterable[Any] = (),
+        jsonl: str | IO[str] | None = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
         super().__init__()
-        self.sinks = list(sinks)
+        self._owns_jsonl = isinstance(jsonl, str)
+        if isinstance(jsonl, str):
+            jsonl = open(jsonl, "w", encoding="utf-8")
+        self._jsonl: IO[str] | None = jsonl
         self._clock = clock
         self._t0 = clock()
         self._seq = 0
@@ -96,8 +123,9 @@ class Tracer(CallLedger):
         t = self._clock() - self._t0
         self.stack.append(label)
         self._open.append((seq, t, self.total))
-        if self.sinks:
-            self._emit(
+        if self._jsonl is not None:
+            _write(
+                self._jsonl,
                 {"ev": "enter", "span": label, "seq": seq, "depth": depth,
                  "t": t, "ncd": self.total}
             )
@@ -114,15 +142,12 @@ class Tracer(CallLedger):
         agg["count"] += 1
         agg["seconds"] += t1 - t0
         agg["ncd"] += ncd1 - ncd0
-        if self.sinks:
-            self._emit(
+        if self._jsonl is not None:
+            _write(
+                self._jsonl,
                 {"ev": "exit", "span": label, "seq": seq, "depth": len(self._open),
                  "t": t1, "ncd": ncd1, "dt": t1 - t0, "dncd": ncd1 - ncd0}
             )
-
-    def _emit(self, event: dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
 
     # ------------------------------------------------------------------
     # Results
@@ -145,13 +170,46 @@ class Tracer(CallLedger):
         }
 
     def close(self) -> None:
-        """Emit a final ``summary`` event and close all sinks (idempotent)."""
+        """Write the final ``summary`` event and flush the JSONL target,
+        closing it if the tracer opened it (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self.sinks:
-            event = {"ev": "summary"}
-            event.update(self.summary())
-            self._emit(event)
-        for sink in self.sinks:
-            sink.close()
+        if self._jsonl is None:
+            return
+        event = {"ev": "summary"}
+        event.update(self.summary())
+        _write(self._jsonl, event)
+        self._jsonl.flush()
+        if self._owns_jsonl:
+            self._jsonl.close()
+
+
+def _write(stream: IO[str], event: dict[str, Any]) -> None:
+    """One compact JSON object per line."""
+    stream.write(json.dumps(event, separators=(",", ":")) + "\n")
+
+
+def format_summary(summary: dict[str, Any]) -> str:
+    """Render a :meth:`Tracer.summary` dict as an aligned two-table report."""
+    lines = [
+        f"elapsed: {summary.get('elapsed_seconds', 0.0):.3f}s, "
+        f"distance calls: {summary.get('ncd_total', 0)}"
+    ]
+    by_site = summary.get("ncd_by_site") or {}
+    if by_site:
+        total = max(sum(by_site.values()), 1)
+        width = max(len(site) for site in by_site)
+        lines.append("NCD by site (disjoint; sums to the total):")
+        for site, calls in sorted(by_site.items(), key=lambda kv: -kv[1]):
+            lines.append(f"  {site:<{width}}  {calls:>12}  {100.0 * calls / total:5.1f}%")
+    spans = summary.get("spans") or {}
+    if spans:
+        width = max(len(name) for name in spans)
+        lines.append("time by site (inclusive; nested sites double-count):")
+        for name, agg in sorted(spans.items(), key=lambda kv: -kv[1]["seconds"]):
+            lines.append(
+                f"  {name:<{width}}  x{int(agg['count']):<8} "
+                f"{agg['seconds']:>9.3f}s  {int(agg['ncd']):>12} calls"
+            )
+    return "\n".join(lines)

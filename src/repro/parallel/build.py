@@ -444,7 +444,10 @@ def _merge_reports(
         [IngestReport.from_dict(result.report) for result in results] + [recovery]
     )
     report.elapsed_seconds = time.perf_counter() - start
-    report.n_distance_calls = model.metric.n_calls
+    # A shard that resumed from its checkpoint re-booked only the calls it
+    # made since; its report also counts the calls it made before.
+    model._resumed_calls = report.n_distance_calls - sum(r.n_calls for r in results)
+    report.n_distance_calls = model.metric.n_calls + model._resumed_calls
     if model.tree_ is not None:
         report.n_rebuilds += model.tree_.n_rebuilds
     # Shard-side guarded-metric counters are already in the merged sums;

@@ -141,8 +141,19 @@ def load_subclusters(
 # Scan checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 7
+_CHECKPOINT_VERSION = 8
 _METRIC_PID = "repro.metric"
+
+
+class _HeaderUnpickler(pickle.Unpickler):
+    """Reads the version header; a header names no class, so any class
+    lookup means a payload from before version 8, which had no header."""
+
+    def find_class(self, module, name):
+        raise CheckpointError(
+            "unsupported checkpoint version: the file has no version header "
+            f"(written before version 8; this build reads version {_CHECKPOINT_VERSION})"
+        )
 
 
 class _MetricStrippingPickler(pickle.Pickler):
@@ -225,18 +236,20 @@ def save_checkpoint(
     uninterrupted one would. The distance function is *not* stored;
     :func:`load_checkpoint` re-attaches one.
 
-    The write goes to a temp file in the same directory followed by
+    The format version is pickled on its own ahead of the payload, so a
+    loader checks it before unpickling any class the payload names. The
+    write goes to a temp file in the same directory followed by
     ``os.replace``, so a crash mid-write never corrupts an existing
     checkpoint.
     """
     payload = {
-        "format_version": _CHECKPOINT_VERSION,
         "cursor": int(cursor),
         "state": state or {},
         "metadata": metadata or {},
         "tree": tree,
     }
     buf = io.BytesIO()
+    pickle.dump(_CHECKPOINT_VERSION, buf, protocol=pickle.HIGHEST_PROTOCOL)
     _MetricStrippingPickler(buf).dump(payload)
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -275,6 +288,12 @@ def load_checkpoint(path: str | os.PathLike, metric: DistanceFunction) -> Checkp
         )
     try:
         with open(path, "rb") as f:
+            version = _HeaderUnpickler(f).load()
+            if version != _CHECKPOINT_VERSION:
+                raise CheckpointError(
+                    f"unsupported checkpoint version {version!r} "
+                    f"(this build reads version {_CHECKPOINT_VERSION})"
+                )
             payload = _MetricRestoringUnpickler(f, metric).load()
     except (OSError, CheckpointError):
         # I/O failures and our own diagnostics carry their meaning already.
@@ -288,12 +307,6 @@ def load_checkpoint(path: str | os.PathLike, metric: DistanceFunction) -> Checkp
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if not isinstance(payload, dict) or "tree" not in payload:
         raise CheckpointError(f"checkpoint {path!r} has an unrecognized layout")
-    version = payload.get("format_version")
-    if version != _CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r} "
-            f"(this build reads version {_CHECKPOINT_VERSION})"
-        )
     return Checkpoint(
         tree=payload["tree"],
         cursor=int(payload.get("cursor", 0)),

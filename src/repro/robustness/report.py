@@ -31,7 +31,8 @@ class IngestReport:
     n_substitutions: int = 0
     #: Total metric faults recorded (exceptions, invalid values, asymmetry).
     n_metric_faults: int = 0
-    #: Distance calls (NCD) on the model's metric at the end of the scan.
+    #: Distance calls (NCD) on the model's metric at the end of the scan,
+    #: plus, after a resume, those the scan made before its checkpoint.
     n_distance_calls: int = 0
     #: CF*-tree rebuilds triggered during the scan.
     n_rebuilds: int = 0

@@ -5,6 +5,7 @@ import pickle
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from repro import BUBBLE, BUBBLEFM, EuclideanDistance, persistence
@@ -73,7 +74,7 @@ class TestCheckpointPrimitives:
 
     # Routing caches travel in the pickle and gain fields between versions,
     # so any other version must be refused up front, not fail mid-resume.
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8, "7", None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 9, "8", None])
     def test_other_format_version_raises_checkpoint_error(
         self, points, tmp_path, monkeypatch, version
     ):
@@ -91,7 +92,8 @@ class TestCheckpointPrimitives:
     ):
         """Version-6 checkpoints pickled each BUBBLE policy's
         ``repro.core.arena.FeatureArena``, a module this build does not
-        have; the load must still fail as a checkpoint error."""
+        have. Files from before version 8 carry no version header, so the
+        load refuses them by version before it looks up any class."""
         arena = types.ModuleType("repro.core.arena")
         arena.FeatureArena = type("FeatureArena", (), {"__module__": arena.__name__})
         monkeypatch.setitem(sys.modules, arena.__name__, arena)
@@ -99,7 +101,7 @@ class TestCheckpointPrimitives:
         path = tmp_path / "v6.ckpt"
         path.write_bytes(pickle.dumps(payload))
         monkeypatch.undo()
-        with pytest.raises(CheckpointError, match="repro.core.arena"):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
             load_checkpoint(path, metric=EuclideanDistance())
 
     def test_atomic_write_replaces_existing(self, points, tmp_path):
@@ -111,6 +113,14 @@ class TestCheckpointPrimitives:
         save_checkpoint(path, model.tree_, cursor=200)
         assert load_checkpoint(path, metric=EuclideanDistance()).cursor == 200
         assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def _scan_counters(report):
+    """A report's counters, without wall time and resume bookkeeping."""
+    counters = report.to_dict()
+    for key in ("elapsed_seconds", "resumed_at", "shards_resumed"):
+        del counters[key]
+    return counters
 
 
 def signatures_from_tree(tree):
@@ -132,6 +142,22 @@ class TestResumeEquivalence:
         assert resumed.ingest_report_.resumed_at == 300
         assert resumed.tree_.n_objects == len(points)
         assert signatures(resumed) == signatures(ref)
+
+    def test_resumed_report_counts_the_whole_scan(self, tmp_path):
+        # The resumed run's metric starts at zero; the report must still
+        # count the calls made before the checkpoint.
+        points = list(np.random.default_rng(0).uniform(0, 100, size=(600, 2)))
+        path = tmp_path / "scan.ckpt"
+        ref = BUBBLE(EuclideanDistance(), max_nodes=20, seed=0).fit(points)
+        BUBBLE(EuclideanDistance(), max_nodes=20, seed=0).fit(
+            points[:300], checkpoint_path=path, checkpoint_every=300
+        )
+        resumed = BUBBLE(EuclideanDistance(), max_nodes=20, seed=0)
+        resumed.fit(points, resume_from=path)
+        assert resumed.metric.n_calls < ref.metric.n_calls
+        assert _scan_counters(resumed.ingest_report_) == _scan_counters(
+            ref.ingest_report_
+        )
 
     def test_bubble_fm_resume_matches_uninterrupted(self, rng, tmp_path):
         data = list(rng.uniform(0, 100, size=(400, 2)))

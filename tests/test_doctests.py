@@ -13,6 +13,7 @@ import repro.core.preclusterer
 import repro.fastmap.fastmap
 import repro.index.vptree
 import repro.metrics.base
+import repro.observability.tracer
 
 MODULES = [
     repro,
@@ -20,6 +21,7 @@ MODULES = [
     repro.fastmap.fastmap,
     repro.core.preclusterer,
     repro.index.vptree,
+    repro.observability.tracer,
 ]
 
 

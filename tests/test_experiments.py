@@ -115,7 +115,8 @@ class TestSmokeRuns:
         r = run_ablation_labeling(scale=TINY)
         by = r.row_map()
         assert by["linear"][3] == 1.0  # self-agreement
-        assert set(by) == {"linear", "tree", "vptree"}
+        assert set(by) == {"linear", "walk", "tree", "vptree"}
+        assert by["walk"][3] == 1.0
 
     def test_ablation_clarans(self):
         r = run_ablation_clarans(scale=TINY)

@@ -1,4 +1,4 @@
-"""Observability layer: tracer, sinks, NCD attribution, stats snapshots.
+"""Observability layer: tracer, JSONL trace, NCD attribution, stats snapshots.
 
 The two load-bearing guarantees, each pinned by a regression test here:
 
@@ -34,21 +34,18 @@ from repro.metrics.base import (
     site,
 )
 from repro.metrics.cache import CachedDistance
-from repro.observability import (
-    JsonlSink,
-    ListSink,
-    StatsSnapshot,
-    SummarySink,
-    TraceSink,
-    Tracer,
-    format_summary,
-)
+from repro.observability import StatsSnapshot, Tracer, format_summary
 from repro.pipelines import build_authority_file, cluster_dataset, map_first_cluster
 from repro.robustness import FlakyMetric, GuardedMetric
 
 
 def _ds2_objects(n=500, seed=13):
     return make_ds2(n_points=n, seed=seed).as_objects()
+
+
+def _events(stream):
+    """The events a tracer wrote to a ``jsonl=`` string stream."""
+    return [json.loads(line) for line in stream.getvalue().splitlines()]
 
 
 def _check_event_stream(events):
@@ -131,14 +128,14 @@ class TestTraceProperties:
         # rebuilds, the paths where span pairing could break.
         rng = np.random.default_rng(seed)
         objs = list(rng.uniform(0, 50, size=(n, 2)))
-        sink = ListSink()
-        tracer = Tracer(sinks=[sink])
+        stream = io.StringIO()
+        tracer = Tracer(jsonl=stream)
         metric = EuclideanDistance()
         model = BUBBLE(metric, branching_factor=3, max_nodes=max_nodes, seed=seed)
         with tracer:
             model.fit(objs)
         tracer.close()
-        _check_event_stream(sink.events)
+        _check_event_stream(_events(stream))
         assert sum(tracer.by_site.values()) == metric.n_calls
 
     @settings(max_examples=8, deadline=None)
@@ -146,13 +143,13 @@ class TestTraceProperties:
     def test_events_well_nested_for_bubble_fm(self, seed):
         rng = np.random.default_rng(seed)
         objs = list(rng.normal(size=(120, 2)))
-        sink = ListSink()
-        tracer = Tracer(sinks=[sink])
+        stream = io.StringIO()
+        tracer = Tracer(jsonl=stream)
         model = BUBBLEFM(EuclideanDistance(), branching_factor=4, max_nodes=8, seed=seed)
         with tracer:
             model.fit(objs)
         tracer.close()
-        _check_event_stream(sink.events)
+        _check_event_stream(_events(stream))
 
 
 # ----------------------------------------------------------------------
@@ -360,29 +357,6 @@ class TestLedger:
         assert active_ledger() is None
 
 
-class _LedgerStackSink(TraceSink):
-    """Records every site event at which the tracer's stack is not exactly
-    the sites its events left open: a leaked site shows up as an extra label."""
-
-    def __init__(self) -> None:
-        self.ledger: CallLedger | None = None
-        self.open: list[str] = []
-        self.n_events = 0
-        self.mismatches: list[tuple[str, str, list[str]]] = []
-
-    def emit(self, event):
-        if event["ev"] == "enter":
-            self.open.append(event["span"])
-        elif event["ev"] == "exit":
-            self.open.pop()
-        else:
-            return
-        self.n_events += 1
-        stack = self.ledger.stack
-        if stack != self.open:
-            self.mismatches.append((event["ev"], event["span"], list(stack)))
-
-
 class TestSitesUnderFaults:
     """A fault raised inside a ledger site must close the site on its way
     out: afterwards the ledger stack holds only the sites still open, and
@@ -430,15 +404,18 @@ class TestSitesUnderFaults:
         metric = FlakyMetric(
             EuclideanDistance(), failure_rate=0.0, poison=lambda o: o[0] > 1e5
         )
-        sink = _LedgerStackSink()
-        tracer = Tracer(sinks=[sink])
-        sink.ledger = tracer
+        stream = io.StringIO()
+        tracer = Tracer(jsonl=stream)
         model = model_cls(metric, max_nodes=20, seed=0)
         with tracer:
             model.fit(objs, on_error="quarantine")
         assert [r.index for r in model.quarantine_] == list(poisoned)
-        assert sink.n_events > 0
-        assert sink.mismatches == []
+        # A site leaked by a fault stays open in the event stream (every
+        # later exit pairs with the tracer's innermost site) and on the
+        # tracer's stack.
+        events = _events(stream)
+        assert events
+        _check_event_stream(events)
         assert tracer.stack == []
         assert sum(tracer.by_site.values()) == metric.n_calls
         with tracer:
@@ -463,46 +440,55 @@ class TestTracer:
         assert tracer.by_site == {"outer": 1, "inner": 1}  # disjoint
 
     def test_close_is_idempotent_and_emits_summary(self):
-        sink = ListSink()
-        tracer = Tracer(sinks=[sink])
+        stream = io.StringIO()
+        tracer = Tracer(jsonl=stream)
         with tracer, site("phase"):
             pass
         tracer.close()
         tracer.close()
-        summaries = [e for e in sink.events if e["ev"] == "summary"]
+        summaries = [e for e in _events(stream) if e["ev"] == "summary"]
         assert len(summaries) == 1
         assert summaries[0]["spans"]["phase"]["count"] == 1
 
 
 class TestSinks:
+    """Where a trace lands: the tracer's JSONL target and the summary table."""
+
     def test_jsonl_sink_round_trips_events(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        tracer = Tracer(sinks=[JsonlSink(str(path))])
+        tracer = Tracer(jsonl=str(path))
         metric = EuclideanDistance()
         with tracer, site("work"):
             metric.distance(np.zeros(2), np.ones(2))
         tracer.close()
         events = [json.loads(line) for line in path.read_text().splitlines()]
         _check_event_stream(events)
-        assert events[-1]["ev"] == "summary"
+        assert [e["ev"] for e in events] == ["enter", "exit", "summary"]
+        assert list(events[0]) == ["ev", "span", "seq", "depth", "t", "ncd"]
+        assert list(events[1]) == [
+            "ev", "span", "seq", "depth", "t", "ncd", "dt", "dncd"
+        ]
+        assert list(events[2]) == [
+            "ev", "elapsed_seconds", "ncd_total", "ncd_by_site", "spans"
+        ]
         assert events[-1]["ncd_by_site"] == {"work": 1}
 
     def test_jsonl_sink_on_stream_does_not_close_it(self):
         stream = io.StringIO()
-        sink = JsonlSink(stream)
-        sink.emit({"ev": "enter", "span": "x"})
-        sink.close()
+        tracer = Tracer(jsonl=stream)
+        with tracer, site("x"):
+            pass
+        tracer.close()
         assert not stream.closed
-        assert json.loads(stream.getvalue()) == {"ev": "enter", "span": "x"}
+        enter = json.loads(stream.getvalue().splitlines()[0])
+        assert (enter["ev"], enter["span"]) == ("enter", "x")
 
     def test_summary_sink_prints_table(self):
-        stream = io.StringIO()
-        tracer = Tracer(sinks=[SummarySink(stream)])
+        tracer = Tracer()
         metric = EuclideanDistance()
         with tracer, site("scan"):
             metric.distance(np.zeros(2), np.ones(2))
-        tracer.close()
-        text = stream.getvalue()
+        text = format_summary(tracer.summary())
         assert "NCD by site" in text
         assert "scan" in text
 
@@ -543,7 +529,7 @@ class TestStatsSnapshot:
         # traced scan carries none.
         from repro.persistence import load_checkpoint, save_checkpoint
 
-        tracer = Tracer(sinks=[JsonlSink(str(tmp_path / "t.jsonl"))])
+        tracer = Tracer(jsonl=str(tmp_path / "t.jsonl"))
         metric = EuclideanDistance()
         model = BUBBLE(metric, max_nodes=15, seed=6)
         with tracer:
@@ -575,12 +561,15 @@ class TestStatsSnapshot:
         # never holds either, so it pickles like an untraced one.
         import pickle
 
-        tracer = Tracer(sinks=[JsonlSink(str(tmp_path / "t.jsonl"))])
+        tracer = Tracer(jsonl=str(tmp_path / "t.jsonl"))
         model = BUBBLE(EuclideanDistance(), max_nodes=15, seed=6)
         objs = _ds2_objects(n=150, seed=31)
         with tracer:
             model.fit(objs)
         clone = pickle.loads(pickle.dumps(model))
         tracer.close()
-        assert clone.summary()["n_subclusters"] == model.summary()["n_subclusters"]
+        assert (
+            StatsSnapshot.from_model(clone).to_dict()
+            == StatsSnapshot.from_model(model).to_dict()
+        )
         assert list(clone.assign(objs[:20])) == list(model.assign(objs[:20]))

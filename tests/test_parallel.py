@@ -400,6 +400,24 @@ class TestShardedCheckpoint:
         assert tree_signature(clean.tree_) == tree_signature(resumed.tree_)
         assert resumed.ingest_report_.shards_resumed >= 1
 
+    def test_resumed_report_counts_the_whole_scan(self, tmp_path):
+        # Each shard's checkpoint is a prefix of that shard in the full
+        # build, so the resume finishes the interrupted scan; its report
+        # must count the calls the shards made before their checkpoints.
+        points = make_blobs(n=300)
+        kwargs = dict(max_nodes=12, seed=5, n_shards=3)
+        ckdir = tmp_path / "ck"
+        ref = BUBBLE(EuclideanDistance(), **kwargs).fit(points)
+        BUBBLE(EuclideanDistance(), **kwargs).fit(
+            points[:150], checkpoint_path=ckdir, checkpoint_every=25
+        )
+        resumed = BUBBLE(EuclideanDistance(), **kwargs).fit(points, resume_from=ckdir)
+        report, ref_report = resumed.ingest_report_, ref.ingest_report_
+        assert report.shards_resumed == 3
+        assert resumed.metric.n_calls < ref.metric.n_calls
+        assert report.n_distance_calls == ref_report.n_distance_calls
+        assert (report.n_seen, report.n_rebuilds) == (ref_report.n_seen, ref_report.n_rebuilds)
+
     def test_resume_rejects_different_n_shards(self, tmp_path):
         from repro.exceptions import CheckpointError
 

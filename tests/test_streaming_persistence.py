@@ -7,6 +7,7 @@ from repro import BUBBLE
 from repro.core.features import SubCluster
 from repro.exceptions import NotFittedError, ParameterError
 from repro.metrics import EditDistance, EuclideanDistance
+from repro.observability import StatsSnapshot
 from repro.persistence import load_subclusters, save_subclusters
 
 
@@ -43,16 +44,16 @@ class TestSummary:
     def test_keys_and_values(self, euclidean, blob_data):
         points, _, _ = blob_data
         model = BUBBLE(euclidean, max_nodes=10, seed=0).fit(points)
-        s = model.summary()
-        assert s["algorithm"] == "BUBBLE"
+        s = StatsSnapshot.from_model(model).to_dict()
         assert s["n_objects"] == len(points)
-        assert s["n_subclusters"] == model.n_subclusters_
-        assert s["n_distance_calls"] > 0
+        assert s["n_clusters"] == model.n_subclusters_
+        assert s["ncd_total"] == model.ingest_report_.n_distance_calls > 0
         assert s["n_nodes"] <= 10
+        assert s["report"] == model.ingest_report_.to_dict()
 
     def test_requires_fit(self, euclidean):
         with pytest.raises(NotFittedError):
-            BUBBLE(euclidean).summary()
+            StatsSnapshot.from_model(BUBBLE(euclidean))
 
 
 class TestPersistence:
